@@ -37,13 +37,7 @@ int main(int argc, char** argv) {
   bool* sweep_only = flags.Bool(
       "sweep-only", false,
       "run only the thread-count sweep (the CI perf-smoke subset)");
-  bool* batch = flags.Bool(
-      "batch", true,
-      "columnar batch execution in the thread sweep (false = record path)");
-  if (Status s = flags.Parse(argc, argv); !s.ok()) {
-    std::cerr << s << "\n" << flags.Usage();
-    return 1;
-  }
+  if (auto exit_code = flags.ParseMain(argc, argv)) return *exit_code;
   bench::Banner("C3",
                 "Large Twitter-like graph scenario: statistics-only "
                 "tracking of PageRank and Connected Components with "
@@ -157,8 +151,7 @@ int main(int argc, char** argv) {
         options.num_partitions = parts;
         options.max_iterations = 25;
         options.num_threads = threads;
-        options.columnar_batch = *batch;
-        bench::JobHarness harness("c3-pr-t" + std::to_string(threads));
+              bench::JobHarness harness("c3-pr-t" + std::to_string(threads));
         harness.SetFailures(runtime::FailureSchedule(
             std::vector<runtime::FailureEvent>{{8, {3}}, {16, {5}}}));
         algos::FixRanksCompensation fix_ranks(g.num_vertices());
@@ -183,7 +176,6 @@ int main(int argc, char** argv) {
         report.AddEntry()
             .Set("algo", "pagerank")
             .Set("num_threads", threads)
-            .Set("columnar_batch", *batch)
             .Set("wall_ms", wall_ms)
             .Set("sim_ms", harness.clock().TotalMs())
             .Set("iterations", result->iterations)
@@ -195,8 +187,7 @@ int main(int argc, char** argv) {
         algos::ConnectedComponentsOptions options;
         options.num_partitions = parts;
         options.num_threads = threads;
-        options.columnar_batch = *batch;
-        bench::JobHarness harness("c3-cc-t" + std::to_string(threads));
+              bench::JobHarness harness("c3-cc-t" + std::to_string(threads));
         harness.SetFailures(runtime::FailureSchedule(
             std::vector<runtime::FailureEvent>{{3, {1}}}));
         algos::FixComponentsCompensation fix_components(&cc_graph);
@@ -221,7 +212,6 @@ int main(int argc, char** argv) {
         report.AddEntry()
             .Set("algo", "connected-components")
             .Set("num_threads", threads)
-            .Set("columnar_batch", *batch)
             .Set("wall_ms", wall_ms)
             .Set("sim_ms", harness.clock().TotalMs())
             .Set("iterations", result->iterations)

@@ -5,8 +5,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <unordered_map>
-
 #include "algos/connected_components.h"
 #include "algos/datasets.h"
 #include "algos/pagerank.h"
@@ -193,32 +191,6 @@ void BM_ShuffleSerdeColumnar(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ShuffleSerdeColumnar)->Arg(1 << 10)->Arg(1 << 14);
-
-void BM_JoinProbeRecord(benchmark::State& state) {
-  // Record-path join core: map of materialized keys to record-pointer
-  // chains, probed with a freshly extracted key per record.
-  auto build = RandomPairs(state.range(0), state.range(0) / 2, 1, 11);
-  auto probe = RandomPairs(state.range(0), state.range(0) / 2, 1, 12);
-  const std::vector<Record>& rows = build.partition(0);
-  for (auto _ : state) {
-    std::unordered_map<Record, std::vector<const Record*>,
-                       dataflow::RecordHash>
-        index;
-    index.reserve(rows.size());
-    for (const Record& r : rows) {
-      index[dataflow::ExtractKey(r, {0})].push_back(&r);
-    }
-    uint64_t matches = 0;
-    for (const Record& r : probe.partition(0)) {
-      auto it = index.find(dataflow::ExtractKey(r, {0}));
-      if (it == index.end()) continue;
-      matches += it->second.size();
-    }
-    benchmark::DoNotOptimize(matches);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0) * 2);
-}
-BENCHMARK(BM_JoinProbeRecord)->Arg(1 << 10)->Arg(1 << 14);
 
 void BM_JoinProbeColumnar(benchmark::State& state) {
   // Columnar join core: flat open-addressing index keyed directly off the

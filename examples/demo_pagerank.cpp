@@ -21,7 +21,6 @@
 //        --msglog=true|false (outbound message log; implied by
 //        --strategy=confined-log),
 //        --compensation=redistribute|uniform|full, --cache=true|false,
-//        --batch=true|false (columnar vs record-at-a-time execution),
 //        --simd=auto|off|sse4.2|avx2|max (columnar kernel tier),
 //        --mem-budget=BYTES (spill cached artifacts beyond this),
 //        --metrics-out=PATH (metrics v2 export: .prom = Prometheus text,
@@ -129,10 +128,6 @@ int main(int argc, char** argv) {
       "msglog", false,
       "log outbound shuffle messages per superstep (confined-log recovery "
       "replays them; implied by --strategy=confined-log)");
-  bool* batch = flags.Bool(
-      "batch", true,
-      "columnar batch execution on the shuffle/join/reduce hot path "
-      "(false = record-at-a-time; results are byte-identical)");
   std::string* simd = flags.String(
       "simd", "auto",
       "SIMD tier for the columnar kernels: auto|off|sse4.2|avx2|max "
@@ -152,10 +147,7 @@ int main(int argc, char** argv) {
   bool* baseline = flags.Bool(
       "baseline", false,
       "re-run the job failure-free and report recovery health net of it");
-  if (Status s = flags.Parse(argc, argv); !s.ok()) {
-    std::cerr << s << "\n" << flags.Usage();
-    return 1;
-  }
+  if (auto exit_code = flags.ParseMain(argc, argv)) return *exit_code;
 
   auto graph_or = MakeGraph(*graph_name);
   if (!graph_or.ok()) {
@@ -182,7 +174,6 @@ int main(int argc, char** argv) {
   // itself (below) so it can run the profiler and render the dashboard
   // after the run, and writes the export files at the end.
   options.cache_loop_invariant = *cache;
-  options.columnar_batch = *batch;
   if (!dataflow::simd::ParseSimdLevel(*simd, &options.simd)) {
     std::cerr << "unknown --simd level '" << *simd << "'\n";
     return 1;

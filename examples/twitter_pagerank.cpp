@@ -38,10 +38,7 @@ int main(int argc, char** argv) {
       flags.String("fail", "8:3", "failure schedule iter:parts[;...]");
   std::string* strategy = flags.String(
       "strategy", "optimistic", "optimistic|rollback|restart|none");
-  if (Status s = flags.Parse(argc, argv); !s.ok()) {
-    std::cerr << s << "\n" << flags.Usage();
-    return 1;
-  }
+  if (auto exit_code = flags.ParseMain(argc, argv)) return *exit_code;
 
   Rng rng(static_cast<uint64_t>(*seed));
   graph::Graph g =

@@ -27,10 +27,7 @@ int main(int argc, char** argv) {
   int64_t* partitions = flags.Int64("partitions", 4, "degree of parallelism");
   int64_t* min_count = flags.Int64("min-count", 1, "only print words with "
                                                    "at least this count");
-  if (Status s = flags.Parse(argc, argv); !s.ok()) {
-    std::cerr << s << "\n" << flags.Usage();
-    return 1;
-  }
+  if (auto exit_code = flags.ParseMain(argc, argv)) return *exit_code;
   const int parts = static_cast<int>(*partitions);
 
   // One record per input line (here: the whole text as one line per 8

@@ -343,7 +343,6 @@ Result<AlsResult> RunAls(const std::vector<Rating>& ratings,
   dataflow::ExecOptions exec;
   exec.num_partitions = options.num_partitions;
   exec.num_threads = options.num_threads;
-  exec.use_columnar = options.columnar_batch;
   exec.clock = env.clock;
   exec.costs = env.costs;
   exec.tracer = env.tracer;

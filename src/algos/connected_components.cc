@@ -307,7 +307,6 @@ Result<ConnectedComponentsResult> RunConnectedComponentsWithSnapshots(
   dataflow::ExecOptions exec;
   exec.num_partitions = options.num_partitions;
   exec.num_threads = options.num_threads;
-  exec.use_columnar = options.columnar_batch;
   exec.simd_level = options.simd;
   exec.clock = env.clock;
   exec.costs = env.costs;
@@ -407,7 +406,6 @@ Result<ConnectedComponentsResult> RunConnectedComponentsBulk(
   dataflow::ExecOptions exec;
   exec.num_partitions = options.num_partitions;
   exec.num_threads = options.num_threads;
-  exec.use_columnar = options.columnar_batch;
   exec.simd_level = options.simd;
   exec.clock = env.clock;
   exec.costs = env.costs;

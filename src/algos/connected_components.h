@@ -55,10 +55,6 @@ struct ConnectedComponentsOptions {
   int num_partitions = 4;
   /// Executor worker threads (1 = serial, 0 = hardware concurrency).
   int num_threads = 1;
-  /// Columnar batch execution for the shuffle/join/reduce hot path
-  /// (ExecOptions::use_columnar). Off = record-at-a-time, for A/B runs;
-  /// results are byte-identical either way.
-  bool columnar_batch = true;
   /// SIMD tier for the columnar kernels (ExecOptions::simd_level,
   /// DESIGN.md §15). kAuto keeps the current process-wide dispatch; every
   /// tier is byte-identical — a wall-clock knob only.

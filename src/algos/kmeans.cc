@@ -278,7 +278,6 @@ Result<KMeansResult> RunKMeans(const std::vector<Point>& points,
   dataflow::ExecOptions exec;
   exec.num_partitions = options.num_partitions;
   exec.num_threads = options.num_threads;
-  exec.use_columnar = options.columnar_batch;
   exec.clock = env.clock;
   exec.costs = env.costs;
   exec.tracer = env.tracer;

@@ -85,10 +85,6 @@ struct KMeansOptions {
   int num_partitions = 4;
   /// Executor worker threads (1 = serial, 0 = hardware concurrency).
   int num_threads = 1;
-  /// Columnar batch execution for the shuffle/join/reduce hot path
-  /// (ExecOptions::use_columnar). Off = record-at-a-time, for A/B runs;
-  /// results are byte-identical either way.
-  bool columnar_batch = true;
   /// Log every shuffled loop-variant channel of the current superstep to
   /// an outbound message log and expose the confined-log replay hook
   /// (runtime/message_log.h, DESIGN.md §14), enabling

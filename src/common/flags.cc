@@ -1,5 +1,7 @@
 #include "common/flags.h"
 
+#include <iostream>
+
 #include "common/logging.h"
 #include "common/strings.h"
 
@@ -52,8 +54,13 @@ bool* FlagParser::Bool(const std::string& name, bool default_value,
 }
 
 Status FlagParser::Parse(int argc, const char* const* argv) {
+  help_requested_ = false;
   for (int i = 1; i < argc; ++i) {
     std::string_view arg(argv[i]);
+    if (arg == "--help") {
+      help_requested_ = true;
+      continue;
+    }
     if (!StartsWith(arg, "--")) {
       return Status::InvalidArgument("unexpected positional argument '" +
                                      std::string(arg) + "'");
@@ -73,8 +80,7 @@ Status FlagParser::Parse(int argc, const char* const* argv) {
 
     auto it = flags_.find(name);
     if (it == flags_.end()) {
-      return Status::InvalidArgument("unknown flag '--" + name + "'\n" +
-                                     Usage());
+      return Status::InvalidArgument("unknown flag '--" + name + "'");
     }
     Flag& flag = it->second;
     switch (flag.kind) {
@@ -111,6 +117,18 @@ Status FlagParser::Parse(int argc, const char* const* argv) {
     }
   }
   return Status::OK();
+}
+
+std::optional<int> FlagParser::ParseMain(int argc, const char* const* argv) {
+  if (Status s = Parse(argc, argv); !s.ok()) {
+    std::cerr << s << "\n" << Usage();
+    return 1;
+  }
+  if (help_requested_) {
+    std::cout << Usage();
+    return 0;
+  }
+  return std::nullopt;
 }
 
 std::string FlagParser::Usage() const {

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,7 +19,7 @@ namespace flinkless {
 ///   FlagParser flags;
 ///   int64_t* iters = flags.Int64("max-iterations", 20, "superstep cap");
 ///   bool* fast = flags.Bool("fast", false, "skip the per-iteration delay");
-///   FLINKLESS_RETURN_NOT_OK(flags.Parse(argc, argv));
+///   if (auto exit_code = flags.ParseMain(argc, argv)) return *exit_code;
 class FlagParser {
  public:
   /// Registers an int64 flag; the returned pointer is stable and holds the
@@ -39,8 +40,17 @@ class FlagParser {
              const std::string& help);
 
   /// Parses argv (skipping argv[0]). Returns InvalidArgument for unknown
-  /// flags, bad values, or positional arguments.
+  /// flags, bad values, or positional arguments. A bare --help is accepted
+  /// and sets help_requested().
   Status Parse(int argc, const char* const* argv);
+
+  /// Parse for a main(): returns the exit code main should return, or
+  /// nullopt to go on. --help prints Usage() to stdout (exit 0); a parse
+  /// error prints the error and Usage() to stderr (exit 1).
+  std::optional<int> ParseMain(int argc, const char* const* argv);
+
+  /// True when the last Parse saw --help.
+  bool help_requested() const { return help_requested_; }
 
   /// One line per flag: "--name (default: x)  help".
   std::string Usage() const;
@@ -62,6 +72,7 @@ class FlagParser {
 
   std::map<std::string, Flag> flags_;
   std::vector<std::string> order_;
+  bool help_requested_ = false;
 };
 
 }  // namespace flinkless

@@ -14,9 +14,8 @@
 //  * FlatKeyIndex — an open-addressing hash index over a partition's rows,
 //    keyed on key columns in place (no ExtractKey allocation, no map
 //    nodes). Groups are arrival-order chains of row ids, so probing yields
-//    exactly the record order the legacy JoinIndex / GroupByKey paths
-//    produced — byte-identity with the record path is structural, not
-//    incidental.
+//    records in arrival order within each key — the order a map of
+//    per-key record lists would hold them in.
 //
 // Determinism: every structure here is a pure function of the input rows
 // (hash seeds are fixed, insertion order is partition order), so outputs
@@ -134,15 +133,14 @@ class ColumnarBatch {
 };
 
 /// Per-partition open-addressing hash index over a vector of records, keyed
-/// on `key` columns in place. Replaces the unordered_map<Record, ...>
-/// JoinIndex/GroupMap structures on the batch path: power-of-two capacity,
+/// on `key` columns in place, in place of an unordered_map<Record, ...> of
+/// groups: power-of-two capacity,
 /// linear probing, cached per-row key hashes, and arrival-order group
 /// chains of row ids — zero allocation per probe, one allocation per array
 /// at build.
 ///
 /// Lifetime: the index borrows `rows`; it must not outlive or observe
-/// mutation of them (same discipline as the legacy JoinIndex's record
-/// pointers).
+/// mutation of them.
 class FlatKeyIndex {
  public:
   /// Indexes `rows` on `key`. Rebuilding over an old index reuses storage.

@@ -8,9 +8,9 @@
 namespace flinkless::dataflow {
 
 /// One cache entry as the MemoryManager sees it. Spilling serializes only
-/// the dataset — join_index/groups reference the dataset's records by
-/// pointer, so they are dropped with it and rebuilt (deterministically,
-/// from entry.index_key) when the bytes come back.
+/// the dataset — flat_index/groups are derived from the dataset's records,
+/// so they are dropped with it and rebuilt (deterministically, from
+/// entry.index_key) when the bytes come back.
 struct ExecCache::Segment : public runtime::SpillableSegment {
   Segment(std::string key, runtime::StableStorage* storage, int partitions,
           uint64_t* hash_reuse_counter)
@@ -41,7 +41,6 @@ struct ExecCache::Segment : public runtime::SpillableSegment {
   Status Spill() override {
     FLINKLESS_CHECK(!spilled_ && entry.data != nullptr,
                     "spilling a segment that is not resident");
-    had_join_index_ = !entry.join_index.empty();
     had_flat_index_ = !entry.flat_index.empty();
     had_groups_ = !entry.groups.empty();
     // Retain the flat index's cached row hashes in memory across the spill
@@ -62,7 +61,6 @@ struct ExecCache::Segment : public runtime::SpillableSegment {
     // just stops keeping it resident. The flat index borrows the dataset's
     // records, so it must go with them.
     entry.data.reset();
-    entry.join_index.clear();
     entry.flat_index.clear();
     entry.groups.clear();
     spilled_ = true;
@@ -79,17 +77,6 @@ struct ExecCache::Segment : public runtime::SpillableSegment {
     auto data = std::make_shared<PartitionedDataset>(std::move(ds));
     entry.data = data;
     const int n = data->num_partitions();
-    if (had_join_index_) {
-      entry.join_index.assign(n, JoinIndex());
-      for (int p = 0; p < n; ++p) {
-        JoinIndex& index = entry.join_index[p];
-        const std::vector<Record>& part = data->partition(p);
-        index.reserve(part.size());
-        for (const Record& r : part) {
-          index[ExtractKey(r, entry.index_key)].push_back(&r);
-        }
-      }
-    }
     if (had_flat_index_) {
       entry.flat_index.assign(n, FlatKeyIndex());
       const bool have_hashes = spilled_hashes_.size() == static_cast<size_t>(n);
@@ -137,7 +124,6 @@ struct ExecCache::Segment : public runtime::SpillableSegment {
   uint64_t* hash_reuse_counter_;
   uint64_t serialized_bytes_ = 0;
   bool spilled_ = false;
-  bool had_join_index_ = false;
   bool had_flat_index_ = false;
   bool had_groups_ = false;
   /// Per-partition row hashes of the dropped flat index, kept while

@@ -18,9 +18,9 @@
 // Memory budget (DESIGN.md §11): with a MemoryManager attached, every
 // entry is a SpillableSegment keyed "spill/<job>/n<node>.r<role>". When
 // residency exceeds the budget the manager spills LRU entries to
-// StableStorage (serialized datasets only — join indexes and groups hold
-// raw pointers into the cached records, so they are dropped and rebuilt
-// from the reloaded bytes on access). Residency is measured in serialized
+// StableStorage (serialized datasets only — flat indexes and groups are
+// derived from the cached records, so they are dropped and rebuilt from
+// the reloaded bytes on access). Residency is measured in serialized
 // bytes so budget decisions are platform-independent and deterministic.
 //
 // Lifetime: created before superstep 1, reused across supersteps and across
@@ -61,12 +61,6 @@ class Tracer;
 
 namespace flinkless::dataflow {
 
-/// Per-partition hash index over a cached (shuffled) join build side:
-/// key -> the group's records in arrival order, referencing the cached
-/// dataset's records instead of copying them.
-using JoinIndex =
-    std::unordered_map<Record, std::vector<const Record*>, RecordHash>;
-
 /// Per-partition materialized groups of a cached cogroup side (cogroup UDFs
 /// take whole groups by reference, so groups are materialized once).
 using CachedGroups =
@@ -88,17 +82,13 @@ class ExecCache {
     /// hold the shared_ptr alive while referencing its records — a spill
     /// only drops the cache's reference, never a dataset in use.
     std::shared_ptr<const PartitionedDataset> data;
-    /// kBuild on kJoin, record path: per-partition index into `data`'s
-    /// records.
-    std::vector<JoinIndex> join_index;
-    /// kBuild on kJoin, batch path (DESIGN.md §12): per-partition flat
+    /// kBuild on kJoin (DESIGN.md §12): per-partition flat
     /// open-addressing index over `data`'s records — no per-record Value
-    /// hashing or map nodes. Only one of join_index/flat_index is built,
-    /// depending on ExecOptions::use_columnar.
+    /// hashing or map nodes.
     std::vector<FlatKeyIndex> flat_index;
     /// kBuild/kProbe on kCoGroup: per-partition groups of `data`.
     std::vector<CachedGroups> groups;
-    /// Key columns join_index/groups are built on. The executor sets this
+    /// Key columns flat_index/groups are built on. The executor sets this
     /// at build time; a spilled entry rebuilds the structures from the
     /// reloaded records with it.
     KeyColumns index_key;

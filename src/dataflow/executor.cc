@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -27,12 +25,9 @@ std::string MsglogChannel(int id, const char* port) {
   return buf;
 }
 
-// Hash-based grouping: O(1) inserts instead of the ordered std::map the
-// executor used to pay O(log k) per record for. Operators that need a
-// deterministic key order (group-reduce emission, cogroup's merged key
-// sweep) sort the key set once afterwards.
-using GroupMap =
-    std::unordered_map<Record, std::vector<Record>, RecordHash>;
+// Cogroup's materialized groups (the same shape ExecCache keeps for a
+// cached side). Cogroup sweeps the merged key set in RecordLess order.
+using GroupMap = CachedGroups;
 
 GroupMap GroupByKey(const std::vector<Record>& records,
                     const KeyColumns& key) {
@@ -44,24 +39,11 @@ GroupMap GroupByKey(const std::vector<Record>& records,
   return groups;
 }
 
-/// The group keys in RecordLess order — the deterministic emission order
-/// key-sorted operators contract to (identical to the old std::map sweep).
-std::vector<const Record*> SortedKeys(const GroupMap& groups) {
-  std::vector<const Record*> keys;
-  keys.reserve(groups.size());
-  for (const auto& [k, group] : groups) keys.push_back(&k);
-  std::sort(keys.begin(), keys.end(),
-            [](const Record* a, const Record* b) { return RecordLess(*a, *b); });
-  return keys;
-}
-
-// ------------------------------------------------ batch path (§12) ------
+// ------------------------------------------------ columnar kernels (§12) --
 //
-// The batch implementations below replace the unordered_map/unordered_set
-// structures of the record path with flat open-addressing tables keyed on
-// columns in place. Grouping, fold order, and sorted-key emission are
-// structurally identical to the record path, so outputs stay byte-identical
-// — the only thing that changes is the per-record allocation count (zero).
+// Flat open-addressing tables keyed on columns in place: zero per-record
+// allocations. Every kernel folds in arrival order and emits in key order,
+// so its output is a pure function of the partition's rows.
 
 /// Open-addressing key -> dense-slot resolver. Slots are handed out in
 /// first-arrival order; the caller owns the per-slot payload (accumulator
@@ -119,12 +101,10 @@ class FlatSlotMap {
   size_t size_ = 0;
 };
 
-/// Batch-path reduce of one partition: accumulate in first-arrival order
-/// through a FlatSlotMap, then emit accumulators sorted on their key
-/// columns — the same fold order and emission order as the record path's
-/// try_emplace + sorted-ExtractKey sweep. `validate` enforces the
-/// combiner-keeps-the-key contract (post-shuffle phase only, matching the
-/// record path).
+/// Reduce of one partition: accumulate in first-arrival order through a
+/// FlatSlotMap, then emit accumulators sorted on their key columns.
+/// `validate` enforces the combiner-keeps-the-key contract (post-shuffle
+/// phase only).
 Status FlatReducePartition(const std::vector<Record>& in,
                            const KeyColumns& key, const CombineFn& combine,
                            bool validate, const std::string& node_name,
@@ -302,7 +282,7 @@ bool FlatReduceTypedPartition(const std::vector<Record>& in,
 /// probe keys in one kernel stripe and resolve all group heads with
 /// FindFirstStripe before emitting. Emission order (probe order, chains in
 /// arrival order) is identical to the per-record FindFirst loop. Returns
-/// false when the shapes don't allow it; the caller runs the record probe.
+/// false when the shapes don't allow it; the caller probes row by row.
 bool StripedJoinProbe(const FlatKeyIndex& index,
                       const std::vector<Record>& build,
                       const std::vector<Record>& probes,
@@ -331,7 +311,7 @@ bool StripedJoinProbe(const FlatKeyIndex& index,
 /// much), else one dataset-wide inference pass. The result is stored back
 /// only when inferred from actual rows — a drained workset (all partitions
 /// empty) must not pin the empty schema for later supersteps. False means
-/// heterogeneous rows; the caller takes the record path.
+/// heterogeneous rows; the caller runs the record fn.
 bool ResolveBatchSchema(ExecCache* cache, int node_id,
                         const PartitionedDataset& in, BatchSchema* schema) {
   if (cache != nullptr) {
@@ -388,6 +368,246 @@ class PartitionKeyBuffer {
   std::string buf_;
   size_t prefix_len_;
 };
+
+/// Observes each build-side group's chain length into the probe-chain
+/// histogram. Safe from worker threads (histograms merge commutatively).
+void ObserveProbeChains(runtime::MetricsSink* metrics,
+                        const FlatKeyIndex& index) {
+  if (metrics == nullptr) return;
+  runtime::Histogram local;
+  for (int32_t head : index.heads()) {
+    int64_t chain = 0;
+    for (int32_t row = head; row >= 0; row = index.Next(row)) ++chain;
+    local.Observe(chain);
+  }
+  metrics->Merge(runtime::metric::kHistProbeChain, local);
+}
+
+// ------------------------------------------------ operator bodies -------
+//
+// Each OpKind's per-partition work, written once. Execute runs a body over
+// every partition on the pool; Replay runs the same body over the
+// partitions its demand analysis selects. A body writes only its own output
+// partition and never counts, charges, or traces: both callers do their own
+// accounting around it.
+
+/// What an operator body reads. Execute fills it from fresh shuffles and
+/// cache entries, Replay from logged channels and re-scattered inputs.
+struct OpInputs {
+  /// Input 0: the plain input of a narrow operator, the post-shuffle input
+  /// of a keyed one (the join build side, the cogroup left side).
+  const PartitionedDataset* a = nullptr;
+  /// Input 1: union's second input, the join probe side, the cogroup right
+  /// side.
+  const PartitionedDataset* b = nullptr;
+  /// Cross: the collected right side, broadcast to every partition.
+  const std::vector<Record>* broadcast = nullptr;
+  /// Map/flat-map: run the batch impl over this schema; null = record fn.
+  const BatchSchema* schema = nullptr;
+  /// Join: the cached per-partition index over `a`; null = build one.
+  const std::vector<FlatKeyIndex>* build_index = nullptr;
+  /// Cogroup: cached per-partition groups standing in for side a or b.
+  const std::vector<CachedGroups>* a_groups = nullptr;
+  const std::vector<CachedGroups>* b_groups = nullptr;
+  /// Reduce: enforce the combiner-keeps-the-key contract (post-shuffle).
+  bool validate = true;
+  /// Join: sink for the probe-chain histogram of freshly built indexes;
+  /// null = not observed.
+  runtime::MetricsSink* metrics = nullptr;
+};
+
+/// Computes partition `p` of `node`'s output into `out` (empty on entry).
+Status RunBody(const PlanNode& node, const OpInputs& in, int p,
+               std::vector<Record>* out) {
+  switch (node.kind) {
+    case OpKind::kSource:
+      break;  // sources are bound views, never run
+
+    case OpKind::kMap:
+    case OpKind::kFlatMap: {
+      const std::vector<Record>& rows = in.a->partition(p);
+      if (in.schema != nullptr) {
+        // Batched UDF boundary (DESIGN.md §15): the partition crosses the
+        // boundary once as a ColumnarBatch instead of once per record. The
+        // record fn stays the semantic reference — the batch impl must
+        // match it row for row.
+        if (rows.empty()) break;
+        ColumnarBatch batch =
+            ColumnarBatch::FromRecordsUnchecked(rows, *in.schema);
+        ColumnarBatch result;
+        node.batch_map_fn(batch, &result);
+        if (node.kind == OpKind::kMap && result.num_rows() != rows.size()) {
+          return Status::Internal("Map '" + node.name +
+                                  "': batch impl produced " +
+                                  std::to_string(result.num_rows()) +
+                                  " rows from " + std::to_string(rows.size()));
+        }
+        *out = result.ToRecords();
+        break;
+      }
+      if (node.kind == OpKind::kMap) {
+        out->reserve(rows.size());
+        for (const Record& r : rows) out->push_back(node.map_fn(r));
+      } else {
+        for (const Record& r : rows) node.flat_map_fn(r, out);
+      }
+      break;
+    }
+
+    case OpKind::kFilter:
+      for (const Record& r : in.a->partition(p)) {
+        if (node.filter_fn(r)) out->push_back(r);
+      }
+      break;
+
+    case OpKind::kProject:
+      for (const Record& r : in.a->partition(p)) {
+        Record projected;
+        projected.reserve(node.project_columns.size());
+        for (int col : node.project_columns) {
+          if (col < 0 || static_cast<size_t>(col) >= r.size()) {
+            return Status::OutOfRange(
+                "Project '" + node.name + "': column " + std::to_string(col) +
+                " out of range for record " + RecordToString(r));
+          }
+          projected.push_back(r[col]);
+        }
+        out->push_back(std::move(projected));
+      }
+      break;
+
+    case OpKind::kUnion: {
+      const std::vector<Record>& a = in.a->partition(p);
+      const std::vector<Record>& b = in.b->partition(p);
+      out->reserve(a.size() + b.size());
+      out->insert(out->end(), a.begin(), a.end());
+      out->insert(out->end(), b.begin(), b.end());
+      break;
+    }
+
+    case OpKind::kCross:
+      out->reserve(in.a->partition(p).size() * in.broadcast->size());
+      for (const Record& l : in.a->partition(p)) {
+        for (const Record& r : *in.broadcast) {
+          out->push_back(node.join_fn(l, r));
+        }
+      }
+      break;
+
+    case OpKind::kReduceByKey: {
+      const std::vector<Record>& rows = in.a->partition(p);
+      if (node.reduce_kind != ReduceKind::kNone &&
+          FlatReduceTypedPartition(rows, node.left_key, node.reduce_kind,
+                                   node.reduce_value_col, out)) {
+        break;
+      }
+      return FlatReducePartition(rows, node.left_key, node.combine_fn,
+                                 in.validate, node.name, out);
+    }
+
+    case OpKind::kGroupReduceByKey: {
+      // One flat index instead of a map of materialized groups. Chains
+      // preserve arrival order, so each group reaches the UDF in arrival
+      // order; sorting the first-arrival rows with KeyLess emits the
+      // groups in key order.
+      const std::vector<Record>& rows = in.a->partition(p);
+      FlatKeyIndex index;
+      index.Build(rows, node.left_key);
+      std::vector<int32_t> heads = index.heads();
+      std::sort(heads.begin(), heads.end(), [&](int32_t a, int32_t b) {
+        return KeyLess(rows[a], rows[b], node.left_key);
+      });
+      out->reserve(heads.size());
+      std::vector<Record> group;
+      for (int32_t head : heads) {
+        group.clear();
+        for (int32_t r = head; r >= 0; r = index.Next(r)) {
+          group.push_back(rows[r]);
+        }
+        out->push_back(node.group_reduce_fn(
+            ExtractKey(rows[head], node.left_key), group));
+      }
+      break;
+    }
+
+    case OpKind::kJoin: {
+      const std::vector<Record>& build = in.a->partition(p);
+      const std::vector<Record>& probes = in.b->partition(p);
+      FlatKeyIndex fresh;
+      const FlatKeyIndex* index = &fresh;
+      if (in.build_index != nullptr) {
+        index = &(*in.build_index)[p];
+      } else {
+        fresh.Build(build, node.left_key);
+        ObserveProbeChains(in.metrics, fresh);
+      }
+      if (StripedJoinProbe(*index, build, probes, node.right_key,
+                           node.join_fn, out)) {
+        break;
+      }
+      for (const Record& r : probes) {
+        int32_t row =
+            index->FindFirst(r, node.right_key, HashKey(r, node.right_key));
+        for (; row >= 0; row = index->Next(row)) {
+          out->push_back(node.join_fn(build[row], r));
+        }
+      }
+      break;
+    }
+
+    case OpKind::kCoGroup: {
+      // Cogroup's UDF sweeps fully materialized groups on both sides at
+      // once, so it groups into maps (DESIGN.md §12 fallback rule). The
+      // union of both key sets is swept in RecordLess order.
+      GroupMap lfresh, rfresh;
+      if (in.a_groups == nullptr) {
+        lfresh = GroupByKey(in.a->partition(p), node.left_key);
+      }
+      if (in.b_groups == nullptr) {
+        rfresh = GroupByKey(in.b->partition(p), node.right_key);
+      }
+      const GroupMap& lgroups =
+          in.a_groups != nullptr ? (*in.a_groups)[p] : lfresh;
+      const GroupMap& rgroups =
+          in.b_groups != nullptr ? (*in.b_groups)[p] : rfresh;
+      std::vector<const Record*> keys;
+      keys.reserve(lgroups.size() + rgroups.size());
+      for (const auto& [k, g] : lgroups) keys.push_back(&k);
+      for (const auto& [k, g] : rgroups) {
+        if (lgroups.find(k) == lgroups.end()) keys.push_back(&k);
+      }
+      std::sort(keys.begin(), keys.end(),
+                [](const Record* a, const Record* b) {
+                  return RecordLess(*a, *b);
+                });
+      for (const Record* key : keys) {
+        auto lit = lgroups.find(*key);
+        auto rit = rgroups.find(*key);
+        node.cogroup_fn(*key,
+                        lit != lgroups.end() ? lit->second : kEmptyGroup,
+                        rit != rgroups.end() ? rit->second : kEmptyGroup,
+                        out);
+      }
+      break;
+    }
+
+    case OpKind::kDistinct: {
+      // Flat slot map keyed on the whole record; the emitted records double
+      // as the dedup table (first occurrence wins).
+      const std::vector<Record>& rows = in.a->partition(p);
+      FlatSlotMap slots(rows.size());
+      for (const Record& r : rows) {
+        bool inserted = false;
+        slots.FindOrInsert(
+            HashRecord(r), [&](int32_t s) { return (*out)[s] == r; },
+            &inserted);
+        if (inserted) out->push_back(r);
+      }
+      break;
+    }
+  }
+  return Status::OK();
+}
 
 }  // namespace
 
@@ -462,17 +682,6 @@ void Executor::ObserveBatchRows(const PartitionedDataset& ds) const {
     options_.metrics->Observe(runtime::metric::kHistBatchRows,
                               static_cast<int64_t>(ds.partition(p).size()));
   }
-}
-
-void Executor::ObserveProbeChains(const FlatKeyIndex& index) const {
-  if (options_.metrics == nullptr) return;
-  runtime::Histogram local;
-  for (int32_t head : index.heads()) {
-    int64_t chain = 0;
-    for (int32_t row = head; row >= 0; row = index.Next(row)) ++chain;
-    local.Observe(chain);
-  }
-  options_.metrics->Merge(runtime::metric::kHistProbeChain, local);
 }
 
 void Executor::ChargeCompute(
@@ -560,65 +769,46 @@ PartitionedDataset Executor::ShuffleImpl(Input&& input, const KeyColumns& key,
             const int p = base + i;
             auto& boxes = outbox[i];
             boxes.resize(n);
-            if (options_.use_columnar) {
-              // Batch scatter (§12): resolve the whole key column to
-              // target partitions in one pass, size every outbox exactly,
-              // then move — no per-record push_back growth. Record order
-              // within each outbox is unchanged, so the result is
-              // byte-identical to the single-pass path.
-              auto& src = input.partition(p);
-              std::vector<int32_t> target(src.size());
-              std::vector<size_t> counts(n, 0);
-              // Single-int64-key shuffles (every hot channel) resolve
-              // their targets from one kernel hash stripe. PartitionOf is
-              // HashKey % n and the kernel computes exactly that hash for
-              // this shape, so the targets are identical.
-              std::vector<int64_t> key64;
-              if (ExtractKey64(src, key, &key64)) {
-                std::vector<uint64_t> hashes(src.size());
-                simd::ActiveKernels().hash_key64(key64.data(), src.size(),
-                                                 hashes.data());
-                for (size_t r = 0; r < src.size(); ++r) {
-                  const int t = static_cast<int>(hashes[r] %
-                                                 static_cast<uint64_t>(n));
-                  target[r] = t;
-                  ++counts[t];
-                  if (t != p) ++moved[p];
-                }
-              } else {
-                for (size_t r = 0; r < src.size(); ++r) {
-                  const int t =
-                      PartitionedDataset::PartitionOf(src[r], key, n);
-                  target[r] = t;
-                  ++counts[t];
-                  if (t != p) ++moved[p];
-                }
+            // Batch scatter (§12): resolve the whole key column to target
+            // partitions in one pass, size every outbox exactly, then move
+            // — no per-record push_back growth. Record order within each
+            // outbox is source order.
+            auto& src = input.partition(p);
+            std::vector<int32_t> target(src.size());
+            std::vector<size_t> counts(n, 0);
+            // Single-int64-key shuffles (every hot channel) resolve their
+            // targets from one kernel hash stripe. PartitionOf is
+            // HashKey % n and the kernel computes exactly that hash for
+            // this shape, so the targets are identical.
+            std::vector<int64_t> key64;
+            if (ExtractKey64(src, key, &key64)) {
+              std::vector<uint64_t> hashes(src.size());
+              simd::ActiveKernels().hash_key64(key64.data(), src.size(),
+                                               hashes.data());
+              for (size_t r = 0; r < src.size(); ++r) {
+                const int t =
+                    static_cast<int>(hashes[r] % static_cast<uint64_t>(n));
+                target[r] = t;
+                ++counts[t];
+                if (t != p) ++moved[p];
               }
-              for (int t = 0; t < n; ++t) boxes[t].reserve(counts[t]);
-              if constexpr (kMove) {
-                for (size_t r = 0; r < src.size(); ++r) {
-                  boxes[target[r]].push_back(std::move(src[r]));
-                }
-                input.ReleasePartition(p);
-              } else {
-                for (size_t r = 0; r < src.size(); ++r) {
-                  boxes[target[r]].push_back(src[r]);
-                }
+            } else {
+              for (size_t r = 0; r < src.size(); ++r) {
+                const int t = PartitionedDataset::PartitionOf(src[r], key, n);
+                target[r] = t;
+                ++counts[t];
+                if (t != p) ++moved[p];
               }
-              return;
             }
+            for (int t = 0; t < n; ++t) boxes[t].reserve(counts[t]);
             if constexpr (kMove) {
-              for (Record& r : input.partition(p)) {
-                int target = PartitionedDataset::PartitionOf(r, key, n);
-                if (target != p) ++moved[p];
-                boxes[target].push_back(std::move(r));
+              for (size_t r = 0; r < src.size(); ++r) {
+                boxes[target[r]].push_back(std::move(src[r]));
               }
               input.ReleasePartition(p);
             } else {
-              for (const Record& r : input.partition(p)) {
-                int target = PartitionedDataset::PartitionOf(r, key, n);
-                if (target != p) ++moved[p];
-                boxes[target].push_back(r);
+              for (size_t r = 0; r < src.size(); ++r) {
+                boxes[target[r]].push_back(src[r]);
               }
             }
           },
@@ -767,18 +957,55 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
     local_stats.node_output_counts[node.name] += ds.NumRecords();
   };
 
-  // Per-partition failure slots for operators that can fail mid-record;
-  // checked in partition order after the parallel section so the reported
-  // error is the same one serial execution would hit first.
+  // Runs `node`'s body over every partition, one child span of `span` per
+  // partition; `traced` supplies their "records" args and the exec.records
+  // counts. Failures are checked in partition order after the parallel
+  // section, so the reported error is the one serial execution hits first.
   std::vector<Status> part_status(n);
-  auto reset_status = [&] {
-    for (Status& s : part_status) s = Status::OK();
+  auto run_body = [&](const PlanNode& node, const runtime::TraceSpan& span,
+                      const OpInputs& inputs, const PartitionedDataset* traced)
+      -> Result<PartitionedDataset> {
+    PartitionedDataset out(n);
+    ForEachPartition(span, traced, n, [&](int p) {
+      part_status[p] = RunBody(node, inputs, p, &out.partition(p));
+    });
+    for (const Status& s : part_status) FLINKLESS_RETURN_NOT_OK(s);
+    return out;
   };
-  auto first_error = [&]() -> Status {
-    for (const Status& s : part_status) {
-      if (!s.ok()) return s;
+
+  // The loop-invariant input `input` of join/cogroup `node`, shuffled on
+  // `key` (and indexed or grouped by `derive`) on first use and served from
+  // the cache after that. `*hit` says which; a hit is counted with the
+  // records whose shuffle it saved.
+  auto cached_side = [&](const PlanNode& node, runtime::TraceSpan& span,
+                         ExecCache::Role role, NodeId input,
+                         const KeyColumns& key,
+                         const std::function<void(ExecCache::Entry&)>& derive,
+                         bool* hit) -> Result<ExecCache::Entry*> {
+    bool reloaded = false;
+    FLINKLESS_ASSIGN_OR_RETURN(
+        ExecCache::Entry* e,
+        cache->FindResident(node.id, role, options_.tracer, &reloaded));
+    *hit = e != nullptr;
+    if (*hit) {
+      cache->CountHit();
+      ++local_stats.cache_hits;
+      local_stats.records_not_reshuffled += e->data->NumRecords();
+      if (span.active()) {
+        span.AddArg("cache_hit", 1);
+        span.AddArg("reloaded", reloaded ? 1 : 0);
+      }
+      return e;
     }
-    return Status::OK();
+    PartitionedDataset shuffled = Shuffle(input_of(input), key, &local_stats);
+    ExecCache::Entry& entry = cache->Emplace(node.id, role);
+    entry.data = std::make_shared<PartitionedDataset>(std::move(shuffled));
+    entry.index_key = key;
+    if (derive) derive(entry);
+    FLINKLESS_RETURN_NOT_OK(
+        cache->OnEntryFilled(node.id, role, options_.tracer));
+    if (span.active()) span.AddArg("cache_build", 1);
+    return &entry;
   };
 
   for (const PlanNode& node : plan.nodes()) {
@@ -854,279 +1081,68 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
           break;
         }
 
-        case OpKind::kMap: {
+        case OpKind::kMap:
+        case OpKind::kFlatMap:
+        case OpKind::kFilter:
+        case OpKind::kProject:
+        case OpKind::kUnion: {
+          // Partition-local operators: no shuffle, partition p reads only
+          // partition p of its inputs.
           const PartitionedDataset& in = input_of(node.inputs[0]);
-          PartitionedDataset out(n);
-          // Batched UDF boundary (DESIGN.md §15): when the node carries a
-          // batch impl and the input is schema-homogeneous, each partition
-          // crosses the boundary once as a ColumnarBatch instead of once
-          // per record. The record fn stays the semantic reference — the
-          // batch impl must match it row for row.
+          OpInputs inputs;
+          inputs.a = &in;
+          if (node.kind == OpKind::kUnion) inputs.b = &input_of(node.inputs[1]);
+          // A node carrying a batch impl runs it when the input is
+          // schema-homogeneous, else its record fn (DESIGN.md §15).
           BatchSchema schema;
-          const bool has_batch = node.batch_map_fn != nullptr;
-          const bool batched =
-              has_batch && options_.use_columnar &&
-              ResolveBatchSchema(cache, node.id, in, &schema);
-          if (has_batch) {
-            batched ? ++local_stats.batch_ops : ++local_stats.row_fallback_ops;
+          if (node.batch_map_fn != nullptr) {
+            if (ResolveBatchSchema(cache, node.id, in, &schema)) {
+              inputs.schema = &schema;
+              ++local_stats.batch_ops;
+              ObserveBatchRows(in);
+            } else {
+              ++local_stats.row_fallback_ops;
+            }
           }
-          if (batched) ObserveBatchRows(in);
-          reset_status();
-          ForEachPartition(op_span, &in, n, [&](int p) {
-            const std::vector<Record>& rows = in.partition(p);
-            if (batched) {
-              if (rows.empty()) return;
-              ColumnarBatch batch =
-                  ColumnarBatch::FromRecordsUnchecked(rows, schema);
-              ColumnarBatch result;
-              node.batch_map_fn(batch, &result);
-              if (result.num_rows() != rows.size()) {
-                part_status[p] = Status::Internal(
-                    "Map '" + node.name + "': batch impl produced " +
-                    std::to_string(result.num_rows()) + " rows from " +
-                    std::to_string(rows.size()));
-                return;
-              }
-              out.partition(p) = result.ToRecords();
-              return;
-            }
-            out.partition(p).reserve(rows.size());
-            for (const Record& r : rows) {
-              out.partition(p).push_back(node.map_fn(r));
-            }
-          });
-          FLINKLESS_RETURN_NOT_OK(first_error());
-          local_stats.records_processed += in.NumRecords();
-          ChargeCompute(in);
+          FLINKLESS_ASSIGN_OR_RETURN(PartitionedDataset out,
+                                     run_body(node, op_span, inputs, &in));
+          local_stats.records_processed +=
+              in.NumRecords() +
+              (inputs.b != nullptr ? inputs.b->NumRecords() : 0);
+          ChargeCompute(in, inputs.b);
           push_owned(std::move(out));
           break;
         }
 
-        case OpKind::kFlatMap: {
+        case OpKind::kReduceByKey:
+        case OpKind::kGroupReduceByKey:
+        case OpKind::kDistinct: {
+          ++local_stats.batch_ops;
           const PartitionedDataset& in = input_of(node.inputs[0]);
-          PartitionedDataset out(n);
-          BatchSchema schema;
-          const bool has_batch = node.batch_map_fn != nullptr;
-          const bool batched =
-              has_batch && options_.use_columnar &&
-              ResolveBatchSchema(cache, node.id, in, &schema);
-          if (has_batch) {
-            batched ? ++local_stats.batch_ops : ++local_stats.row_fallback_ops;
-          }
-          if (batched) ObserveBatchRows(in);
-          ForEachPartition(op_span, &in, n, [&](int p) {
-            const std::vector<Record>& rows = in.partition(p);
-            if (batched) {
-              if (rows.empty()) return;
-              ColumnarBatch batch =
-                  ColumnarBatch::FromRecordsUnchecked(rows, schema);
-              ColumnarBatch result;
-              node.batch_map_fn(batch, &result);
-              out.partition(p) = result.ToRecords();
-              return;
-            }
-            for (const Record& r : rows) {
-              node.flat_map_fn(r, &out.partition(p));
-            }
-          });
-          local_stats.records_processed += in.NumRecords();
-          ChargeCompute(in);
-          push_owned(std::move(out));
-          break;
-        }
-
-        case OpKind::kFilter: {
-          const PartitionedDataset& in = input_of(node.inputs[0]);
-          PartitionedDataset out(n);
-          ForEachPartition(op_span, &in, n, [&](int p) {
-            for (const Record& r : in.partition(p)) {
-              if (node.filter_fn(r)) out.partition(p).push_back(r);
-            }
-          });
-          local_stats.records_processed += in.NumRecords();
-          ChargeCompute(in);
-          push_owned(std::move(out));
-          break;
-        }
-
-        case OpKind::kProject: {
-          const PartitionedDataset& in = input_of(node.inputs[0]);
-          PartitionedDataset out(n);
-          reset_status();
-          ForEachPartition(op_span, &in, n, [&](int p) {
-            for (const Record& r : in.partition(p)) {
-              Record projected;
-              projected.reserve(node.project_columns.size());
-              for (int col : node.project_columns) {
-                if (col < 0 || static_cast<size_t>(col) >= r.size()) {
-                  part_status[p] = Status::OutOfRange(
-                      "Project '" + node.name + "': column " +
-                      std::to_string(col) + " out of range for record " +
-                      RecordToString(r));
-                  return;
-                }
-                projected.push_back(r[col]);
-              }
-              out.partition(p).push_back(std::move(projected));
-            }
-          });
-          FLINKLESS_RETURN_NOT_OK(first_error());
-          local_stats.records_processed += in.NumRecords();
-          ChargeCompute(in);
-          push_owned(std::move(out));
-          break;
-        }
-
-        case OpKind::kReduceByKey: {
-          const bool batch = options_.use_columnar;
-          batch ? ++local_stats.batch_ops : ++local_stats.row_fallback_ops;
-          const PartitionedDataset* in = &input_of(node.inputs[0]);
-          PartitionedDataset combined;
-          if (node.pre_combine) {
+          PartitionedDataset shuffled;
+          if (node.kind == OpKind::kReduceByKey && node.pre_combine) {
             // Local pre-aggregation before the shuffle: fewer messages.
-            combined = PartitionedDataset(in->num_partitions());
-            if (batch) ObserveBatchRows(*in);
-            reset_status();
-            ForEachPartition(op_span, in, in->num_partitions(), [&](int p) {
-              if (batch) {
-                if (node.reduce_kind != ReduceKind::kNone &&
-                    FlatReduceTypedPartition(
-                        in->partition(p), node.left_key, node.reduce_kind,
-                        node.reduce_value_col, &combined.partition(p))) {
-                  return;
-                }
-                part_status[p] = FlatReducePartition(
-                    in->partition(p), node.left_key, node.combine_fn,
-                    /*validate=*/false, node.name, &combined.partition(p));
-                return;
-              }
-              std::unordered_map<Record, Record, RecordHash> acc;
-              acc.reserve(in->partition(p).size());
-              for (const Record& r : in->partition(p)) {
-                Record k = ExtractKey(r, node.left_key);
-                auto [it, inserted] = acc.try_emplace(std::move(k), r);
-                if (!inserted) it->second = node.combine_fn(it->second, r);
-              }
-              std::vector<const Record*> keys;
-              keys.reserve(acc.size());
-              for (const auto& [k, v] : acc) keys.push_back(&k);
-              std::sort(keys.begin(), keys.end(),
-                        [](const Record* a, const Record* b) {
-                          return RecordLess(*a, *b);
-                        });
-              combined.partition(p).reserve(keys.size());
-              for (const Record* k : keys) {
-                combined.partition(p).push_back(std::move(acc.at(*k)));
-              }
-            });
-            FLINKLESS_RETURN_NOT_OK(first_error());
-            local_stats.records_processed += in->NumRecords();
-            ChargeCompute(*in);
-            in = &combined;
+            ObserveBatchRows(in);
+            OpInputs local;
+            local.a = &in;
+            local.validate = false;
+            FLINKLESS_ASSIGN_OR_RETURN(PartitionedDataset combined,
+                                       run_body(node, op_span, local, &in));
+            local_stats.records_processed += in.NumRecords();
+            ChargeCompute(in);
+            shuffled =
+                Shuffle(std::move(combined), node.left_key, &local_stats);
+          } else {
+            shuffled = Shuffle(in, node.left_key, &local_stats);
           }
-          PartitionedDataset shuffled =
-              in == &combined
-                  ? Shuffle(std::move(combined), node.left_key, &local_stats)
-                  : Shuffle(*in, node.left_key, &local_stats);
           FLINKLESS_RETURN_NOT_OK(
               log_shuffled(node, node.inputs[0], "in", shuffled));
-          if (batch) ObserveBatchRows(shuffled);
-          PartitionedDataset out(n);
-          reset_status();
-          ForEachPartition(op_span, &shuffled, n, [&](int p) {
-            if (batch) {
-              if (node.reduce_kind != ReduceKind::kNone &&
-                  FlatReduceTypedPartition(
-                      shuffled.partition(p), node.left_key, node.reduce_kind,
-                      node.reduce_value_col, &out.partition(p))) {
-                return;
-              }
-              part_status[p] = FlatReducePartition(
-                  shuffled.partition(p), node.left_key, node.combine_fn,
-                  /*validate=*/true, node.name, &out.partition(p));
-              return;
-            }
-            std::unordered_map<Record, Record, RecordHash> acc;
-            acc.reserve(shuffled.partition(p).size());
-            for (const Record& r : shuffled.partition(p)) {
-              Record k = ExtractKey(r, node.left_key);
-              auto [it, inserted] = acc.try_emplace(std::move(k), r);
-              if (!inserted) {
-                Record folded = node.combine_fn(it->second, r);
-                if (!KeysEqual(folded, node.left_key, r, node.left_key)) {
-                  part_status[p] = Status::Internal(
-                      "ReduceByKey '" + node.name +
-                      "': combiner changed the key (got " +
-                      RecordToString(folded) + ")");
-                  return;
-                }
-                it->second = std::move(folded);
-              }
-            }
-            std::vector<const Record*> keys;
-            keys.reserve(acc.size());
-            for (const auto& [k, v] : acc) keys.push_back(&k);
-            std::sort(keys.begin(), keys.end(),
-                      [](const Record* a, const Record* b) {
-                        return RecordLess(*a, *b);
-                      });
-            out.partition(p).reserve(keys.size());
-            for (const Record* k : keys) {
-              out.partition(p).push_back(std::move(acc.at(*k)));
-            }
-          });
-          FLINKLESS_RETURN_NOT_OK(first_error());
-          local_stats.records_processed += shuffled.NumRecords();
-          ChargeCompute(shuffled);
-          push_owned(std::move(out));
-          break;
-        }
-
-        case OpKind::kGroupReduceByKey: {
-          const bool batch = options_.use_columnar;
-          batch ? ++local_stats.batch_ops : ++local_stats.row_fallback_ops;
-          const PartitionedDataset& in = input_of(node.inputs[0]);
-          PartitionedDataset shuffled =
-              Shuffle(in, node.left_key, &local_stats);
-          FLINKLESS_RETURN_NOT_OK(
-              log_shuffled(node, node.inputs[0], "in", shuffled));
-          if (batch) ObserveBatchRows(shuffled);
-          PartitionedDataset out(n);
-          ForEachPartition(op_span, &shuffled, n, [&](int p) {
-            if (batch) {
-              // Batch path: one flat index instead of a map of materialized
-              // groups. Chains preserve arrival order, so each group's
-              // records reach the UDF in the same order the GroupMap held
-              // them; sorting first-arrival rows with KeyLess emits groups
-              // in the same key order as SortedKeys.
-              const std::vector<Record>& rows = shuffled.partition(p);
-              FlatKeyIndex index;
-              index.Build(rows, node.left_key);
-              std::vector<int32_t> heads = index.heads();
-              std::sort(heads.begin(), heads.end(),
-                        [&](int32_t a, int32_t b) {
-                          return KeyLess(rows[a], rows[b], node.left_key);
-                        });
-              out.partition(p).reserve(heads.size());
-              std::vector<Record> group;
-              for (int32_t head : heads) {
-                group.clear();
-                for (int32_t r = head; r >= 0; r = index.Next(r)) {
-                  group.push_back(rows[r]);
-                }
-                out.partition(p).push_back(node.group_reduce_fn(
-                    ExtractKey(rows[head], node.left_key), group));
-              }
-              return;
-            }
-            GroupMap groups = GroupByKey(shuffled.partition(p), node.left_key);
-            std::vector<const Record*> keys = SortedKeys(groups);
-            out.partition(p).reserve(keys.size());
-            for (const Record* key : keys) {
-              out.partition(p).push_back(
-                  node.group_reduce_fn(*key, groups.at(*key)));
-            }
-          });
+          ObserveBatchRows(shuffled);
+          OpInputs inputs;
+          inputs.a = &shuffled;
+          FLINKLESS_ASSIGN_OR_RETURN(
+              PartitionedDataset out,
+              run_body(node, op_span, inputs, &shuffled));
           local_stats.records_processed += shuffled.NumRecords();
           ChargeCompute(shuffled);
           push_owned(std::move(out));
@@ -1134,101 +1150,45 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
         }
 
         case OpKind::kJoin: {
-          const bool batch = options_.use_columnar;
-          batch ? ++local_stats.batch_ops : ++local_stats.row_fallback_ops;
+          ++local_stats.batch_ops;
           const bool build_static = cache != nullptr && !invariant[node.id] &&
                                     invariant[node.inputs[0]];
           const bool probe_static = cache != nullptr && !invariant[node.id] &&
                                     invariant[node.inputs[1]];
+          OpInputs inputs;
+          inputs.metrics = options_.metrics;
           if (build_static) {
             // Loop-invariant build side: shuffle + index it once; later
-            // supersteps probe the prebuilt per-partition hash index,
-            // whose entries reference the cached records directly.
-            bool reloaded = false;
+            // supersteps probe the prebuilt per-partition flat index, whose
+            // rows are the cached records themselves.
+            bool hit = false;
             FLINKLESS_ASSIGN_OR_RETURN(
                 ExecCache::Entry* e,
-                cache->FindResident(node.id, ExecCache::Role::kBuild,
-                                    options_.tracer, &reloaded));
-            const bool hit = e != nullptr;
-            if (!hit) {
-              PartitionedDataset shuffled = Shuffle(
-                  input_of(node.inputs[0]), node.left_key, &local_stats);
-              ExecCache::Entry& entry =
-                  cache->Emplace(node.id, ExecCache::Role::kBuild);
-              auto data =
-                  std::make_shared<PartitionedDataset>(std::move(shuffled));
-              entry.data = data;
-              entry.index_key = node.left_key;
-              if (batch) {
-                // Batch path: flat open-addressing index over the key
-                // column — no per-record key materialization or map nodes.
-                entry.flat_index.resize(n);
-                ForEachPartition(n, [&](int p) {
-                  entry.flat_index[p].Build(data->partition(p),
-                                            node.left_key);
-                });
-                ObserveBatchRows(*data);
-                for (int p = 0; p < n; ++p) {
-                  ObserveProbeChains(entry.flat_index[p]);
-                }
-              } else {
-                entry.join_index.resize(n);
-                ForEachPartition(n, [&](int p) {
-                  JoinIndex& index = entry.join_index[p];
-                  const std::vector<Record>& part = data->partition(p);
-                  index.reserve(part.size());
-                  for (const Record& r : part) {
-                    index[ExtractKey(r, node.left_key)].push_back(&r);
-                  }
-                });
-              }
-              e = cache->Find(node.id, ExecCache::Role::kBuild);
-              FLINKLESS_RETURN_NOT_OK(cache->OnEntryFilled(
-                  node.id, ExecCache::Role::kBuild, options_.tracer));
-              if (op_span.active()) op_span.AddArg("cache_build", 1);
-            } else {
-              cache->CountHit();
-              ++local_stats.cache_hits;
-              local_stats.records_not_reshuffled += e->data->NumRecords();
-              if (op_span.active()) {
-                op_span.AddArg("cache_hit", 1);
-                op_span.AddArg("reloaded", reloaded ? 1 : 0);
-              }
-            }
+                cached_side(
+                    node, op_span, ExecCache::Role::kBuild, node.inputs[0],
+                    node.left_key,
+                    [&](ExecCache::Entry& entry) {
+                      entry.flat_index.resize(n);
+                      ForEachPartition(n, [&](int p) {
+                        entry.flat_index[p].Build(entry.data->partition(p),
+                                                  node.left_key);
+                      });
+                      ObserveBatchRows(*entry.data);
+                      for (const FlatKeyIndex& index : entry.flat_index) {
+                        ObserveProbeChains(options_.metrics, index);
+                      }
+                    },
+                    &hit));
             PartitionedDataset right = Shuffle(input_of(node.inputs[1]),
                                                node.right_key, &local_stats);
             FLINKLESS_RETURN_NOT_OK(
                 log_shuffled(node, node.inputs[1], "r", right));
-            PartitionedDataset out(n);
-            ForEachPartition(op_span, &right, n, [&](int p) {
-              // Probe whichever index kind this entry carries (a cache can
-              // outlive an executor, so the entry's mode wins over ours).
-              if (!e->flat_index.empty()) {
-                const FlatKeyIndex& index = e->flat_index[p];
-                const std::vector<Record>& build = e->data->partition(p);
-                if (StripedJoinProbe(index, build, right.partition(p),
-                                     node.right_key, node.join_fn,
-                                     &out.partition(p))) {
-                  return;
-                }
-                for (const Record& r : right.partition(p)) {
-                  int32_t row = index.FindFirst(
-                      r, node.right_key, HashKey(r, node.right_key));
-                  for (; row >= 0; row = index.Next(row)) {
-                    out.partition(p).push_back(node.join_fn(build[row], r));
-                  }
-                }
-                return;
-              }
-              const JoinIndex& index = e->join_index[p];
-              for (const Record& r : right.partition(p)) {
-                auto it = index.find(ExtractKey(r, node.right_key));
-                if (it == index.end()) continue;
-                for (const Record* l : it->second) {
-                  out.partition(p).push_back(node.join_fn(*l, r));
-                }
-              }
-            });
+            inputs.a = e->data.get();
+            inputs.b = &right;
+            inputs.build_index = &e->flat_index;
+            FLINKLESS_ASSIGN_OR_RETURN(
+                PartitionedDataset out,
+                run_body(node, op_span, inputs, &right));
             if (hit) {
               // Only the probe side is processed this superstep; the
               // cached side costs nothing (that is the optimization).
@@ -1245,68 +1205,22 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
           if (probe_static) {
             // Loop-invariant probe side: its shuffle is cached; the hash
             // table still rebuilds from the changing build side.
-            bool reloaded = false;
+            bool hit = false;
             FLINKLESS_ASSIGN_OR_RETURN(
                 ExecCache::Entry* e,
-                cache->FindResident(node.id, ExecCache::Role::kProbe,
-                                    options_.tracer, &reloaded));
-            const bool hit = e != nullptr;
-            if (!hit) {
-              PartitionedDataset shuffled = Shuffle(
-                  input_of(node.inputs[1]), node.right_key, &local_stats);
-              ExecCache::Entry& entry =
-                  cache->Emplace(node.id, ExecCache::Role::kProbe);
-              entry.data =
-                  std::make_shared<PartitionedDataset>(std::move(shuffled));
-              e = cache->Find(node.id, ExecCache::Role::kProbe);
-              FLINKLESS_RETURN_NOT_OK(cache->OnEntryFilled(
-                  node.id, ExecCache::Role::kProbe, options_.tracer));
-              if (op_span.active()) op_span.AddArg("cache_build", 1);
-            } else {
-              cache->CountHit();
-              ++local_stats.cache_hits;
-              local_stats.records_not_reshuffled += e->data->NumRecords();
-              if (op_span.active()) {
-                op_span.AddArg("cache_hit", 1);
-                op_span.AddArg("reloaded", reloaded ? 1 : 0);
-              }
-            }
+                cached_side(node, op_span, ExecCache::Role::kProbe,
+                            node.inputs[1], node.right_key, nullptr, &hit));
             const PartitionedDataset& right = *e->data;
             PartitionedDataset left = Shuffle(input_of(node.inputs[0]),
                                               node.left_key, &local_stats);
             FLINKLESS_RETURN_NOT_OK(
                 log_shuffled(node, node.inputs[0], "l", left));
-            if (batch) ObserveBatchRows(left);
-            PartitionedDataset out(n);
-            ForEachPartition(op_span, &left, n, [&](int p) {
-              if (batch) {
-                const std::vector<Record>& rows = left.partition(p);
-                FlatKeyIndex index;
-                index.Build(rows, node.left_key);
-                ObserveProbeChains(index);
-                if (StripedJoinProbe(index, rows, right.partition(p),
-                                     node.right_key, node.join_fn,
-                                     &out.partition(p))) {
-                  return;
-                }
-                for (const Record& r : right.partition(p)) {
-                  int32_t row = index.FindFirst(
-                      r, node.right_key, HashKey(r, node.right_key));
-                  for (; row >= 0; row = index.Next(row)) {
-                    out.partition(p).push_back(node.join_fn(rows[row], r));
-                  }
-                }
-                return;
-              }
-              GroupMap build = GroupByKey(left.partition(p), node.left_key);
-              for (const Record& r : right.partition(p)) {
-                auto it = build.find(ExtractKey(r, node.right_key));
-                if (it == build.end()) continue;
-                for (const Record& l : it->second) {
-                  out.partition(p).push_back(node.join_fn(l, r));
-                }
-              }
-            });
+            ObserveBatchRows(left);
+            inputs.a = &left;
+            inputs.b = &right;
+            FLINKLESS_ASSIGN_OR_RETURN(
+                PartitionedDataset out,
+                run_body(node, op_span, inputs, &left));
             if (hit) {
               local_stats.records_processed += left.NumRecords();
               ChargeCompute(left);
@@ -1326,37 +1240,11 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
               log_shuffled(node, node.inputs[0], "l", left));
           FLINKLESS_RETURN_NOT_OK(
               log_shuffled(node, node.inputs[1], "r", right));
-          if (batch) ObserveBatchRows(left);
-          PartitionedDataset out(n);
-          ForEachPartition(op_span, &left, n, [&](int p) {
-            if (batch) {
-              const std::vector<Record>& rows = left.partition(p);
-              FlatKeyIndex index;
-              index.Build(rows, node.left_key);
-              ObserveProbeChains(index);
-              if (StripedJoinProbe(index, rows, right.partition(p),
-                                   node.right_key, node.join_fn,
-                                   &out.partition(p))) {
-                return;
-              }
-              for (const Record& r : right.partition(p)) {
-                int32_t row = index.FindFirst(
-                    r, node.right_key, HashKey(r, node.right_key));
-                for (; row >= 0; row = index.Next(row)) {
-                  out.partition(p).push_back(node.join_fn(rows[row], r));
-                }
-              }
-              return;
-            }
-            GroupMap build = GroupByKey(left.partition(p), node.left_key);
-            for (const Record& r : right.partition(p)) {
-              auto it = build.find(ExtractKey(r, node.right_key));
-              if (it == build.end()) continue;
-              for (const Record& l : it->second) {
-                out.partition(p).push_back(node.join_fn(l, r));
-              }
-            }
-          });
+          ObserveBatchRows(left);
+          inputs.a = &left;
+          inputs.b = &right;
+          FLINKLESS_ASSIGN_OR_RETURN(PartitionedDataset out,
+                                     run_body(node, op_span, inputs, &left));
           local_stats.records_processed +=
               left.NumRecords() + right.NumRecords();
           ChargeCompute(left, &right);
@@ -1373,6 +1261,7 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
                                    invariant[node.inputs[0]];
           const bool right_static = cache != nullptr && !invariant[node.id] &&
                                     invariant[node.inputs[1]];
+          OpInputs inputs;
           if (left_static || right_static) {
             // One loop-invariant side: shuffle + group it once, reuse the
             // materialized groups every later superstep.
@@ -1383,37 +1272,19 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
             const ExecCache::Role role = left_static
                                              ? ExecCache::Role::kBuild
                                              : ExecCache::Role::kProbe;
-            bool reloaded = false;
+            bool hit = false;
             FLINKLESS_ASSIGN_OR_RETURN(
                 ExecCache::Entry* e,
-                cache->FindResident(node.id, role, options_.tracer,
-                                    &reloaded));
-            const bool hit = e != nullptr;
-            if (!hit) {
-              PartitionedDataset shuffled =
-                  Shuffle(input_of(static_in), static_key, &local_stats);
-              ExecCache::Entry& entry = cache->Emplace(node.id, role);
-              auto data =
-                  std::make_shared<PartitionedDataset>(std::move(shuffled));
-              entry.data = data;
-              entry.index_key = static_key;
-              entry.groups.resize(n);
-              ForEachPartition(n, [&](int p) {
-                entry.groups[p] = GroupByKey(data->partition(p), static_key);
-              });
-              e = cache->Find(node.id, role);
-              FLINKLESS_RETURN_NOT_OK(
-                  cache->OnEntryFilled(node.id, role, options_.tracer));
-              if (op_span.active()) op_span.AddArg("cache_build", 1);
-            } else {
-              cache->CountHit();
-              ++local_stats.cache_hits;
-              local_stats.records_not_reshuffled += e->data->NumRecords();
-              if (op_span.active()) {
-                op_span.AddArg("cache_hit", 1);
-                op_span.AddArg("reloaded", reloaded ? 1 : 0);
-              }
-            }
+                cached_side(
+                    node, op_span, role, static_in, static_key,
+                    [&](ExecCache::Entry& entry) {
+                      entry.groups.resize(n);
+                      ForEachPartition(n, [&](int p) {
+                        entry.groups[p] =
+                            GroupByKey(entry.data->partition(p), static_key);
+                      });
+                    },
+                    &hit));
             const int vol_in = left_static ? node.inputs[1] : node.inputs[0];
             const KeyColumns& vol_key =
                 left_static ? node.right_key : node.left_key;
@@ -1421,32 +1292,15 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
                 Shuffle(input_of(vol_in), vol_key, &local_stats);
             FLINKLESS_RETURN_NOT_OK(log_shuffled(
                 node, vol_in, left_static ? "r" : "l", vol));
-            PartitionedDataset out(n);
-            ForEachPartition(op_span, &vol, n, [&](int p) {
-              GroupMap vgroups = GroupByKey(vol.partition(p), vol_key);
-              const GroupMap& lgroups =
-                  left_static ? e->groups[p] : vgroups;
-              const GroupMap& rgroups =
-                  left_static ? vgroups : e->groups[p];
-              std::vector<const Record*> keys;
-              keys.reserve(lgroups.size() + rgroups.size());
-              for (const auto& [k, g] : lgroups) keys.push_back(&k);
-              for (const auto& [k, g] : rgroups) {
-                if (lgroups.find(k) == lgroups.end()) keys.push_back(&k);
-              }
-              std::sort(keys.begin(), keys.end(),
-                        [](const Record* a, const Record* b) {
-                          return RecordLess(*a, *b);
-                        });
-              for (const Record* key : keys) {
-                auto lit = lgroups.find(*key);
-                auto rit = rgroups.find(*key);
-                node.cogroup_fn(
-                    *key, lit != lgroups.end() ? lit->second : kEmptyGroup,
-                    rit != rgroups.end() ? rit->second : kEmptyGroup,
-                    &out.partition(p));
-              }
-            });
+            if (left_static) {
+              inputs.a_groups = &e->groups;
+              inputs.b = &vol;
+            } else {
+              inputs.a = &vol;
+              inputs.b_groups = &e->groups;
+            }
+            FLINKLESS_ASSIGN_OR_RETURN(PartitionedDataset out,
+                                       run_body(node, op_span, inputs, &vol));
             if (hit) {
               local_stats.records_processed += vol.NumRecords();
               ChargeCompute(vol);
@@ -1466,31 +1320,10 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
               log_shuffled(node, node.inputs[0], "l", left));
           FLINKLESS_RETURN_NOT_OK(
               log_shuffled(node, node.inputs[1], "r", right));
-          PartitionedDataset out(n);
-          ForEachPartition(op_span, &left, n, [&](int p) {
-            GroupMap lgroups = GroupByKey(left.partition(p), node.left_key);
-            GroupMap rgroups = GroupByKey(right.partition(p), node.right_key);
-            // Sweep the union of both key sets in RecordLess order, exactly
-            // like the old sorted-map merge.
-            std::vector<const Record*> keys;
-            keys.reserve(lgroups.size() + rgroups.size());
-            for (const auto& [k, g] : lgroups) keys.push_back(&k);
-            for (const auto& [k, g] : rgroups) {
-              if (lgroups.find(k) == lgroups.end()) keys.push_back(&k);
-            }
-            std::sort(keys.begin(), keys.end(),
-                      [](const Record* a, const Record* b) {
-                        return RecordLess(*a, *b);
-                      });
-            for (const Record* key : keys) {
-              auto lit = lgroups.find(*key);
-              auto rit = rgroups.find(*key);
-              node.cogroup_fn(
-                  *key, lit != lgroups.end() ? lit->second : kEmptyGroup,
-                  rit != rgroups.end() ? rit->second : kEmptyGroup,
-                  &out.partition(p));
-            }
-          });
+          inputs.a = &left;
+          inputs.b = &right;
+          FLINKLESS_ASSIGN_OR_RETURN(PartitionedDataset out,
+                                     run_body(node, op_span, inputs, &left));
           local_stats.records_processed +=
               left.NumRecords() + right.NumRecords();
           ChargeCompute(left, &right);
@@ -1508,16 +1341,11 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
               right.NumRecords() * static_cast<uint64_t>(n > 0 ? n - 1 : 0);
           local_stats.messages_shuffled += broadcast_messages;
           ChargeNetwork(broadcast_messages);
-          PartitionedDataset out(n);
-          ForEachPartition(op_span, &left, n, [&](int p) {
-            out.partition(p).reserve(left.partition(p).size() *
-                                     right_all.size());
-            for (const Record& l : left.partition(p)) {
-              for (const Record& r : right_all) {
-                out.partition(p).push_back(node.join_fn(l, r));
-              }
-            }
-          });
+          OpInputs inputs;
+          inputs.a = &left;
+          inputs.broadcast = &right_all;
+          FLINKLESS_ASSIGN_OR_RETURN(PartitionedDataset out,
+                                     run_body(node, op_span, inputs, &left));
           local_stats.records_processed +=
               left.NumRecords() + right.NumRecords();
           // Partition p pays for its own left records against the whole
@@ -1525,63 +1353,6 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
           // partition.
           ChargeCompute(std::vector<uint64_t>{MaxPartitionSize(left) *
                                               right_all.size()});
-          push_owned(std::move(out));
-          break;
-        }
-
-        case OpKind::kUnion: {
-          const PartitionedDataset& a = input_of(node.inputs[0]);
-          const PartitionedDataset& b = input_of(node.inputs[1]);
-          PartitionedDataset out(n);
-          ForEachPartition(op_span, &a, n, [&](int p) {
-            out.partition(p).reserve(a.partition(p).size() +
-                                     b.partition(p).size());
-            out.partition(p).insert(out.partition(p).end(),
-                                    a.partition(p).begin(),
-                                    a.partition(p).end());
-            out.partition(p).insert(out.partition(p).end(),
-                                    b.partition(p).begin(),
-                                    b.partition(p).end());
-          });
-          local_stats.records_processed += a.NumRecords() + b.NumRecords();
-          ChargeCompute(a, &b);
-          push_owned(std::move(out));
-          break;
-        }
-
-        case OpKind::kDistinct: {
-          const bool batch = options_.use_columnar;
-          batch ? ++local_stats.batch_ops : ++local_stats.row_fallback_ops;
-          PartitionedDataset shuffled = Shuffle(input_of(node.inputs[0]),
-                                                node.left_key, &local_stats);
-          FLINKLESS_RETURN_NOT_OK(
-              log_shuffled(node, node.inputs[0], "in", shuffled));
-          if (batch) ObserveBatchRows(shuffled);
-          PartitionedDataset out(n);
-          ForEachPartition(op_span, &shuffled, n, [&](int p) {
-            if (batch) {
-              // Batch path: flat slot map keyed on the whole record; the
-              // emitted records double as the dedup table (first occurrence
-              // wins in both paths, so output order is identical).
-              std::vector<Record>& dst = out.partition(p);
-              FlatSlotMap slots(shuffled.partition(p).size());
-              for (const Record& r : shuffled.partition(p)) {
-                bool inserted = false;
-                slots.FindOrInsert(
-                    HashRecord(r), [&](int32_t s) { return dst[s] == r; },
-                    &inserted);
-                if (inserted) dst.push_back(r);
-              }
-              return;
-            }
-            std::unordered_set<Record, RecordHash> seen;
-            seen.reserve(shuffled.partition(p).size());
-            for (const Record& r : shuffled.partition(p)) {
-              if (seen.insert(r).second) out.partition(p).push_back(r);
-            }
-          });
-          local_stats.records_processed += shuffled.NumRecords();
-          ChargeCompute(shuffled);
           push_owned(std::move(out));
           break;
         }
@@ -1662,10 +1433,11 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
 //     demands its left side at the node's demand and its right side —
 //     broadcast everywhere during Execute — at kAll.
 //
-//  2. Serial forward pass over the demanded nodes, computing only the
-//     demanded partitions with the record-at-a-time operator bodies
-//     (byte-identical to the batch path by the §12 contract, and
-//     trivially deterministic: no threads, no budget interaction).
+//  2. Forward pass over the demanded nodes, computing only the demanded
+//     partitions with the operator bodies Execute runs (RunBody), so each
+//     rebuilt partition is byte-identical to the failed Execute's. The
+//     bodies run on the pool; no spans, metrics, or cache entries are
+//     touched beyond the one "replay" span and the replay counters.
 //
 // Everything is charged to Charge::kRecovery: logged messages shipped
 // into lost partitions at network rate, recomputed records on the
@@ -1749,7 +1521,7 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Replay(
     }
   }
 
-  // ---- pass 2: serial forward execution of demanded partitions ----
+  // ---- pass 2: forward execution of demanded partitions ----
   ExecStats local_stats;
   std::vector<uint64_t> replayed_per_part(n, 0);
   const bool charging =
@@ -1757,6 +1529,12 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Replay(
   auto charge_recovery = [&](int64_t ns) {
     if (charging && ns > 0) {
       options_.clock->Add(runtime::Charge::kRecovery, ns);
+    }
+  };
+  auto charge_shipped = [&](uint64_t records) {
+    if (charging) {
+      charge_recovery(options_.costs->network_per_record_ns *
+                      static_cast<int64_t>(records));
     }
   };
   // Recomputation runs on the demanded partitions' workers in parallel in
@@ -1787,63 +1565,83 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Replay(
                     "replay read an input that was never demanded");
     return *slots[id].view;
   };
-  auto set_owned = [&](NodeId id, PartitionedDataset ds) {
-    slots[id].owned = std::move(ds);
-    slots[id].view = &slots[id].owned;
+
+  // Runs `node`'s body over `parts` — the same body Execute runs — on the
+  // pool, without spans, metrics, or charges (the caller charges).
+  auto run_body = [&](const PlanNode& node, const OpInputs& inputs,
+                      const std::vector<int>& parts)
+      -> Result<PartitionedDataset> {
+    PartitionedDataset out(n);
+    std::vector<Status> status(parts.size());
+    runtime::ParallelFor(pool_.get(), static_cast<int>(parts.size()),
+                         [&](int i) {
+                           status[i] = RunBody(node, inputs, parts[i],
+                                               &out.partition(parts[i]));
+                         });
+    for (const Status& s : status) FLINKLESS_RETURN_NOT_OK(s);
+    return out;
   };
 
-  // The shuffled input of a shuffle operator: the logged channel for a
-  // variant input (counted as replayed messages; shipping into lost
-  // partitions is charged at network rate), or a serial re-shuffle of the
-  // recomputed invariant input (the static side re-shipped to the fresh
-  // workers — also a recovery charge for records landing in lost
-  // partitions). The serial scatter visits sources in order, so partition
-  // contents are byte-identical to ShuffleImpl's gather. Returned by
-  // value: logged channels live in budget-managed segments, and fetching a
-  // later channel may spill an earlier one, so the demanded partitions are
-  // copied out while the segment is resident.
-  auto shuffled_input = [&](const PlanNode& node, NodeId input,
-                            const char* port, const KeyColumns& key)
-      -> Result<PartitionedDataset> {
-    const std::vector<int> parts = parts_of(demand[node.id]);
-    if (!invariant[input]) {
-      FLINKLESS_ASSIGN_OR_RETURN(
-          const PartitionedDataset* channel,
-          log->Channel(MsglogChannel(node.id, port), options_.tracer));
-      if (channel->num_partitions() != n) {
-        return Status::DataLoss("logged channel '" +
-                                MsglogChannel(node.id, port) +
-                                "' has the wrong partition count");
-      }
-      PartitionedDataset out(n);
-      uint64_t shipped = 0;
-      for (int p : parts) {
-        uint64_t records = channel->partition(p).size();
-        local_stats.messages_replayed += records;
-        replayed_per_part[p] += records;
-        if (is_lost[p]) shipped += records;
-        out.partition(p) = channel->partition(p);
-      }
-      if (charging) {
-        charge_recovery(options_.costs->network_per_record_ns *
-                        static_cast<int64_t>(shipped));
-      }
-      return out;
-    }
-    const PartitionedDataset& in = input_of(input);
+  // Re-ships a recomputed invariant input to the fresh workers: a serial
+  // scatter visiting sources in order, so partition contents are
+  // byte-identical to ShuffleImpl's gather. Records landing in lost
+  // partitions are a recovery charge at network rate.
+  auto rescatter = [&](const PartitionedDataset& in, const KeyColumns& key) {
     PartitionedDataset out(n);
     uint64_t shipped = 0;
     for (int p = 0; p < in.num_partitions(); ++p) {
       for (const Record& r : in.partition(p)) {
-        int target = PartitionedDataset::PartitionOf(r, key, n);
+        const int target = PartitionedDataset::PartitionOf(r, key, n);
         if (is_lost[target]) ++shipped;
         out.partition(target).push_back(r);
       }
     }
-    if (charging) {
-      charge_recovery(options_.costs->network_per_record_ns *
-                      static_cast<int64_t>(shipped));
+    charge_shipped(shipped);
+    return out;
+  };
+
+  // The shuffled input of a shuffle operator: the logged channel for a
+  // variant input (counted as replayed messages; shipping into lost
+  // partitions is charged at network rate), or the re-scattered recomputed
+  // invariant input — pre-combined first when the reduce asks for it, as
+  // Execute does. Returned by value: logged channels live in
+  // budget-managed segments, and fetching a later channel may spill an
+  // earlier one, so the demanded partitions are copied out while the
+  // segment is resident.
+  auto shuffled_input = [&](const PlanNode& node, NodeId input,
+                            const char* port, const KeyColumns& key)
+      -> Result<PartitionedDataset> {
+    if (invariant[input]) {
+      const PartitionedDataset& in = input_of(input);
+      if (node.kind != OpKind::kReduceByKey || !node.pre_combine) {
+        return rescatter(in, key);
+      }
+      OpInputs local;
+      local.a = &in;
+      local.validate = false;
+      FLINKLESS_ASSIGN_OR_RETURN(PartitionedDataset combined,
+                                 run_body(node, local, parts_of(kAll)));
+      local_stats.records_processed += in.NumRecords();
+      return rescatter(combined, key);
     }
+    FLINKLESS_ASSIGN_OR_RETURN(
+        const PartitionedDataset* channel,
+        log->Channel(MsglogChannel(node.id, port), options_.tracer));
+    if (channel->num_partitions() != n) {
+      return Status::DataLoss("logged channel '" +
+                              MsglogChannel(node.id, port) +
+                              "' has the wrong partition count");
+    }
+    PartitionedDataset out(n);
+    uint64_t shipped = 0;
+    for (int p : parts_of(demand[node.id])) {
+      uint64_t records = channel->partition(p).size();
+      local_stats.messages_replayed += records;
+      replayed_per_part[p] += records;
+      if (is_lost[p]) shipped += records;
+      out.partition(p) = channel->partition(p);
+    }
+    charge_shipped(shipped);
     return out;
   };
 
@@ -1852,6 +1650,10 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Replay(
     const PlanNode& node = plan.node(id);
     const std::vector<int> parts = parts_of(demand[id]);
 
+    OpInputs inputs;
+    PartitionedDataset left, right;  // shuffled inputs, owned here
+    BatchSchema schema;
+    std::vector<Record> broadcast;
     switch (node.kind) {
       case OpKind::kSource: {
         auto it = bindings.find(node.source_name);
@@ -1866,333 +1668,76 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Replay(
               " partitions, executor expects " + std::to_string(n));
         }
         slots[id].view = it->second;
-        break;
+        continue;
       }
 
-      case OpKind::kMap: {
-        const PartitionedDataset& in = input_of(node.inputs[0]);
-        PartitionedDataset out(n);
-        std::vector<uint64_t> work(n, 0);
-        for (int p : parts) {
-          out.partition(p).reserve(in.partition(p).size());
-          for (const Record& r : in.partition(p)) {
-            out.partition(p).push_back(node.map_fn(r));
-          }
-          work[p] = in.partition(p).size();
-          local_stats.records_processed += in.partition(p).size();
+      case OpKind::kMap:
+      case OpKind::kFlatMap:
+      case OpKind::kFilter:
+      case OpKind::kProject:
+        inputs.a = &input_of(node.inputs[0]);
+        if (node.batch_map_fn != nullptr &&
+            ResolveBatchSchema(nullptr, id, *inputs.a, &schema)) {
+          inputs.schema = &schema;
         }
-        charge_compute_critical(work);
-        set_owned(id, std::move(out));
         break;
-      }
 
-      case OpKind::kFlatMap: {
-        const PartitionedDataset& in = input_of(node.inputs[0]);
-        PartitionedDataset out(n);
-        std::vector<uint64_t> work(n, 0);
-        for (int p : parts) {
-          for (const Record& r : in.partition(p)) {
-            node.flat_map_fn(r, &out.partition(p));
-          }
-          work[p] = in.partition(p).size();
-          local_stats.records_processed += in.partition(p).size();
-        }
-        charge_compute_critical(work);
-        set_owned(id, std::move(out));
+      case OpKind::kUnion:
+        inputs.a = &input_of(node.inputs[0]);
+        inputs.b = &input_of(node.inputs[1]);
         break;
-      }
 
-      case OpKind::kFilter: {
-        const PartitionedDataset& in = input_of(node.inputs[0]);
-        PartitionedDataset out(n);
-        std::vector<uint64_t> work(n, 0);
-        for (int p : parts) {
-          for (const Record& r : in.partition(p)) {
-            if (node.filter_fn(r)) out.partition(p).push_back(r);
-          }
-          work[p] = in.partition(p).size();
-          local_stats.records_processed += in.partition(p).size();
-        }
-        charge_compute_critical(work);
-        set_owned(id, std::move(out));
-        break;
-      }
-
-      case OpKind::kProject: {
-        const PartitionedDataset& in = input_of(node.inputs[0]);
-        PartitionedDataset out(n);
-        std::vector<uint64_t> work(n, 0);
-        for (int p : parts) {
-          for (const Record& r : in.partition(p)) {
-            Record projected;
-            projected.reserve(node.project_columns.size());
-            for (int col : node.project_columns) {
-              if (col < 0 || static_cast<size_t>(col) >= r.size()) {
-                return Status::OutOfRange(
-                    "Project '" + node.name + "': column " +
-                    std::to_string(col) + " out of range for record " +
-                    RecordToString(r));
-              }
-              projected.push_back(r[col]);
-            }
-            out.partition(p).push_back(std::move(projected));
-          }
-          work[p] = in.partition(p).size();
-          local_stats.records_processed += in.partition(p).size();
-        }
-        charge_compute_critical(work);
-        set_owned(id, std::move(out));
-        break;
-      }
-
-      case OpKind::kUnion: {
-        const PartitionedDataset& a = input_of(node.inputs[0]);
-        const PartitionedDataset& b = input_of(node.inputs[1]);
-        PartitionedDataset out(n);
-        std::vector<uint64_t> work(n, 0);
-        for (int p : parts) {
-          out.partition(p).reserve(a.partition(p).size() +
-                                   b.partition(p).size());
-          out.partition(p).insert(out.partition(p).end(),
-                                  a.partition(p).begin(),
-                                  a.partition(p).end());
-          out.partition(p).insert(out.partition(p).end(),
-                                  b.partition(p).begin(),
-                                  b.partition(p).end());
-          work[p] = a.partition(p).size() + b.partition(p).size();
-          local_stats.records_processed += work[p];
-        }
-        charge_compute_critical(work);
-        set_owned(id, std::move(out));
-        break;
-      }
-
-      case OpKind::kReduceByKey: {
-        PartitionedDataset shuffled;
-        if (invariant[node.inputs[0]] && node.pre_combine) {
-          // Recompute path must mirror Execute exactly: local
-          // pre-aggregation, then the shuffle. (Never taken by a logged
-          // channel — those are post-combine bytes already.)
-          const PartitionedDataset& in = input_of(node.inputs[0]);
-          PartitionedDataset combined(in.num_partitions());
-          for (int p = 0; p < in.num_partitions(); ++p) {
-            std::unordered_map<Record, Record, RecordHash> acc;
-            acc.reserve(in.partition(p).size());
-            for (const Record& r : in.partition(p)) {
-              Record k = ExtractKey(r, node.left_key);
-              auto [it, inserted] = acc.try_emplace(std::move(k), r);
-              if (!inserted) it->second = node.combine_fn(it->second, r);
-            }
-            std::vector<const Record*> keys;
-            keys.reserve(acc.size());
-            for (const auto& [k, v] : acc) keys.push_back(&k);
-            std::sort(keys.begin(), keys.end(),
-                      [](const Record* a, const Record* b) {
-                        return RecordLess(*a, *b);
-                      });
-            combined.partition(p).reserve(keys.size());
-            for (const Record* k : keys) {
-              combined.partition(p).push_back(std::move(acc.at(*k)));
-            }
-            local_stats.records_processed += in.partition(p).size();
-          }
-          PartitionedDataset scattered(n);
-          uint64_t shipped = 0;
-          for (int p = 0; p < combined.num_partitions(); ++p) {
-            for (Record& r : combined.partition(p)) {
-              int target =
-                  PartitionedDataset::PartitionOf(r, node.left_key, n);
-              if (is_lost[target]) ++shipped;
-              scattered.partition(target).push_back(std::move(r));
-            }
-          }
-          if (charging) {
-            charge_recovery(options_.costs->network_per_record_ns *
-                            static_cast<int64_t>(shipped));
-          }
-          shuffled = std::move(scattered);
-        } else {
-          FLINKLESS_ASSIGN_OR_RETURN(
-              shuffled,
-              shuffled_input(node, node.inputs[0], "in", node.left_key));
-        }
-        PartitionedDataset out(n);
-        std::vector<uint64_t> work(n, 0);
-        for (int p : parts) {
-          std::unordered_map<Record, Record, RecordHash> acc;
-          acc.reserve(shuffled.partition(p).size());
-          for (const Record& r : shuffled.partition(p)) {
-            Record k = ExtractKey(r, node.left_key);
-            auto [it, inserted] = acc.try_emplace(std::move(k), r);
-            if (!inserted) {
-              Record folded = node.combine_fn(it->second, r);
-              if (!KeysEqual(folded, node.left_key, r, node.left_key)) {
-                return Status::Internal("ReduceByKey '" + node.name +
-                                        "': combiner changed the key (got " +
-                                        RecordToString(folded) + ")");
-              }
-              it->second = std::move(folded);
-            }
-          }
-          std::vector<const Record*> keys;
-          keys.reserve(acc.size());
-          for (const auto& [k, v] : acc) keys.push_back(&k);
-          std::sort(keys.begin(), keys.end(),
-                    [](const Record* a, const Record* b) {
-                      return RecordLess(*a, *b);
-                    });
-          out.partition(p).reserve(keys.size());
-          for (const Record* k : keys) {
-            out.partition(p).push_back(std::move(acc.at(*k)));
-          }
-          work[p] = shuffled.partition(p).size();
-          local_stats.records_processed += shuffled.partition(p).size();
-        }
-        charge_compute_critical(work);
-        set_owned(id, std::move(out));
-        break;
-      }
-
-      case OpKind::kGroupReduceByKey: {
+      case OpKind::kReduceByKey:
+      case OpKind::kGroupReduceByKey:
+      case OpKind::kDistinct: {
         FLINKLESS_ASSIGN_OR_RETURN(
-            PartitionedDataset shuffled,
-            shuffled_input(node, node.inputs[0], "in", node.left_key));
-        PartitionedDataset out(n);
-        std::vector<uint64_t> work(n, 0);
-        for (int p : parts) {
-          GroupMap groups = GroupByKey(shuffled.partition(p), node.left_key);
-          std::vector<const Record*> keys = SortedKeys(groups);
-          out.partition(p).reserve(keys.size());
-          for (const Record* key : keys) {
-            out.partition(p).push_back(
-                node.group_reduce_fn(*key, groups.at(*key)));
-          }
-          work[p] = shuffled.partition(p).size();
-          local_stats.records_processed += shuffled.partition(p).size();
-        }
-        charge_compute_critical(work);
-        set_owned(id, std::move(out));
+            left, shuffled_input(node, node.inputs[0], "in", node.left_key));
+        inputs.a = &left;
         break;
       }
 
-      case OpKind::kJoin: {
-        FLINKLESS_ASSIGN_OR_RETURN(
-            PartitionedDataset left,
-            shuffled_input(node, node.inputs[0], "l", node.left_key));
-        FLINKLESS_ASSIGN_OR_RETURN(
-            PartitionedDataset right,
-            shuffled_input(node, node.inputs[1], "r", node.right_key));
-        PartitionedDataset out(n);
-        std::vector<uint64_t> work(n, 0);
-        for (int p : parts) {
-          GroupMap build = GroupByKey(left.partition(p), node.left_key);
-          for (const Record& r : right.partition(p)) {
-            auto it = build.find(ExtractKey(r, node.right_key));
-            if (it == build.end()) continue;
-            for (const Record& l : it->second) {
-              out.partition(p).push_back(node.join_fn(l, r));
-            }
-          }
-          work[p] = left.partition(p).size() + right.partition(p).size();
-          local_stats.records_processed += work[p];
-        }
-        charge_compute_critical(work);
-        set_owned(id, std::move(out));
-        break;
-      }
-
+      case OpKind::kJoin:
       case OpKind::kCoGroup: {
         FLINKLESS_ASSIGN_OR_RETURN(
-            PartitionedDataset left,
-            shuffled_input(node, node.inputs[0], "l", node.left_key));
+            left, shuffled_input(node, node.inputs[0], "l", node.left_key));
         FLINKLESS_ASSIGN_OR_RETURN(
-            PartitionedDataset right,
-            shuffled_input(node, node.inputs[1], "r", node.right_key));
-        PartitionedDataset out(n);
-        std::vector<uint64_t> work(n, 0);
-        for (int p : parts) {
-          GroupMap lgroups = GroupByKey(left.partition(p), node.left_key);
-          GroupMap rgroups = GroupByKey(right.partition(p), node.right_key);
-          std::vector<const Record*> keys;
-          keys.reserve(lgroups.size() + rgroups.size());
-          for (const auto& [k, g] : lgroups) keys.push_back(&k);
-          for (const auto& [k, g] : rgroups) {
-            if (lgroups.find(k) == lgroups.end()) keys.push_back(&k);
-          }
-          std::sort(keys.begin(), keys.end(),
-                    [](const Record* a, const Record* b) {
-                      return RecordLess(*a, *b);
-                    });
-          for (const Record* key : keys) {
-            auto lit = lgroups.find(*key);
-            auto rit = rgroups.find(*key);
-            node.cogroup_fn(
-                *key, lit != lgroups.end() ? lit->second : kEmptyGroup,
-                rit != rgroups.end() ? rit->second : kEmptyGroup,
-                &out.partition(p));
-          }
-          work[p] = left.partition(p).size() + right.partition(p).size();
-          local_stats.records_processed += work[p];
-        }
-        charge_compute_critical(work);
-        set_owned(id, std::move(out));
+            right, shuffled_input(node, node.inputs[1], "r", node.right_key));
+        inputs.a = &left;
+        inputs.b = &right;
         break;
       }
 
       case OpKind::kCross: {
-        const PartitionedDataset& left = input_of(node.inputs[0]);
-        const PartitionedDataset& right = input_of(node.inputs[1]);
-        std::vector<Record> right_all = right.Collect();
+        inputs.a = &input_of(node.inputs[0]);
+        broadcast = input_of(node.inputs[1]).Collect();
+        inputs.broadcast = &broadcast;
         // Execute broadcast the right side everywhere; recovery only
         // re-ships it to the partitions being rebuilt.
         uint64_t lost_targets = 0;
         for (int p : parts) {
           if (is_lost[p]) ++lost_targets;
         }
-        if (charging) {
-          charge_recovery(options_.costs->network_per_record_ns *
-                          static_cast<int64_t>(right_all.size() *
-                                               lost_targets));
-        }
-        PartitionedDataset out(n);
-        std::vector<uint64_t> work(n, 0);
-        for (int p : parts) {
-          out.partition(p).reserve(left.partition(p).size() *
-                                   right_all.size());
-          for (const Record& l : left.partition(p)) {
-            for (const Record& r : right_all) {
-              out.partition(p).push_back(node.join_fn(l, r));
-            }
-          }
-          work[p] = left.partition(p).size() * right_all.size();
-          local_stats.records_processed +=
-              left.partition(p).size() + right_all.size();
-        }
-        charge_compute_critical(work);
-        set_owned(id, std::move(out));
-        break;
-      }
-
-      case OpKind::kDistinct: {
-        FLINKLESS_ASSIGN_OR_RETURN(
-            PartitionedDataset shuffled,
-            shuffled_input(node, node.inputs[0], "in", node.left_key));
-        PartitionedDataset out(n);
-        std::vector<uint64_t> work(n, 0);
-        for (int p : parts) {
-          std::unordered_set<Record, RecordHash> seen;
-          seen.reserve(shuffled.partition(p).size());
-          for (const Record& r : shuffled.partition(p)) {
-            if (seen.insert(r).second) out.partition(p).push_back(r);
-          }
-          work[p] = shuffled.partition(p).size();
-          local_stats.records_processed += shuffled.partition(p).size();
-        }
-        charge_compute_critical(work);
-        set_owned(id, std::move(out));
+        charge_shipped(broadcast.size() * lost_targets);
         break;
       }
     }
+
+    FLINKLESS_ASSIGN_OR_RETURN(PartitionedDataset out,
+                               run_body(node, inputs, parts));
+    std::vector<uint64_t> work(n, 0);
+    for (int p : parts) {
+      const uint64_t a = inputs.a->partition(p).size();
+      if (node.kind == OpKind::kCross) {
+        work[p] = a * broadcast.size();
+        local_stats.records_processed += a + broadcast.size();
+        continue;
+      }
+      work[p] = a + (inputs.b != nullptr ? inputs.b->partition(p).size() : 0);
+      local_stats.records_processed += work[p];
+    }
+    charge_compute_critical(work);
+    slots[id].owned = std::move(out);
+    slots[id].view = &slots[id].owned;
   }
 
   std::map<std::string, PartitionedDataset> outputs;

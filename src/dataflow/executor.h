@@ -34,7 +34,6 @@ class MessageLog;
 namespace flinkless::dataflow {
 
 class ExecCache;
-class FlatKeyIndex;
 
 /// Input datasets for a plan execution, keyed by source binding name. The
 /// pointed-to datasets are borrowed and must outlive the Execute call.
@@ -56,13 +55,14 @@ struct ExecStats {
   /// whole node output) was served from the loop-invariant cache.
   uint64_t records_not_reshuffled = 0;
 
-  /// Hot-operator instances (reduce/join/group-reduce/distinct/cogroup)
-  /// that ran on the columnar batch path (DESIGN.md §12).
+  /// Operator instances that ran columnar (DESIGN.md §12): every reduce,
+  /// join, group-reduce, and distinct, plus each map/flat-map whose batch
+  /// impl ran.
   uint64_t batch_ops = 0;
 
-  /// Hot-operator instances that dropped to the record-at-a-time path —
-  /// either ExecOptions::use_columnar is off, or the operator's shape has
-  /// no batch implementation (cogroup's two-sided group sweep).
+  /// Operator instances that ran record-at-a-time although they are hot:
+  /// every cogroup (its two-sided group sweep has no batch form), plus each
+  /// map/flat-map whose batch impl met a schema-heterogeneous input.
   uint64_t row_fallback_ops = 0;
 
   /// Records read back from the outbound message log during a confined
@@ -124,15 +124,6 @@ struct ExecOptions {
   /// budget (DESIGN.md §11). Outputs are byte-identical at any budget;
   /// only the simulated I/O charges change.
   uint64_t memory_budget_bytes = 0;
-
-  /// Columnar batch execution (DESIGN.md §12): the shuffle scatter, reduce,
-  /// join, group-reduce, and distinct hot paths run over flat key columns
-  /// and open-addressing indexes instead of per-record Value hashing and
-  /// map nodes. Outputs, ExecStats record/message counts, and SimClock
-  /// charges are byte-identical to the record path at any thread count;
-  /// only wall-clock (and the batch_ops/row_fallback_ops counters) differ.
-  /// Off = the legacy record-at-a-time path, kept for A/B comparison.
-  bool use_columnar = true;
 
   /// SIMD tier request for the columnar kernels (dataflow/simd.h,
   /// DESIGN.md §15), applied process-wide at Executor construction. kAuto
@@ -199,13 +190,13 @@ class Executor {
   /// survivors. Volatile bindings need not be in `bindings`; a plan whose
   /// outputs depend on a volatile source *not* through a logged shuffle is
   /// rejected with FailedPrecondition (no such plan exists in src/algos).
-  /// Runs serially on the orchestration thread; every charge lands on
-  /// Charge::kRecovery (replayed messages shipped to the fresh workers,
-  /// recomputation critical path over the demanded partitions), so healthy
-  /// partitions only wait. Returned datasets have num_partitions()
-  /// partitions with only the demanded ones populated, byte-identical to
-  /// the corresponding partitions of the failed Execute at any thread
-  /// count. `stats` may be nullptr.
+  /// Runs Execute's operator bodies over the demanded partitions; every
+  /// charge lands on Charge::kRecovery (replayed messages shipped to the
+  /// fresh workers, recomputation critical path over the demanded
+  /// partitions), so healthy partitions only wait. Returned datasets have
+  /// num_partitions() partitions with only the demanded ones populated,
+  /// byte-identical to the corresponding partitions of the failed Execute
+  /// at any thread count. `stats` may be nullptr.
   Result<std::map<std::string, PartitionedDataset>> Replay(
       const Plan& plan, const Bindings& bindings, const std::vector<int>& lost,
       runtime::MessageLog* log, ExecStats* stats) const;
@@ -248,12 +239,8 @@ class Executor {
   void CountPoolWork(int tasks) const;
 
   /// Observes every partition's row count into the batch-size histogram
-  /// (called on batch-path operators only).
+  /// (called on columnar operators only).
   void ObserveBatchRows(const PartitionedDataset& ds) const;
-
-  /// Observes each build-side group's chain length into the probe-chain
-  /// histogram. Safe from worker threads (histograms merge commutatively).
-  void ObserveProbeChains(const FlatKeyIndex& index) const;
 
   template <typename Input>
   PartitionedDataset ShuffleImpl(Input&& input, const KeyColumns& key,

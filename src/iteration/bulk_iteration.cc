@@ -1,16 +1,77 @@
 #include "iteration/bulk_iteration.h"
 
-#include <algorithm>
-#include <array>
-#include <memory>
+#include <utility>
 
 #include "common/logging.h"
-#include "dataflow/exec_cache.h"
-#include "runtime/message_log.h"
+#include "iteration/superstep_loop.h"
 
 namespace flinkless::iteration {
 
 using dataflow::PartitionedDataset;
+
+namespace {
+
+/// Bulk supersteps: the plan's next-state output replaces the whole state.
+class BulkHooks final : public SuperstepHooks {
+ public:
+  BulkHooks(const BulkIterationConfig& config, PartitionedDataset initial)
+      : config_(config), initial_(initial), state_(std::move(initial)) {}
+
+  IterationState* state() override { return &state_; }
+  PartitionedDataset& data() { return state_.data(); }
+
+  void Bind(runtime::ThreadPool* /*pool*/,
+            dataflow::Bindings* bindings) override {
+    (*bindings)[config_.state_binding] = &state_.data();
+  }
+
+  Status Advance(PlanOutputs outputs, runtime::ThreadPool* /*pool*/,
+                 runtime::Tracer* /*tracer*/, runtime::TraceSpan* /*span*/,
+                 runtime::IterationStats* stats, bool* converged) override {
+    auto it = outputs.find(config_.next_state_output);
+    if (it == outputs.end()) return MissingOutput();
+    PartitionedDataset next = std::move(it->second);
+    if (config_.convergence) {
+      double metric = 0.0;
+      *converged = config_.convergence(state_.data(), next, &metric);
+      stats->gauges["convergence_metric"] = metric;
+    }
+    state_.data() = std::move(next);
+    return Status::OK();
+  }
+
+  Status InstallReplayed(PlanOutputs replayed,
+                         const std::vector<int>& lost) override {
+    auto it = replayed.find(config_.next_state_output);
+    if (it == replayed.end()) return MissingOutput();
+    for (int p : lost) {
+      state_.data().partition(p) = std::move(it->second.partition(p));
+    }
+    return Status::OK();
+  }
+
+  void Restart() override { state_ = BulkState(initial_); }
+
+  uint64_t PartitionRecords(int p) const override {
+    return state_.data().partition(p).size();
+  }
+
+  void FinishStats(int iteration, runtime::IterationStats* stats) override {
+    if (config_.stats_hook) config_.stats_hook(iteration, state_.data(), stats);
+  }
+
+ private:
+  Status MissingOutput() const {
+    return Status::NotFound("step plan has no output '" +
+                            config_.next_state_output + "'");
+  }
+
+  const BulkIterationConfig& config_;
+  const PartitionedDataset initial_;
+  BulkState state_;
+};
+
+}  // namespace
 
 BulkIterationDriver::BulkIterationDriver(const dataflow::Plan* step_plan,
                                          dataflow::Bindings static_bindings,
@@ -35,422 +96,25 @@ Result<BulkIterationResult> BulkIterationDriver::Run(
         " partitions, executor expects " + std::to_string(n));
   }
 
-  // Private defaults for optional environment pieces.
-  std::unique_ptr<runtime::Cluster> own_cluster;
-  if (env_.cluster == nullptr) {
-    own_cluster = std::make_unique<runtime::Cluster>(n, env_.clock,
-                                                     env_.costs);
-    env_.cluster = own_cluster.get();
-  }
-  std::unique_ptr<runtime::MetricsRegistry> own_metrics;
-  if (env_.metrics == nullptr) {
-    own_metrics = std::make_unique<runtime::MetricsRegistry>();
-    env_.metrics = own_metrics.get();
-  }
+  SuperstepLoopOptions loop;
+  loop.max_iterations = config_.max_iterations;
+  loop.max_total_supersteps_factor = config_.max_total_supersteps_factor;
+  loop.cache_loop_invariant = config_.cache_loop_invariant;
+  loop.message_log = config_.message_log;
+  loop.epoch_hook = config_.epoch_hook;
+  loop.volatile_bindings = {config_.state_binding};
 
-  // The tracer may arrive via either the env or the exec options; make both
-  // agree so the executor and the driver record into the same timeline.
-  if (exec_options_.tracer == nullptr) exec_options_.tracer = env_.tracer;
-  runtime::Tracer* tracer = exec_options_.tracer;
-
-  // Metrics v2 flows the same two ways; either injection point wins and
-  // every layer (executor, cache, memory manager, driver) records into the
-  // same sink.
-  if (exec_options_.metrics == nullptr) {
-    exec_options_.metrics = env_.metrics_sink;
-  }
-  runtime::MetricsSink* metrics = exec_options_.metrics;
-
-  // Loop-invariant cache for this run: only the state binding changes
-  // between supersteps, so everything derived purely from the static
-  // bindings is shuffled/indexed once and reused (DESIGN.md §10).
-  // Budgeted residency for the cached artifacts (DESIGN.md §11): cold
-  // entries spill to the job's stable storage once serialized residency
-  // exceeds memory_budget_bytes. Attached even with an unlimited budget so
-  // peak residency is always measured (no spills happen then). Declared
-  // before the cache: the cache unregisters its segments on destruction.
-  // A JobEnv-supplied manager (the multi-job server's shared budget) wins
-  // over the private one; its metrics sink is the server's to set, so only
-  // the private manager is wired to this run's sink here.
-  runtime::MemoryManager own_memory(exec_options_.memory_budget_bytes);
-  own_memory.set_metrics(metrics);
-  runtime::MemoryManager& memory =
-      env_.memory != nullptr ? *env_.memory : own_memory;
-  dataflow::ExecCache cache(std::vector<std::string>{config_.state_binding});
-  cache.set_metrics(metrics);
-  dataflow::ExecOptions exec_opts = exec_options_;
-  if (config_.cache_loop_invariant && exec_opts.cache == nullptr) {
-    exec_opts.cache = &cache;
-  }
-  if (exec_opts.cache == &cache && env_.storage != nullptr) {
-    cache.AttachMemoryManager(&memory, env_.storage, env_.job_id);
-  }
-  // Outbound message log for confined-log recovery (DESIGN.md §14). Only
-  // the state binding varies between supersteps. Declared after `memory`:
-  // the log unregisters its segments on destruction.
-  std::unique_ptr<runtime::MessageLog> msglog;
-  if (config_.message_log) {
-    msglog = std::make_unique<runtime::MessageLog>(
-        std::vector<std::string>{config_.state_binding});
-    msglog->set_metrics(metrics);
-    if (env_.storage != nullptr) {
-      msglog->AttachMemoryManager(&memory, env_.storage, env_.job_id);
-    }
-    exec_opts.message_log = msglog.get();
-  }
-  dataflow::Executor executor(exec_opts);
-
-  // Assigned after the state exists (below); make_ctx reads it at call
-  // time, so OnJobStart sees an empty hook only if logging is off.
-  std::function<Status(const std::vector<int>&)> replay_messages;
-
-  auto make_ctx = [&](int iteration) {
-    IterationContext ctx;
-    ctx.iteration = iteration;
-    ctx.num_partitions = n;
-    ctx.clock = env_.clock;
-    ctx.costs = env_.costs;
-    ctx.storage = env_.storage;
-    ctx.cluster = env_.cluster;
-    ctx.pool = executor.pool();
-    ctx.tracer = tracer;
-    ctx.job_id = env_.job_id;
-    ctx.replay_messages = replay_messages;
-    return ctx;
-  };
-
-  const PartitionedDataset initial_copy = initial;
-  BulkState state(std::move(initial));
-
-  // Confined-log replay hook: rebuild the lost partitions' next state from
-  // the failed superstep's logged channels and install them. The failed
-  // superstep's *input* state is gone (the driver already advanced), but
-  // Replay never needs it — demand stops at the logged variant channels.
-  uint64_t messages_replayed_acc = 0;
-  if (msglog != nullptr) {
-    replay_messages = [&](const std::vector<int>& lost) -> Status {
-      dataflow::ExecStats rstats;
-      FLINKLESS_ASSIGN_OR_RETURN(
-          auto replayed,
-          executor.Replay(*step_plan_, static_bindings_, lost, msglog.get(),
-                          &rstats));
-      auto it = replayed.find(config_.next_state_output);
-      if (it == replayed.end()) {
-        return Status::NotFound("step plan has no output '" +
-                                config_.next_state_output + "'");
-      }
-      for (int p : lost) {
-        state.data().partition(p) = std::move(it->second.partition(p));
-      }
-      messages_replayed_acc += rstats.messages_replayed;
-      return Status::OK();
-    };
-  }
-
-  auto checkpoint_bytes_before = [&]() -> uint64_t {
-    return env_.storage != nullptr ? env_.storage->bytes_written() : 0;
-  };
-
-  uint64_t cp_before = checkpoint_bytes_before();
-  {
-    runtime::TraceSpan start_span(tracer, runtime::SpanKind::kCheckpoint,
-                                  policy->name());
-    FLINKLESS_RETURN_NOT_OK(policy->OnJobStart(make_ctx(0), &state));
-    uint64_t bytes = checkpoint_bytes_before() - cp_before;
-    if (bytes > 0) {
-      start_span.AddArg("bytes", static_cast<int64_t>(bytes));
-    } else {
-      start_span.Cancel();  // the policy wrote nothing at job start
-    }
-  }
-  uint64_t initial_checkpoint_bytes = checkpoint_bytes_before() - cp_before;
-  if (initial_checkpoint_bytes > 0) {
-    if (env_.metrics != nullptr) {
-      env_.metrics->IncrCounter("initial_checkpoint_bytes",
-                                initial_checkpoint_bytes);
-    }
-    if (metrics != nullptr) {
-      metrics->Count(runtime::metric::kInitialCheckpointBytes, -1,
-                     initial_checkpoint_bytes);
-    }
-  }
-
-  if (config_.epoch_hook) {
-    EpochInfo info;
-    info.event = EpochEvent::kJobStart;
-    info.epoch = 0;
-    info.state = &state;
-    config_.epoch_hook(info);
-  }
-
-  // Running count of failure-schedule ids dropped for being out of range
-  // (see the sanitization below) — exported as a gauge so a typo'd --fail
-  // spec is visible in the metrics report, not just the log.
-  uint64_t dropped_failure_ids = 0;
-
+  BulkHooks hooks(config_, std::move(initial));
+  FLINKLESS_ASSIGN_OR_RETURN(
+      SuperstepLoopResult run,
+      RunSuperstepLoop(*step_plan_, static_bindings_, loop, exec_options_,
+                       env_, policy, &hooks));
   BulkIterationResult result;
-  const int max_supersteps =
-      config_.max_iterations * std::max(1, config_.max_total_supersteps_factor);
-
-  int iteration = 1;
-  while (iteration <= config_.max_iterations) {
-    if (result.supersteps_executed >= max_supersteps) {
-      return Status::Aborted(
-          "job '" + env_.job_id + "' exceeded " +
-          std::to_string(max_supersteps) +
-          " supersteps (recovery loop?); aborting");
-    }
-    ++result.supersteps_executed;
-
-    const int64_t sim_before =
-        env_.clock != nullptr ? env_.clock->TotalNs() : 0;
-    std::array<int64_t, runtime::kNumCharges> charges_before{};
-    if (env_.clock != nullptr) {
-      for (int c = 0; c < runtime::kNumCharges; ++c) {
-        charges_before[c] = env_.clock->Of(static_cast<runtime::Charge>(c));
-      }
-    }
-    runtime::WallTimer wall;
-    const runtime::MemoryManager::Stats mem_before = memory.stats();
-
-    if (tracer != nullptr) tracer->set_iteration(iteration);
-    runtime::TraceSpan iter_span(tracer, runtime::SpanKind::kIteration,
-                                 "superstep");
-    if (iter_span.active()) iter_span.AddArg("iteration", iteration);
-
-    // Rotate the message log: confined-log recovery only ever replays the
-    // superstep that failed, so earlier channels (and their spilled blobs)
-    // are dropped before this superstep appends its own.
-    if (msglog != nullptr) msglog->BeginSuperstep(iteration);
-    const uint64_t replayed_before = messages_replayed_acc;
-
-    dataflow::Bindings bindings = static_bindings_;
-    bindings[config_.state_binding] = &state.data();
-    dataflow::ExecStats exec_stats;
-    FLINKLESS_ASSIGN_OR_RETURN(auto outputs,
-                               executor.Execute(*step_plan_, bindings,
-                                                &exec_stats));
-    if (iter_span.active()) {
-      iter_span.AddArg("records",
-                       static_cast<int64_t>(exec_stats.records_processed));
-      iter_span.AddArg("messages",
-                       static_cast<int64_t>(exec_stats.messages_shuffled));
-    }
-    auto out_it = outputs.find(config_.next_state_output);
-    if (out_it == outputs.end()) {
-      return Status::NotFound("step plan has no output '" +
-                              config_.next_state_output + "'");
-    }
-    PartitionedDataset next = std::move(out_it->second);
-
-    double metric = 0.0;
-    bool converged = false;
-    if (config_.convergence) {
-      converged = config_.convergence(state.data(), next, &metric);
-    }
-    state.data() = std::move(next);
-
-    // Superstep boundary: no cached entry is in use any more, so enforce
-    // the budget with no exemption — cold artifacts (even the one touched
-    // last) spill now rather than occupying residency across supersteps.
-    FLINKLESS_RETURN_NOT_OK(memory.EnforceBudget(nullptr, tracer));
-
-    runtime::IterationStats istats;
-    istats.iteration = iteration;
-    istats.records_processed = exec_stats.records_processed;
-    istats.messages_shuffled = exec_stats.messages_shuffled;
-    for (const auto& [op_name, count] : exec_stats.node_output_counts) {
-      istats.gauges["out:" + op_name] = static_cast<double>(count);
-    }
-    istats.gauges["batch_ops"] = static_cast<double>(exec_stats.batch_ops);
-    istats.gauges["row_fallback_ops"] =
-        static_cast<double>(exec_stats.row_fallback_ops);
-    if (config_.convergence) istats.gauges["convergence_metric"] = metric;
-
-    std::vector<int> lost =
-        env_.failures != nullptr ? env_.failures->Fire(iteration)
-                                 : std::vector<int>{};
-    // Sanitize the schedule: same-iteration events may repeat a partition
-    // (dedupe — killing a worker twice is one failure), and hand-written
-    // --fail specs may name partitions the job does not have (drop, but
-    // loudly: a typo'd spec that silently fails nothing would make a
-    // recovery experiment vacuously green).
-    std::sort(lost.begin(), lost.end());
-    lost.erase(std::unique(lost.begin(), lost.end()), lost.end());
-    const size_t in_range_before = lost.size();
-    lost.erase(std::remove_if(lost.begin(), lost.end(),
-                              [&](int p) { return p < 0 || p >= n; }),
-               lost.end());
-    if (const size_t dropped = in_range_before - lost.size(); dropped > 0) {
-      dropped_failure_ids += dropped;
-      FLOG_WARN("job '" << env_.job_id << "': failure schedule names "
-                        << dropped << " partition id(s) outside [0, " << n
-                        << ") at iteration " << iteration
-                        << "; dropping them");
-      if (metrics != nullptr) {
-        metrics->SetGauge(runtime::metric::kGaugeRecoveryDroppedIds, -1,
-                          static_cast<double>(dropped_failure_ids));
-      }
-    }
-
-    uint64_t cp_bytes_before = checkpoint_bytes_before();
-    int executed_iteration = iteration;
-
-    if (!lost.empty()) {
-      istats.failure_injected = true;
-      converged = false;
-      ++result.failures_recovered;
-      if (metrics != nullptr) {
-        for (int p : lost) {
-          metrics->Count(runtime::metric::kRecoveryPartitionsLost, p);
-        }
-      }
-      if (tracer != nullptr) {
-        tracer->Instant(runtime::InstantKind::kFailureInjected, -1,
-                        {{"iteration", iteration},
-                         {"partitions", static_cast<int64_t>(lost.size())}});
-        for (int p : lost) {
-          tracer->Instant(runtime::InstantKind::kPartitionLost, p);
-        }
-      }
-      env_.cluster->KillPartitions(lost);
-      for (int p : lost) state.ClearPartition(p);
-      FLINKLESS_RETURN_NOT_OK(env_.cluster->ReassignToFreshWorkers(lost));
-      // Cached artifacts are hash-partitioned: losing any partition means
-      // the fresh workers need a full re-scatter, so drop everything —
-      // spilled entries and their blobs included, so recovery re-pays the
-      // rebuild instead of reloading stale state; the next superstep
-      // rebuilds from the (static) bindings.
-      if (exec_opts.cache != nullptr) exec_opts.cache->Invalidate(lost);
-      if (config_.epoch_hook) {
-        // Mid-recovery service point: the state is inconsistent (partitions
-        // cleared, nothing restored yet) — observers keep serving their
-        // previously published epoch.
-        EpochInfo info;
-        info.event = EpochEvent::kFailureDetected;
-        info.epoch = iteration;
-        info.state = &state;
-        info.lost = &lost;
-        config_.epoch_hook(info);
-      }
-      runtime::TraceSpan comp_span(tracer, runtime::SpanKind::kCompensation,
-                                   policy->name());
-      if (comp_span.active()) {
-        comp_span.AddArg("lost_partitions",
-                         static_cast<int64_t>(lost.size()));
-      }
-      FLINKLESS_ASSIGN_OR_RETURN(
-          RecoveryOutcome outcome,
-          policy->OnFailure(make_ctx(iteration), &state, lost));
-      comp_span.Close();
-      switch (outcome.action) {
-        case RecoveryAction::kContinue:
-          ++iteration;
-          break;
-        case RecoveryAction::kRewind:
-          if (outcome.rewind_to_iteration < 0 ||
-              outcome.rewind_to_iteration > iteration) {
-            return Status::Internal("policy rewound to invalid iteration " +
-                                    std::to_string(
-                                        outcome.rewind_to_iteration));
-          }
-          iteration = outcome.rewind_to_iteration + 1;
-          break;
-        case RecoveryAction::kRestart:
-          state = BulkState(initial_copy);
-          iteration = 1;
-          break;
-        case RecoveryAction::kAbort:
-          return Status::DataLoss("policy '" + policy->name() +
-                                  "' aborted after losing partitions at "
-                                  "iteration " +
-                                  std::to_string(iteration));
-      }
-      if (metrics != nullptr) {
-        // Records now standing in the lost partitions: what the recovery
-        // action (compensation, checkpoint restore, or restart) put back.
-        for (int p : lost) {
-          const uint64_t repaired = state.data().partition(p).size();
-          metrics->Count(runtime::metric::kCompensationRecords, p, repaired);
-          metrics->Observe(runtime::metric::kHistCompensationRecords,
-                           static_cast<int64_t>(repaired));
-        }
-      }
-    } else {
-      runtime::TraceSpan cp_span(tracer, runtime::SpanKind::kCheckpoint,
-                                 policy->name());
-      FLINKLESS_RETURN_NOT_OK(
-          policy->AfterIteration(make_ctx(iteration), &state));
-      uint64_t cp_bytes = checkpoint_bytes_before() - cp_bytes_before;
-      if (cp_bytes > 0) {
-        cp_span.AddArg("bytes", static_cast<int64_t>(cp_bytes));
-        cp_span.Close();
-      } else {
-        cp_span.Cancel();  // nothing written — don't clutter the trace
-      }
-      ++iteration;
-    }
-
-    istats.bytes_checkpointed = checkpoint_bytes_before() - cp_bytes_before;
-    if (messages_replayed_acc > replayed_before) {
-      istats.gauges["messages_replayed"] =
-          static_cast<double>(messages_replayed_acc - replayed_before);
-    }
-    if (config_.stats_hook) {
-      config_.stats_hook(executed_iteration, state.data(), &istats);
-    }
-    istats.sim_time_ns =
-        env_.clock != nullptr ? env_.clock->TotalNs() - sim_before : 0;
-    if (env_.clock != nullptr) {
-      for (int c = 0; c < runtime::kNumCharges; ++c) {
-        istats.sim_time_by_charge[c] =
-            env_.clock->Of(static_cast<runtime::Charge>(c)) -
-            charges_before[c];
-      }
-    }
-    istats.spills = memory.stats().spills - mem_before.spills;
-    istats.unspills = memory.stats().unspills - mem_before.unspills;
-    istats.spilled_bytes =
-        memory.stats().spilled_bytes - mem_before.spilled_bytes;
-    istats.peak_resident_bytes = memory.stats().peak_resident_bytes;
-    istats.wall_time_ns = wall.ElapsedNs();
-    env_.metrics->RecordIteration(std::move(istats));
-
-    result.iterations = std::max(result.iterations, executed_iteration);
-
-    if (config_.epoch_hook) {
-      // Consistent superstep boundary. After the recovery switch the state
-      // corresponds to iteration - 1 regardless of the action taken
-      // (kContinue: the executed superstep; kRewind: the rewind target;
-      // kRestart: 0).
-      EpochInfo info;
-      info.event = lost.empty() ? EpochEvent::kEpochComplete
-                                : EpochEvent::kRecoveryComplete;
-      info.epoch = iteration - 1;
-      info.state = &state;
-      info.lost = lost.empty() ? nullptr : &lost;
-      config_.epoch_hook(info);
-    }
-
-    if (converged) {
-      if (tracer != nullptr) {
-        tracer->Instant(runtime::InstantKind::kConvergenceReached, -1,
-                        {{"iteration", executed_iteration}});
-      }
-      result.converged = true;
-      break;
-    }
-  }
-
-  if (metrics != nullptr) {
-    // End-of-run per-partition state size — the balance the hash
-    // partitioner achieved.
-    for (int p = 0; p < n; ++p) {
-      metrics->SetGauge(runtime::metric::kGaugeStateRecords, p,
-                        static_cast<double>(state.data().partition(p).size()));
-    }
-  }
-  result.final_state = std::move(state.data());
+  result.final_state = std::move(hooks.data());
+  result.iterations = run.iterations;
+  result.supersteps_executed = run.supersteps_executed;
+  result.converged = run.converged;
+  result.failures_recovered = run.failures_recovered;
   return result;
 }
 

@@ -77,6 +77,23 @@ Status JobServer::Submit(JobSpec spec) {
   }
 
   std::lock_guard<std::mutex> lk(mu_);
+  if (runtime::Tracer* tracer = spec.exec.tracer; tracer != nullptr) {
+    // A tracer's spans must close in reverse open order, so one tracer can
+    // follow one thread: the server's records publishes, each job's its own
+    // run. Two live jobs sharing one would abort mid-run.
+    if (tracer == tracer_) {
+      return Status::InvalidArgument(
+          "job '" + spec.job_id +
+          "': exec.tracer is the server's tracer; give the job its own");
+    }
+    for (const auto& [id, other] : jobs_) {
+      if (!other->reaped && other->spec.exec.tracer == tracer) {
+        return Status::InvalidArgument("job '" + spec.job_id +
+                                       "': exec.tracer belongs to live job '" +
+                                       id + "'");
+      }
+    }
+  }
   if (jobs_.count(spec.job_id) > 0) {
     // The spill-key registry would catch the namespace collision later
     // with a crash; reject the duplicate id cleanly up front instead
@@ -200,7 +217,6 @@ Status JobServer::RunJob(Job* job) {
   env.storage = storage_;
   env.metrics = &job->metrics;
   env.failures = &spec.failures;
-  env.tracer = tracer_;
   env.metrics_sink = metrics_;
   env.memory = &memory_;
   env.job_id = spec.job_id;

@@ -94,6 +94,8 @@ struct JobSpec {
   iteration::StateKind kind = iteration::StateKind::kDelta;
   const dataflow::Plan* plan = nullptr;
   dataflow::Bindings bindings;
+  /// exec.tracer (optional) traces this job's run; it must not be shared
+  /// with the server or another live job.
   dataflow::ExecOptions exec;
   iteration::FaultTolerancePolicy* policy = nullptr;
   runtime::FailureSchedule failures;
@@ -156,7 +158,9 @@ struct JobReport {
 class JobServer {
  public:
   /// `clock`, `costs`, and `storage` are the shared runtime services every
-  /// job charges against (borrowed). `tracer`/`metrics` may be null.
+  /// job charges against (borrowed). `tracer`/`metrics` may be null. The
+  /// server's tracer records only "server.publish" spans; a job is traced
+  /// through its own JobSpec::exec.tracer.
   JobServer(runtime::SimClock* clock, const runtime::CostModel* costs,
             runtime::StableStorage* storage, ServerOptions options,
             runtime::Tracer* tracer = nullptr,
@@ -170,7 +174,9 @@ class JobServer {
   JobServer& operator=(const JobServer&) = delete;
 
   /// Queues a job. Fails with AlreadyExists on a duplicate job id (live or
-  /// finished) and InvalidArgument on a malformed spec.
+  /// finished) and InvalidArgument on a malformed spec — including an
+  /// exec.tracer that is the server's or another live job's (a tracer
+  /// follows one thread).
   Status Submit(JobSpec spec);
 
   /// One scheduling round: admit what fits, grant every running job one

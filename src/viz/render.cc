@@ -174,7 +174,7 @@ std::string DescribePartitions(int64_t num_vertices, int num_partitions) {
     out += "  partition " + std::to_string(p) + ":";
     for (int64_t v = 0; v < num_vertices; ++v) {
       if (algos::PartitionOfVertex(v, num_partitions) == p) {
-        out += " " + std::to_string(v);
+        out.append(" ").append(std::to_string(v));
       }
     }
     out += "\n";

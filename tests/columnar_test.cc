@@ -1,12 +1,16 @@
 // Columnar batch execution (DESIGN.md §12): batch <-> record round-trips
 // over every ValueType (including empty and long strings), v2 dataset-blob
 // serde corruption rejection, FlatKeyIndex parity with the map-based
-// grouping it replaces, and the headline contract — columnar and record
-// execution are byte-identical across thread counts and injected failures.
+// grouping it replaces, and the headline contract — columnar execution
+// matches a naive std::map reference evaluator partition for partition, the
+// algorithms match their reference solvers through injected failures, and
+// every run is byte-identical across thread counts.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -263,7 +267,7 @@ TEST(DatasetBlobTest, ColumnarBlobRejectsCorruption) {
   }
 }
 
-// ------------------------------------- columnar vs record byte-identity --
+// --------------------------------------- columnar vs reference evaluator --
 
 Plan BuildHotPathPlan() {
   // Every rewritten operator, with both int64 and string keys: map,
@@ -306,10 +310,136 @@ Plan BuildHotPathPlan() {
   return plan;
 }
 
-class ColumnarAbTest : public ::testing::TestWithParam<int> {};
+// A deliberately naive evaluator of the node kinds BuildHotPathPlan uses.
+// It reproduces the engine's contracts — hash placement (PartitionOf),
+// reduce/group emission in key order, join output in probe order with each
+// group in arrival order, first-occurrence distinct — but groups with
+// std::map, so it shares no code with the executor's columnar kernels.
+using RefGroups =
+    std::map<Record, std::vector<Record>, dataflow::RecordOrder>;
 
-TEST_P(ColumnarAbTest, HotPathPlanIsByteIdenticalToRecordPath) {
-  const int threads = GetParam();
+PartitionedDataset RefShuffle(const PartitionedDataset& in,
+                              const dataflow::KeyColumns& key) {
+  const int n = in.num_partitions();
+  PartitionedDataset out(n);
+  for (int p = 0; p < n; ++p) {
+    for (const Record& r : in.partition(p)) {
+      out.partition(PartitionedDataset::PartitionOf(r, key, n)).push_back(r);
+    }
+  }
+  return out;
+}
+
+RefGroups RefGroup(const std::vector<Record>& rows,
+                   const dataflow::KeyColumns& key) {
+  RefGroups groups;
+  for (const Record& r : rows) {
+    groups[dataflow::ExtractKey(r, key)].push_back(r);
+  }
+  return groups;
+}
+
+PartitionedDataset RefReduce(const dataflow::PlanNode& node,
+                             const PartitionedDataset& in) {
+  PartitionedDataset out(in.num_partitions());
+  for (int p = 0; p < in.num_partitions(); ++p) {
+    for (const auto& [key, group] : RefGroup(in.partition(p), node.left_key)) {
+      Record acc = group[0];
+      for (size_t i = 1; i < group.size(); ++i) {
+        acc = node.combine_fn(acc, group[i]);
+      }
+      out.partition(p).push_back(std::move(acc));
+    }
+  }
+  return out;
+}
+
+PartitionedDataset RefEvaluate(const Plan& plan, const std::string& output,
+                               const PartitionedDataset& source) {
+  const int n = source.num_partitions();
+  std::vector<PartitionedDataset> values;
+  for (const dataflow::PlanNode& node : plan.nodes()) {
+    PartitionedDataset out(n);
+    auto in = [&](int i) -> const PartitionedDataset& {
+      return values[node.inputs[i]];
+    };
+    switch (node.kind) {
+      case dataflow::OpKind::kSource:
+        out = source;
+        break;
+      case dataflow::OpKind::kMap:
+        for (int p = 0; p < n; ++p) {
+          for (const Record& r : in(0).partition(p)) {
+            out.partition(p).push_back(node.map_fn(r));
+          }
+        }
+        break;
+      case dataflow::OpKind::kReduceByKey:
+        out = RefReduce(node, RefShuffle(node.pre_combine
+                                             ? RefReduce(node, in(0))
+                                             : in(0),
+                                         node.left_key));
+        break;
+      case dataflow::OpKind::kJoin: {
+        PartitionedDataset left = RefShuffle(in(0), node.left_key);
+        PartitionedDataset right = RefShuffle(in(1), node.right_key);
+        for (int p = 0; p < n; ++p) {
+          RefGroups build = RefGroup(left.partition(p), node.left_key);
+          for (const Record& r : right.partition(p)) {
+            auto it = build.find(dataflow::ExtractKey(r, node.right_key));
+            if (it == build.end()) continue;
+            for (const Record& l : it->second) {
+              out.partition(p).push_back(node.join_fn(l, r));
+            }
+          }
+        }
+        break;
+      }
+      case dataflow::OpKind::kGroupReduceByKey: {
+        PartitionedDataset shuffled = RefShuffle(in(0), node.left_key);
+        for (int p = 0; p < n; ++p) {
+          for (const auto& [key, group] :
+               RefGroup(shuffled.partition(p), node.left_key)) {
+            out.partition(p).push_back(node.group_reduce_fn(key, group));
+          }
+        }
+        break;
+      }
+      case dataflow::OpKind::kDistinct: {
+        PartitionedDataset shuffled = RefShuffle(in(0), node.left_key);
+        for (int p = 0; p < n; ++p) {
+          std::set<Record, dataflow::RecordOrder> seen;
+          for (const Record& r : shuffled.partition(p)) {
+            if (seen.insert(r).second) out.partition(p).push_back(r);
+          }
+        }
+        break;
+      }
+      case dataflow::OpKind::kUnion:
+        for (int p = 0; p < n; ++p) {
+          for (int i = 0; i < 2; ++i) {
+            out.partition(p).insert(out.partition(p).end(),
+                                    in(i).partition(p).begin(),
+                                    in(i).partition(p).end());
+          }
+        }
+        break;
+      default:
+        ADD_FAILURE() << "reference evaluator lacks node kind of '"
+                      << node.name << "'";
+    }
+    values.push_back(std::move(out));
+  }
+  for (const auto& [name, node] : plan.outputs()) {
+    if (name == output) return values[node];
+  }
+  ADD_FAILURE() << "no output '" << output << "'";
+  return PartitionedDataset();
+}
+
+class ColumnarReferenceTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ColumnarReferenceTest, HotPathPlanMatchesReferenceEvaluator) {
   const int parts = 8;
   Plan plan = BuildHotPathPlan();
   Rng rng(31);
@@ -320,41 +450,43 @@ TEST_P(ColumnarAbTest, HotPathPlanIsByteIdenticalToRecordPath) {
   }
   auto in = PartitionedDataset::RoundRobin(std::move(records), parts);
 
-  auto run = [&](bool columnar, ExecStats* stats, runtime::SimClock* clock,
-                 const runtime::CostModel* costs) {
+  auto run = [&](int threads, ExecStats* stats, runtime::SimClock* clock) {
+    runtime::CostModel costs;
     ExecOptions options;
     options.num_partitions = parts;
     options.num_threads = threads;
-    options.use_columnar = columnar;
     options.clock = clock;
-    options.costs = costs;
+    options.costs = &costs;
     Executor executor(options);
     auto outs = executor.Execute(plan, {{"in", &in}}, stats);
     EXPECT_TRUE(outs.ok()) << outs.status().ToString();
     return std::move(outs->at("out"));
   };
 
-  runtime::CostModel costs;
-  runtime::SimClock batch_clock, record_clock;
-  ExecStats batch_stats, record_stats;
-  PartitionedDataset batch = run(true, &batch_stats, &batch_clock, &costs);
-  PartitionedDataset record = run(false, &record_stats, &record_clock, &costs);
-
-  ASSERT_EQ(batch.num_partitions(), record.num_partitions());
-  for (int p = 0; p < batch.num_partitions(); ++p) {
-    EXPECT_EQ(batch.partition(p), record.partition(p)) << "partition " << p;
+  runtime::SimClock clock, serial_clock;
+  ExecStats stats, serial_stats;
+  PartitionedDataset out = run(GetParam(), &stats, &clock);
+  PartitionedDataset want = RefEvaluate(plan, "out", in);
+  ASSERT_EQ(out.num_partitions(), want.num_partitions());
+  for (int p = 0; p < out.num_partitions(); ++p) {
+    EXPECT_EQ(out.partition(p), want.partition(p)) << "partition " << p;
   }
-  EXPECT_EQ(batch_stats.records_processed, record_stats.records_processed);
-  EXPECT_EQ(batch_stats.messages_shuffled, record_stats.messages_shuffled);
-  EXPECT_EQ(batch_stats.node_output_counts, record_stats.node_output_counts);
-  EXPECT_EQ(batch_clock.TotalNs(), record_clock.TotalNs());
-  // The mode counters are the only allowed difference.
-  EXPECT_GT(batch_stats.batch_ops, 0u);
-  EXPECT_EQ(record_stats.batch_ops, 0u);
-  EXPECT_GT(record_stats.row_fallback_ops, 0u);
+  // Reduce, join, group-reduce, and distinct all ran columnar.
+  EXPECT_EQ(stats.batch_ops, 4u);
+  EXPECT_EQ(stats.row_fallback_ops, 0u);
+
+  // And the run is identical to a serial one, accounting included.
+  PartitionedDataset serial = run(1, &serial_stats, &serial_clock);
+  for (int p = 0; p < out.num_partitions(); ++p) {
+    EXPECT_EQ(out.partition(p), serial.partition(p)) << "partition " << p;
+  }
+  EXPECT_EQ(stats.records_processed, serial_stats.records_processed);
+  EXPECT_EQ(stats.messages_shuffled, serial_stats.messages_shuffled);
+  EXPECT_EQ(stats.node_output_counts, serial_stats.node_output_counts);
+  EXPECT_EQ(clock.TotalNs(), serial_clock.TotalNs());
 }
 
-struct AbAlgoRun {
+struct AlgoRun {
   std::vector<double> pr_ranks;
   std::vector<int64_t> cc_labels;
   int pr_iterations = 0;
@@ -365,10 +497,23 @@ struct AbAlgoRun {
   int64_t cc_sim_ns = 0;
 };
 
-AbAlgoRun RunAlgosAb(int num_threads, bool columnar) {
-  AbAlgoRun out;
+graph::Graph AlgoGraph() {
   Rng rng(2025);
-  graph::Graph directed = graph::Rmat(9, 6, &rng);  // 512 vertices
+  return graph::Rmat(9, 6, &rng);  // 512 vertices
+}
+
+graph::Graph Undirected(const graph::Graph& directed) {
+  graph::Graph undirected(directed.num_vertices(), /*directed=*/false);
+  for (const graph::Edge& e : directed.edges()) {
+    Status s = undirected.AddEdge(e.src, e.dst);
+    EXPECT_TRUE(s.ok());
+  }
+  return undirected;
+}
+
+AlgoRun RunAlgos(int num_threads) {
+  AlgoRun out;
+  graph::Graph directed = AlgoGraph();
 
   {  // PageRank (bulk) through an injected failure + compensation.
     runtime::SimClock clock;
@@ -388,8 +533,8 @@ AbAlgoRun RunAlgosAb(int num_threads, bool columnar) {
     algos::PageRankOptions options;
     options.num_partitions = 4;
     options.num_threads = num_threads;
-    options.columnar_batch = columnar;
-    options.max_iterations = 10;
+    options.l1_tolerance = 1e-12;
+    options.max_iterations = 300;
     algos::FixRanksCompensation fix(directed.num_vertices());
     core::OptimisticRecoveryPolicy policy(&fix);
     auto result = algos::RunPageRank(directed, options, env, &policy, nullptr);
@@ -403,11 +548,7 @@ AbAlgoRun RunAlgosAb(int num_threads, bool columnar) {
   }
 
   {  // Connected Components (delta) through an injected failure.
-    graph::Graph undirected(directed.num_vertices(), /*directed=*/false);
-    for (const graph::Edge& e : directed.edges()) {
-      Status s = undirected.AddEdge(e.src, e.dst);
-      EXPECT_TRUE(s.ok());
-    }
+    graph::Graph undirected = Undirected(directed);
     runtime::SimClock clock;
     runtime::CostModel costs;
     runtime::MetricsRegistry metrics;
@@ -425,7 +566,6 @@ AbAlgoRun RunAlgosAb(int num_threads, bool columnar) {
     algos::ConnectedComponentsOptions options;
     options.num_partitions = 4;
     options.num_threads = num_threads;
-    options.columnar_batch = columnar;
     algos::FixComponentsCompensation fix(&undirected);
     core::OptimisticRecoveryPolicy policy(&fix);
     auto result = algos::RunConnectedComponents(undirected, options, env,
@@ -441,31 +581,33 @@ AbAlgoRun RunAlgosAb(int num_threads, bool columnar) {
   return out;
 }
 
-TEST_P(ColumnarAbTest, AlgorithmsWithFailuresAreByteIdenticalToRecordPath) {
-  AbAlgoRun batch = RunAlgosAb(GetParam(), /*columnar=*/true);
-  AbAlgoRun record = RunAlgosAb(GetParam(), /*columnar=*/false);
-  EXPECT_EQ(batch.pr_ranks, record.pr_ranks);
-  EXPECT_EQ(batch.cc_labels, record.cc_labels);
-  EXPECT_EQ(batch.pr_iterations, record.pr_iterations);
-  EXPECT_EQ(batch.cc_supersteps, record.cc_supersteps);
-  EXPECT_EQ(batch.pr_messages, record.pr_messages);
-  EXPECT_EQ(batch.cc_messages, record.cc_messages);
-  EXPECT_EQ(batch.pr_sim_ns, record.pr_sim_ns);
-  EXPECT_EQ(batch.cc_sim_ns, record.cc_sim_ns);
+TEST_P(ColumnarReferenceTest, AlgorithmsWithFailuresMatchReferences) {
+  graph::Graph directed = AlgoGraph();
+  AlgoRun run = RunAlgos(GetParam());
+  std::vector<double> truth =
+      graph::ReferencePageRank(directed, 0.85, 400, 1e-14);
+  ASSERT_EQ(run.pr_ranks.size(), truth.size());
+  for (size_t v = 0; v < truth.size(); ++v) {
+    EXPECT_NEAR(run.pr_ranks[v], truth[v], 1e-9) << "vertex " << v;
+  }
+  EXPECT_EQ(run.cc_labels,
+            graph::ReferenceConnectedComponents(Undirected(directed)));
 }
 
-TEST_P(ColumnarAbTest, ColumnarRunMatchesSerialColumnarRun) {
-  AbAlgoRun serial = RunAlgosAb(1, /*columnar=*/true);
-  AbAlgoRun parallel = RunAlgosAb(GetParam(), /*columnar=*/true);
+TEST_P(ColumnarReferenceTest, AlgorithmRunsAreIdenticalAcrossThreadCounts) {
+  AlgoRun serial = RunAlgos(1);
+  AlgoRun parallel = RunAlgos(GetParam());
   EXPECT_EQ(serial.pr_ranks, parallel.pr_ranks);
   EXPECT_EQ(serial.cc_labels, parallel.cc_labels);
+  EXPECT_EQ(serial.pr_iterations, parallel.pr_iterations);
+  EXPECT_EQ(serial.cc_supersteps, parallel.cc_supersteps);
   EXPECT_EQ(serial.pr_messages, parallel.pr_messages);
   EXPECT_EQ(serial.cc_messages, parallel.cc_messages);
   EXPECT_EQ(serial.pr_sim_ns, parallel.pr_sim_ns);
   EXPECT_EQ(serial.cc_sim_ns, parallel.cc_sim_ns);
 }
 
-INSTANTIATE_TEST_SUITE_P(ThreadCounts, ColumnarAbTest,
+INSTANTIATE_TEST_SUITE_P(ThreadCounts, ColumnarReferenceTest,
                          ::testing::Values(1, 2, 8));
 
 }  // namespace

@@ -456,15 +456,13 @@ TEST(ExecCacheTest, StreamingGatherBoundsOutboxPeak) {
 
 // ------------------------------------------- spill / memory budget (§11) --
 
-// Builds the per-partition hash index the executor builds for a cached
-// join build side, referencing the dataset's records in place.
-std::vector<dataflow::JoinIndex> BuildIndex(const PartitionedDataset& ds,
-                                            const dataflow::KeyColumns& key) {
-  std::vector<dataflow::JoinIndex> index(ds.num_partitions());
+// Builds the per-partition flat index the executor builds for a cached
+// join build side, over the dataset's records in place.
+std::vector<dataflow::FlatKeyIndex> BuildIndex(
+    const PartitionedDataset& ds, const dataflow::KeyColumns& key) {
+  std::vector<dataflow::FlatKeyIndex> index(ds.num_partitions());
   for (int p = 0; p < ds.num_partitions(); ++p) {
-    for (const Record& r : ds.partition(p)) {
-      index[p][dataflow::ExtractKey(r, key)].push_back(&r);
-    }
+    index[p].Build(ds.partition(p), key);
   }
   return index;
 }
@@ -482,7 +480,7 @@ TEST(ExecCacheSpillTest, SpillRoundTripIsByteIdenticalAndRebuildsIndex) {
   ExecCache::Entry& entry = cache.Emplace(7, ExecCache::Role::kBuild);
   entry.data = ds;
   entry.index_key = {0};
-  entry.join_index = BuildIndex(*ds, {0});
+  entry.flat_index = BuildIndex(*ds, {0});
   ASSERT_TRUE(
       cache.OnEntryFilled(7, ExecCache::Role::kBuild, nullptr).ok());
 
@@ -493,7 +491,7 @@ TEST(ExecCacheSpillTest, SpillRoundTripIsByteIdenticalAndRebuildsIndex) {
   // An unexempted pass pushes it out: resident state gone, blob written.
   ASSERT_TRUE(manager.EnforceBudget(nullptr, nullptr).ok());
   EXPECT_EQ(cache.Find(7, ExecCache::Role::kBuild)->data, nullptr);
-  EXPECT_TRUE(cache.Find(7, ExecCache::Role::kBuild)->join_index.empty());
+  EXPECT_TRUE(cache.Find(7, ExecCache::Role::kBuild)->flat_index.empty());
   EXPECT_GT(storage.live_bytes(), 0u);
   EXPECT_EQ(manager.stats().spills, 1u);
   const uint64_t io_after_spill = clock.Of(runtime::Charge::kCheckpointIo);
@@ -513,17 +511,21 @@ TEST(ExecCacheSpillTest, SpillRoundTripIsByteIdenticalAndRebuildsIndex) {
 
   // The rebuilt index answers every probe like one built over the original.
   auto fresh = BuildIndex(*ds, {0});
-  ASSERT_EQ(e->join_index.size(), fresh.size());
+  ASSERT_EQ(e->flat_index.size(), fresh.size());
   for (size_t p = 0; p < fresh.size(); ++p) {
     SCOPED_TRACE("partition " + std::to_string(p));
-    ASSERT_EQ(e->join_index[p].size(), fresh[p].size());
-    for (const auto& [key, group] : fresh[p]) {
-      auto it = e->join_index[p].find(key);
-      ASSERT_NE(it, e->join_index[p].end());
-      ASSERT_EQ(it->second.size(), group.size());
-      for (size_t i = 0; i < group.size(); ++i) {
-        EXPECT_EQ(*it->second[i], *group[i]);  // same records, same order
+    ASSERT_EQ(e->flat_index[p].heads(), fresh[p].heads());
+    for (const Record& probe : ds->partition(p)) {
+      const uint64_t h = dataflow::HashKey(probe, {0});
+      int32_t got = e->flat_index[p].FindFirst(probe, {0}, h);
+      int32_t want = fresh[p].FindFirst(probe, {0}, h);
+      for (; want >= 0; want = fresh[p].Next(want)) {
+        ASSERT_GE(got, 0);
+        // Same records, same order.
+        EXPECT_EQ(e->data->partition(p)[got], ds->partition(p)[want]);
+        got = e->flat_index[p].Next(got);
       }
+      EXPECT_EQ(got, -1);
     }
   }
 

@@ -62,7 +62,32 @@ TEST(FlagsTest, RejectsUnknownFlag) {
   Status s = flags.Parse(static_cast<int>(argv.size()), argv.data());
   EXPECT_FALSE(s.ok());
   EXPECT_NE(s.message().find("mystery"), std::string::npos);
-  EXPECT_NE(s.message().find("--n"), std::string::npos);  // usage included
+  // The caller prints the usage block; the status must not carry a copy.
+  EXPECT_EQ(s.message().find("--n"), std::string::npos);
+}
+
+TEST(FlagsTest, HelpIsAcceptedAndReported) {
+  FlagParser flags;
+  int64_t* n = flags.Int64("n", 3, "");
+  auto argv = Argv({"--help", "--n=5"});
+  ASSERT_TRUE(flags.Parse(static_cast<int>(argv.size()), argv.data()).ok());
+  EXPECT_TRUE(flags.help_requested());
+  EXPECT_EQ(*n, 5);
+  auto plain = Argv({"--n=1"});
+  ASSERT_TRUE(flags.Parse(static_cast<int>(plain.size()), plain.data()).ok());
+  EXPECT_FALSE(flags.help_requested());
+}
+
+TEST(FlagsTest, ParseMainExitCodes) {
+  FlagParser flags;
+  flags.Int64("n", 0, "");
+  auto help = Argv({"--help"});
+  EXPECT_EQ(flags.ParseMain(static_cast<int>(help.size()), help.data()), 0);
+  auto bad = Argv({"--mystery"});
+  EXPECT_EQ(flags.ParseMain(static_cast<int>(bad.size()), bad.data()), 1);
+  auto good = Argv({"--n=2"});
+  EXPECT_EQ(flags.ParseMain(static_cast<int>(good.size()), good.data()),
+            std::nullopt);
 }
 
 TEST(FlagsTest, RejectsBadValues) {

@@ -22,7 +22,8 @@ TEST(LineageTest, MapChainIsAllNarrow) {
   Plan plan;
   auto node = plan.Source("in");
   for (int i = 0; i < 5; ++i) {
-    node = plan.Map(node, Identity, "m" + std::to_string(i));
+    node = plan.Map(node, Identity,
+                    std::string("m").append(std::to_string(i)));
   }
   plan.Output(node, "out");
 

@@ -2,7 +2,7 @@
 // confined replay built on it (Executor::Replay, DESIGN.md §14): channel
 // round-trips, superstep rotation, budgeted spill/unspill, and — the
 // contract recovery rests on — replayed partitions byte-identical to the
-// partitions a full Execute produces.
+// partitions a full Execute produces, for every operator kind.
 
 #include <gtest/gtest.h>
 
@@ -11,10 +11,14 @@
 #include <string>
 #include <vector>
 
+#include "dataflow/columnar.h"
+#include "dataflow/exec_cache.h"
 #include "dataflow/executor.h"
 #include "runtime/memory_manager.h"
 #include "runtime/message_log.h"
+#include "runtime/metrics.h"
 #include "runtime/stable_storage.h"
+#include "runtime/tracing.h"
 
 namespace flinkless::runtime {
 namespace {
@@ -266,6 +270,202 @@ TEST_P(ReplayTest, ReplayReadsSpilledChannels) {
                 executed->at(output).partition(p))
           << output << " " << p;
     }
+  }
+}
+
+/// A step plan using every OpKind: map and flat-map with and without a
+/// batch impl, filter, project, union, cross, reduce (pre-combined generic,
+/// declared, and plain generic), group-reduce, join, cogroup, distinct. The
+/// volatile "state" reaches every output only through a shuffle.
+Plan BuildEveryOpPlan() {
+  using dataflow::ColumnarBatch;
+  using dataflow::ValueType;
+  Plan plan;
+  auto state = plan.Source("state");
+  auto edges = plan.Source("edges");
+
+  auto bumped = plan.Map(
+      state,
+      [](const Record& r) {
+        return MakeRecord(r[0].AsInt64(), r[1].AsInt64() + 1);
+      },
+      "bump");
+  plan.BatchImpl(bumped, [](const ColumnarBatch& in, ColumnarBatch* out) {
+    out->Reset({ValueType::kInt64, ValueType::kInt64});
+    out->MutableInt64Column(0) = in.Int64Column(0);
+    out->MutableInt64Column(1) = in.Int64Column(1);
+    for (int64_t& x : out->MutableInt64Column(1)) ++x;
+    out->FinishRows(in.num_rows());
+  });
+  auto doubled = plan.FlatMap(
+      bumped,
+      [](const Record& r, std::vector<Record>* out) {
+        out->push_back(r);
+        if (r[1].AsInt64() % 2 == 0) {
+          out->push_back(MakeRecord(r[0].AsInt64(), r[1].AsInt64() * 2));
+        }
+      },
+      "double-evens");
+  plan.BatchImpl(doubled, [](const ColumnarBatch& in, ColumnarBatch* out) {
+    out->Reset({ValueType::kInt64, ValueType::kInt64});
+    std::vector<int64_t>& keys = out->MutableInt64Column(0);
+    std::vector<int64_t>& vals = out->MutableInt64Column(1);
+    for (size_t i = 0; i < in.num_rows(); ++i) {
+      const int64_t k = in.Int64Column(0)[i];
+      const int64_t x = in.Int64Column(1)[i];
+      keys.push_back(k);
+      vals.push_back(x);
+      if (x % 2 == 0) {
+        keys.push_back(k);
+        vals.push_back(x * 2);
+      }
+    }
+    out->FinishRows(keys.size());
+  });
+  auto scaled = plan.Map(
+      edges,
+      [](const Record& r) {
+        return MakeRecord(r[0].AsInt64(), r[1].AsInt64() * 2);
+      },
+      "scale-edges");
+  auto reversed = plan.FlatMap(
+      edges,
+      [](const Record& r, std::vector<Record>* out) {
+        out->push_back(MakeRecord(r[1].AsInt64(), r[0].AsInt64()));
+      },
+      "reverse-edges");
+  auto kept = plan.Filter(
+      doubled, [](const Record& r) { return r[1].AsInt64() % 3 != 0; },
+      "drop-thirds");
+  auto merged = plan.Union(kept, reversed, "merge");
+
+  auto sum = [](const Record& a, const Record& b) {
+    return MakeRecord(a[0].AsInt64(), a[1].AsInt64() + b[1].AsInt64());
+  };
+  auto summed = plan.ReduceByKey(merged, {0}, sum, "sum", /*pre_combine=*/true);
+  auto declared =
+      plan.ReduceByKey(scaled, {0}, sum, "declared-sum", /*pre_combine=*/true);
+  plan.DeclareReduce(declared, dataflow::ReduceKind::kSumInt64, 1);
+  auto maxed = plan.ReduceByKey(
+      doubled, {0},
+      [](const Record& a, const Record& b) {
+        return MakeRecord(a[0].AsInt64(),
+                          std::max(a[1].AsInt64(), b[1].AsInt64()));
+      },
+      "max");
+  auto grouped = plan.GroupReduceByKey(
+      kept, {0},
+      [](const Record& key, const std::vector<Record>& group) {
+        int64_t total = 0;
+        for (const Record& g : group) total = total * 7 + g[1].AsInt64();
+        return MakeRecord(key[0].AsInt64(), total);
+      },
+      "group");
+  auto joined = plan.Join(
+      summed, edges, {0}, {0},
+      [](const Record& l, const Record& r) {
+        return MakeRecord(r[1].AsInt64(), l[1].AsInt64() + r[0].AsInt64());
+      },
+      "join");
+  auto cogrouped = plan.CoGroup(
+      maxed, declared, {0}, {0},
+      [](const Record& key, const std::vector<Record>& left,
+         const std::vector<Record>& right, std::vector<Record>* out) {
+        int64_t mix = static_cast<int64_t>(left.size() * 100 + right.size());
+        for (const Record& l : left) mix = mix * 3 + l[1].AsInt64();
+        out->push_back(MakeRecord(key[0].AsInt64(), mix));
+      },
+      "cogroup");
+  auto swapped = plan.Project(joined, {1, 0}, "swap");
+  auto unique = plan.Distinct(swapped, {0}, "distinct");
+  auto few = plan.Filter(
+      declared, [](const Record& r) { return r[0].AsInt64() < 3; }, "few");
+  auto crossed = plan.Cross(
+      grouped, few,
+      [](const Record& l, const Record& r) {
+        return MakeRecord(l[0].AsInt64(), l[1].AsInt64() + r[1].AsInt64());
+      },
+      "cross");
+
+  plan.Output(summed, "sum");
+  plan.Output(maxed, "max");
+  plan.Output(grouped, "group");
+  plan.Output(joined, "join");
+  plan.Output(cogrouped, "cogroup");
+  plan.Output(unique, "distinct");
+  plan.Output(crossed, "cross");
+  return plan;
+}
+
+TEST_P(ReplayTest, EveryOperatorReplaysByteIdenticalToExecute) {
+  const int parts = 4;
+  Plan plan = BuildEveryOpPlan();
+  StepData data = MakeStepData(parts);
+  Bindings bindings{{"state", &data.state}, {"edges", &data.edges}};
+  Bindings statics{{"edges", &data.edges}};
+
+  // Without and with a loop-invariant cache: Execute then serves the
+  // static join/cogroup sides and the batch schemas from it.
+  for (bool cached : {false, true}) {
+    SCOPED_TRACE(cached ? "cached" : "uncached");
+    dataflow::ExecCache cache({"state"});
+    MessageLog log({"state"});
+    MetricsSink metrics;
+    Tracer tracer;
+    ExecOptions options;
+    options.num_partitions = parts;
+    options.num_threads = GetParam();
+    options.message_log = &log;
+    options.metrics = &metrics;
+    options.tracer = &tracer;
+    if (cached) options.cache = &cache;
+    Executor executor(options);
+
+    auto executed = executor.Execute(plan, bindings, nullptr);
+    ASSERT_TRUE(executed.ok()) << executed.status().ToString();
+    const MetricsSnapshot after_execute = metrics.Collect();
+    const size_t execute_events = tracer.Flush().events.size();
+
+    for (const std::vector<int>& lost :
+         {std::vector<int>{2}, std::vector<int>{0, 3},
+          std::vector<int>{0, 1, 2, 3}}) {
+      ExecStats replay_stats;
+      auto replayed =
+          executor.Replay(plan, statics, lost, &log, &replay_stats);
+      ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+      EXPECT_GT(replay_stats.messages_replayed, 0u);
+      EXPECT_EQ(replay_stats.batch_ops, 0u);
+      EXPECT_EQ(replay_stats.row_fallback_ops, 0u);
+      for (const auto& [output, node] : plan.outputs()) {
+        const PartitionedDataset& full = executed->at(output);
+        const PartitionedDataset& confined = replayed->at(output);
+        ASSERT_EQ(confined.num_partitions(), parts);
+        for (int p : lost) {
+          EXPECT_EQ(confined.partition(p), full.partition(p))
+              << output << " partition " << p << " with "
+              << static_cast<int>(lost.size()) << " lost";
+        }
+      }
+    }
+
+    // Replay records one span per call and no executor metrics: no batch
+    // or row-fallback counts, batch-row samples, or probe-chain samples.
+    const MetricsSnapshot after_replay = metrics.Collect();
+    EXPECT_EQ(after_replay.histograms, after_execute.histograms);
+    for (const char* name :
+         {metric::kExecBatchOps, metric::kExecRowFallbackOps,
+          metric::kExecRecords, metric::kPoolTasks}) {
+      EXPECT_EQ(after_replay.CounterTotal(name),
+                after_execute.CounterTotal(name))
+          << name;
+    }
+    const Tracer::Snapshot trace = tracer.Flush();
+    EXPECT_EQ(trace.events.size(), execute_events + 3);
+    EXPECT_EQ(std::count_if(trace.events.begin(), trace.events.end(),
+                            [](const TraceEvent& e) {
+                              return e.category == "msglog.replay";
+                            }),
+              3);
   }
 }
 

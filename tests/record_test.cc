@@ -151,7 +151,7 @@ TEST(SerializationTest, RoundTripManyRecords) {
   std::vector<Record> records;
   for (int64_t i = 0; i < 100; ++i) {
     records.push_back(MakeRecord(i, static_cast<double>(i) * 0.5,
-                                 "r" + std::to_string(i)));
+                                 std::string("r").append(std::to_string(i))));
   }
   auto bytes = SerializeRecords(records);
   auto back = DeserializeRecords(bytes);

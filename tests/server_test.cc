@@ -401,6 +401,70 @@ TEST(ServerAdmissionTest, DuplicateJobIdRejected) {
             StatusCode::kAlreadyExists);
 }
 
+TEST(ServerTracingTest, ServerTracerRecordsPublishesOfConcurrentJobs) {
+  // Two jobs running at once used to share the server's tracer and abort
+  // on interleaved span closes; the server tracer now records only its
+  // own publish spans.
+  graph::Graph graph = graph::GridGraph(16, 16);
+  CcJobFixture fixture(graph);
+  runtime::SimClock clock;
+  runtime::CostModel costs;
+  runtime::StableStorage storage(&clock, &costs);
+  core::OptimisticRecoveryPolicy policy_a(&fixture.fix);
+  core::OptimisticRecoveryPolicy policy_b(&fixture.fix);
+  runtime::Tracer tracer;
+
+  ServerOptions options;
+  options.max_concurrent_jobs = 2;
+  JobServer server(&clock, &costs, &storage, options, &tracer);
+  ASSERT_TRUE(server.Submit(fixture.Spec("a", "df-a", "", 2, &policy_a)).ok());
+  ASSERT_TRUE(server.Submit(fixture.Spec("b", "df-b", "", 2, &policy_b)).ok());
+  ASSERT_TRUE(server.RunToCompletion().ok());
+
+  uint64_t publishes = 0;
+  for (const auto& e : tracer.Flush().events) {
+    EXPECT_EQ(e.category, "server.publish");
+    if (e.category == "server.publish") ++publishes;
+  }
+  EXPECT_GT(publishes, 2u);
+  for (const char* id : {"a", "b"}) {
+    EXPECT_EQ(LabelsFromServer(server, id, graph.num_vertices()),
+              graph::ReferenceConnectedComponents(graph));
+  }
+}
+
+TEST(ServerTracingTest, SharedTracersAreRejected) {
+  graph::Graph graph = TestGraph();
+  CcJobFixture fixture(graph);
+  runtime::SimClock clock;
+  runtime::CostModel costs;
+  runtime::StableStorage storage(&clock, &costs);
+  core::OptimisticRecoveryPolicy policy(&fixture.fix);
+  runtime::Tracer server_tracer;
+  runtime::Tracer job_tracer;
+
+  JobServer server(&clock, &costs, &storage, ServerOptions{}, &server_tracer);
+  JobSpec borrows_server = fixture.Spec("x", "df-x", "", 1, &policy);
+  borrows_server.exec.tracer = &server_tracer;
+  EXPECT_EQ(server.Submit(std::move(borrows_server)).code(),
+            StatusCode::kInvalidArgument);
+
+  JobSpec first = fixture.Spec("y", "df-y", "", 1, &policy);
+  first.exec.tracer = &job_tracer;
+  ASSERT_TRUE(server.Submit(std::move(first)).ok());
+  JobSpec second = fixture.Spec("z", "df-z", "", 1, &policy);
+  second.exec.tracer = &job_tracer;
+  EXPECT_EQ(server.Submit(std::move(second)).code(),
+            StatusCode::kInvalidArgument);
+
+  // Once its job is done, the tracer may trace the next one.
+  ASSERT_TRUE(server.RunToCompletion().ok());
+  JobSpec third = fixture.Spec("w", "df-w", "", 1, &policy);
+  third.exec.tracer = &job_tracer;
+  EXPECT_TRUE(server.Submit(std::move(third)).ok());
+  ASSERT_TRUE(server.RunToCompletion().ok());
+}
+
 TEST(ServerAdmissionTest, QueueDrainsUnderMemoryGateAndConcurrencyCap) {
   graph::Graph graph = TestGraph();
   CcJobFixture fixture(graph);

@@ -407,7 +407,6 @@ TEST_P(SimdExecTest, TypedReduceMatchesGenericReduce) {
       ExecOptions options;
       options.num_partitions = 8;
       options.num_threads = threads;
-      options.use_columnar = true;
       options.clock = clock;
       options.costs = costs;
       Executor executor(options);
@@ -435,43 +434,49 @@ TEST_P(SimdExecTest, TypedReduceMatchesGenericReduce) {
 
 TEST_P(SimdExecTest, BatchMapImplMatchesRecordImplAndCountsModes) {
   const int threads = GetParam();
-  Plan plan;
-  auto src = plan.Source("in");
-  auto scaled = plan.Map(
-      src,
-      [](const Record& r) {
-        return MakeRecord(r[0].AsInt64() * 3, r[1].AsDouble() + 1.0);
-      },
-      "scale");
-  plan.BatchImpl(scaled, [](const ColumnarBatch& in, ColumnarBatch* out) {
-    out->Reset({ValueType::kInt64, ValueType::kDouble});
-    std::vector<int64_t>& ids = out->MutableInt64Column(0);
-    std::vector<double>& vals = out->MutableDoubleColumn(1);
-    ids = in.Int64Column(0);
-    vals = in.DoubleColumn(1);
-    for (auto& id : ids) id *= 3;
-    for (auto& v : vals) v += 1.0;
-    out->FinishRows(in.num_rows());
-  });
-  auto expanded = plan.FlatMap(
-      scaled,
-      [](const Record& r, std::vector<Record>* out) {
-        if (r[0].AsInt64() % 2 == 0) out->push_back(r);
-      },
-      "evens");
-  plan.BatchImpl(expanded, [](const ColumnarBatch& in, ColumnarBatch* out) {
-    out->Reset({ValueType::kInt64, ValueType::kDouble});
-    std::vector<int64_t>& ids = out->MutableInt64Column(0);
-    std::vector<double>& vals = out->MutableDoubleColumn(1);
-    for (size_t i = 0; i < in.num_rows(); ++i) {
-      if (in.Int64Column(0)[i] % 2 == 0) {
-        ids.push_back(in.Int64Column(0)[i]);
-        vals.push_back(in.DoubleColumn(1)[i]);
+  // The same plan with and without BatchImpl: the record fns are the
+  // semantic reference the batch impls must match row for row.
+  auto build_plan = [](bool batched) {
+    Plan plan;
+    auto src = plan.Source("in");
+    auto scaled = plan.Map(
+        src,
+        [](const Record& r) {
+          return MakeRecord(r[0].AsInt64() * 3, r[1].AsDouble() + 1.0);
+        },
+        "scale");
+    auto expanded = plan.FlatMap(
+        scaled,
+        [](const Record& r, std::vector<Record>* out) {
+          if (r[0].AsInt64() % 2 == 0) out->push_back(r);
+        },
+        "evens");
+    plan.Output(expanded, "out");
+    if (!batched) return plan;
+    plan.BatchImpl(scaled, [](const ColumnarBatch& in, ColumnarBatch* out) {
+      out->Reset({ValueType::kInt64, ValueType::kDouble});
+      std::vector<int64_t>& ids = out->MutableInt64Column(0);
+      std::vector<double>& vals = out->MutableDoubleColumn(1);
+      ids = in.Int64Column(0);
+      vals = in.DoubleColumn(1);
+      for (auto& id : ids) id *= 3;
+      for (auto& v : vals) v += 1.0;
+      out->FinishRows(in.num_rows());
+    });
+    plan.BatchImpl(expanded, [](const ColumnarBatch& in, ColumnarBatch* out) {
+      out->Reset({ValueType::kInt64, ValueType::kDouble});
+      std::vector<int64_t>& ids = out->MutableInt64Column(0);
+      std::vector<double>& vals = out->MutableDoubleColumn(1);
+      for (size_t i = 0; i < in.num_rows(); ++i) {
+        if (in.Int64Column(0)[i] % 2 == 0) {
+          ids.push_back(in.Int64Column(0)[i]);
+          vals.push_back(in.DoubleColumn(1)[i]);
+        }
       }
-    }
-    out->FinishRows(ids.size());
-  });
-  plan.Output(expanded, "out");
+      out->FinishRows(ids.size());
+    });
+    return plan;
+  };
 
   Rng rng(23);
   std::vector<Record> records;
@@ -481,12 +486,12 @@ TEST_P(SimdExecTest, BatchMapImplMatchesRecordImplAndCountsModes) {
   }
   auto in = PartitionedDataset::RoundRobin(std::move(records), 8);
 
-  auto run = [&](bool columnar, ExecStats* stats, runtime::SimClock* clock,
+  auto run = [&](bool batched, ExecStats* stats, runtime::SimClock* clock,
                  const runtime::CostModel* costs) {
+    Plan plan = build_plan(batched);
     ExecOptions options;
     options.num_partitions = 8;
     options.num_threads = threads;
-    options.use_columnar = columnar;
     options.clock = clock;
     options.costs = costs;
     Executor executor(options);
@@ -506,12 +511,12 @@ TEST_P(SimdExecTest, BatchMapImplMatchesRecordImplAndCountsModes) {
   }
   EXPECT_EQ(batch_stats.records_processed, record_stats.records_processed);
   EXPECT_EQ(batch_clock.TotalNs(), record_clock.TotalNs());
-  // Both declared UDFs ran batched — no record-path fallback.
-  EXPECT_GT(batch_stats.batch_ops, 0u);
+  // Both declared UDFs ran batched — no record-fn fallback.
+  EXPECT_EQ(batch_stats.batch_ops, 2u);
   EXPECT_EQ(batch_stats.row_fallback_ops, 0u);
-  // With columnar off, the same plan runs the record impls.
+  // Without batch impls the record fns run and neither mode is counted.
   EXPECT_EQ(record_stats.batch_ops, 0u);
-  EXPECT_GT(record_stats.row_fallback_ops, 0u);
+  EXPECT_EQ(record_stats.row_fallback_ops, 0u);
 }
 
 TEST(SimdExecTest, HeterogeneousInputFallsBackToRecordImpl) {
@@ -533,7 +538,6 @@ TEST(SimdExecTest, HeterogeneousInputFallsBackToRecordImpl) {
 
   ExecOptions options;
   options.num_partitions = 2;
-  options.use_columnar = true;
   Executor executor(options);
   ExecStats stats;
   auto outs = executor.Execute(plan, {{"in", &in}}, &stats);
@@ -566,7 +570,6 @@ TEST(SimdExecTest, BatchMapRowCountMismatchIsAnError) {
 
   ExecOptions options;
   options.num_partitions = 2;
-  options.use_columnar = true;
   Executor executor(options);
   auto outs = executor.Execute(plan, {{"in", &in}}, nullptr);
   EXPECT_FALSE(outs.ok());
@@ -617,7 +620,6 @@ SimdAlgoRun RunAlgosAtTier(int num_threads, simd::SimdLevel tier,
     algos::PageRankOptions options;
     options.num_partitions = 4;
     options.num_threads = num_threads;
-    options.columnar_batch = true;
     options.simd = tier;
     options.max_iterations = 10;
     algos::FixRanksCompensation fix(directed.num_vertices());
@@ -664,7 +666,6 @@ SimdAlgoRun RunAlgosAtTier(int num_threads, simd::SimdLevel tier,
     algos::ConnectedComponentsOptions options;
     options.num_partitions = 4;
     options.num_threads = num_threads;
-    options.columnar_batch = true;
     options.simd = tier;
     algos::FixComponentsCompensation fix(&undirected);
     core::OptimisticRecoveryPolicy policy(&fix);
@@ -713,9 +714,9 @@ TEST_P(SimdTierSweepTest, AlgosAreByteIdenticalAcrossTiers) {
 
 TEST_P(SimdTierSweepTest, PortedWorkloadsNeverFallBackToRowPath) {
   const auto [threads, failures] = GetParam();
-  // The acceptance bar for the batched UDF boundary: with columnar
-  // execution on, every declared Map/FlatMap on both headline workloads
-  // runs its batch impl — zero row-path fallbacks, at every tier.
+  // The acceptance bar for the batched UDF boundary: every declared
+  // Map/FlatMap on both headline workloads runs its batch impl — zero
+  // row-path fallbacks, at every tier.
   for (simd::SimdLevel tier : {simd::SimdLevel::kOff, simd::SimdLevel::kMax}) {
     SimdAlgoRun run = RunAlgosAtTier(threads, tier, failures);
     EXPECT_GT(run.batch_ops, 0u);

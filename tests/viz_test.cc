@@ -193,7 +193,8 @@ TEST(PartitionUtilTest, VerticesOfPartitionsMatchesHash) {
 TEST(PartitionUtilTest, DescribePartitionsCoversAllVertices) {
   std::string text = DescribePartitions(10, 3);
   for (int64_t v = 0; v < 10; ++v) {
-    EXPECT_NE(text.find(" " + std::to_string(v)), std::string::npos);
+    EXPECT_NE(text.find(std::string(" ").append(std::to_string(v))),
+              std::string::npos);
   }
   EXPECT_NE(text.find("partition 2"), std::string::npos);
 }
