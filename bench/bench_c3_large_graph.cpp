@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <iostream>
-#include <limits>
 
 #include "algos/connected_components.h"
 #include "algos/datasets.h"
@@ -19,15 +18,12 @@
 #include "common/rng.h"
 #include "common/table.h"
 #include "core/policies.h"
-#include "dataflow/columnar.h"
 #include "dataflow/dataset.h"
-#include "dataflow/simd.h"
 #include "graph/generators.h"
 #include "graph/reference.h"
 #include "runtime/thread_pool.h"
 
 using namespace flinkless;
-namespace simd = flinkless::dataflow::simd;
 
 int main(int argc, char** argv) {
   SetLogLevel(LogLevel::kWarning);
@@ -376,213 +372,6 @@ int main(int argc, char** argv) {
     }
     bench::Emit(table);
     const std::string json_path = "BENCH_cache.json";
-    FLINKLESS_CHECK(report.WriteFile(json_path),
-                    "cannot write " + json_path);
-    std::cout << "json: wrote " << json_path << "\n";
-  }
-
-  // ------------------------------------------------------------ SIMD sweep --
-  // The vectorized columnar kernels (DESIGN.md §15): the same two
-  // failure/recovery jobs with the kernels forced scalar vs dispatched to
-  // the best tier the CPU supports, at 1 and 8 worker threads. Bit-identity
-  // is enforced across every (simd, threads) point — the tiers only trade
-  // wall-clock. The kernel micro walls at the end are what the CI
-  // perf-smoke gates on (aggregate over hash + probe + serde; full-job wall
-  // is too noisy for a gate). An active FLINKLESS_SIMD override caps the
-  // "max" points to the forced level, collapsing the sweep — the report
-  // records the level that actually ran.
-  {
-    std::cout << "SIMD sweep (scalar vs dispatched; detected tier: "
-              << simd::LevelName(simd::Detect()) << ")\n";
-    bench::JsonReport report("C3-simd");
-    TablePrinter table(
-        {"algo", "simd", "threads", "wall_ms", "sim_ms", "identical"});
-    const simd::Level prev_level = simd::ActiveLevel();
-    std::vector<double> pr_baseline;
-    std::vector<int64_t> cc_baseline;
-    bool have_baseline = false;
-    for (simd::SimdLevel mode : {simd::SimdLevel::kOff,
-                                 simd::SimdLevel::kMax}) {
-      // Apply the request up front so the label reflects the level that
-      // actually runs (an env override caps "max" to the forced tier).
-      const char* mode_name = simd::LevelName(simd::ApplySimdLevel(mode));
-      for (int threads : {1, 8}) {
-        {
-          algos::PageRankOptions options;
-          options.num_partitions = parts;
-          options.max_iterations = 25;
-          options.num_threads = threads;
-          options.simd = mode;
-          bench::JobHarness harness("c3-pr-simd-" + std::string(mode_name) +
-                                    "-t" + std::to_string(threads));
-          harness.SetFailures(runtime::FailureSchedule(
-              std::vector<runtime::FailureEvent>{{8, {3}}, {16, {5}}}));
-          algos::FixRanksCompensation fix_ranks(g.num_vertices());
-          core::OptimisticRecoveryPolicy policy(&fix_ranks);
-          runtime::WallTimer wall;
-          auto result =
-              algos::RunPageRank(g, options, harness.Env(), &policy, nullptr);
-          FLINKLESS_CHECK(result.ok(), result.status().ToString());
-          double wall_ms = wall.ElapsedMs();
-          if (!have_baseline) pr_baseline = result->ranks;
-          bool identical = result->ranks == pr_baseline;
-          FLINKLESS_CHECK(identical, "PageRank output depends on SIMD level");
-          table.Row()
-              .Cell("pagerank")
-              .Cell(mode_name)
-              .Cell(static_cast<int64_t>(threads))
-              .Cell(wall_ms)
-              .Cell(harness.clock().TotalMs())
-              .Cell(identical ? "yes" : "NO");
-          report.AddEntry()
-              .Set("algo", "pagerank")
-              .Set("simd", mode_name)
-              .Set("num_threads", threads)
-              .Set("wall_ms", wall_ms)
-              .Set("sim_ms", harness.clock().TotalMs())
-              .Set("iterations", result->iterations)
-              .Set("failures_recovered", result->failures_recovered)
-              .Set("identical_to_scalar", identical);
-        }
-        {
-          algos::ConnectedComponentsOptions options;
-          options.num_partitions = parts;
-          options.num_threads = threads;
-          options.simd = mode;
-          bench::JobHarness harness("c3-cc-simd-" + std::string(mode_name) +
-                                    "-t" + std::to_string(threads));
-          harness.SetFailures(runtime::FailureSchedule(
-              std::vector<runtime::FailureEvent>{{3, {1}}}));
-          algos::FixComponentsCompensation fix_components(&cc_graph);
-          core::OptimisticRecoveryPolicy policy(&fix_components);
-          runtime::WallTimer wall;
-          auto result = algos::RunConnectedComponents(cc_graph, options,
-                                                      harness.Env(), &policy);
-          FLINKLESS_CHECK(result.ok(), result.status().ToString());
-          double wall_ms = wall.ElapsedMs();
-          if (!have_baseline) {
-            cc_baseline = result->labels;
-            have_baseline = true;
-          }
-          bool identical = result->labels == cc_baseline;
-          FLINKLESS_CHECK(identical, "CC output depends on SIMD level");
-          table.Row()
-              .Cell("connected-components")
-              .Cell(mode_name)
-              .Cell(static_cast<int64_t>(threads))
-              .Cell(wall_ms)
-              .Cell(harness.clock().TotalMs())
-              .Cell(identical ? "yes" : "NO");
-          report.AddEntry()
-              .Set("algo", "connected-components")
-              .Set("simd", mode_name)
-              .Set("num_threads", threads)
-              .Set("wall_ms", wall_ms)
-              .Set("sim_ms", harness.clock().TotalMs())
-              .Set("iterations", result->iterations)
-              .Set("failures_recovered", result->failures_recovered)
-              .Set("identical_to_scalar", identical);
-        }
-      }
-    }
-
-    // Kernel micro walls: hash a large key stripe, probe a flat index with
-    // it, run the int64/uint32 fold kernels over flat columns, and
-    // round-trip a string-bearing dataset through the v2 serde — the
-    // vectorized paths, timed in isolation. Every wall is the minimum over
-    // several batches: min-of-N filters scheduler/steal noise on shared
-    // runners, which otherwise dwarfs the kernel deltas. The CI gate
-    // requires the folds to beat scalar and the rest to stay within a
-    // regression bound — the folds are pure data-parallel arithmetic and
-    // win on every vector part, while the hash's emulated 64-bit multiply
-    // (three 32x32 multiplies per lane product) only pays off on cores
-    // with two vector-multiply ports.
-    {
-      const size_t kn = size_t{1} << 20;
-      Rng krng(99);
-      std::vector<dataflow::Record> rows;
-      rows.reserve(kn / 16);
-      for (size_t i = 0; i < kn / 16; ++i) {
-        rows.push_back(dataflow::MakeRecord(
-            static_cast<int64_t>(krng.NextBounded(kn / 32)),
-            static_cast<int64_t>(i),
-            "value-" + std::to_string(i % 97)));
-      }
-      auto serde_ds = dataflow::PartitionedDataset::RoundRobin(rows, parts);
-      std::vector<int64_t> keys(kn);
-      for (int64_t& k : keys) k = static_cast<int64_t>(krng.Next());
-      std::vector<uint64_t> hashes(kn);
-      std::vector<uint32_t> fold_u32(kn);
-      for (uint32_t& v : fold_u32) v = static_cast<uint32_t>(krng.Next());
-      std::vector<uint32_t> fold_out(kn);
-      dataflow::FlatKeyIndex index;
-      index.Build(rows, {0});
-      std::vector<int64_t> probe_keys;
-      FLINKLESS_CHECK(dataflow::ExtractKey64(rows, {0}, &probe_keys),
-                      "probe keys are not flat int64");
-      std::vector<uint64_t> probe_hashes(probe_keys.size());
-      std::vector<int32_t> probe_first(probe_keys.size());
-
-      auto min_wall = [](int batches, int reps, auto&& body) {
-        double best = std::numeric_limits<double>::infinity();
-        for (int b = 0; b < batches; ++b) {
-          runtime::WallTimer timer;
-          for (int r = 0; r < reps; ++r) body();
-          best = std::min(best, timer.ElapsedMs());
-        }
-        return best;
-      };
-      const int kBatches = 6;
-      for (simd::SimdLevel mode : {simd::SimdLevel::kOff,
-                                   simd::SimdLevel::kMax}) {
-        const simd::Level level = simd::ApplySimdLevel(mode);
-        const simd::Kernels& k = simd::KernelsFor(level);
-        double hash_ms = min_wall(kBatches, 4, [&] {
-          k.hash_key64(keys.data(), kn, hashes.data());
-        });
-        k.hash_key64(probe_keys.data(), probe_keys.size(),
-                     probe_hashes.data());
-        double probe_ms = min_wall(kBatches, 4, [&] {
-          index.FindFirstStripe(probe_keys.data(), probe_hashes.data(),
-                                probe_keys.size(), probe_first.data());
-        });
-        double fold_ms = min_wall(kBatches, 4, [&] {
-          volatile int64_t sum = k.sum_i64(keys.data(), kn);
-          volatile int64_t lo = k.min_i64(keys.data(), kn);
-          volatile int64_t hi = k.max_i64(keys.data(), kn);
-          (void)sum, (void)lo, (void)hi;
-          k.delta_u32(fold_u32.data(), kn - 1, fold_out.data());
-          k.prefix_sum_u32(fold_u32.data(), kn, fold_out.data());
-          volatile uint64_t total = k.sum_u32(fold_u32.data(), kn);
-          (void)total;
-        });
-        double serde_ms = min_wall(kBatches, 2, [&] {
-          auto blob = dataflow::SerializePartitionedDataset(serde_ds);
-          auto back = dataflow::DeserializePartitionedDataset(blob);
-          FLINKLESS_CHECK(back.ok(), "serde round-trip failed");
-        });
-        double total_ms = hash_ms + probe_ms + fold_ms + serde_ms;
-        table.Row()
-            .Cell("kernels")
-            .Cell(k.name)
-            .Cell(int64_t{1})
-            .Cell(total_ms)
-            .Cell(0.0)
-            .Cell("n/a");
-        report.AddEntry()
-            .Set("algo", "kernels")
-            .Set("simd", k.name)
-            .Set("hash_wall_ms", hash_ms)
-            .Set("probe_wall_ms", probe_ms)
-            .Set("fold_wall_ms", fold_ms)
-            .Set("serde_wall_ms", serde_ms)
-            .Set("kernel_wall_ms", total_ms);
-      }
-      simd::SetLevel(prev_level);
-    }
-
-    bench::Emit(table);
-    const std::string json_path = "BENCH_simd.json";
     FLINKLESS_CHECK(report.WriteFile(json_path),
                     "cannot write " + json_path);
     std::cout << "json: wrote " << json_path << "\n";

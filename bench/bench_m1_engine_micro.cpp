@@ -13,7 +13,6 @@
 #include "dataflow/columnar.h"
 #include "dataflow/exec_cache.h"
 #include "dataflow/executor.h"
-#include "dataflow/simd.h"
 #include "graph/generators.h"
 
 namespace {
@@ -212,71 +211,10 @@ void BM_JoinProbeColumnar(benchmark::State& state) {
 }
 BENCHMARK(BM_JoinProbeColumnar)->Arg(1 << 10)->Arg(1 << 14);
 
-// --- SIMD kernel micros (DESIGN.md §15): scalar tier vs the best level
-// --- the CPU dispatches to, over the same inputs. range(1): 0 = scalar,
-// --- 1 = dispatched. Labels carry the level that actually ran (an active
-// --- FLINKLESS_SIMD override caps requests, so both rows may read
-// --- "scalar" in a forced-off CI job).
-
-namespace simd = dataflow::simd;
-
-void BM_SimdHash(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const simd::Level level =
-      state.range(1) != 0 ? simd::Detect() : simd::Level::kScalar;
-  const simd::Kernels& kernels = simd::KernelsFor(level);
-  Rng rng(13);
-  std::vector<int64_t> keys(n);
-  for (int64_t& k : keys) k = static_cast<int64_t>(rng.Next());
-  std::vector<uint64_t> hashes(n);
-  for (auto _ : state) {
-    kernels.hash_key64(keys.data(), n, hashes.data());
-    benchmark::DoNotOptimize(hashes.data());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-  state.SetLabel(kernels.name);
-}
-BENCHMARK(BM_SimdHash)
-    ->Args({1 << 10, 0})
-    ->Args({1 << 10, 1})
-    ->Args({1 << 16, 0})
-    ->Args({1 << 16, 1});
-
-void BM_SimdProbe(benchmark::State& state) {
-  // Batched open-addressing probe (FindFirstStripe): the stripe loop scans
-  // probe_width buckets per step and early-exits on the empty-slot mask.
-  auto build = RandomPairs(state.range(0), state.range(0) / 2, 1, 11);
-  auto probe = RandomPairs(state.range(0), state.range(0) / 2, 1, 12);
-  const simd::Level prev = simd::ActiveLevel();
-  simd::SetLevel(state.range(1) != 0 ? simd::Detect()
-                                     : simd::Level::kScalar);
-  dataflow::FlatKeyIndex index;
-  index.Build(build.partition(0), {0});
-  std::vector<int64_t> keys;
-  FLINKLESS_CHECK(dataflow::ExtractKey64(probe.partition(0), {0}, &keys),
-                  "probe keys are not flat int64");
-  std::vector<uint64_t> hashes(keys.size());
-  simd::ActiveKernels().hash_key64(keys.data(), keys.size(), hashes.data());
-  std::vector<int32_t> first(keys.size());
-  for (auto _ : state) {
-    index.FindFirstStripe(keys.data(), hashes.data(), keys.size(),
-                          first.data());
-    benchmark::DoNotOptimize(first.data());
-  }
-  state.SetItemsProcessed(state.iterations() * keys.size());
-  state.SetLabel(simd::LevelName(simd::ActiveLevel()));
-  simd::SetLevel(prev);
-}
-BENCHMARK(BM_SimdProbe)
-    ->Args({1 << 10, 0})
-    ->Args({1 << 10, 1})
-    ->Args({1 << 14, 0})
-    ->Args({1 << 14, 1});
-
 void BM_SerdeCopy(benchmark::State& state) {
-  // v2 dataset serde with a string column, so the vectorized length
-  // delta / sum / prefix-sum kernels are on the measured path (fixed-width
-  // columns are bulk memcpy at every tier).
+  // v2 dataset serde with a string column, so the string-length delta,
+  // sum and prefix-sum loops are on the measured path (fixed-width columns
+  // are one bulk memcpy each).
   const int64_t n = state.range(0);
   std::vector<Record> records;
   records.reserve(n);
@@ -286,9 +224,6 @@ void BM_SerdeCopy(benchmark::State& state) {
                    "value-" + std::to_string(i % 97)));
   }
   auto ds = PartitionedDataset::RoundRobin(std::move(records), 4);
-  const simd::Level prev = simd::ActiveLevel();
-  simd::SetLevel(state.range(1) != 0 ? simd::Detect()
-                                     : simd::Level::kScalar);
   for (auto _ : state) {
     auto blob = dataflow::SerializePartitionedDataset(ds);
     auto back = dataflow::DeserializePartitionedDataset(blob);
@@ -296,14 +231,8 @@ void BM_SerdeCopy(benchmark::State& state) {
     benchmark::DoNotOptimize(back);
   }
   state.SetItemsProcessed(state.iterations() * n);
-  state.SetLabel(simd::LevelName(simd::ActiveLevel()));
-  simd::SetLevel(prev);
 }
-BENCHMARK(BM_SerdeCopy)
-    ->Args({1 << 10, 0})
-    ->Args({1 << 10, 1})
-    ->Args({1 << 14, 0})
-    ->Args({1 << 14, 1});
+BENCHMARK(BM_SerdeCopy)->Arg(1 << 10)->Arg(1 << 14);
 
 void BM_RecordSerialization(benchmark::State& state) {
   std::vector<Record> records;

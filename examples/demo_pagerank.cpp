@@ -21,7 +21,6 @@
 //        --msglog=true|false (outbound message log; implied by
 //        --strategy=confined-log),
 //        --compensation=redistribute|uniform|full, --cache=true|false,
-//        --simd=auto|off|sse4.2|avx2|max (columnar kernel tier),
 //        --mem-budget=BYTES (spill cached artifacts beyond this),
 //        --metrics-out=PATH (metrics v2 export: .prom = Prometheus text,
 //        else NDJSON), --profile (critical-path profile; implied by
@@ -128,10 +127,6 @@ int main(int argc, char** argv) {
       "msglog", false,
       "log outbound shuffle messages per superstep (confined-log recovery "
       "replays them; implied by --strategy=confined-log)");
-  std::string* simd = flags.String(
-      "simd", "auto",
-      "SIMD tier for the columnar kernels: auto|off|sse4.2|avx2|max "
-      "(results are byte-identical at every tier)");
   int64_t* mem_budget = flags.Int64(
       "mem-budget", 0,
       "byte budget for cached artifacts; cold entries spill to stable "
@@ -174,10 +169,6 @@ int main(int argc, char** argv) {
   // itself (below) so it can run the profiler and render the dashboard
   // after the run, and writes the export files at the end.
   options.cache_loop_invariant = *cache;
-  if (!dataflow::simd::ParseSimdLevel(*simd, &options.simd)) {
-    std::cerr << "unknown --simd level '" << *simd << "'\n";
-    return 1;
-  }
   options.message_log = *msglog || *strategy == "confined-log";
   if (*mem_budget > 0) {
     options.memory_budget_bytes = static_cast<uint64_t>(*mem_budget);

@@ -307,7 +307,6 @@ Result<ConnectedComponentsResult> RunConnectedComponentsWithSnapshots(
   dataflow::ExecOptions exec;
   exec.num_partitions = options.num_partitions;
   exec.num_threads = options.num_threads;
-  exec.simd_level = options.simd;
   exec.clock = env.clock;
   exec.costs = env.costs;
   exec.tracer = env.tracer;
@@ -406,7 +405,6 @@ Result<ConnectedComponentsResult> RunConnectedComponentsBulk(
   dataflow::ExecOptions exec;
   exec.num_partitions = options.num_partitions;
   exec.num_threads = options.num_threads;
-  exec.simd_level = options.simd;
   exec.clock = env.clock;
   exec.costs = env.costs;
   exec.tracer = env.tracer;

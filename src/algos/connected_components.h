@@ -13,7 +13,6 @@
 #include "common/result.h"
 #include "core/compensation.h"
 #include "dataflow/plan.h"
-#include "dataflow/simd.h"
 #include "iteration/delta_iteration.h"
 #include "graph/graph.h"
 
@@ -55,10 +54,6 @@ struct ConnectedComponentsOptions {
   int num_partitions = 4;
   /// Executor worker threads (1 = serial, 0 = hardware concurrency).
   int num_threads = 1;
-  /// SIMD tier for the columnar kernels (ExecOptions::simd_level,
-  /// DESIGN.md §15). kAuto keeps the current process-wide dispatch; every
-  /// tier is byte-identical — a wall-clock knob only.
-  dataflow::simd::SimdLevel simd = dataflow::simd::SimdLevel::kAuto;
   int max_iterations = 200;
   /// When non-empty, trace the run and write the file here on return
   /// (Chrome trace_event JSON; a ".ndjson" extension selects NDJSON).

@@ -312,7 +312,6 @@ Result<PageRankResult> RunPageRankWithSnapshots(
   dataflow::ExecOptions exec;
   exec.num_partitions = options.num_partitions;
   exec.num_threads = options.num_threads;
-  exec.simd_level = options.simd;
   exec.clock = env.clock;
   exec.costs = env.costs;
   exec.tracer = env.tracer;

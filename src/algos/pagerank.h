@@ -13,7 +13,6 @@
 #include "common/result.h"
 #include "core/compensation.h"
 #include "dataflow/plan.h"
-#include "dataflow/simd.h"
 #include "iteration/bulk_iteration.h"
 #include "graph/graph.h"
 
@@ -24,10 +23,6 @@ struct PageRankOptions {
   int num_partitions = 4;
   /// Executor worker threads (1 = serial, 0 = hardware concurrency).
   int num_threads = 1;
-  /// SIMD tier for the columnar kernels (ExecOptions::simd_level,
-  /// DESIGN.md §15). kAuto keeps the current process-wide dispatch; every
-  /// tier is byte-identical — a wall-clock knob only.
-  dataflow::simd::SimdLevel simd = dataflow::simd::SimdLevel::kAuto;
   int max_iterations = 100;
   /// Damping factor d: next = (1-d)/n + d * (contributions + dangling/n).
   double damping = 0.85;

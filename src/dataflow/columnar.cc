@@ -5,9 +5,7 @@
 #include <cstring>
 #include <limits>
 
-#include "common/hash.h"
 #include "common/logging.h"
-#include "dataflow/simd.h"
 
 namespace flinkless::dataflow {
 
@@ -233,27 +231,6 @@ std::string_view ColumnarBatch::StringAt(size_t col, size_t row) const {
                           c.offsets[row + 1] - c.offsets[row]);
 }
 
-uint64_t ColumnarBatch::HashRowKey(size_t row, const KeyColumns& key) const {
-  FLINKLESS_CHECK(row < num_rows_, "row " << row << " out of range");
-  uint64_t h = 0x2545f4914f6cdd1dULL;
-  for (int c : key) {
-    FLINKLESS_CHECK(c >= 0 && static_cast<size_t>(c) < schema_.size(),
-                    "key column " << c << " out of range for batch");
-    switch (schema_[c]) {
-      case ValueType::kInt64:
-        h = HashCombine(h, Mix64(static_cast<uint64_t>(columns_[c].i64[row])));
-        break;
-      case ValueType::kDouble:
-        h = HashCombine(h, HashDouble(columns_[c].f64[row]));
-        break;
-      case ValueType::kString:
-        h = HashCombine(h, HashString(StringAt(c, row)));
-        break;
-    }
-  }
-  return h;
-}
-
 namespace {
 
 void PutU32(uint32_t v, std::vector<uint8_t>* out) {
@@ -308,6 +285,7 @@ void GetFixedColumn(const std::vector<uint8_t>& bytes, size_t* offset,
   static_assert(sizeof(T) == 8);
   // Caller has bounds-checked `rows * 8` bytes remain.
   col->resize(rows);
+  if (rows == 0) return;  // an empty vector's data() may be null
   if constexpr (std::endian::native == std::endian::little) {
     std::memcpy(col->data(), bytes.data() + *offset, rows * 8);
     *offset += rows * 8;
@@ -347,7 +325,7 @@ void GetU32Array(const std::vector<uint8_t>& bytes, size_t* offset,
 void ColumnarBatch::SerializeTo(std::vector<uint8_t>* out) const {
   out->reserve(out->size() + SerializedBytes());
   PutU64(num_rows_, out);
-  std::vector<uint32_t> lens;  // delta scratch, shared across string columns
+  std::vector<uint32_t> lens;  // length scratch, shared across string columns
   for (size_t c = 0; c < schema_.size(); ++c) {
     const Column& col = columns_[c];
     switch (schema_[c]) {
@@ -360,8 +338,9 @@ void ColumnarBatch::SerializeTo(std::vector<uint8_t>* out) const {
       case ValueType::kString:
         if (num_rows_ > 0) {
           lens.resize(num_rows_);
-          simd::ActiveKernels().delta_u32(col.offsets.data(), num_rows_,
-                                          lens.data());
+          for (size_t r = 0; r < num_rows_; ++r) {
+            lens[r] = col.offsets[r + 1] - col.offsets[r];
+          }
           PutU32Array(lens, out);
         }
         out->insert(out->end(), col.arena.begin(), col.arena.end());
@@ -403,24 +382,25 @@ Result<ColumnarBatch> ColumnarBatch::Deserialize(
         break;
       }
       case ValueType::kString: {
-        // One bounds check for the whole length array, then kernel-driven
-        // sum (overflow test on the true u64 total — every prefix of
-        // non-negative lengths is bounded by it) and prefix-sum into the
-        // offsets layout.
+        // One bounds check for the whole length array, then the u64 sum
+        // (overflow test on the true total — every prefix of non-negative
+        // lengths is bounded by it) and a prefix sum into the offsets
+        // layout.
         if (rows > (bytes.size() - *offset) / 4) {
           return Status::DataLoss("columnar batch: truncated string lengths");
         }
         std::vector<uint32_t> lens(static_cast<size_t>(rows));
         if (rows > 0) GetU32Array(bytes, offset, &lens);
-        const simd::Kernels& kernels = simd::ActiveKernels();
-        const uint64_t total = kernels.sum_u32(lens.data(), lens.size());
+        uint64_t total = 0;
+        for (uint32_t len : lens) total += len;
         if (total > std::numeric_limits<uint32_t>::max()) {
           return Status::DataLoss("columnar batch: string arena overflow");
         }
         col.offsets.resize(static_cast<size_t>(rows) + 1);
         col.offsets[0] = 0;
-        kernels.prefix_sum_u32(lens.data(), lens.size(),
-                               col.offsets.data() + 1);
+        for (size_t r = 0; r < lens.size(); ++r) {
+          col.offsets[r + 1] = col.offsets[r] + lens[r];
+        }
         if (*offset + total > bytes.size()) {
           return Status::DataLoss("columnar batch: truncated string arena");
         }
@@ -518,8 +498,7 @@ void FlatKeyIndex::BuildWithHashes(const std::vector<Record>& rows,
     // Adopted hashes (spilled-entry rebuild): skip the hash pass entirely.
     hash_ = std::move(hashes);
   } else if (use_key64_) {
-    // Kernel stripe — bit-identical to the scalar HashCombine/Mix64 chain.
-    simd::ActiveKernels().hash_key64(key64_.data(), n, hash_.data());
+    for (size_t i = 0; i < n; ++i) hash_[i] = HashInt64Key(key64_[i]);
   } else {
     for (size_t i = 0; i < n; ++i) hash_[i] = HashKey(rows[i], key);
   }
@@ -584,44 +563,19 @@ void FlatKeyIndex::FindFirstStripe(const int64_t* keys,
     std::fill(out, out + n, -1);
     return;
   }
-  const simd::Kernels& kernels = simd::ActiveKernels();
-  const uint64_t w = static_cast<uint64_t>(kernels.probe_width);
-  const uint64_t cap = buckets_.size();
   for (size_t i = 0; i < n; ++i) {
     const uint64_t h = hashes[i];
     const int64_t probe = keys[i];
     uint64_t b = h & mask_;
     int32_t found = -1;
     for (;;) {
-      if (b + w <= cap) {
-        // Scan a whole window: the kernel locates the first empty bucket,
-        // and only occupied slots before it need the hash/key compare.
-        const int empty = kernels.first_empty(&buckets_[b]);
-        bool done = false;
-        for (int j = 0; j < empty; ++j) {
-          const int32_t head = buckets_[b + j];
-          if (hash_[head] == h && key64_[head] == probe) {
-            found = head;
-            done = true;
-            break;
-          }
-        }
-        if (done || empty < kernels.probe_width) break;
-        b = (b + w) & mask_;
-      } else {
-        // The window would run past the table end; finish this probe with
-        // the per-bucket wrap loop (identical to FindFirst).
-        for (;;) {
-          const int32_t head = buckets_[b];
-          if (head < 0) break;
-          if (hash_[head] == h && key64_[head] == probe) {
-            found = head;
-            break;
-          }
-          b = (b + 1) & mask_;
-        }
+      const int32_t head = buckets_[b];
+      if (head < 0) break;
+      if (hash_[head] == h && key64_[head] == probe) {
+        found = head;
         break;
       }
+      b = (b + 1) & mask_;
     }
     out[i] = found;
   }

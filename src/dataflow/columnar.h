@@ -48,8 +48,9 @@ bool InferBatchSchema(const std::vector<Record>& records, BatchSchema* schema);
 
 /// Extracts a single-int64-column key projection into a flat array: true
 /// when `key` is one column and every record holds an int64 there (the
-/// layout every SIMD hash/probe stripe runs on). On false, *out is
-/// unspecified. An empty record vector extracts trivially (empty *out).
+/// layout the HashInt64Key loops and FindFirstStripe run on). On false,
+/// *out is unspecified. An empty record vector extracts trivially (empty
+/// *out).
 bool ExtractKey64(const std::vector<Record>& records, const KeyColumns& key,
                   std::vector<int64_t>* out);
 
@@ -99,10 +100,6 @@ class ColumnarBatch {
   const std::vector<int64_t>& Int64Column(size_t col) const;
   const std::vector<double>& DoubleColumn(size_t col) const;
   std::string_view StringAt(size_t col, size_t row) const;
-
-  /// Hash of row `row` projected onto `key`; bit-identical to
-  /// HashKey(RowAsRecord(row), key).
-  uint64_t HashRowKey(size_t row, const KeyColumns& key) const;
 
   /// Appends the serialized batch ([u64 rows] then whole-column payloads;
   /// the schema travels separately — see dataset serde v2).
@@ -161,10 +158,9 @@ class FlatKeyIndex {
                     uint64_t probe_hash) const;
 
   /// Batched FindFirst over a stripe of single-int64 probe keys with their
-  /// hashes (hashes[i] must equal the single-key row hash of keys[i]).
-  /// Requires key64_probe_ready(); out[i] matches FindFirst exactly. The
-  /// probe loop scans `probe_width` buckets per step and early-exits on the
-  /// first empty slot in the window (SIMD movemask).
+  /// hashes (hashes[i] must equal HashInt64Key(keys[i])). Requires
+  /// key64_probe_ready(); out[i] matches FindFirst exactly, and each probe
+  /// runs the same per-bucket loop, comparing flat int64 keys.
   void FindFirstStripe(const int64_t* keys, const uint64_t* hashes, size_t n,
                        int32_t* out) const;
 

@@ -112,8 +112,8 @@ Status FlatReducePartition(const std::vector<Record>& in,
   std::vector<Record> acc;
   acc.reserve(in.size());
   FlatSlotMap slots(in.size());
-  // Single-int64-key fast path: hash the whole key column in one kernel
-  // stripe and compare slots on the flat array (each slot remembers its
+  // Single-int64-key fast path: hash the whole key column in one pass
+  // and compare slots on the flat array (each slot remembers its
   // first-arrival key — equal to the accumulator's key under the
   // combiner-keeps-the-key contract the validate phase enforces).
   std::vector<int64_t> key64;
@@ -122,7 +122,7 @@ Status FlatReducePartition(const std::vector<Record>& in,
   const bool fast = ExtractKey64(in, key, &key64);
   if (fast) {
     hashes.resize(in.size());
-    simd::ActiveKernels().hash_key64(key64.data(), in.size(), hashes.data());
+    for (size_t i = 0; i < in.size(); ++i) hashes[i] = HashInt64Key(key64[i]);
     slot_key.reserve(in.size());
   }
   for (size_t i = 0; i < in.size(); ++i) {
@@ -170,8 +170,7 @@ Status FlatReducePartition(const std::vector<Record>& in,
 /// emission order match the generic path exactly: arrival-order folding
 /// per key (kSumDouble strictly sequential — FP association is
 /// load-bearing), emission sorted by key (KeyLess on an int64 key is
-/// numeric order). Never consults the SIMD level for the path choice, so
-/// outputs cannot depend on it.
+/// numeric order).
 bool FlatReduceTypedPartition(const std::vector<Record>& in,
                               const KeyColumns& key, ReduceKind kind,
                               int value_col, std::vector<Record>* out) {
@@ -184,41 +183,11 @@ bool FlatReduceTypedPartition(const std::vector<Record>& in,
   if (in.empty()) return true;
 
   std::vector<int64_t> keys(in.size());
-  for (size_t i = 0; i < in.size(); ++i) keys[i] = in[i][0].AsInt64();
-  const simd::Kernels& kernels = simd::ActiveKernels();
-
-  if (kernels.all_equal_i64(keys.data(), keys.size(), keys[0])) {
-    // Single-group partition (the shape post-shuffle global aggregates
-    // like PageRank's dangling mass always have): one kernel fold.
-    if (want_double) {
-      double sum = in[0][1].AsDouble();
-      for (size_t i = 1; i < in.size(); ++i) sum += in[i][1].AsDouble();
-      out->push_back(MakeRecord(keys[0], sum));
-      return true;
-    }
-    std::vector<int64_t> vals(in.size());
-    for (size_t i = 0; i < in.size(); ++i) vals[i] = in[i][1].AsInt64();
-    int64_t folded = 0;
-    switch (kind) {
-      case ReduceKind::kSumInt64:
-        folded = kernels.sum_i64(vals.data(), vals.size());
-        break;
-      case ReduceKind::kMinInt64:
-        folded = kernels.min_i64(vals.data(), vals.size());
-        break;
-      case ReduceKind::kMaxInt64:
-        folded = kernels.max_i64(vals.data(), vals.size());
-        break;
-      case ReduceKind::kSumDouble:
-      case ReduceKind::kNone:
-        return false;  // unreachable (want_double handled above)
-    }
-    out->push_back(MakeRecord(keys[0], folded));
-    return true;
+  std::vector<uint64_t> hashes(in.size());
+  for (size_t i = 0; i < in.size(); ++i) {
+    keys[i] = in[i][0].AsInt64();
+    hashes[i] = HashInt64Key(keys[i]);
   }
-
-  std::vector<uint64_t> hashes(keys.size());
-  kernels.hash_key64(keys.data(), keys.size(), hashes.data());
   FlatSlotMap slots(in.size());
   std::vector<int64_t> slot_key;
   slot_key.reserve(in.size());
@@ -279,7 +248,7 @@ bool FlatReduceTypedPartition(const std::vector<Record>& in,
 
 /// Batched join probe (DESIGN.md §15): when the build index runs in key64
 /// mode and the probe side's key extracts to a flat int64 column, hash the
-/// probe keys in one kernel stripe and resolve all group heads with
+/// probe keys in one pass and resolve all group heads with
 /// FindFirstStripe before emitting. Emission order (probe order, chains in
 /// arrival order) is identical to the per-record FindFirst loop. Returns
 /// false when the shapes don't allow it; the caller probes row by row.
@@ -291,9 +260,8 @@ bool StripedJoinProbe(const FlatKeyIndex& index,
   if (!index.key64_probe_ready()) return false;
   std::vector<int64_t> keys;
   if (!ExtractKey64(probes, probe_key, &keys)) return false;
-  const simd::Kernels& kernels = simd::ActiveKernels();
   std::vector<uint64_t> hashes(keys.size());
-  kernels.hash_key64(keys.data(), keys.size(), hashes.data());
+  for (size_t i = 0; i < keys.size(); ++i) hashes[i] = HashInt64Key(keys[i]);
   std::vector<int32_t> first(keys.size());
   index.FindFirstStripe(keys.data(), hashes.data(), keys.size(),
                         first.data());
@@ -627,10 +595,6 @@ void ExecStats::MergeFrom(const ExecStats& other) {
 Executor::Executor(ExecOptions options) : options_(options) {
   FLINKLESS_CHECK(options_.num_partitions > 0,
                   "executor needs at least one partition");
-  // Process-wide by design: index builds and serde also run outside any
-  // executor (cache unspill, message-log blocks), and every tier is
-  // bit-identical, so the level is a pure wall-clock knob (DESIGN.md §15).
-  simd::ApplySimdLevel(options_.simd_level);
   per_partition_args_ =
       options_.trace_detail == TraceDetail::kPerPartition ||
       (options_.trace_detail == TraceDetail::kAuto &&
@@ -777,17 +741,14 @@ PartitionedDataset Executor::ShuffleImpl(Input&& input, const KeyColumns& key,
             std::vector<int32_t> target(src.size());
             std::vector<size_t> counts(n, 0);
             // Single-int64-key shuffles (every hot channel) resolve their
-            // targets from one kernel hash stripe. PartitionOf is
-            // HashKey % n and the kernel computes exactly that hash for
-            // this shape, so the targets are identical.
+            // targets off the flat key column. PartitionOf is HashKey % n
+            // and HashInt64Key is HashKey for this shape, so the targets
+            // are identical.
             std::vector<int64_t> key64;
             if (ExtractKey64(src, key, &key64)) {
-              std::vector<uint64_t> hashes(src.size());
-              simd::ActiveKernels().hash_key64(key64.data(), src.size(),
-                                               hashes.data());
               for (size_t r = 0; r < src.size(); ++r) {
-                const int t =
-                    static_cast<int>(hashes[r] % static_cast<uint64_t>(n));
+                const int t = static_cast<int>(HashInt64Key(key64[r]) %
+                                               static_cast<uint64_t>(n));
                 target[r] = t;
                 ++counts[t];
                 if (t != p) ++moved[p];

@@ -20,7 +20,6 @@
 #include "common/status.h"
 #include "dataflow/dataset.h"
 #include "dataflow/plan.h"
-#include "dataflow/simd.h"
 #include "runtime/cost_model.h"
 #include "runtime/metrics.h"
 #include "runtime/sim_clock.h"
@@ -124,14 +123,6 @@ struct ExecOptions {
   /// budget (DESIGN.md §11). Outputs are byte-identical at any budget;
   /// only the simulated I/O charges change.
   uint64_t memory_budget_bytes = 0;
-
-  /// SIMD tier request for the columnar kernels (dataflow/simd.h,
-  /// DESIGN.md §15), applied process-wide at Executor construction. kAuto
-  /// (the default) leaves the current dispatch alone — normally the best
-  /// level the CPU supports, or whatever FLINKLESS_SIMD forced. Every tier
-  /// is bit-identical; this knob (like the env var) only trades wall-clock,
-  /// so outputs/stats/charges never depend on it.
-  simd::SimdLevel simd_level = simd::SimdLevel::kAuto;
 
   /// Per-partition trace-arg verbosity (see TraceDetail).
   TraceDetail trace_detail = TraceDetail::kAuto;

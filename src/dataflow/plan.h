@@ -83,7 +83,7 @@ std::string OpKindName(OpKind kind);
 /// records shaped (int64 key, value) and key == {0}. kMinInt64/kMaxInt64
 /// must keep the *accumulator* on ties (<= / >= comparisons), matching the
 /// arrival-order record fold. kSumDouble folds sequentially in arrival
-/// order on every tier (never SIMD-reassociated).
+/// order (never reassociated).
 enum class ReduceKind {
   kNone,
   kSumInt64,

@@ -17,8 +17,15 @@ std::string RecordToString(const Record& record) {
   return out;
 }
 
+namespace {
+
+/// Seed of every key hash: HashKey and HashInt64Key start from it.
+constexpr uint64_t kKeyHashSeed = 0x2545f4914f6cdd1dULL;
+
+}  // namespace
+
 uint64_t HashKey(const Record& record, const KeyColumns& key) {
-  uint64_t h = 0x2545f4914f6cdd1dULL;
+  uint64_t h = kKeyHashSeed;
   for (int col : key) {
     FLINKLESS_CHECK(col >= 0 && static_cast<size_t>(col) < record.size(),
                     "key column " << col << " out of range for record "
@@ -26,6 +33,10 @@ uint64_t HashKey(const Record& record, const KeyColumns& key) {
     h = HashCombine(h, record[col].Hash());
   }
   return h;
+}
+
+uint64_t HashInt64Key(int64_t key) {
+  return HashCombine(kKeyHashSeed, Mix64(static_cast<uint64_t>(key)));
 }
 
 uint64_t HashRecord(const Record& record) {

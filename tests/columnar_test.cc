@@ -142,19 +142,6 @@ TEST(ColumnarBatchTest, DeserializeRejectsTruncation) {
   }
 }
 
-TEST(ColumnarBatchTest, HashRowKeyMatchesRecordHashKey) {
-  std::vector<Record> rows = MixedRows();
-  ColumnarBatch batch;
-  ASSERT_TRUE(ColumnarBatch::FromRecords(rows, &batch));
-  const std::vector<dataflow::KeyColumns> keys{{0}, {1}, {2}, {0, 2}, {2, 1}};
-  for (const auto& key : keys) {
-    for (size_t i = 0; i < rows.size(); ++i) {
-      EXPECT_EQ(batch.HashRowKey(i, key), dataflow::HashKey(rows[i], key))
-          << "row " << i;
-    }
-  }
-}
-
 // ------------------------------------------------------- flat key index --
 
 TEST(FlatKeyIndexTest, ChainsMatchGroupByKeyArrivalOrder) {

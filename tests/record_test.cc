@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
+#include "common/rng.h"
 #include "dataflow/record.h"
 #include "dataflow/schema.h"
 #include "dataflow/value.h"
@@ -100,6 +104,19 @@ TEST(RecordTest, HashKeyDependsOnlyOnKeyColumns) {
 TEST(RecordTest, HashKeyColumnOrderMatters) {
   Record r = MakeRecord(int64_t{1}, int64_t{2});
   EXPECT_NE(HashKey(r, {0, 1}), HashKey(r, {1, 0}));
+}
+
+TEST(RecordTest, HashInt64KeyMatchesHashKeyOnSingleInt64Key) {
+  for (int64_t k : {std::numeric_limits<int64_t>::min(), int64_t{-1},
+                    int64_t{0}, int64_t{1},
+                    std::numeric_limits<int64_t>::max()}) {
+    EXPECT_EQ(HashInt64Key(k), HashKey(MakeRecord(k), {0})) << k;
+  }
+  Rng rng(2024);
+  for (int i = 0; i < 1000; ++i) {
+    const auto k = static_cast<int64_t>(rng.Next());
+    EXPECT_EQ(HashInt64Key(k), HashKey(MakeRecord(k), {0})) << k;
+  }
 }
 
 TEST(RecordTest, KeysEqualAcrossDifferentColumns) {
