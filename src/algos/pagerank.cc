@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <set>
-#include <unordered_map>
 
 #include "algos/datasets.h"
 #include "common/logging.h"
@@ -232,22 +231,28 @@ Result<PageRankResult> RunPageRankWithSnapshots(
   const double tolerance = options.l1_tolerance;
   // The paper's compare-to-old-rank: L1 norm of the difference between the
   // current estimate and the previous one (bottom-right plot of Figure 4).
-  config.convergence = [tolerance](const PartitionedDataset& prev,
-                                   const PartitionedDataset& next,
-                                   double* metric) {
-    std::unordered_map<int64_t, double> old_ranks;
-    old_ranks.reserve(prev.NumRecords());
+  // Ranks are indexed densely by vertex id; a vertex absent from `prev`
+  // reads 0.0.
+  const int64_t num_vertices = graph.num_vertices();
+  config.convergence = [tolerance, num_vertices](
+                           const PartitionedDataset& prev,
+                           const PartitionedDataset& next, double* metric) {
+    auto index_of = [num_vertices](const Record& r) {
+      const int64_t v = r[0].AsInt64();
+      FLINKLESS_CHECK(v >= 0 && v < num_vertices,
+                      "PageRank state holds unknown vertex " << v);
+      return static_cast<size_t>(v);
+    };
+    std::vector<double> old_ranks(static_cast<size_t>(num_vertices), 0.0);
     for (int p = 0; p < prev.num_partitions(); ++p) {
       for (const Record& r : prev.partition(p)) {
-        old_ranks[r[0].AsInt64()] = r[1].AsDouble();
+        old_ranks[index_of(r)] = r[1].AsDouble();
       }
     }
     double l1 = 0.0;
     for (int p = 0; p < next.num_partitions(); ++p) {
       for (const Record& r : next.partition(p)) {
-        auto it = old_ranks.find(r[0].AsInt64());
-        double old_rank = it == old_ranks.end() ? 0.0 : it->second;
-        l1 += std::abs(r[1].AsDouble() - old_rank);
+        l1 += std::abs(r[1].AsDouble() - old_ranks[index_of(r)]);
       }
     }
     *metric = l1;
@@ -256,7 +261,6 @@ Result<PageRankResult> RunPageRankWithSnapshots(
   if (true_ranks != nullptr || snapshot) {
     const double eps = options.converged_tolerance;
     const runtime::FailureSchedule* failures = env.failures;
-    const int64_t num_vertices = graph.num_vertices();
     config.stats_hook = [true_ranks, eps, snapshot, failures, num_vertices](
                             int iteration, const PartitionedDataset& data,
                             runtime::IterationStats* stats) {

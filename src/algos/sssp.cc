@@ -116,7 +116,7 @@ Status FixDistancesCompensation::Compensate(
                               " missing from solution set after compensation");
     }
     // Vertices still at infinity have nothing useful to propagate.
-    if (entry->at(1).AsInt64() >= kSsspInfinity) continue;
+    if ((*entry)[1].AsInt64() >= kSsspInfinity) continue;
     int p = PartitionOfVertex(v, num_partitions);
     if (queued[p].insert(v).second) {
       delta->workset().partition(p).push_back(*entry);

@@ -1,6 +1,7 @@
 #include "dataflow/dataset.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/logging.h"
 #include "dataflow/columnar.h"
@@ -159,6 +160,16 @@ bool GetU64(const std::vector<uint8_t>& bytes, size_t* offset, uint64_t* v) {
   return true;
 }
 
+/// Reads a partition count. Every partition's block starts with a u64 row
+/// count, so a valid count fits both an int and the remaining bytes.
+bool GetPartitionCount(const std::vector<uint8_t>& bytes, size_t* offset,
+                       uint64_t* num_partitions) {
+  return GetU64(bytes, offset, num_partitions) &&
+         *num_partitions <=
+             static_cast<uint64_t>(std::numeric_limits<int>::max()) &&
+         *num_partitions <= (bytes.size() - *offset) / 8;
+}
+
 }  // namespace
 
 std::vector<uint8_t> SerializePartitionedDataset(
@@ -199,8 +210,7 @@ namespace {
 Result<PartitionedDataset> DeserializeColumnarDataset(
     const std::vector<uint8_t>& bytes, size_t offset) {
   uint64_t num_partitions = 0;
-  if (!GetU64(bytes, &offset, &num_partitions) ||
-      num_partitions > static_cast<uint64_t>(1) << 32) {
+  if (!GetPartitionCount(bytes, &offset, &num_partitions)) {
     return Status::DataLoss("dataset blob: bad partition count");
   }
   uint32_t num_columns = 0;
@@ -252,8 +262,7 @@ Result<PartitionedDataset> DeserializePartitionedDataset(
     return Status::DataLoss("dataset blob: bad magic");
   }
   uint64_t num_partitions = 0;
-  if (!GetU64(bytes, &offset, &num_partitions) ||
-      num_partitions > static_cast<uint64_t>(1) << 32) {
+  if (!GetPartitionCount(bytes, &offset, &num_partitions)) {
     return Status::DataLoss("dataset blob: bad partition count");
   }
   PartitionedDataset ds(static_cast<int>(num_partitions));
@@ -261,6 +270,11 @@ Result<PartitionedDataset> DeserializePartitionedDataset(
     uint64_t count = 0;
     if (!GetU64(bytes, &offset, &count)) {
       return Status::DataLoss("dataset blob: truncated partition header");
+    }
+    if (count > (bytes.size() - offset) / kMinRecordBytes) {
+      return Status::DataLoss("dataset blob: partition record count " +
+                              std::to_string(count) +
+                              " exceeds the remaining bytes");
     }
     std::vector<Record>& part = ds.partition(p);
     part.reserve(count);

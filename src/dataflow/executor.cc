@@ -913,6 +913,27 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
     return *slots[idx].view;
   };
 
+  // An executor-owned result is released once its last consumer has run,
+  // not at the end of Execute: peak memory drops, and the release runs on
+  // the pool inside that consumer's operator span. Plan outputs stay.
+  std::vector<NodeId> last_consumer(plan.num_nodes(), -1);
+  for (const PlanNode& node : plan.nodes()) {
+    for (NodeId idx : node.inputs) last_consumer[idx] = node.id;
+  }
+  for (const auto& [name, node] : plan.outputs()) last_consumer[node] = -1;
+  auto release_dead_inputs = [&](const PlanNode& node) {
+    for (NodeId idx : node.inputs) {
+      Slot& s = slots[idx];
+      if (!s.is_owned || last_consumer[idx] != node.id) continue;
+      runtime::ParallelFor(pool_.get(), s.owned.num_partitions(), [&](int p) {
+        std::vector<Record>().swap(s.owned.partition(p));
+      });
+      s.owned = PartitionedDataset();
+      s.view = nullptr;
+      s.is_owned = false;
+    }
+  };
+
   auto count_output = [&](const PlanNode& node,
                           const PartitionedDataset& ds) {
     local_stats.node_output_counts[node.name] += ds.NumRecords();
@@ -1348,6 +1369,7 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
         }
       }
     }
+    release_dead_inputs(node);
   }
 
   std::map<std::string, PartitionedDataset> outputs;

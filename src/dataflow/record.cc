@@ -75,14 +75,7 @@ bool KeyLess(const Record& a, const Record& b, const KeyColumns& key) {
   return false;
 }
 
-bool RecordLess(const Record& a, const Record& b) {
-  size_t n = std::min(a.size(), b.size());
-  for (size_t i = 0; i < n; ++i) {
-    if (a[i] < b[i]) return true;
-    if (b[i] < a[i]) return false;
-  }
-  return a.size() < b.size();
-}
+bool RecordLess(const Record& a, const Record& b) { return a < b; }
 
 namespace {
 
@@ -147,6 +140,12 @@ Result<Record> DeserializeRecord(const std::vector<uint8_t>& bytes,
   if (!GetU32(bytes, offset, &count)) {
     return Status::DataLoss("truncated record header");
   }
+  // Every field takes at least kMinFieldBytes, so a count the remaining
+  // bytes cannot hold is corrupt — and must not size the reservation.
+  if (count > (bytes.size() - *offset) / kMinFieldBytes) {
+    return Status::DataLoss("record field count " + std::to_string(count) +
+                            " exceeds the remaining bytes");
+  }
   Record record;
   record.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
@@ -204,6 +203,10 @@ Result<std::vector<Record>> DeserializeRecords(
   uint64_t count = 0;
   if (!GetU64(bytes, &offset, &count)) {
     return Status::DataLoss("truncated records header");
+  }
+  if (count > (bytes.size() - offset) / kMinRecordBytes) {
+    return Status::DataLoss("record count " + std::to_string(count) +
+                            " exceeds the remaining bytes");
   }
   std::vector<Record> records;
   records.reserve(count);

@@ -18,57 +18,33 @@ std::string ValueTypeName(ValueType type) {
   return "?";
 }
 
-int64_t Value::AsInt64() const {
-  FLINKLESS_CHECK(is_int64(),
-                  "Value::AsInt64 on " << ValueTypeName(type()) << " value");
-  return std::get<int64_t>(v_);
-}
-
-double Value::AsDouble() const {
-  FLINKLESS_CHECK(is_double(),
-                  "Value::AsDouble on " << ValueTypeName(type()) << " value");
-  return std::get<double>(v_);
-}
-
-const std::string& Value::AsString() const {
-  FLINKLESS_CHECK(is_string(),
-                  "Value::AsString on " << ValueTypeName(type()) << " value");
-  return std::get<std::string>(v_);
-}
-
-double Value::AsNumeric() const {
-  if (is_int64()) return static_cast<double>(std::get<int64_t>(v_));
-  FLINKLESS_CHECK(is_double(), "Value::AsNumeric on string value");
-  return std::get<double>(v_);
+void Value::TypeMismatch(const char* accessor) const {
+  FLINKLESS_CHECK(false, "Value::" << accessor << " on "
+                                   << ValueTypeName(type_) << " value");
 }
 
 uint64_t Value::Hash() const {
-  switch (type()) {
+  switch (type_) {
     case ValueType::kInt64:
-      return Mix64(static_cast<uint64_t>(std::get<int64_t>(v_)));
+      return Mix64(static_cast<uint64_t>(i_));
     case ValueType::kDouble:
-      return HashDouble(std::get<double>(v_));
+      return HashDouble(d_);
     case ValueType::kString:
-      return HashString(std::get<std::string>(v_));
+      return HashString(*s_);
   }
   return 0;
 }
 
 std::string Value::ToString() const {
-  switch (type()) {
+  switch (type_) {
     case ValueType::kInt64:
-      return std::to_string(std::get<int64_t>(v_));
+      return std::to_string(i_);
     case ValueType::kDouble:
-      return FormatDouble(std::get<double>(v_), 12);
+      return FormatDouble(d_, 12);
     case ValueType::kString:
-      return "\"" + std::get<std::string>(v_) + "\"";
+      return "\"" + *s_ + "\"";
   }
   return "?";
-}
-
-bool operator<(const Value& a, const Value& b) {
-  if (a.v_.index() != b.v_.index()) return a.v_.index() < b.v_.index();
-  return a.v_ < b.v_;
 }
 
 }  // namespace flinkless::dataflow

@@ -5,13 +5,18 @@
 // one executor serve every dataflow program (Connected Components ships
 // (vertex, label) pairs, PageRank ships (vertex, rank) pairs, WordCount ships
 // (word, count) pairs) without template instantiation per program.
+//
+// Layout: a one-byte type tag next to an 8-byte payload union — 16 bytes in
+// all, so numeric values are plain words and copying one never allocates.
+// A string value owns a heap std::string through the payload pointer.
 
 #ifndef FLINKLESS_DATAFLOW_VALUE_H_
 #define FLINKLESS_DATAFLOW_VALUE_H_
 
 #include <cstdint>
+#include <cstring>
 #include <string>
-#include <variant>
+#include <utility>
 
 namespace flinkless::dataflow {
 
@@ -28,32 +33,76 @@ std::string ValueTypeName(ValueType type);
 /// A dynamically typed field. Equality and ordering are defined across all
 /// values: values of different types order by type tag, values of the same
 /// type by their natural order (this makes test output deterministic; the
-/// engine itself never compares across types).
+/// engine itself never compares across types). Doubles compare as doubles:
+/// NaN equals nothing and -0.0 == 0.0.
 class Value {
  public:
   /// Defaults to int64 0.
-  Value() : v_(int64_t{0}) {}
-  Value(int64_t v) : v_(v) {}                   // NOLINT(runtime/explicit)
-  Value(int v) : v_(static_cast<int64_t>(v)) {}  // NOLINT(runtime/explicit)
-  Value(double v) : v_(v) {}                    // NOLINT(runtime/explicit)
-  Value(std::string v) : v_(std::move(v)) {}    // NOLINT(runtime/explicit)
-  Value(const char* v) : v_(std::string(v)) {}  // NOLINT(runtime/explicit)
+  Value() : i_(0), type_(ValueType::kInt64) {}
+  Value(int64_t v) : i_(v), type_(ValueType::kInt64) {}  // NOLINT
+  Value(int v) : i_(v), type_(ValueType::kInt64) {}      // NOLINT
+  Value(double v) : d_(v), type_(ValueType::kDouble) {}  // NOLINT
+  Value(std::string v)                                   // NOLINT
+      : s_(new std::string(std::move(v))), type_(ValueType::kString) {}
+  Value(const char* v)  // NOLINT(runtime/explicit)
+      : s_(new std::string(v)), type_(ValueType::kString) {}
 
-  ValueType type() const { return static_cast<ValueType>(v_.index()); }
+  Value(const Value& other) : type_(other.type_) {
+    if (other.is_string()) {
+      s_ = new std::string(*other.s_);
+    } else {
+      CopyPayload(other);
+    }
+  }
+  /// Leaves `other` as int64 0.
+  Value(Value&& other) noexcept : type_(other.type_) {
+    CopyPayload(other);
+    other.Reset();
+  }
+  Value& operator=(const Value& other) {
+    if (this != &other) *this = Value(other);
+    return *this;
+  }
+  /// Leaves `other` as int64 0 (a self-move leaves the value unchanged).
+  Value& operator=(Value&& other) noexcept {
+    if (this != &other) {
+      Release();
+      type_ = other.type_;
+      CopyPayload(other);
+      other.Reset();
+    }
+    return *this;
+  }
+  ~Value() { Release(); }
 
-  bool is_int64() const { return type() == ValueType::kInt64; }
-  bool is_double() const { return type() == ValueType::kDouble; }
-  bool is_string() const { return type() == ValueType::kString; }
+  ValueType type() const { return type_; }
+
+  bool is_int64() const { return type_ == ValueType::kInt64; }
+  bool is_double() const { return type_ == ValueType::kDouble; }
+  bool is_string() const { return type_ == ValueType::kString; }
 
   /// Accessors abort on type mismatch (programming error — operator key
   /// columns are statically known per dataflow).
-  int64_t AsInt64() const;
-  double AsDouble() const;
-  const std::string& AsString() const;
+  int64_t AsInt64() const {
+    if (!is_int64()) TypeMismatch("AsInt64");
+    return i_;
+  }
+  double AsDouble() const {
+    if (!is_double()) TypeMismatch("AsDouble");
+    return d_;
+  }
+  const std::string& AsString() const {
+    if (!is_string()) TypeMismatch("AsString");
+    return *s_;
+  }
 
   /// Numeric value as double: widens int64, passes double through, aborts on
   /// string.
-  double AsNumeric() const;
+  double AsNumeric() const {
+    if (is_int64()) return static_cast<double>(i_);
+    if (!is_double()) TypeMismatch("AsNumeric");
+    return d_;
+  }
 
   /// Order- and equality-respecting hash.
   uint64_t Hash() const;
@@ -62,14 +111,55 @@ class Value {
   std::string ToString() const;
 
   friend bool operator==(const Value& a, const Value& b) {
-    return a.v_ == b.v_;
+    if (a.type_ != b.type_) return false;
+    switch (a.type_) {
+      case ValueType::kInt64:
+        return a.i_ == b.i_;
+      case ValueType::kDouble:
+        return a.d_ == b.d_;
+      case ValueType::kString:
+        return *a.s_ == *b.s_;
+    }
+    return false;
   }
   friend bool operator!=(const Value& a, const Value& b) { return !(a == b); }
-  friend bool operator<(const Value& a, const Value& b);
+  friend bool operator<(const Value& a, const Value& b) {
+    if (a.type_ != b.type_) return a.type_ < b.type_;
+    switch (a.type_) {
+      case ValueType::kInt64:
+        return a.i_ < b.i_;
+      case ValueType::kDouble:
+        return a.d_ < b.d_;
+      case ValueType::kString:
+        return *a.s_ < *b.s_;
+    }
+    return false;
+  }
 
  private:
-  std::variant<int64_t, double, std::string> v_;
+  /// Copies the raw payload word, whichever member is active.
+  void CopyPayload(const Value& other) {
+    std::memcpy(&i_, &other.i_, sizeof(i_));
+  }
+  void Release() {
+    if (is_string()) delete s_;
+  }
+  /// Makes this int64 0 without releasing the payload (it moved on).
+  void Reset() {
+    i_ = 0;
+    type_ = ValueType::kInt64;
+  }
+  [[noreturn]] void TypeMismatch(const char* accessor) const;
+
+  union {
+    int64_t i_;
+    double d_;
+    std::string* s_;
+  };
+  ValueType type_;
 };
+
+static_assert(sizeof(Value) == 16, "Value is a tag plus one 8-byte word");
 
 }  // namespace flinkless::dataflow
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <initializer_list>
+#include <vector>
+
 #include "dataflow/dataset.h"
 
 namespace flinkless::dataflow {
@@ -133,6 +137,52 @@ TEST(DatasetSerdeTest, RejectsCorruptBlobs) {
 
   // Too short for even the header.
   EXPECT_FALSE(DeserializePartitionedDataset({1, 2, 3}).ok());
+}
+
+// The 8-byte magic a blob of `ds` starts with, followed by `words` as
+// little-endian u64s: the header of a hand-made (corrupt) blob.
+std::vector<uint8_t> BlobHeader(const PartitionedDataset& ds,
+                                std::initializer_list<uint64_t> words) {
+  std::vector<uint8_t> blob = SerializePartitionedDataset(ds);
+  blob.resize(8);
+  for (uint64_t w : words) {
+    for (int i = 0; i < 8; ++i) blob.push_back((w >> (8 * i)) & 0xff);
+  }
+  return blob;
+}
+
+// Arity-0 records have no column schema, so they take the v1 (row) format.
+PartitionedDataset V1Dataset() {
+  PartitionedDataset ds(1);
+  ds.partition(0).push_back(Record());
+  return ds;
+}
+
+PartitionedDataset V2Dataset() {
+  return PartitionedDataset::HashPartitioned(VertexRecords(4), {0}, 1);
+}
+
+void ExpectDataLoss(const std::vector<uint8_t>& blob) {
+  auto back = DeserializePartitionedDataset(blob);
+  ASSERT_FALSE(back.ok());
+  EXPECT_TRUE(back.status().IsDataLoss()) << back.status().ToString();
+}
+
+TEST(DatasetSerdeTest, V1HugePartitionRecordCountIsDataLoss) {
+  ExpectDataLoss(BlobHeader(V1Dataset(), {1, 0x0fffffffffffffffULL}));
+}
+
+TEST(DatasetSerdeTest, PartitionCountBeyondIntIsDataLoss) {
+  for (const PartitionedDataset& ds : {V1Dataset(), V2Dataset()}) {
+    ExpectDataLoss(BlobHeader(ds, {0x80000000ULL}));
+  }
+}
+
+TEST(DatasetSerdeTest, PartitionCountBeyondPayloadIsDataLoss) {
+  // A count that fits an int but not the bytes that follow it.
+  for (const PartitionedDataset& ds : {V1Dataset(), V2Dataset()}) {
+    ExpectDataLoss(BlobHeader(ds, {0x7fffffffULL, 0}));
+  }
 }
 
 TEST(DatasetTest, HashSpreadAcrossPartitions) {

@@ -5,7 +5,12 @@
 
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <utility>
+#include <variant>
+#include <vector>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "dataflow/record.h"
 #include "dataflow/schema.h"
@@ -79,7 +84,177 @@ TEST(ValueTypeTest, Names) {
   EXPECT_EQ(ValueTypeName(ValueType::kString), "string");
 }
 
+// Reference semantics: a std::variant<int64_t, double, std::string> compared
+// and hashed alternative-wise. The tagged union must agree with it on every
+// type pair, NaN and signed zeros included.
+using VariantValue = std::variant<int64_t, double, std::string>;
+
+uint64_t VariantHash(const VariantValue& v) {
+  switch (v.index()) {
+    case 0:
+      return Mix64(static_cast<uint64_t>(std::get<int64_t>(v)));
+    case 1:
+      return HashDouble(std::get<double>(v));
+    default:
+      return HashString(std::get<std::string>(v));
+  }
+}
+
+Value FromVariant(const VariantValue& v) {
+  return std::visit([](const auto& x) { return Value(x); }, v);
+}
+
+TEST(ValueTest, MatchesVariantSemanticsAcrossTypePairs) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<VariantValue> samples = {
+      std::numeric_limits<int64_t>::min(), int64_t{-1}, int64_t{0},
+      int64_t{1}, std::numeric_limits<int64_t>::max(),
+      -inf, -1.5, -0.0, 0.0, 1.5, inf, nan,
+      std::string(), std::string("a"), std::string("ab"), std::string("b")};
+  for (const VariantValue& a : samples) {
+    const Value va = FromVariant(a);
+    EXPECT_EQ(static_cast<size_t>(va.type()), a.index());
+    EXPECT_EQ(va.Hash(), VariantHash(a)) << va.ToString();
+    for (const VariantValue& b : samples) {
+      const Value vb = FromVariant(b);
+      EXPECT_EQ(va == vb, a == b) << va.ToString() << " == " << vb.ToString();
+      EXPECT_EQ(va < vb, a < b) << va.ToString() << " < " << vb.ToString();
+      if (va == vb) {
+        EXPECT_EQ(va.Hash(), vb.Hash()) << va.ToString();
+      }
+    }
+  }
+  EXPECT_EQ(Value(-0.0), Value(0.0));
+  EXPECT_NE(Value(nan), Value(nan));
+}
+
+TEST(ValueTest, CopyMoveAndSelfAssignmentOfStrings) {
+  Value s("payload");
+  Value copy = s;
+  EXPECT_EQ(copy, Value("payload"));
+  EXPECT_EQ(s, Value("payload"));
+
+  Value moved = std::move(s);
+  EXPECT_EQ(moved.AsString(), "payload");
+  // A moved-from value is int64 0 and reusable.
+  EXPECT_TRUE(s.is_int64());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(s.AsInt64(), 0);
+  s = "again";
+  EXPECT_EQ(s.AsString(), "again");
+
+  Value& alias = s;
+  s = alias;
+  EXPECT_EQ(s.AsString(), "again");
+  s = std::move(alias);
+  EXPECT_EQ(s.AsString(), "again");
+
+  // Assignment across types releases or takes the string.
+  copy = Value(2.5);
+  EXPECT_EQ(copy.AsDouble(), 2.5);
+  copy = moved;
+  EXPECT_EQ(copy.AsString(), "payload");
+  copy = Value(int64_t{7});
+  EXPECT_EQ(copy.AsInt64(), 7);
+}
+
 // ---------------------------------------------------------------- Record --
+
+// Builds a record of `arity` fields cycling int64, double and string.
+Record MixedRecord(int arity) {
+  Record r;
+  for (int i = 0; i < arity; ++i) {
+    switch (i % 3) {
+      case 0:
+        r.push_back(Value(int64_t{i}));
+        break;
+      case 1:
+        r.emplace_back(i + 0.5);
+        break;
+      default:
+        r.push_back(Value("field " + std::to_string(i)));
+        break;
+    }
+  }
+  return r;
+}
+
+TEST(RecordTest, AritiesAcrossTheInlineBoundary) {
+  for (int arity : {0, 3, 4, 10}) {
+    SCOPED_TRACE("arity " + std::to_string(arity));
+    Record r = MixedRecord(arity);
+    ASSERT_EQ(r.size(), static_cast<size_t>(arity));
+    EXPECT_EQ(r.empty(), arity == 0);
+    for (int i = 0; i < arity; ++i) {
+      EXPECT_EQ(static_cast<int>(r[i].type()), i % 3) << "field " << i;
+    }
+
+    Record copy = r;
+    EXPECT_EQ(copy, r);
+    Record moved = std::move(copy);
+    EXPECT_EQ(moved, r);
+    // A moved-from record is empty and reusable.
+    EXPECT_TRUE(copy.empty());  // NOLINT(bugprone-use-after-move)
+    copy.push_back(Value("reused"));
+    EXPECT_EQ(copy, Record{Value("reused")});
+
+    std::vector<uint8_t> bytes;
+    SerializeRecord(r, &bytes);
+    size_t offset = 0;
+    auto back = DeserializeRecord(bytes, &offset);
+    ASSERT_TRUE(back.ok());
+    EXPECT_EQ(*back, r);
+  }
+}
+
+TEST(RecordTest, GrowsPastInlineCapacityByAppending) {
+  Record r;
+  for (int64_t i = 0; i < 10; ++i) {
+    r.push_back(Value(i));
+    // Appending a value of the record itself must survive the spill.
+    r.push_back(r[0]);
+  }
+  ASSERT_EQ(r.size(), 20u);
+  for (int64_t i = 0; i < 10; ++i) {
+    EXPECT_EQ(r[2 * i].AsInt64(), i);
+    EXPECT_EQ(r[2 * i + 1].AsInt64(), 0);
+  }
+}
+
+TEST(RecordTest, CopyMoveAndSelfAssignmentWithStrings) {
+  const Record inline_row = MixedRecord(3);
+  const Record heap_row = MixedRecord(10);
+  for (const Record* from : {&inline_row, &heap_row}) {
+    for (const Record* to : {&inline_row, &heap_row}) {
+      Record dst = *to;
+      dst = *from;
+      EXPECT_EQ(dst, *from);
+      Record src = *from;
+      Record dst2 = *to;
+      dst2 = std::move(src);
+      EXPECT_EQ(dst2, *from);
+      EXPECT_TRUE(src.empty());  // NOLINT(bugprone-use-after-move)
+      src = *to;
+      EXPECT_EQ(src, *to);
+    }
+    Record self = *from;
+    Record& alias = self;
+    self = alias;
+    EXPECT_EQ(self, *from);
+    self = std::move(alias);
+    EXPECT_EQ(self, *from);
+  }
+}
+
+TEST(RecordTest, ReserveAndClear) {
+  Record r{Value(int64_t{1}), Value("b")};
+  r.reserve(8);  // moves the values to the heap
+  EXPECT_EQ(r, (Record{Value(int64_t{1}), Value("b")}));
+  r.clear();
+  EXPECT_TRUE(r.empty());
+  r.push_back(Value("c"));
+  EXPECT_EQ(r, Record{Value("c")});
+}
 
 TEST(RecordTest, MakeRecordMixedTypes) {
   Record r = MakeRecord(int64_t{1}, 2.5, "three");
@@ -216,6 +391,44 @@ TEST(SerializationTest, UnknownTagRejected) {
   bytes.push_back(0);
   bytes.push_back(0xFF);  // bogus tag
   EXPECT_FALSE(DeserializeRecords(bytes).ok());
+}
+
+TEST(SerializationTest, GoldenBytesForMixedRecord) {
+  // [u32 count] then per field [u8 tag][payload], little-endian.
+  const std::vector<uint8_t> golden = {
+      0x03, 0x00, 0x00, 0x00,                                // 3 fields
+      0x00, 0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,  // int64 -2
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f,  // double 0.5
+      0x02, 0x02, 0x00, 0x00, 0x00, 'h', 'i'};               // "hi"
+  std::vector<uint8_t> bytes;
+  SerializeRecord(MakeRecord(int64_t{-2}, 0.5, "hi"), &bytes);
+  EXPECT_EQ(bytes, golden);
+  size_t offset = 0;
+  auto back = DeserializeRecord(golden, &offset);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(*back, MakeRecord(int64_t{-2}, 0.5, "hi"));
+}
+
+TEST(SerializationTest, RoundTripEmptyStringFields) {
+  // Five bytes per field, the smallest a field can be.
+  const std::vector<Record> records = {MakeRecord("", "", "", "", "")};
+  auto back = DeserializeRecords(SerializeRecords(records));
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(*back, records);
+}
+
+TEST(SerializationTest, HugeFieldCountIsDataLoss) {
+  size_t offset = 0;
+  auto back = DeserializeRecord({0xff, 0xff, 0xff, 0xff}, &offset);
+  ASSERT_FALSE(back.ok());
+  EXPECT_TRUE(back.status().IsDataLoss()) << back.status().ToString();
+}
+
+TEST(SerializationTest, HugeRecordCountIsDataLoss) {
+  auto back =
+      DeserializeRecords({0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x0f});
+  ASSERT_FALSE(back.ok());
+  EXPECT_TRUE(back.status().IsDataLoss()) << back.status().ToString();
 }
 
 TEST(SerializationTest, NegativeAndExtremeInts) {
