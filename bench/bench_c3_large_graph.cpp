@@ -437,7 +437,7 @@ int main(int argc, char** argv) {
               .Set("budget", point.label)
               .Set("budget_bytes", static_cast<int64_t>(point.budget))
               .Set("iteration", static_cast<int64_t>(it.iteration))
-              .Set("sim_ms", static_cast<double>(it.sim_time_ns) / 1e6)
+              .Set("sim_ms", static_cast<double>(it.SimTimeNs()) / 1e6)
               .Set("spilled_bytes", static_cast<int64_t>(it.spilled_bytes))
               .Set("spills", static_cast<int64_t>(it.spills))
               .Set("unspills", static_cast<int64_t>(it.unspills));
@@ -496,7 +496,7 @@ int main(int argc, char** argv) {
               .Set("budget", point.label)
               .Set("budget_bytes", static_cast<int64_t>(point.budget))
               .Set("iteration", static_cast<int64_t>(it.iteration))
-              .Set("sim_ms", static_cast<double>(it.sim_time_ns) / 1e6)
+              .Set("sim_ms", static_cast<double>(it.SimTimeNs()) / 1e6)
               .Set("spilled_bytes", static_cast<int64_t>(it.spilled_bytes))
               .Set("spills", static_cast<int64_t>(it.spills))
               .Set("unspills", static_cast<int64_t>(it.unspills));

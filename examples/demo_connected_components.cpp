@@ -204,8 +204,6 @@ int main(int argc, char** argv) {
   algos::ConnectedComponentsOptions options;
   options.num_partitions = parts;
   options.num_threads = static_cast<int>(*threads);
-  // trace_path/metrics_path stay unset: the demo owns the tracer and sink
-  // itself (above) and writes the export files at the end.
   options.cache_loop_invariant = *cache;
   options.message_log = *msglog || *strategy == "confined-log";
   if (*mem_budget > 0) {

@@ -165,9 +165,6 @@ int main(int argc, char** argv) {
   options.num_threads = static_cast<int>(*threads);
   options.max_iterations = static_cast<int>(*max_iterations);
   options.converged_tolerance = 1e-6;
-  // trace_path/metrics_path stay unset: the demo owns the tracer and sink
-  // itself (below) so it can run the profiler and render the dashboard
-  // after the run, and writes the export files at the end.
   options.cache_loop_invariant = *cache;
   options.message_log = *msglog || *strategy == "confined-log";
   if (*mem_budget > 0) {

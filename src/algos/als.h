@@ -75,15 +75,6 @@ struct AlsOptions {
   /// Converged when no factor entry moved more than this between
   /// supersteps.
   double tolerance = 1e-6;
-  /// When non-empty, trace the run and write the file here on return
-  /// (Chrome trace_event JSON; a ".ndjson" extension selects NDJSON).
-  /// Ignored when the JobEnv already carries a tracer.
-  std::string trace_path;
-  /// When non-empty, collect metrics v2 (per-partition counters,
-  /// histograms, gauges -- see runtime/metrics.h) and write the export
-  /// here on return (NDJSON; a ".prom" extension selects Prometheus
-  /// text). Ignored when the JobEnv already carries a metrics sink.
-  std::string metrics_path;
 };
 
 /// Compensation for ALS: re-initialize the lost factor rows with the same

@@ -297,19 +297,11 @@ Result<ConnectedComponentsResult> RunConnectedComponentsWithSnapshots(
     };
   }
 
-  // Installs a tracer when options.trace_path asks for one; the file is
-  // written when trace_file leaves scope (even on an error return).
-  runtime::ScopedTraceFile trace_file(options.trace_path, env.clock,
-                                      &env.tracer);
-  runtime::ScopedMetricsFile metrics_file(options.metrics_path, env.metrics,
-                                          &env.metrics_sink);
-
   dataflow::ExecOptions exec;
   exec.num_partitions = options.num_partitions;
   exec.num_threads = options.num_threads;
   exec.clock = env.clock;
   exec.costs = env.costs;
-  exec.tracer = env.tracer;
   exec.memory_budget_bytes = options.memory_budget_bytes;
 
   iteration::DeltaIterationDriver driver(&plan, statics, config, exec, env);
@@ -395,19 +387,11 @@ Result<ConnectedComponentsResult> RunConnectedComponentsBulk(
     };
   }
 
-  // Installs a tracer when options.trace_path asks for one; the file is
-  // written when trace_file leaves scope (even on an error return).
-  runtime::ScopedTraceFile trace_file(options.trace_path, env.clock,
-                                      &env.tracer);
-  runtime::ScopedMetricsFile metrics_file(options.metrics_path, env.metrics,
-                                          &env.metrics_sink);
-
   dataflow::ExecOptions exec;
   exec.num_partitions = options.num_partitions;
   exec.num_threads = options.num_threads;
   exec.clock = env.clock;
   exec.costs = env.costs;
-  exec.tracer = env.tracer;
   exec.memory_budget_bytes = options.memory_budget_bytes;
 
   iteration::BulkIterationDriver driver(&plan, statics, config, exec, env);

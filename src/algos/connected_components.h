@@ -55,15 +55,6 @@ struct ConnectedComponentsOptions {
   /// Executor worker threads (1 = serial, 0 = hardware concurrency).
   int num_threads = 1;
   int max_iterations = 200;
-  /// When non-empty, trace the run and write the file here on return
-  /// (Chrome trace_event JSON; a ".ndjson" extension selects NDJSON).
-  /// Ignored when the JobEnv already carries a tracer.
-  std::string trace_path;
-  /// When non-empty, collect metrics v2 (per-partition counters,
-  /// histograms, gauges -- see runtime/metrics.h) and write the export
-  /// here on return (NDJSON; a ".prom" extension selects Prometheus
-  /// text). Ignored when the JobEnv already carries a metrics sink.
-  std::string metrics_path;
   /// Reuse the shuffled edge table and the label-to-neighbors build-side
   /// hash index across supersteps. Results are byte-identical either way
   /// (DESIGN.md §10).

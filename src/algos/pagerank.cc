@@ -234,7 +234,8 @@ Result<PageRankResult> RunPageRankWithSnapshots(
   // Ranks are indexed densely by vertex id; a vertex absent from `prev`
   // reads 0.0.
   const int64_t num_vertices = graph.num_vertices();
-  config.convergence = [tolerance, num_vertices](
+  double last_l1 = 0.0;  // reported as PageRankResult::final_l1
+  config.convergence = [tolerance, num_vertices, &last_l1](
                            const PartitionedDataset& prev,
                            const PartitionedDataset& next, double* metric) {
     auto index_of = [num_vertices](const Record& r) {
@@ -256,6 +257,7 @@ Result<PageRankResult> RunPageRankWithSnapshots(
       }
     }
     *metric = l1;
+    last_l1 = l1;
     return l1 < tolerance;
   };
   if (true_ranks != nullptr || snapshot) {
@@ -306,19 +308,11 @@ Result<PageRankResult> RunPageRankWithSnapshots(
     };
   }
 
-  // Installs a tracer when options.trace_path asks for one; the file is
-  // written when trace_file leaves scope (even on an error return).
-  runtime::ScopedTraceFile trace_file(options.trace_path, env.clock,
-                                      &env.tracer);
-  runtime::ScopedMetricsFile metrics_file(options.metrics_path, env.metrics,
-                                          &env.metrics_sink);
-
   dataflow::ExecOptions exec;
   exec.num_partitions = options.num_partitions;
   exec.num_threads = options.num_threads;
   exec.clock = env.clock;
   exec.costs = env.costs;
-  exec.tracer = env.tracer;
   exec.memory_budget_bytes = options.memory_budget_bytes;
 
   iteration::BulkIterationDriver driver(&plan, statics, config, exec, env);
@@ -334,10 +328,7 @@ Result<PageRankResult> RunPageRankWithSnapshots(
   result.supersteps_executed = run.supersteps_executed;
   result.converged = run.converged;
   result.failures_recovered = run.failures_recovered;
-  if (env.metrics != nullptr && !env.metrics->iterations().empty()) {
-    result.final_l1 =
-        env.metrics->iterations().back().Gauge("convergence_metric", 0.0);
-  }
+  result.final_l1 = last_l1;
   return result;
 }
 

@@ -32,15 +32,6 @@ struct PageRankOptions {
   /// A vertex counts as "converged to its true rank" (the demo's
   /// bottom-left plot) when |rank - true_rank| <= converged_tolerance.
   double converged_tolerance = 1e-7;
-  /// When non-empty, trace the run and write the file here on return
-  /// (Chrome trace_event JSON; a ".ndjson" extension selects NDJSON).
-  /// Ignored when the JobEnv already carries a tracer.
-  std::string trace_path;
-  /// When non-empty, collect metrics v2 (per-partition counters,
-  /// histograms, gauges -- see runtime/metrics.h) and write the export
-  /// here on return (NDJSON; a ".prom" extension selects Prometheus
-  /// text). Ignored when the JobEnv already carries a metrics sink.
-  std::string metrics_path;
   /// Reuse shuffled static inputs (links, dangling) and the find-neighbors
   /// build-side hash index across supersteps. Results are byte-identical
   /// either way (DESIGN.md §10).

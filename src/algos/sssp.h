@@ -57,15 +57,6 @@ struct SsspOptions {
   /// flag on or off when no failure fires.
   bool message_log = false;
   int max_iterations = 1000;
-  /// When non-empty, trace the run and write the file here on return
-  /// (Chrome trace_event JSON; a ".ndjson" extension selects NDJSON).
-  /// Ignored when the JobEnv already carries a tracer.
-  std::string trace_path;
-  /// When non-empty, collect metrics v2 (per-partition counters,
-  /// histograms, gauges -- see runtime/metrics.h) and write the export
-  /// here on return (NDJSON; a ".prom" extension selects Prometheus
-  /// text). Ignored when the JobEnv already carries a metrics sink.
-  std::string metrics_path;
 };
 
 /// Outcome of an SSSP run.

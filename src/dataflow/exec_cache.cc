@@ -226,7 +226,6 @@ uint64_t ExecCache::Release(Segment* segment) {
 uint64_t ExecCache::Invalidate(const std::vector<int>& partitions) {
   if (partitions.empty() || entries_.empty()) return 0;
   uint64_t released = Clear();
-  ++invalidations_;
   if (metrics_ != nullptr) {
     metrics_->Count(runtime::metric::kCacheInvalidations, -1);
   }

@@ -126,10 +126,11 @@ class ExecCache {
 
   runtime::MemoryManager* memory_manager() const { return manager_; }
 
-  /// Mirrors hit/build/invalidation counts into the metrics v2 sink under
-  /// the canonical cache.* names. Borrowed, may be null (= off). The
-  /// legacy hits()/builds()/invalidations() accessors stay as shims over
-  /// the same counts.
+  /// Counts builds and invalidations into the metrics v2 sink under the
+  /// canonical cache.* names; hits are counted by the executor from its
+  /// ExecStats. Borrowed, may be null (= off). The one legacy shim left,
+  /// builds(), stays because JobServer derives JobReport::cache_builds from
+  /// it without a sink.
   void set_metrics(runtime::MetricsSink* metrics) { metrics_ = metrics; }
 
   /// Entries are keyed per partition count: executing with a different
@@ -175,11 +176,6 @@ class ExecCache {
   /// Drops everything (blobs included). Returns the bytes released.
   uint64_t Clear();
 
-  void CountHit() {
-    ++hits_;
-    if (metrics_ != nullptr) metrics_->Count(runtime::metric::kCacheHits, -1);
-  }
-
   /// Per-plan-node InferBatchSchema cache (DESIGN.md §15). The schema of a
   /// node's input is stable within a job once it has carried data —
   /// attaching a batch impl declares as much — so the dataset-wide
@@ -190,7 +186,6 @@ class ExecCache {
   const BatchSchema* FindSchema(int node_id) {
     auto it = schemas_.find(node_id);
     if (it == schemas_.end()) return nullptr;
-    ++schema_hits_;
     if (metrics_ != nullptr) {
       metrics_->Count(runtime::metric::kSchemaCacheHits, -1);
     }
@@ -201,10 +196,7 @@ class ExecCache {
   }
 
   size_t size() const { return entries_.size(); }
-  uint64_t hits() const { return hits_; }
   uint64_t builds() const { return builds_; }
-  uint64_t invalidations() const { return invalidations_; }
-  uint64_t schema_hits() const { return schema_hits_; }
   /// FlatKeyIndex rebuilds on unspill that adopted retained row hashes
   /// instead of rehashing every key (the satellite fix to the
   /// rebuild-after-spill path).
@@ -233,10 +225,7 @@ class ExecCache {
   std::map<std::pair<int, int>, std::unique_ptr<Segment>> entries_;
   /// Per-node cached batch schemas (FindSchema/StoreSchema).
   std::map<int, BatchSchema> schemas_;
-  uint64_t hits_ = 0;
   uint64_t builds_ = 0;
-  uint64_t invalidations_ = 0;
-  uint64_t schema_hits_ = 0;
   uint64_t hash_reuses_ = 0;
 };
 

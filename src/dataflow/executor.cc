@@ -595,10 +595,7 @@ void ExecStats::MergeFrom(const ExecStats& other) {
 Executor::Executor(ExecOptions options) : options_(options) {
   FLINKLESS_CHECK(options_.num_partitions > 0,
                   "executor needs at least one partition");
-  per_partition_args_ =
-      options_.trace_detail == TraceDetail::kPerPartition ||
-      (options_.trace_detail == TraceDetail::kAuto &&
-       options_.num_partitions <= 8);
+  per_partition_args_ = options_.num_partitions <= 8;
   int threads = runtime::ThreadPool::ResolveThreadCount(options_.num_threads);
   if (threads > 1) {
     pool_ = std::make_unique<runtime::ThreadPool>(threads);
@@ -970,7 +967,6 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
         cache->FindResident(node.id, role, options_.tracer, &reloaded));
     *hit = e != nullptr;
     if (*hit) {
-      cache->CountHit();
       ++local_stats.cache_hits;
       local_stats.records_not_reshuffled += e->data->NumRecords();
       if (span.active()) {
@@ -1017,7 +1013,6 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
           cache->FindResident(node.id, ExecCache::Role::kOutput,
                               options_.tracer, &reloaded));
       if (e != nullptr) {
-        cache->CountHit();
         ++local_stats.cache_hits;
         switch (node.kind) {
           case OpKind::kReduceByKey:
@@ -1388,9 +1383,12 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
   if (options_.metrics != nullptr) {
     // Job-level roll-ups of this Execute, under the canonical v2 names.
     // The per-partition families (exec.records, shuffle.fanout) are
-    // recorded at the operator/shuffle sites above; cache hits are counted
-    // by the ExecCache itself.
+    // recorded at the operator/shuffle sites above. cache.hits appears
+    // only once a hit happened, so cache-less runs carry no such family.
     runtime::MetricsSink* m = options_.metrics;
+    if (local_stats.cache_hits > 0) {
+      m->Count(runtime::metric::kCacheHits, -1, local_stats.cache_hits);
+    }
     m->Count(runtime::metric::kExecBatchOps, -1, local_stats.batch_ops);
     m->Count(runtime::metric::kExecRowFallbackOps, -1,
              local_stats.row_fallback_ops);

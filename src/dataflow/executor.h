@@ -77,17 +77,6 @@ struct ExecStats {
   void MergeFrom(const ExecStats& other);
 };
 
-/// How much per-partition detail operator/shuffle spans carry. The
-/// per-partition args ("out_p<i>", "moved_p<i>") cost one string-format and
-/// one arg entry per partition per operator — negligible at demo scale,
-/// real churn at hundreds of partitions.
-enum class TraceDetail {
-  /// Per-partition args on for <= 8 partitions, off beyond that.
-  kAuto = 0,
-  kPerPartition,  // always record per-partition args
-  kAggregate,     // only aggregate args (counts stay exact)
-};
-
 /// Execution configuration. The clock and cost model are optional; when
 /// absent no simulated time is charged.
 struct ExecOptions {
@@ -123,9 +112,6 @@ struct ExecOptions {
   /// budget (DESIGN.md §11). Outputs are byte-identical at any budget;
   /// only the simulated I/O charges change.
   uint64_t memory_budget_bytes = 0;
-
-  /// Per-partition trace-arg verbosity (see TraceDetail).
-  TraceDetail trace_detail = TraceDetail::kAuto;
 
   /// Optional metrics v2 sink (see runtime/metrics.h). When set, the
   /// executor records per-partition counters (operator input records,
@@ -238,7 +224,9 @@ class Executor {
                                  ExecStats* stats) const;
 
   ExecOptions options_;
-  /// Resolved TraceDetail: record per-partition span args?
+  /// Record per-partition span args ("out_p<i>", "moved_p<i>")? They cost
+  /// one string-format and one arg entry per partition per operator, so
+  /// they are on for <= 8 partitions only; counts stay exact either way.
   bool per_partition_args_ = true;
   std::unique_ptr<runtime::ThreadPool> pool_;
 };

@@ -82,19 +82,14 @@ Result<SuperstepLoopResult> RunSuperstepLoop(
   // The failed superstep's *input* state is gone (the loop already
   // advanced), but Replay never needs it — demand stops at the logged
   // variant channels.
-  uint64_t messages_replayed_acc = 0;
   std::function<Status(const std::vector<int>&)> replay_messages;
   if (msglog != nullptr) {
     replay_messages = [&](const std::vector<int>& lost) -> Status {
-      dataflow::ExecStats rstats;
       FLINKLESS_ASSIGN_OR_RETURN(
           PlanOutputs replayed,
           executor.Replay(step_plan, static_bindings, lost, msglog.get(),
-                          &rstats));
-      FLINKLESS_RETURN_NOT_OK(
-          hooks->InstallReplayed(std::move(replayed), lost));
-      messages_replayed_acc += rstats.messages_replayed;
-      return Status::OK();
+                          nullptr));
+      return hooks->InstallReplayed(std::move(replayed), lost);
     };
   }
 
@@ -134,7 +129,6 @@ Result<SuperstepLoopResult> RunSuperstepLoop(
     const uint64_t bytes = storage_bytes() - start_bytes_before;
     if (bytes > 0) {
       start_span.AddArg("bytes", static_cast<int64_t>(bytes));
-      env.metrics->IncrCounter("initial_checkpoint_bytes", bytes);
       if (metrics != nullptr) {
         metrics->Count(runtime::metric::kInitialCheckpointBytes, -1, bytes);
       }
@@ -162,7 +156,6 @@ Result<SuperstepLoopResult> RunSuperstepLoop(
     }
     ++result.supersteps_executed;
 
-    const int64_t sim_before = env.clock != nullptr ? env.clock->TotalNs() : 0;
     std::array<int64_t, runtime::kNumCharges> charges_before{};
     if (env.clock != nullptr) {
       for (int c = 0; c < runtime::kNumCharges; ++c) {
@@ -184,7 +177,6 @@ Result<SuperstepLoopResult> RunSuperstepLoop(
     // superstep that failed, so earlier channels (and their spilled blobs)
     // are dropped before this superstep appends its own.
     if (msglog != nullptr) msglog->BeginSuperstep(iteration);
-    const uint64_t replayed_before = messages_replayed_acc;
 
     dataflow::Bindings bindings = static_bindings;
     hooks->Bind(executor.pool(), &bindings);
@@ -216,9 +208,6 @@ Result<SuperstepLoopResult> RunSuperstepLoop(
     for (const auto& [op_name, count] : exec_stats.node_output_counts) {
       istats.gauges["out:" + op_name] = static_cast<double>(count);
     }
-    istats.gauges["batch_ops"] = static_cast<double>(exec_stats.batch_ops);
-    istats.gauges["row_fallback_ops"] =
-        static_cast<double>(exec_stats.row_fallback_ops);
 
     std::vector<int> lost = env.failures != nullptr
                                 ? env.failures->Fire(iteration)
@@ -337,13 +326,7 @@ Result<SuperstepLoopResult> RunSuperstepLoop(
     }
 
     istats.bytes_checkpointed = storage_bytes() - cp_before;
-    if (messages_replayed_acc > replayed_before) {
-      istats.gauges["messages_replayed"] =
-          static_cast<double>(messages_replayed_acc - replayed_before);
-    }
     hooks->FinishStats(executed_iteration, &istats);
-    istats.sim_time_ns =
-        env.clock != nullptr ? env.clock->TotalNs() - sim_before : 0;
     if (env.clock != nullptr) {
       for (int c = 0; c < runtime::kNumCharges; ++c) {
         istats.sim_time_by_charge[c] =

@@ -100,8 +100,9 @@ class MemoryManager {
 
   /// Mirrors every spill/unspill (count, bytes, and the spill-size
   /// histogram) into the metrics v2 sink. Borrowed, may be null (= off);
-  /// set by the owning driver before the run. The legacy stats() block
-  /// stays as a shim over the same events.
+  /// set by the owning driver before the run. stats() keeps the manager's
+  /// own running totals, which the drivers diff into per-superstep
+  /// IterationStats with or without a sink.
   void set_metrics(MetricsSink* metrics) { metrics_ = metrics; }
 
   /// Registers a segment as most-recently-used. The caller still owns it

@@ -71,17 +71,14 @@ double IterationStats::Gauge(const std::string& name, double fallback) const {
   return it == gauges.end() ? fallback : it->second;
 }
 
+int64_t IterationStats::SimTimeNs() const {
+  int64_t total = 0;
+  for (int64_t ns : sim_time_by_charge) total += ns;
+  return total;
+}
+
 void MetricsRegistry::RecordIteration(IterationStats stats) {
   iterations_.push_back(std::move(stats));
-}
-
-void MetricsRegistry::IncrCounter(const std::string& name, uint64_t delta) {
-  counters_[name] += delta;
-}
-
-uint64_t MetricsRegistry::Counter(const std::string& name) const {
-  auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second;
 }
 
 std::vector<double> MetricsRegistry::GaugeSeries(const std::string& name,
@@ -121,11 +118,6 @@ uint64_t MetricsRegistry::TotalCheckpointBytes() const {
   uint64_t total = 0;
   for (const auto& it : iterations_) total += it.bytes_checkpointed;
   return total;
-}
-
-void MetricsRegistry::Reset() {
-  iterations_.clear();
-  counters_.clear();
 }
 
 // --------------------------------------------------------------- Histogram --
@@ -249,15 +241,6 @@ MetricsSnapshot MetricsSink::Collect() const {
   return snapshot;
 }
 
-void MetricsSink::Reset() {
-  for (const auto& slot : slots_) {
-    std::lock_guard<std::mutex> lock(slot->mu);
-    slot->counters.clear();
-    slot->histograms.clear();
-  }
-  gauges_.clear();
-}
-
 // --------------------------------------------------------------- exporters --
 
 void ExportMetricsNdjson(const MetricsRegistry& registry,
@@ -271,7 +254,7 @@ void ExportMetricsNdjson(const MetricsRegistry& registry,
         << ", \"messages_shuffled\": " << it.messages_shuffled
         << ", \"bytes_checkpointed\": " << it.bytes_checkpointed
         << ", \"failure_injected\": " << (it.failure_injected ? "true" : "false")
-        << ", \"sim_time_ns\": " << it.sim_time_ns
+        << ", \"sim_time_ns\": " << it.SimTimeNs()
         << ", \"sim_time_by_charge\": {";
     for (int c = 0; c < kNumCharges; ++c) {
       if (c > 0) out << ", ";
@@ -292,13 +275,7 @@ void ExportMetricsNdjson(const MetricsRegistry& registry,
   }
 
   // Counter families: per-partition samples, then the job total per name.
-  // Registry whole-job counters fold in as partition -1 lines so both
-  // generations share one export (the v1 accessors stay as shims).
-  std::map<std::string, std::map<int, uint64_t>> counters = snapshot.counters;
-  for (const auto& [name, value] : registry.counters()) {
-    counters[name][-1] += value;
-  }
-  for (const auto& [name, by_partition] : counters) {
+  for (const auto& [name, by_partition] : snapshot.counters) {
     uint64_t total = 0;
     for (const auto& [partition, value] : by_partition) {
       total += value;
@@ -340,7 +317,7 @@ void ExportMetricsNdjson(const MetricsRegistry& registry,
   }
 
   out << "{\"kind\": \"meta\", \"iterations\": " << registry.iterations().size()
-      << ", \"counter_families\": " << counters.size()
+      << ", \"counter_families\": " << snapshot.counters.size()
       << ", \"gauge_families\": " << snapshot.gauges.size()
       << ", \"histogram_families\": " << snapshot.histograms.size() << "}\n";
 }
@@ -348,11 +325,7 @@ void ExportMetricsNdjson(const MetricsRegistry& registry,
 void ExportMetricsPrometheus(const MetricsRegistry& registry,
                              const MetricsSnapshot& snapshot,
                              std::ostream& out) {
-  std::map<std::string, std::map<int, uint64_t>> counters = snapshot.counters;
-  for (const auto& [name, value] : registry.counters()) {
-    counters[name][-1] += value;
-  }
-  for (const auto& [name, by_partition] : counters) {
+  for (const auto& [name, by_partition] : snapshot.counters) {
     const std::string prom = PromName(name);
     out << "# TYPE " << prom << " counter\n";
     uint64_t total = 0;
@@ -441,26 +414,6 @@ Status WriteMetricsFile(const MetricsRegistry& registry,
     return Status::IOError("failed writing metrics file '" + path + "'");
   }
   return Status::OK();
-}
-
-ScopedMetricsFile::ScopedMetricsFile(std::string path,
-                                     const MetricsRegistry* registry,
-                                     MetricsSink** slot)
-    : path_(std::move(path)), registry_(registry) {
-  if (path_.empty() || *slot != nullptr) return;
-  sink_ = std::make_unique<MetricsSink>();
-  *slot = sink_.get();
-}
-
-ScopedMetricsFile::~ScopedMetricsFile() {
-  if (sink_ == nullptr) return;
-  static const MetricsRegistry kEmptyRegistry;
-  const MetricsRegistry& registry =
-      registry_ != nullptr ? *registry_ : kEmptyRegistry;
-  Status status = WriteMetricsFile(registry, *sink_, path_);
-  if (!status.ok()) {
-    FLOG_WARN("metrics export failed: " << status.ToString());
-  }
 }
 
 }  // namespace flinkless::runtime

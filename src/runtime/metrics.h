@@ -1,5 +1,7 @@
-// Metrics: counters and per-iteration statistics series, plus the typed,
-// labeled metrics v2 layer (DESIGN.md §13).
+// Metrics: the per-iteration statistics series, plus the typed, labeled
+// metrics v2 layer (DESIGN.md §13). Each count has one home: the registry
+// holds the per-superstep series, the MetricsSink the whole-run and
+// per-partition families.
 //
 // The paper's GUI plots per-iteration statistics — converged-vertex counts,
 // messages per iteration, the L1 norm of consecutive PageRank estimates. The
@@ -57,14 +59,14 @@ struct IterationStats {
   /// True when a failure was injected (and recovered from) in this iteration.
   bool failure_injected = false;
 
-  /// Simulated nanoseconds this iteration took.
-  int64_t sim_time_ns = 0;
-
-  /// sim_time_ns decomposed by Charge category (compute, network,
-  /// checkpoint I/O, recovery), indexed by static_cast<int>(Charge). The
-  /// drivers fill this by diffing the SimClock's per-category totals across
-  /// the superstep, so the entries sum to sim_time_ns.
+  /// Simulated time of this iteration by Charge category (compute,
+  /// network, checkpoint I/O, recovery), indexed by static_cast<int>(Charge).
+  /// The drivers fill this by diffing the SimClock's per-category totals
+  /// across the superstep.
   std::array<int64_t, kNumCharges> sim_time_by_charge{};
+
+  /// Simulated nanoseconds this iteration took: the sum over all charges.
+  int64_t SimTimeNs() const;
 
   /// This iteration's simulated time in one charge category.
   int64_t SimTimeOf(Charge c) const {
@@ -92,22 +94,14 @@ struct IterationStats {
   double Gauge(const std::string& name, double fallback = 0.0) const;
 };
 
-/// Accumulates the per-iteration series plus whole-job counters for one run.
+/// Accumulates the per-iteration series of one run. Whole-run counts live
+/// in the MetricsSink, not here.
 class MetricsRegistry {
  public:
   /// Appends a finished iteration's stats.
   void RecordIteration(IterationStats stats);
 
-  /// Increments a named whole-job counter.
-  void IncrCounter(const std::string& name, uint64_t delta = 1);
-
-  /// Counter value (0 when never incremented).
-  uint64_t Counter(const std::string& name) const;
-
   const std::vector<IterationStats>& iterations() const { return iterations_; }
-
-  /// All whole-job counters, name-ordered (for exporters).
-  const std::map<std::string, uint64_t>& counters() const { return counters_; }
 
   /// The series of one gauge across iterations, with `fallback` for
   /// iterations that did not set it.
@@ -129,11 +123,8 @@ class MetricsRegistry {
   /// Sum of bytes_checkpointed over all iterations.
   uint64_t TotalCheckpointBytes() const;
 
-  void Reset();
-
  private:
   std::vector<IterationStats> iterations_;
-  std::map<std::string, uint64_t> counters_;
 };
 
 // ------------------------------------------------------------ metrics v2 --
@@ -297,8 +288,6 @@ class MetricsSink {
   /// after the job finished (not concurrently with Count/Observe).
   MetricsSnapshot Collect() const;
 
-  void Reset();
-
  private:
   struct Slot {
     std::mutex mu;
@@ -319,9 +308,8 @@ class MetricsSink {
 /// registry's series, wall-clock excluded), then {"kind": "counter"} lines
 /// per (name, partition) plus a {"kind": "counter_total"} line per name,
 /// {"kind": "gauge"} lines, {"kind": "histogram"} lines (non-empty buckets
-/// only), and a {"kind": "meta"} trailer. Registry whole-job counters are
-/// folded in as partition -1 counter lines. Deterministic: byte-identical
-/// at any thread count.
+/// only), and a {"kind": "meta"} trailer. Deterministic: byte-identical at
+/// any thread count.
 void ExportMetricsNdjson(const MetricsRegistry& registry,
                          const MetricsSnapshot& snapshot, std::ostream& out);
 
@@ -339,29 +327,6 @@ void ExportMetricsPrometheus(const MetricsRegistry& registry,
 /// → Prometheus text, anything else → NDJSON).
 Status WriteMetricsFile(const MetricsRegistry& registry,
                         const MetricsSink& sink, const std::string& path);
-
-/// Owns an optional MetricsSink for one algorithm run: when `path` is
-/// non-empty and `*slot` is null, installs a fresh sink into the slot and
-/// writes the metrics file on destruction (so the export survives error
-/// returns). `registry` is read at write time. This is how the algorithm
-/// drivers implement their `metrics_path` option — the analog of
-/// ScopedTraceFile.
-class ScopedMetricsFile {
- public:
-  ScopedMetricsFile(std::string path, const MetricsRegistry* registry,
-                    MetricsSink** slot);
-  ~ScopedMetricsFile();
-
-  ScopedMetricsFile(const ScopedMetricsFile&) = delete;
-  ScopedMetricsFile& operator=(const ScopedMetricsFile&) = delete;
-
-  MetricsSink* sink() const { return sink_.get(); }
-
- private:
-  std::string path_;
-  const MetricsRegistry* registry_ = nullptr;
-  std::unique_ptr<MetricsSink> sink_;
-};
 
 }  // namespace flinkless::runtime
 

@@ -368,24 +368,6 @@ Status WriteTraceFile(const Tracer& tracer, const std::string& path) {
   return Status::OK();
 }
 
-ScopedTraceFile::ScopedTraceFile(std::string path, const SimClock* clock,
-                                 Tracer** slot)
-    : path_(std::move(path)) {
-  if (path_.empty() || *slot != nullptr) return;
-  Tracer::Options options;
-  options.clock = clock;
-  tracer_ = std::make_unique<Tracer>(options);
-  *slot = tracer_.get();
-}
-
-ScopedTraceFile::~ScopedTraceFile() {
-  if (tracer_ == nullptr) return;
-  Status status = WriteTraceFile(*tracer_, path_);
-  if (!status.ok()) {
-    FLOG_WARN("trace export failed: " << status.ToString());
-  }
-}
-
 // ---------------------------------------------------------------- summary --
 
 double TraceOperatorSummary::SkewRatio() const {
@@ -421,20 +403,6 @@ TraceSummary TraceSummary::FromSnapshot(const Tracer::Snapshot& snapshot) {
     ++summary.span_events;
     if (e.category == SpanKindName(SpanKind::kIteration)) {
       ++summary.iteration_spans;
-    }
-    if (e.category == SpanKindName(SpanKind::kCacheSpill)) {
-      ++summary.spills;
-      summary.spilled_bytes += static_cast<uint64_t>(e.Arg("bytes"));
-      summary.peak_resident_bytes =
-          std::max(summary.peak_resident_bytes,
-                   static_cast<uint64_t>(e.Arg("resident_after")) +
-                       static_cast<uint64_t>(e.Arg("bytes")));
-    } else if (e.category == SpanKindName(SpanKind::kCacheUnspill)) {
-      ++summary.unspills;
-      summary.unspilled_bytes += static_cast<uint64_t>(e.Arg("bytes"));
-      summary.peak_resident_bytes =
-          std::max(summary.peak_resident_bytes,
-                   static_cast<uint64_t>(e.Arg("resident_after")));
     }
     if (e.category != SpanKindName(SpanKind::kOperator)) {
       // Shuffle phases attribute their messages to the enclosing operator.

@@ -278,25 +278,6 @@ void ExportNdjson(const Tracer::Snapshot& snapshot, std::ostream& out);
 /// (".ndjson" → NDJSON, anything else → Chrome JSON).
 Status WriteTraceFile(const Tracer& tracer, const std::string& path);
 
-/// Owns an optional Tracer for one algorithm run: when `path` is non-empty
-/// and `*slot` is null, installs a fresh Tracer into the slot and writes
-/// the trace file on destruction (so the trace survives error returns).
-/// This is how the algorithm drivers implement their `trace_path` option.
-class ScopedTraceFile {
- public:
-  ScopedTraceFile(std::string path, const SimClock* clock, Tracer** slot);
-  ~ScopedTraceFile();
-
-  ScopedTraceFile(const ScopedTraceFile&) = delete;
-  ScopedTraceFile& operator=(const ScopedTraceFile&) = delete;
-
-  Tracer* tracer() const { return tracer_.get(); }
-
- private:
-  std::string path_;
-  std::unique_ptr<Tracer> tracer_;
-};
-
 // ------------------------------------------------------------- summary --
 
 /// Per-operator aggregate over a snapshot.
@@ -334,15 +315,6 @@ struct TraceSummary {
   std::vector<std::pair<std::string, uint64_t>> instants;
   /// Iteration spans observed (= supersteps traced).
   uint64_t iteration_spans = 0;
-  /// Budget evictions observed ("cache.spill" spans) and their byte total.
-  uint64_t spills = 0;
-  uint64_t spilled_bytes = 0;
-  /// Spilled-artifact reloads ("cache.unspill" spans) and their byte total.
-  uint64_t unspills = 0;
-  uint64_t unspilled_bytes = 0;
-  /// Largest "resident_after" reported by a spill/unspill span — the peak
-  /// residency observed at spill boundaries (0 when nothing spilled).
-  uint64_t peak_resident_bytes = 0;
 
   static TraceSummary FromSnapshot(const Tracer::Snapshot& snapshot);
 

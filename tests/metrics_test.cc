@@ -1,5 +1,5 @@
 // Metrics v2: histogram bucketing, sink merge semantics, exporter goldens
-// (NDJSON + Prometheus text), ScopedMetricsFile, and the determinism
+// (NDJSON + Prometheus text), WriteMetricsFile, and the determinism
 // contract — a metrics export of a PageRank or Connected Components run is
 // byte-identical at any thread count, with and without injected failures
 // (DESIGN.md §13).
@@ -17,6 +17,7 @@
 #include "common/rng.h"
 #include "core/policies.h"
 #include "graph/generators.h"
+#include "iteration/policy.h"
 #include "runtime/metrics.h"
 #include "runtime/stable_storage.h"
 #include "runtime/thread_pool.h"
@@ -144,20 +145,19 @@ TEST(MetricsSinkTest, ConcurrentCountsMergeDeterministically) {
 
 // --------------------------------------------------------- exporter goldens --
 
-/// One iteration + one two-partition counter + one gauge + one histogram:
-/// small enough to pin the exact export bytes.
+/// One iteration + one two-partition counter + one job-level counter + one
+/// gauge + one histogram: small enough to pin the exact export bytes.
 void FillGoldenData(MetricsRegistry* registry, MetricsSink* sink) {
   IterationStats it;
   it.iteration = 1;
   it.records_processed = 10;
   it.messages_shuffled = 4;
-  it.sim_time_ns = 30;
   it.sim_time_by_charge[static_cast<int>(Charge::kCompute)] = 20;
   it.sim_time_by_charge[static_cast<int>(Charge::kNetwork)] = 10;
   it.gauges["convergence_metric"] = 0.5;
   registry->RecordIteration(it);
-  registry->IncrCounter("legacy_counter", 3);
 
+  sink->Count(metric::kCacheHits, -1, 3);
   sink->Count(metric::kExecRecords, 0, 6);
   sink->Count(metric::kExecRecords, 1, 4);
   sink->SetGauge(metric::kGaugeStateRecords, 0, 6.0);
@@ -179,16 +179,15 @@ TEST(MetricsExportTest, NdjsonGolden) {
       "\"checkpoint_io\": 0, \"recovery\": 0}, \"spills\": 0, "
       "\"unspills\": 0, \"spilled_bytes\": 0, \"peak_resident_bytes\": 0"
       ", \"gauges\": {\"convergence_metric\": 0.5}}\n"
+      "{\"kind\": \"counter\", \"name\": \"cache.hits\", \"partition\": -1, "
+      "\"value\": 3}\n"
+      "{\"kind\": \"counter_total\", \"name\": \"cache.hits\", \"value\": 3}\n"
       "{\"kind\": \"counter\", \"name\": \"exec.records\", \"partition\": 0, "
       "\"value\": 6}\n"
       "{\"kind\": \"counter\", \"name\": \"exec.records\", \"partition\": 1, "
       "\"value\": 4}\n"
       "{\"kind\": \"counter_total\", \"name\": \"exec.records\", \"value\": "
       "10}\n"
-      "{\"kind\": \"counter\", \"name\": \"legacy_counter\", \"partition\": "
-      "-1, \"value\": 3}\n"
-      "{\"kind\": \"counter_total\", \"name\": \"legacy_counter\", "
-      "\"value\": 3}\n"
       "{\"kind\": \"gauge\", \"name\": \"state.records\", \"partition\": 0, "
       "\"value\": 6}\n"
       "{\"kind\": \"histogram\", \"name\": \"exec.batch_rows\", \"count\": "
@@ -206,12 +205,12 @@ TEST(MetricsExportTest, PrometheusGolden) {
   std::ostringstream out;
   ExportMetricsPrometheus(registry, sink.Collect(), out);
   const std::string expected =
+      "# TYPE flinkless_cache_hits counter\n"
+      "flinkless_cache_hits 3\n"
       "# TYPE flinkless_exec_records counter\n"
       "flinkless_exec_records{partition=\"0\"} 6\n"
       "flinkless_exec_records{partition=\"1\"} 4\n"
       "flinkless_exec_records 10\n"
-      "# TYPE flinkless_legacy_counter counter\n"
-      "flinkless_legacy_counter 3\n"
       "# TYPE flinkless_state_records gauge\n"
       "flinkless_state_records{partition=\"0\"} 6\n"
       "# TYPE flinkless_exec_batch_rows histogram\n"
@@ -359,45 +358,123 @@ TEST_P(MetricsDeterminismTest, ExportsByteIdenticalAcrossThreadCounts) {
 INSTANTIATE_TEST_SUITE_P(FailuresOnOff, MetricsDeterminismTest,
                          ::testing::Values(false, true));
 
-TEST(MetricsFileTest, MetricsPathOptionWritesExport) {
-  // The algo-level metrics_path option (ScopedMetricsFile): the file must
-  // exist after the run and carry the counter families; a .prom path
-  // selects the Prometheus exposition.
-  Rng rng(5);
-  graph::Graph g = graph::Rmat(7, 5, &rng);
-  for (const char* name : {"metrics_test_out.ndjson", "metrics_test_out.prom"}) {
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream content;
+  content << in.rdbuf();
+  return content.str();
+}
+
+TEST(MetricsFileTest, WriteMetricsFileDispatchesOnExtension) {
+  MetricsRegistry registry;
+  MetricsSink sink;
+  FillGoldenData(&registry, &sink);
+  std::ostringstream ndjson, prom;
+  ExportMetricsNdjson(registry, sink.Collect(), ndjson);
+  ExportMetricsPrometheus(registry, sink.Collect(), prom);
+
+  // ".prom" selects Prometheus text; any other extension selects NDJSON.
+  const std::string dir = ::testing::TempDir();
+  const std::string prom_path = dir + "/flinkless_metrics.prom";
+  const std::string ndjson_path = dir + "/flinkless_metrics.ndjson";
+  const std::string other_path = dir + "/flinkless_metrics.json";
+  ASSERT_TRUE(WriteMetricsFile(registry, sink, prom_path).ok());
+  ASSERT_TRUE(WriteMetricsFile(registry, sink, ndjson_path).ok());
+  ASSERT_TRUE(WriteMetricsFile(registry, sink, other_path).ok());
+  EXPECT_EQ(ReadFile(prom_path), prom.str());
+  EXPECT_EQ(ReadFile(ndjson_path), ndjson.str());
+  EXPECT_EQ(ReadFile(other_path), ndjson.str());
+
+  EXPECT_EQ(WriteMetricsFile(registry, sink, "/nonexistent-dir/x.prom").code(),
+            StatusCode::kIOError);
+
+  std::remove(prom_path.c_str());
+  std::remove(ndjson_path.c_str());
+  std::remove(other_path.c_str());
+}
+
+// --------------------------------------------- initial checkpoint bytes --
+
+/// Forwards to `inner` and measures what its OnJobStart wrote to storage.
+class JobStartBytesPolicy final : public iteration::FaultTolerancePolicy {
+ public:
+  explicit JobStartBytesPolicy(iteration::FaultTolerancePolicy* inner)
+      : inner_(inner) {}
+
+  std::string name() const override { return inner_->name(); }
+  Status OnJobStart(const iteration::IterationContext& ctx,
+                    iteration::IterationState* state) override {
+    const uint64_t before = ctx.storage->bytes_written();
+    Status status = inner_->OnJobStart(ctx, state);
+    bytes_ += ctx.storage->bytes_written() - before;
+    return status;
+  }
+  Status AfterIteration(const iteration::IterationContext& ctx,
+                        iteration::IterationState* state) override {
+    return inner_->AfterIteration(ctx, state);
+  }
+  Result<iteration::RecoveryOutcome> OnFailure(
+      const iteration::IterationContext& ctx, iteration::IterationState* state,
+      const std::vector<int>& lost) override {
+    return inner_->OnFailure(ctx, state, lost);
+  }
+
+  uint64_t bytes() const { return bytes_; }
+
+ private:
+  iteration::FaultTolerancePolicy* inner_;
+  uint64_t bytes_ = 0;
+};
+
+TEST(InitialCheckpointBytesTest, BulkAndDeltaDriversReportOnJobStartWrites) {
+  Rng rng(11);
+  graph::Graph directed = graph::Rmat(7, 5, &rng);  // 128 vertices
+  graph::Graph undirected(directed.num_vertices(), /*directed=*/false);
+  for (const graph::Edge& e : directed.edges()) {
+    ASSERT_TRUE(undirected.AddEdge(e.src, e.dst).ok());
+  }
+
+  for (const bool delta : {false, true}) {
+    SCOPED_TRACE(delta ? "delta driver" : "bulk driver");
     runtime::SimClock clock;
     runtime::CostModel costs;
-    MetricsRegistry registry;
+    MetricsSink sink;
     runtime::StableStorage storage(&clock, &costs);
-    runtime::FailureSchedule failures(std::vector<runtime::FailureEvent>{});
+    runtime::FailureSchedule failures(
+        std::vector<runtime::FailureEvent>{{3, {1}}});
     iteration::JobEnv env;
     env.clock = &clock;
     env.costs = &costs;
-    env.metrics = &registry;
+    env.metrics_sink = &sink;
     env.failures = &failures;
     env.storage = &storage;
+    env.job_id = delta ? "initial-bytes-cc" : "initial-bytes-pr";
 
-    algos::PageRankOptions options;
-    options.num_partitions = 2;
-    options.max_iterations = 3;
-    options.metrics_path = name;
-    core::NoFaultTolerancePolicy policy;
-    auto result = algos::RunPageRank(g, options, env, &policy);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-
-    std::ifstream in(name);
-    ASSERT_TRUE(in.good()) << name;
-    std::stringstream content;
-    content << in.rdbuf();
-    const bool prom = std::string(name).ends_with(".prom");
-    if (prom) {
-      EXPECT_NE(content.str().find("flinkless_exec_records"),
-                std::string::npos);
+    uint64_t job_start_bytes = 0;
+    if (delta) {
+      core::DeltaCheckpointPolicy inner(/*interval=*/2);
+      JobStartBytesPolicy policy(&inner);
+      algos::ConnectedComponentsOptions options;
+      options.num_partitions = 4;
+      auto result =
+          algos::RunConnectedComponents(undirected, options, env, &policy);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      job_start_bytes = policy.bytes();
     } else {
-      EXPECT_NE(content.str().find("\"counter_total\""), std::string::npos);
+      core::CheckpointRollbackPolicy inner(/*interval=*/2);
+      JobStartBytesPolicy policy(&inner);
+      algos::PageRankOptions options;
+      options.num_partitions = 4;
+      options.max_iterations = 8;
+      auto result = algos::RunPageRank(directed, options, env, &policy);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      job_start_bytes = policy.bytes();
     }
-    std::remove(name);
+
+    EXPECT_GT(job_start_bytes, 0u);
+    EXPECT_EQ(
+        sink.Collect().CounterTotal(metric::kInitialCheckpointBytes),
+        job_start_bytes);
   }
 }
 

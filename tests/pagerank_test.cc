@@ -122,6 +122,27 @@ TEST(PrTest, L1SeriesDecreasesFailureFree) {
   }
 }
 
+TEST(PrTest, FinalL1DoesNotDependOnTheRegistry) {
+  // final_l1 comes from the run itself: a default JobEnv (no registry)
+  // reports the same value as a run that records the gauge series.
+  graph::Graph g = graph::DemoDirectedGraph();
+  core::NoFaultTolerancePolicy policy;
+  auto bare = RunPageRank(g, Options(4), iteration::JobEnv{}, &policy);
+  ASSERT_TRUE(bare.ok()) << bare.status().ToString();
+
+  runtime::MetricsRegistry metrics;
+  iteration::JobEnv env;
+  env.metrics = &metrics;
+  auto recorded = RunPageRank(g, Options(4), env, &policy);
+  ASSERT_TRUE(recorded.ok()) << recorded.status().ToString();
+
+  ASSERT_GT(bare->supersteps_executed, 1);
+  EXPECT_GT(bare->final_l1, 0.0);
+  EXPECT_EQ(bare->final_l1, recorded->final_l1);
+  EXPECT_EQ(recorded->final_l1,
+            metrics.iterations().back().Gauge("convergence_metric"));
+}
+
 // ------------------------------------------------- compensation function --
 
 TEST(FixRanksTest, RedistributesExactlyTheLostMass) {

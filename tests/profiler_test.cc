@@ -136,7 +136,6 @@ IterationStats Iter(int iteration, double convergence_metric,
   it.failure_injected = failure;
   it.messages_shuffled = messages;
   it.sim_time_by_charge[static_cast<int>(Charge::kCompute)] = compute_ns;
-  it.sim_time_ns = compute_ns;
   it.gauges["convergence_metric"] = convergence_metric;
   return it;
 }

@@ -142,23 +142,6 @@ TEST(MetricsTest, RecordsIterationSeries) {
   EXPECT_DOUBLE_EQ(series[1], -1.0);  // fallback for unset gauge
 }
 
-TEST(MetricsTest, CountersDefaultZero) {
-  MetricsRegistry metrics;
-  EXPECT_EQ(metrics.Counter("x"), 0u);
-  metrics.IncrCounter("x");
-  metrics.IncrCounter("x", 4);
-  EXPECT_EQ(metrics.Counter("x"), 5u);
-}
-
-TEST(MetricsTest, ResetClears) {
-  MetricsRegistry metrics;
-  metrics.IncrCounter("x");
-  metrics.RecordIteration({});
-  metrics.Reset();
-  EXPECT_EQ(metrics.Counter("x"), 0u);
-  EXPECT_TRUE(metrics.iterations().empty());
-}
-
 TEST(MetricsTest, GaugeFallback) {
   IterationStats s;
   s.gauges["present"] = 2.0;

@@ -422,31 +422,5 @@ TEST(ExportTest, WriteTraceFileDispatchesOnExtension) {
   std::remove(ndjson_path.c_str());
 }
 
-TEST(ScopedTraceFileTest, InstallsTracerAndWritesOnDestruction) {
-  std::string path = ::testing::TempDir() + "/flinkless_scoped.json";
-  Tracer* slot = nullptr;
-  {
-    ScopedTraceFile scoped(path, nullptr, &slot);
-    ASSERT_NE(slot, nullptr);
-    EXPECT_EQ(scoped.tracer(), slot);
-    slot->Instant(InstantKind::kConvergenceReached);
-  }
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::stringstream contents;
-  contents << in.rdbuf();
-  EXPECT_NE(contents.str().find("convergence.reached"), std::string::npos);
-  std::remove(path.c_str());
-
-  // Empty path or a pre-installed tracer → no-op.
-  Tracer preinstalled;
-  Tracer* busy_slot = &preinstalled;
-  ScopedTraceFile noop1("", nullptr, &slot);
-  ScopedTraceFile noop2(path, nullptr, &busy_slot);
-  EXPECT_EQ(noop1.tracer(), nullptr);
-  EXPECT_EQ(noop2.tracer(), nullptr);
-  EXPECT_EQ(busy_slot, &preinstalled);
-}
-
 }  // namespace
 }  // namespace flinkless::runtime
