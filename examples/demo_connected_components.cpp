@@ -304,7 +304,7 @@ int main(int argc, char** argv) {
               << spilled_bytes << " peak_resident_bytes=" << peak << "\n";
   }
 
-  // Metrics v2 rollup: cache effectiveness, the batch/row execution mix,
+  // Metrics v2 rollup: cache effectiveness, executed/shuffled records,
   // and the per-partition dashboard.
   runtime::MetricsSnapshot msnap = sink.Collect();
   std::cout << "cache: hits=" << msnap.CounterTotal(runtime::metric::kCacheHits)
@@ -315,11 +315,8 @@ int main(int argc, char** argv) {
             << msnap.CounterTotal(
                    runtime::metric::kCacheRecordsNotReshuffled)
             << "\n"
-            << "exec: batch_ops="
-            << msnap.CounterTotal(runtime::metric::kExecBatchOps)
-            << " row_fallback_ops="
-            << msnap.CounterTotal(runtime::metric::kExecRowFallbackOps)
-            << " records=" << msnap.CounterTotal(runtime::metric::kExecRecords)
+            << "exec: records="
+            << msnap.CounterTotal(runtime::metric::kExecRecords)
             << " shuffled="
             << msnap.CounterTotal(runtime::metric::kShuffleFanout) << "\n\n"
             << viz::RenderMetricsDashboard(msnap) << "\n";

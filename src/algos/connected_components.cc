@@ -5,7 +5,6 @@
 
 #include "algos/datasets.h"
 #include "common/logging.h"
-#include "dataflow/columnar.h"
 #include "dataflow/executor.h"
 #include "iteration/bulk_iteration.h"
 
@@ -52,9 +51,8 @@ Plan BuildConnectedComponentsPlan() {
                           cur[1].AsInt64());
       },
       "label-update");
-  // Filter + project fused into one FlatMap so the improvement scan crosses
-  // the UDF boundary once per partition (batched below) instead of twice
-  // per record.
+  // Filter + project fused into one FlatMap: one UDF call per record
+  // instead of two.
   auto delta = plan.FlatMap(
       compared,
       [](const Record& r, std::vector<Record>* out) {
@@ -63,24 +61,6 @@ Plan BuildConnectedComponentsPlan() {
         }
       },
       "updated-labels");
-  // Batched twin: one pass over three flat int64 columns, appending only
-  // the improved (vertex, label) rows — same rows, same order.
-  plan.BatchImpl(delta, [](const dataflow::ColumnarBatch& in,
-                           dataflow::ColumnarBatch* out) {
-    out->Reset({dataflow::ValueType::kInt64, dataflow::ValueType::kInt64});
-    const std::vector<int64_t>& vertex = in.Int64Column(0);
-    const std::vector<int64_t>& candidate = in.Int64Column(1);
-    const std::vector<int64_t>& current = in.Int64Column(2);
-    std::vector<int64_t>& out_vertex = out->MutableInt64Column(0);
-    std::vector<int64_t>& out_label = out->MutableInt64Column(1);
-    for (size_t i = 0; i < in.num_rows(); ++i) {
-      if (candidate[i] < current[i]) {
-        out_vertex.push_back(vertex[i]);
-        out_label.push_back(candidate[i]);
-      }
-    }
-    out->FinishRows(out_vertex.size());
-  });
 
   // The improvements update the solution set and, as the next workset, are
   // forwarded to the neighbors in the next superstep — the feedback edge of

@@ -5,7 +5,6 @@
 
 #include "algos/datasets.h"
 #include "common/logging.h"
-#include "dataflow/columnar.h"
 #include "dataflow/executor.h"
 
 namespace flinkless::algos {
@@ -43,16 +42,6 @@ Plan BuildPageRankPlan(int64_t num_vertices, double damping) {
       ranks,
       [](const Record& r) { return MakeRecord(r[0].AsInt64(), 0.0); },
       "base-contribution");
-  // Batched twin of the map above (DESIGN.md §15): copy the vertex column,
-  // zero-fill the contribution column — row for row what the record fn
-  // produces, so the whole rank pipeline runs unboxed.
-  plan.BatchImpl(base, [](const dataflow::ColumnarBatch& in,
-                          dataflow::ColumnarBatch* out) {
-    out->Reset({dataflow::ValueType::kInt64, dataflow::ValueType::kDouble});
-    out->MutableInt64Column(0) = in.Int64Column(0);
-    out->MutableDoubleColumn(1).assign(in.num_rows(), 0.0);
-    out->FinishRows(in.num_rows());
-  });
   auto all_contributions =
       plan.Union(contributions, base, "contributions");
 

@@ -107,77 +107,6 @@ ColumnarBatch ColumnarBatch::FromRecordsUnchecked(
   return out;
 }
 
-void ColumnarBatch::AppendRow(const Record& record) {
-  FLINKLESS_CHECK(record.size() == schema_.size(),
-                  "AppendRow arity " << record.size() << " != schema arity "
-                                     << schema_.size());
-  for (size_t c = 0; c < schema_.size(); ++c) {
-    Column& col = columns_[c];
-    switch (schema_[c]) {
-      case ValueType::kInt64:
-        col.i64.push_back(record[c].AsInt64());
-        break;
-      case ValueType::kDouble:
-        col.f64.push_back(record[c].AsDouble());
-        break;
-      case ValueType::kString:
-        col.arena.append(record[c].AsString());
-        FLINKLESS_CHECK(
-            col.arena.size() <= std::numeric_limits<uint32_t>::max(),
-            "string column overflows the 4 GiB arena");
-        col.offsets.push_back(static_cast<uint32_t>(col.arena.size()));
-        break;
-    }
-  }
-  ++num_rows_;
-}
-
-void ColumnarBatch::Reset(BatchSchema schema) {
-  schema_ = std::move(schema);
-  columns_.assign(schema_.size(), Column{});
-  num_rows_ = 0;
-  for (size_t c = 0; c < schema_.size(); ++c) {
-    if (schema_[c] == ValueType::kString) columns_[c].offsets.push_back(0);
-  }
-}
-
-std::vector<int64_t>& ColumnarBatch::MutableInt64Column(size_t col) {
-  FLINKLESS_CHECK(col < schema_.size() && schema_[col] == ValueType::kInt64,
-                  "MutableInt64Column(" << col << ") on a non-int64 column");
-  return columns_[col].i64;
-}
-
-std::vector<double>& ColumnarBatch::MutableDoubleColumn(size_t col) {
-  FLINKLESS_CHECK(col < schema_.size() && schema_[col] == ValueType::kDouble,
-                  "MutableDoubleColumn(" << col << ") on a non-double column");
-  return columns_[col].f64;
-}
-
-void ColumnarBatch::FinishRows(size_t rows) {
-  for (size_t c = 0; c < schema_.size(); ++c) {
-    const Column& col = columns_[c];
-    switch (schema_[c]) {
-      case ValueType::kInt64:
-        FLINKLESS_CHECK(col.i64.size() == rows,
-                        "batch UDF filled int64 column " << c << " with "
-                            << col.i64.size() << " rows, expected " << rows);
-        break;
-      case ValueType::kDouble:
-        FLINKLESS_CHECK(col.f64.size() == rows,
-                        "batch UDF filled double column " << c << " with "
-                            << col.f64.size() << " rows, expected " << rows);
-        break;
-      case ValueType::kString:
-        FLINKLESS_CHECK(
-            col.offsets.size() == rows + 1 &&
-                col.offsets.back() == col.arena.size(),
-            "batch UDF left string column " << c << " inconsistent");
-        break;
-    }
-  }
-  num_rows_ = rows;
-}
-
 Record ColumnarBatch::RowAsRecord(size_t row) const {
   FLINKLESS_CHECK(row < num_rows_, "row " << row << " out of range");
   Record r;

@@ -7,10 +7,9 @@
 //
 //  * ColumnarBatch — per-partition contiguous typed arrays (int64_t/double
 //    columns plus an arena/offset layout for strings) with schema-driven
-//    construction from and conversion back to the Record API. Used as the
-//    storage representation of spill blobs (dataset serde v2) and as the
-//    round-trip bridge the tests pin down; the Record view remains the
-//    fallback for UDF-style operators.
+//    construction from and conversion back to the Record API. Its one user
+//    is the dataset serde v2 (spill and checkpoint blobs); every operator,
+//    UDFs included, runs on Records.
 //  * FlatKeyIndex — an open-addressing hash index over a partition's rows,
 //    keyed on key columns in place (no ExtractKey allocation, no map
 //    nodes). Groups are arrival-order chains of row ids, so probing yields
@@ -61,7 +60,7 @@ class ColumnarBatch {
  public:
   ColumnarBatch() = default;
 
-  /// An empty batch with the given layout (for AppendRow filling).
+  /// An empty batch with the given layout.
   explicit ColumnarBatch(BatchSchema schema);
 
   /// Converts `records` into a batch. Returns false when the records do not
@@ -74,18 +73,6 @@ class ColumnarBatch {
   /// re-validation in release builds.
   static ColumnarBatch FromRecordsUnchecked(const std::vector<Record>& records,
                                             BatchSchema schema);
-
-  /// Appends one row; the record must match the schema (checked).
-  void AppendRow(const Record& record);
-
-  // Mutable column access for batched UDFs (BatchMapFn). The contract:
-  // Reset to the output layout, fill every column to the same length
-  // (Mutable*Column gives the raw vectors), then FinishRows with the row
-  // count — it validates that every column is consistent.
-  void Reset(BatchSchema schema);
-  std::vector<int64_t>& MutableInt64Column(size_t col);
-  std::vector<double>& MutableDoubleColumn(size_t col);
-  void FinishRows(size_t rows);
 
   size_t num_rows() const { return num_rows_; }
   size_t num_columns() const { return schema_.size(); }

@@ -236,7 +236,6 @@ uint64_t ExecCache::Clear() {
   uint64_t released = 0;
   for (auto& [key, seg] : entries_) released += Release(seg.get());
   entries_.clear();
-  schemas_.clear();
   return released;
 }
 

@@ -176,25 +176,6 @@ class ExecCache {
   /// Drops everything (blobs included). Returns the bytes released.
   uint64_t Clear();
 
-  /// Per-plan-node InferBatchSchema cache (DESIGN.md §15). The schema of a
-  /// node's input is stable within a job once it has carried data —
-  /// attaching a batch impl declares as much — so the dataset-wide
-  /// inference pass runs once per node, not once per superstep. Only
-  /// schemas inferred from non-empty datasets are stored (a drained CC
-  /// workset must not pin the empty schema). Cleared with everything else
-  /// on Clear/Invalidate/repartition.
-  const BatchSchema* FindSchema(int node_id) {
-    auto it = schemas_.find(node_id);
-    if (it == schemas_.end()) return nullptr;
-    if (metrics_ != nullptr) {
-      metrics_->Count(runtime::metric::kSchemaCacheHits, -1);
-    }
-    return &it->second;
-  }
-  void StoreSchema(int node_id, BatchSchema schema) {
-    schemas_[node_id] = std::move(schema);
-  }
-
   size_t size() const { return entries_.size(); }
   uint64_t builds() const { return builds_; }
   /// FlatKeyIndex rebuilds on unspill that adopted retained row hashes
@@ -223,8 +204,6 @@ class ExecCache {
   std::string owner_;
   /// (node id, role) -> segment. std::map: deterministic iteration order.
   std::map<std::pair<int, int>, std::unique_ptr<Segment>> entries_;
-  /// Per-node cached batch schemas (FindSchema/StoreSchema).
-  std::map<int, BatchSchema> schemas_;
   uint64_t builds_ = 0;
   uint64_t hash_reuses_ = 0;
 };

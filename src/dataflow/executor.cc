@@ -273,40 +273,6 @@ bool StripedJoinProbe(const FlatKeyIndex& index,
   return true;
 }
 
-/// Resolves the batch schema of `in` for plan node `node_id`: served from
-/// the ExecCache's per-node schema cache when possible (the schema of a
-/// node's input is stable within a job — attaching a batch impl declares as
-/// much), else one dataset-wide inference pass. The result is stored back
-/// only when inferred from actual rows — a drained workset (all partitions
-/// empty) must not pin the empty schema for later supersteps. False means
-/// heterogeneous rows; the caller runs the record fn.
-bool ResolveBatchSchema(ExecCache* cache, int node_id,
-                        const PartitionedDataset& in, BatchSchema* schema) {
-  if (cache != nullptr) {
-    const BatchSchema* cached = cache->FindSchema(node_id);
-    if (cached != nullptr) {
-      *schema = *cached;
-      return true;
-    }
-  }
-  bool from_rows = false;
-  schema->clear();
-  for (int p = 0; p < in.num_partitions(); ++p) {
-    const std::vector<Record>& part = in.partition(p);
-    if (part.empty()) continue;
-    BatchSchema part_schema;
-    if (!InferBatchSchema(part, &part_schema)) return false;
-    if (!from_rows) {
-      *schema = std::move(part_schema);
-      from_rows = true;
-    } else if (part_schema != *schema) {
-      return false;
-    }
-  }
-  if (from_rows && cache != nullptr) cache->StoreSchema(node_id, *schema);
-  return true;
-}
-
 uint64_t MaxPartitionSize(const PartitionedDataset& ds) {
   uint64_t m = 0;
   for (int p = 0; p < ds.num_partitions(); ++p) {
@@ -370,8 +336,6 @@ struct OpInputs {
   const PartitionedDataset* b = nullptr;
   /// Cross: the collected right side, broadcast to every partition.
   const std::vector<Record>* broadcast = nullptr;
-  /// Map/flat-map: run the batch impl over this schema; null = record fn.
-  const BatchSchema* schema = nullptr;
   /// Join: the cached per-partition index over `a`; null = build one.
   const std::vector<FlatKeyIndex>* build_index = nullptr;
   /// Cogroup: cached per-partition groups standing in for side a or b.
@@ -394,25 +358,6 @@ Status RunBody(const PlanNode& node, const OpInputs& in, int p,
     case OpKind::kMap:
     case OpKind::kFlatMap: {
       const std::vector<Record>& rows = in.a->partition(p);
-      if (in.schema != nullptr) {
-        // Batched UDF boundary (DESIGN.md §15): the partition crosses the
-        // boundary once as a ColumnarBatch instead of once per record. The
-        // record fn stays the semantic reference — the batch impl must
-        // match it row for row.
-        if (rows.empty()) break;
-        ColumnarBatch batch =
-            ColumnarBatch::FromRecordsUnchecked(rows, *in.schema);
-        ColumnarBatch result;
-        node.batch_map_fn(batch, &result);
-        if (node.kind == OpKind::kMap && result.num_rows() != rows.size()) {
-          return Status::Internal("Map '" + node.name +
-                                  "': batch impl produced " +
-                                  std::to_string(result.num_rows()) +
-                                  " rows from " + std::to_string(rows.size()));
-        }
-        *out = result.ToRecords();
-        break;
-      }
       if (node.kind == OpKind::kMap) {
         out->reserve(rows.size());
         for (const Record& r : rows) out->push_back(node.map_fn(r));
@@ -584,8 +529,6 @@ void ExecStats::MergeFrom(const ExecStats& other) {
   messages_shuffled += other.messages_shuffled;
   cache_hits += other.cache_hits;
   records_not_reshuffled += other.records_not_reshuffled;
-  batch_ops += other.batch_ops;
-  row_fallback_ops += other.row_fallback_ops;
   messages_replayed += other.messages_replayed;
   for (const auto& [name, count] : other.node_output_counts) {
     node_output_counts[name] += count;
@@ -1069,18 +1012,6 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
           OpInputs inputs;
           inputs.a = &in;
           if (node.kind == OpKind::kUnion) inputs.b = &input_of(node.inputs[1]);
-          // A node carrying a batch impl runs it when the input is
-          // schema-homogeneous, else its record fn (DESIGN.md §15).
-          BatchSchema schema;
-          if (node.batch_map_fn != nullptr) {
-            if (ResolveBatchSchema(cache, node.id, in, &schema)) {
-              inputs.schema = &schema;
-              ++local_stats.batch_ops;
-              ObserveBatchRows(in);
-            } else {
-              ++local_stats.row_fallback_ops;
-            }
-          }
           FLINKLESS_ASSIGN_OR_RETURN(PartitionedDataset out,
                                      run_body(node, op_span, inputs, &in));
           local_stats.records_processed +=
@@ -1094,7 +1025,6 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
         case OpKind::kReduceByKey:
         case OpKind::kGroupReduceByKey:
         case OpKind::kDistinct: {
-          ++local_stats.batch_ops;
           const PartitionedDataset& in = input_of(node.inputs[0]);
           PartitionedDataset shuffled;
           if (node.kind == OpKind::kReduceByKey && node.pre_combine) {
@@ -1127,7 +1057,6 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
         }
 
         case OpKind::kJoin: {
-          ++local_stats.batch_ops;
           const bool build_static = cache != nullptr && !invariant[node.id] &&
                                     invariant[node.inputs[0]];
           const bool probe_static = cache != nullptr && !invariant[node.id] &&
@@ -1230,10 +1159,9 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
         }
 
         case OpKind::kCoGroup: {
-          // Cogroup has no batch implementation: its UDF sweeps fully
-          // materialized groups on both sides at once, so flattening one
-          // side into an index buys nothing (DESIGN.md §12 fallback rule).
-          ++local_stats.row_fallback_ops;
+          // Cogroup has no flat index: its UDF sweeps fully materialized
+          // groups on both sides at once, so flattening one side into an
+          // index buys nothing (DESIGN.md §12).
           const bool left_static = cache != nullptr && !invariant[node.id] &&
                                    invariant[node.inputs[0]];
           const bool right_static = cache != nullptr && !invariant[node.id] &&
@@ -1389,9 +1317,6 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
     if (local_stats.cache_hits > 0) {
       m->Count(runtime::metric::kCacheHits, -1, local_stats.cache_hits);
     }
-    m->Count(runtime::metric::kExecBatchOps, -1, local_stats.batch_ops);
-    m->Count(runtime::metric::kExecRowFallbackOps, -1,
-             local_stats.row_fallback_ops);
     m->Count(runtime::metric::kCacheRecordsNotReshuffled, -1,
              local_stats.records_not_reshuffled);
   }
@@ -1633,7 +1558,6 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Replay(
 
     OpInputs inputs;
     PartitionedDataset left, right;  // shuffled inputs, owned here
-    BatchSchema schema;
     std::vector<Record> broadcast;
     switch (node.kind) {
       case OpKind::kSource: {
@@ -1657,10 +1581,6 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Replay(
       case OpKind::kFilter:
       case OpKind::kProject:
         inputs.a = &input_of(node.inputs[0]);
-        if (node.batch_map_fn != nullptr &&
-            ResolveBatchSchema(nullptr, id, *inputs.a, &schema)) {
-          inputs.schema = &schema;
-        }
         break;
 
       case OpKind::kUnion:

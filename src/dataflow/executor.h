@@ -54,16 +54,6 @@ struct ExecStats {
   /// whole node output) was served from the loop-invariant cache.
   uint64_t records_not_reshuffled = 0;
 
-  /// Operator instances that ran columnar (DESIGN.md §12): every reduce,
-  /// join, group-reduce, and distinct, plus each map/flat-map whose batch
-  /// impl ran.
-  uint64_t batch_ops = 0;
-
-  /// Operator instances that ran record-at-a-time although they are hot:
-  /// every cogroup (its two-sided group sweep has no batch form), plus each
-  /// map/flat-map whose batch impl met a schema-heterogeneous input.
-  uint64_t row_fallback_ops = 0;
-
   /// Records read back from the outbound message log during a confined
   /// replay (Executor::Replay) — the messages that did NOT have to be
   /// recomputed by re-running survivors. Zero outside recovery.
@@ -115,8 +105,8 @@ struct ExecOptions {
 
   /// Optional metrics v2 sink (see runtime/metrics.h). When set, the
   /// executor records per-partition counters (operator input records,
-  /// shuffle fan-out) and job-level counters/histograms (batch vs row
-  /// ops, batch sizes, join probe chain lengths, parallel-section
+  /// shuffle fan-out) and job-level counters/histograms (cache work,
+  /// reduce/join input sizes, join probe chain lengths, parallel-section
   /// dispatches). Null = metrics off. Recording never changes outputs,
   /// ExecStats, or SimClock charges, and the recorded values are
   /// identical at any thread count (DESIGN.md §13).
@@ -216,7 +206,7 @@ class Executor {
   void CountPoolWork(int tasks) const;
 
   /// Observes every partition's row count into the batch-size histogram
-  /// (called on columnar operators only).
+  /// (called at the reduce and join sites only).
   void ObserveBatchRows(const PartitionedDataset& ds) const;
 
   template <typename Input>

@@ -165,16 +165,6 @@ NodeId Plan::Distinct(NodeId input, KeyColumns key, const std::string& name) {
   return Add(std::move(n));
 }
 
-void Plan::BatchImpl(NodeId node, BatchMapFn fn) {
-  FLINKLESS_CHECK(node >= 0 && static_cast<size_t>(node) < nodes_.size(),
-                  "BatchImpl on unknown node " << node);
-  PlanNode& n = nodes_[node];
-  FLINKLESS_CHECK(n.kind == OpKind::kMap || n.kind == OpKind::kFlatMap,
-                  "BatchImpl on '" << n.name << "' (" << OpKindName(n.kind)
-                                   << "); only Map/FlatMap take one");
-  n.batch_map_fn = std::move(fn);
-}
-
 void Plan::DeclareReduce(NodeId node, ReduceKind kind, int value_col) {
   FLINKLESS_CHECK(node >= 0 && static_cast<size_t>(node) < nodes_.size(),
                   "DeclareReduce on unknown node " << node);

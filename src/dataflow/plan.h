@@ -15,25 +15,12 @@
 
 namespace flinkless::dataflow {
 
-class ColumnarBatch;
-
 /// Index of a node within its Plan. Plans are acyclic by construction:
 /// operators can only reference nodes created before them.
 using NodeId = int;
 
 /// Record -> record.
 using MapFn = std::function<Record(const Record&)>;
-
-/// Batched map/flat-map body: consumes one partition's rows as a
-/// ColumnarBatch and fills `out` (Reset + Mutable*Column + FinishRows).
-/// Attached via Plan::BatchImpl as an *optional* second implementation next
-/// to the record fn; the executor picks it whenever the partition's rows
-/// are schema-homogeneous. Contract (DESIGN.md §15): it must produce
-/// exactly the records the record fn would, in the same order — replay and
-/// heterogeneous partitions still run the record path, and byte-identity
-/// across paths is the repo invariant. For Map nodes the output must have
-/// one row per input row.
-using BatchMapFn = std::function<void(const ColumnarBatch&, ColumnarBatch*)>;
 
 /// Record -> zero or more records appended to `out`.
 using FlatMapFn = std::function<void(const Record&, std::vector<Record>*)>;
@@ -116,11 +103,6 @@ struct PlanNode {
   /// message counts.
   bool pre_combine = true;
 
-  /// kMap/kFlatMap: optional batched implementation (Plan::BatchImpl). The
-  /// record fn below stays required — it is the replay path and the
-  /// fallback for schema-heterogeneous partitions.
-  BatchMapFn batch_map_fn;
-
   /// kReduceByKey: declared combiner shape (Plan::DeclareReduce) and the
   /// value column it folds. kNone means undeclared — generic combine only.
   ReduceKind reduce_kind = ReduceKind::kNone;
@@ -175,10 +157,6 @@ class Plan {
 
   /// Removes duplicate records; the output is partitioned by `key`.
   NodeId Distinct(NodeId input, KeyColumns key, const std::string& name);
-
-  /// Attaches a batched implementation to an existing Map/FlatMap node
-  /// (checked). See BatchMapFn for the equivalence contract.
-  void BatchImpl(NodeId node, BatchMapFn fn);
 
   /// Declares the combiner of an existing ReduceByKey node as a typed fold
   /// over `value_col` (checked; kind must not be kNone). See ReduceKind for

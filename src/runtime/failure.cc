@@ -1,6 +1,7 @@
 #include "runtime/failure.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/strings.h"
 
@@ -76,14 +77,16 @@ Result<FailureSchedule> FailureSchedule::Parse(const std::string& spec) {
     }
     FailureEvent event;
     int64_t iter = 0;
-    if (!ParseInt64(trimmed.substr(0, colon), &iter) || iter < 1) {
+    if (!ParseInt64(trimmed.substr(0, colon), &iter) || iter < 1 ||
+        iter > std::numeric_limits<int>::max()) {
       return Status::InvalidArgument("bad iteration in failure event '" +
                                      std::string(trimmed) + "'");
     }
     event.iteration = static_cast<int>(iter);
     for (const std::string& part : Split(std::string(trimmed.substr(colon + 1)), ',')) {
       int64_t p = 0;
-      if (!ParseInt64(part, &p) || p < 0) {
+      if (!ParseInt64(part, &p) || p < 0 ||
+          p > std::numeric_limits<int>::max()) {
         return Status::InvalidArgument("bad partition '" + part +
                                        "' in failure event");
       }

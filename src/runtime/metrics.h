@@ -136,8 +136,6 @@ class MetricsRegistry {
 namespace metric {
 // Executor (per-partition counters).
 inline constexpr char kExecRecords[] = "exec.records";
-inline constexpr char kExecBatchOps[] = "exec.batch_ops";
-inline constexpr char kExecRowFallbackOps[] = "exec.row_fallback_ops";
 // Shuffle: records leaving each source partition for another partition.
 inline constexpr char kShuffleFanout[] = "shuffle.fanout";
 // Cache (job-level counters).
@@ -146,9 +144,6 @@ inline constexpr char kCacheBuilds[] = "cache.builds";
 inline constexpr char kCacheInvalidations[] = "cache.invalidations";
 inline constexpr char kCacheRecordsNotReshuffled[] =
     "cache.records_not_reshuffled";
-// Columnar execution (job-level counter): dataset-wide InferBatchSchema
-// passes avoided by the per-node schema cache (DESIGN.md §15).
-inline constexpr char kSchemaCacheHits[] = "columnar.schema_cache_hits";
 // Memory manager (job-level counters).
 inline constexpr char kMemorySpills[] = "memory.spills";
 inline constexpr char kMemoryUnspills[] = "memory.unspills";

@@ -3,15 +3,17 @@
 // serde corruption rejection, FlatKeyIndex parity with the map-based
 // grouping it replaces, and the headline contract — columnar execution
 // matches a naive std::map reference evaluator partition for partition, the
-// algorithms match their reference solvers through injected failures, and
+// algorithms match their reference solvers under each failure schedule, and
 // every run is byte-identical across thread counts.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <set>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -458,9 +460,6 @@ TEST_P(ColumnarReferenceTest, HotPathPlanMatchesReferenceEvaluator) {
   for (int p = 0; p < out.num_partitions(); ++p) {
     EXPECT_EQ(out.partition(p), want.partition(p)) << "partition " << p;
   }
-  // Reduce, join, group-reduce, and distinct all ran columnar.
-  EXPECT_EQ(stats.batch_ops, 4u);
-  EXPECT_EQ(stats.row_fallback_ops, 0u);
 
   // And the run is identical to a serial one, accounting included.
   PartitionedDataset serial = run(1, &serial_stats, &serial_clock);
@@ -473,11 +472,26 @@ TEST_P(ColumnarReferenceTest, HotPathPlanMatchesReferenceEvaluator) {
   EXPECT_EQ(clock.TotalNs(), serial_clock.TotalNs());
 }
 
+INSTANTIATE_TEST_SUITE_P(ThreadCounts, ColumnarReferenceTest,
+                         ::testing::Values(1, 2, 8));
+
+// ------------------------------------- algorithms vs reference solvers --
+
+/// The failure schedules every algorithm run is checked under: none, one
+/// failure, and a second failure of two partitions later on.
+const std::vector<std::vector<runtime::FailureEvent>> kSchedules = {
+    {},
+    {{3, {1}}},
+    {{3, {1}}, {7, {0, 2}}},
+};
+
 struct AlgoRun {
   std::vector<double> pr_ranks;
   std::vector<int64_t> cc_labels;
   int pr_iterations = 0;
   int cc_supersteps = 0;
+  int pr_failures = 0;
+  int cc_failures = 0;
   uint64_t pr_messages = 0;
   uint64_t cc_messages = 0;
   int64_t pr_sim_ns = 0;
@@ -498,17 +512,17 @@ graph::Graph Undirected(const graph::Graph& directed) {
   return undirected;
 }
 
-AlgoRun RunAlgos(int num_threads) {
+AlgoRun RunAlgos(int num_threads,
+                 const std::vector<runtime::FailureEvent>& schedule) {
   AlgoRun out;
   graph::Graph directed = AlgoGraph();
 
-  {  // PageRank (bulk) through an injected failure + compensation.
+  {  // PageRank (bulk), failures fixed by compensation.
     runtime::SimClock clock;
     runtime::CostModel costs;
     runtime::MetricsRegistry metrics;
     runtime::StableStorage storage(&clock, &costs);
-    runtime::FailureSchedule failures(
-        std::vector<runtime::FailureEvent>{{3, {1}}});
+    runtime::FailureSchedule failures(schedule);
     iteration::JobEnv env;
     env.clock = &clock;
     env.costs = &costs;
@@ -528,20 +542,20 @@ AlgoRun RunAlgos(int num_threads) {
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     out.pr_ranks = result->ranks;
     out.pr_iterations = result->iterations;
+    out.pr_failures = result->failures_recovered;
     out.pr_sim_ns = clock.TotalNs();
     for (const auto& it : metrics.iterations()) {
       out.pr_messages += it.messages_shuffled;
     }
   }
 
-  {  // Connected Components (delta) through an injected failure.
+  {  // Connected Components (delta), failures fixed by compensation.
     graph::Graph undirected = Undirected(directed);
     runtime::SimClock clock;
     runtime::CostModel costs;
     runtime::MetricsRegistry metrics;
     runtime::StableStorage storage(&clock, &costs);
-    runtime::FailureSchedule failures(
-        std::vector<runtime::FailureEvent>{{2, {3}}});
+    runtime::FailureSchedule failures(schedule);
     iteration::JobEnv env;
     env.clock = &clock;
     env.costs = &costs;
@@ -560,6 +574,7 @@ AlgoRun RunAlgos(int num_threads) {
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     out.cc_labels = result->labels;
     out.cc_supersteps = result->supersteps_executed;
+    out.cc_failures = result->failures_recovered;
     out.cc_sim_ns = clock.TotalNs();
     for (const auto& it : metrics.iterations()) {
       out.cc_messages += it.messages_shuffled;
@@ -568,9 +583,27 @@ AlgoRun RunAlgos(int num_threads) {
   return out;
 }
 
-TEST_P(ColumnarReferenceTest, AlgorithmsWithFailuresMatchReferences) {
+class AlgorithmReferenceTest
+    : public ::testing::TestWithParam<std::tuple<int, size_t>> {};
+
+TEST_P(AlgorithmReferenceTest, AlgorithmsMatchReferences) {
+  const auto [threads, schedule] = GetParam();
   graph::Graph directed = AlgoGraph();
-  AlgoRun run = RunAlgos(GetParam());
+  AlgoRun run = RunAlgos(threads, kSchedules[schedule]);
+  // Every failure scheduled within a job's run struck and was recovered
+  // from (CC converges before superstep 7).
+  auto within = [&](int supersteps) {
+    return static_cast<int>(std::count_if(
+        kSchedules[schedule].begin(), kSchedules[schedule].end(),
+        [&](const runtime::FailureEvent& e) {
+          return e.iteration <= supersteps;
+        }));
+  };
+  EXPECT_EQ(run.pr_failures, within(run.pr_iterations));
+  EXPECT_EQ(run.cc_failures, within(run.cc_supersteps));
+  if (!kSchedules[schedule].empty()) {
+    EXPECT_GT(run.cc_failures, 0);
+  }
   std::vector<double> truth =
       graph::ReferencePageRank(directed, 0.85, 400, 1e-14);
   ASSERT_EQ(run.pr_ranks.size(), truth.size());
@@ -581,9 +614,10 @@ TEST_P(ColumnarReferenceTest, AlgorithmsWithFailuresMatchReferences) {
             graph::ReferenceConnectedComponents(Undirected(directed)));
 }
 
-TEST_P(ColumnarReferenceTest, AlgorithmRunsAreIdenticalAcrossThreadCounts) {
-  AlgoRun serial = RunAlgos(1);
-  AlgoRun parallel = RunAlgos(GetParam());
+TEST_P(AlgorithmReferenceTest, AlgorithmRunsAreIdenticalAcrossThreadCounts) {
+  const auto [threads, schedule] = GetParam();
+  AlgoRun serial = RunAlgos(1, kSchedules[schedule]);
+  AlgoRun parallel = RunAlgos(threads, kSchedules[schedule]);
   EXPECT_EQ(serial.pr_ranks, parallel.pr_ranks);
   EXPECT_EQ(serial.cc_labels, parallel.cc_labels);
   EXPECT_EQ(serial.pr_iterations, parallel.pr_iterations);
@@ -594,8 +628,11 @@ TEST_P(ColumnarReferenceTest, AlgorithmRunsAreIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial.cc_sim_ns, parallel.cc_sim_ns);
 }
 
-INSTANTIATE_TEST_SUITE_P(ThreadCounts, ColumnarReferenceTest,
-                         ::testing::Values(1, 2, 8));
+INSTANTIATE_TEST_SUITE_P(
+    ThreadsAndSchedules, AlgorithmReferenceTest,
+    ::testing::Combine(::testing::Values(1, 2, 8),
+                       ::testing::Range(size_t{0}, kSchedules.size())));
+
 
 }  // namespace
 }  // namespace flinkless

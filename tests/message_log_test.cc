@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "dataflow/columnar.h"
 #include "dataflow/exec_cache.h"
 #include "dataflow/executor.h"
 #include "runtime/memory_manager.h"
@@ -273,13 +272,11 @@ TEST_P(ReplayTest, ReplayReadsSpilledChannels) {
   }
 }
 
-/// A step plan using every OpKind: map and flat-map with and without a
-/// batch impl, filter, project, union, cross, reduce (pre-combined generic,
-/// declared, and plain generic), group-reduce, join, cogroup, distinct. The
+/// A step plan using every OpKind: map, flat-map, filter, project, union,
+/// cross, reduce (pre-combined generic, declared, and plain generic),
+/// group-reduce, join, cogroup, distinct. The
 /// volatile "state" reaches every output only through a shuffle.
 Plan BuildEveryOpPlan() {
-  using dataflow::ColumnarBatch;
-  using dataflow::ValueType;
   Plan plan;
   auto state = plan.Source("state");
   auto edges = plan.Source("edges");
@@ -290,13 +287,6 @@ Plan BuildEveryOpPlan() {
         return MakeRecord(r[0].AsInt64(), r[1].AsInt64() + 1);
       },
       "bump");
-  plan.BatchImpl(bumped, [](const ColumnarBatch& in, ColumnarBatch* out) {
-    out->Reset({ValueType::kInt64, ValueType::kInt64});
-    out->MutableInt64Column(0) = in.Int64Column(0);
-    out->MutableInt64Column(1) = in.Int64Column(1);
-    for (int64_t& x : out->MutableInt64Column(1)) ++x;
-    out->FinishRows(in.num_rows());
-  });
   auto doubled = plan.FlatMap(
       bumped,
       [](const Record& r, std::vector<Record>* out) {
@@ -306,22 +296,6 @@ Plan BuildEveryOpPlan() {
         }
       },
       "double-evens");
-  plan.BatchImpl(doubled, [](const ColumnarBatch& in, ColumnarBatch* out) {
-    out->Reset({ValueType::kInt64, ValueType::kInt64});
-    std::vector<int64_t>& keys = out->MutableInt64Column(0);
-    std::vector<int64_t>& vals = out->MutableInt64Column(1);
-    for (size_t i = 0; i < in.num_rows(); ++i) {
-      const int64_t k = in.Int64Column(0)[i];
-      const int64_t x = in.Int64Column(1)[i];
-      keys.push_back(k);
-      vals.push_back(x);
-      if (x % 2 == 0) {
-        keys.push_back(k);
-        vals.push_back(x * 2);
-      }
-    }
-    out->FinishRows(keys.size());
-  });
   auto scaled = plan.Map(
       edges,
       [](const Record& r) {
@@ -434,8 +408,6 @@ TEST_P(ReplayTest, EveryOperatorReplaysByteIdenticalToExecute) {
           executor.Replay(plan, statics, lost, &log, &replay_stats);
       ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
       EXPECT_GT(replay_stats.messages_replayed, 0u);
-      EXPECT_EQ(replay_stats.batch_ops, 0u);
-      EXPECT_EQ(replay_stats.row_fallback_ops, 0u);
       for (const auto& [output, node] : plan.outputs()) {
         const PartitionedDataset& full = executed->at(output);
         const PartitionedDataset& confined = replayed->at(output);
@@ -448,13 +420,12 @@ TEST_P(ReplayTest, EveryOperatorReplaysByteIdenticalToExecute) {
       }
     }
 
-    // Replay records one span per call and no executor metrics: no batch
-    // or row-fallback counts, batch-row samples, or probe-chain samples.
+    // Replay records one span per call and no executor metrics: no record
+    // or pool counts, batch-row samples, or probe-chain samples.
     const MetricsSnapshot after_replay = metrics.Collect();
     EXPECT_EQ(after_replay.histograms, after_execute.histograms);
     for (const char* name :
-         {metric::kExecBatchOps, metric::kExecRowFallbackOps,
-          metric::kExecRecords, metric::kPoolTasks}) {
+         {metric::kExecRecords, metric::kPoolTasks}) {
       EXPECT_EQ(after_replay.CounterTotal(name),
                 after_execute.CounterTotal(name))
           << name;

@@ -246,6 +246,9 @@ TEST(FailureScheduleTest, ParseRejectsGarbage) {
   EXPECT_FALSE(FailureSchedule::Parse("3:").ok());     // no partitions
   EXPECT_FALSE(FailureSchedule::Parse("3:-1").ok());   // negative partition
   EXPECT_FALSE(FailureSchedule::Parse("x:1").ok());    // bad iteration
+  // Ids above INT_MAX must not narrow to partition 0 / iteration 1.
+  EXPECT_FALSE(FailureSchedule::Parse("5:4294967296").ok());
+  EXPECT_FALSE(FailureSchedule::Parse("4294967297:0").ok());
 }
 
 TEST(FailureScheduleTest, EventToString) {
