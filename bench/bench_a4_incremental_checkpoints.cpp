@@ -65,9 +65,9 @@ int main() {
     return data;
   };
 
-  core::CheckpointRollbackPolicy full(1, true, /*incremental=*/false);
+  core::CheckpointRollbackPolicy full(1, /*incremental=*/false);
   RunData full_data = run_with("full", &full);
-  core::CheckpointRollbackPolicy incremental(1, true, /*incremental=*/true);
+  core::CheckpointRollbackPolicy incremental(1, /*incremental=*/true);
   RunData inc_data = run_with("incremental", &incremental);
   core::DeltaCheckpointPolicy entry_level(1);
   RunData entry_data = run_with("entry-level", &entry_level);

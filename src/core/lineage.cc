@@ -14,41 +14,16 @@ std::string DependencyKindName(DependencyKind kind) {
   return kind == DependencyKind::kNarrow ? "narrow" : "wide";
 }
 
-namespace {
-
-DependencyKind Classify(const PlanNode& node, size_t input_index) {
-  switch (node.kind) {
-    case OpKind::kSource:
-      FLINKLESS_CHECK(false, "sources have no inputs");
-      return DependencyKind::kNarrow;
-    case OpKind::kMap:
-    case OpKind::kFlatMap:
-    case OpKind::kFilter:
-    case OpKind::kProject:
-    case OpKind::kUnion:
-      return DependencyKind::kNarrow;
-    case OpKind::kReduceByKey:
-    case OpKind::kGroupReduceByKey:
-    case OpKind::kJoin:
-    case OpKind::kCoGroup:
-    case OpKind::kDistinct:
-      return DependencyKind::kWide;
-    case OpKind::kCross:
-      // Left side stays in place; the right side is broadcast everywhere.
-      return input_index == 0 ? DependencyKind::kNarrow
-                              : DependencyKind::kWide;
-  }
-  return DependencyKind::kWide;
-}
-
-}  // namespace
-
 LineageAnalysis::LineageAnalysis(const dataflow::Plan* plan) : plan_(plan) {
   FLINKLESS_CHECK(plan_ != nullptr, "lineage analysis needs a plan");
   kinds_.resize(plan_->num_nodes());
+  // A local input keeps partition p on partition p; a shuffled or
+  // broadcast one feeds every output partition from every input partition.
   for (const PlanNode& node : plan_->nodes()) {
-    for (size_t i = 0; i < node.inputs.size(); ++i) {
-      kinds_[node.id].push_back(Classify(node, i));
+    for (const dataflow::InputRoute& route : dataflow::InputRoutes(node)) {
+      kinds_[node.id].push_back(route.kind == dataflow::InputRoute::kLocal
+                                    ? DependencyKind::kNarrow
+                                    : DependencyKind::kWide);
     }
   }
 }

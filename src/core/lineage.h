@@ -13,7 +13,9 @@
 //
 // This module classifies a Plan's dependencies and computes the
 // recomputation footprint of losing one partition — the quantitative form
-// of that argument (experiment C4).
+// of that argument (experiment C4). The classification is read off
+// dataflow::InputRoutes, the same routing the executor moves data by: a
+// local input is narrow, a shuffled or broadcast input is wide.
 
 #ifndef FLINKLESS_CORE_LINEAGE_H_
 #define FLINKLESS_CORE_LINEAGE_H_

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <set>
 
+#include "common/byte_codec.h"
 #include "common/hash.h"
 #include "common/logging.h"
 
@@ -33,11 +34,8 @@ Result<RecoveryOutcome> RestartPolicy::OnFailure(
 }
 
 CheckpointRollbackPolicy::CheckpointRollbackPolicy(int interval,
-                                                   bool keep_only_latest,
                                                    bool incremental)
-    : interval_(interval),
-      keep_only_latest_(keep_only_latest),
-      incremental_(incremental) {
+    : interval_(interval), incremental_(incremental) {
   FLINKLESS_CHECK(interval_ >= 1, "checkpoint interval must be >= 1");
 }
 
@@ -72,16 +70,13 @@ Status CheckpointRollbackPolicy::WriteCheckpoint(
     manifest_[p] = std::move(key);
     content_hash_[p] = hash;
   }
-  if (keep_only_latest_) {
-    // Drop every blob of this job that the fresh manifest does not
-    // reference (with full snapshots that is exactly "all older
-    // checkpoints").
-    std::set<std::string> referenced;
-    for (const auto& [p, key] : manifest_) referenced.insert(key);
-    for (const std::string& key :
-         ctx.storage->ListWithPrefix(ctx.job_id + "/ckpt/")) {
-      if (referenced.count(key) == 0) ctx.storage->Delete(key);
-    }
+  // Drop every blob of this job that the fresh manifest does not reference
+  // (with full snapshots that is exactly "all older checkpoints").
+  std::set<std::string> referenced;
+  for (const auto& [p, key] : manifest_) referenced.insert(key);
+  for (const std::string& key :
+       ctx.storage->ListWithPrefix(ctx.job_id + "/ckpt/")) {
+    if (referenced.count(key) == 0) ctx.storage->Delete(key);
   }
   last_checkpoint_ = ctx.iteration;
   return Status::OK();
@@ -319,26 +314,11 @@ Result<RecoveryOutcome> ConfinedLogReplayPolicy::OnFailure(
 
 namespace {
 
-void PutU64(uint64_t v, std::vector<uint8_t>* out) {
-  for (int i = 0; i < 8; ++i) out->push_back((v >> (8 * i)) & 0xff);
-}
+/// Delta-checkpoint blob magic ("FLKDCP2\0" little-endian). Every link
+/// starts with it; a blob without it is not a delta-checkpoint link.
+constexpr uint64_t kDeltaBlobMagic = 0x00325043444b4c46ULL;
 
-bool GetU64(const std::vector<uint8_t>& bytes, size_t* offset, uint64_t* v) {
-  if (*offset + 8 > bytes.size()) return false;
-  *v = 0;
-  for (int i = 0; i < 8; ++i) {
-    *v |= static_cast<uint64_t>(bytes[*offset + i]) << (8 * i);
-  }
-  *offset += 8;
-  return true;
-}
-
-/// Delta-checkpoint blob format v2 ("FLKDCP2\0" little-endian). v1 blobs
-/// started directly with the solution length; since real solution blobs are
-/// far smaller than this constant, the first u64 disambiguates the formats.
-constexpr uint64_t kDeltaBlobMagicV2 = 0x00325043444b4c46ULL;
-
-/// Version metadata framed into a v2 blob (absent from legacy v1 blobs).
+/// Version metadata framed into every blob.
 struct DeltaBlobVersions {
   /// The partition clock this delta was computed against: the blob holds
   /// exactly the entries with version > since. 0 = full snapshot.
@@ -346,8 +326,6 @@ struct DeltaBlobVersions {
   /// The partition clock at write time. The next chain link's `since` must
   /// equal this, which is what chain-contiguity validation checks.
   uint64_t clock = 0;
-  /// False for legacy v1 blobs, which carried no version metadata.
-  bool framed = false;
 };
 
 /// Frames one partition's checkpoint piece: the partition's version window,
@@ -362,7 +340,7 @@ std::vector<uint8_t> FrameDeltaBlob(
       dataflow::SerializeRecords(workset_records);
   std::vector<uint8_t> out;
   out.reserve(32 + solution_blob.size() + workset_blob.size());
-  PutU64(kDeltaBlobMagicV2, &out);
+  PutU64(kDeltaBlobMagic, &out);
   PutU64(since_version, &out);
   PutU64(clock_at_write, &out);
   PutU64(solution_blob.size(), &out);
@@ -376,22 +354,19 @@ Status UnframeDeltaBlob(const std::vector<uint8_t>& blob,
                         std::vector<dataflow::Record>* workset_records,
                         DeltaBlobVersions* versions) {
   size_t offset = 0;
-  uint64_t first = 0;
-  if (!GetU64(blob, &offset, &first)) {
+  uint64_t magic = 0;
+  if (!GetU64(blob, &offset, &magic)) {
     return Status::DataLoss("truncated delta-checkpoint blob");
   }
+  if (magic != kDeltaBlobMagic) {
+    return Status::DataLoss(
+        "delta-checkpoint blob has no version framing (bad magic)");
+  }
   uint64_t solution_len = 0;
-  *versions = DeltaBlobVersions{};
-  if (first == kDeltaBlobMagicV2) {
-    if (!GetU64(blob, &offset, &versions->since) ||
-        !GetU64(blob, &offset, &versions->clock) ||
-        !GetU64(blob, &offset, &solution_len)) {
-      return Status::DataLoss("truncated delta-checkpoint blob header");
-    }
-    versions->framed = true;
-  } else {
-    // Legacy v1: the first u64 is the solution length itself.
-    solution_len = first;
+  if (!GetU64(blob, &offset, &versions->since) ||
+      !GetU64(blob, &offset, &versions->clock) ||
+      !GetU64(blob, &offset, &solution_len)) {
+    return Status::DataLoss("truncated delta-checkpoint blob header");
   }
   if (offset + solution_len > blob.size()) {
     return Status::DataLoss("truncated delta-checkpoint blob");
@@ -508,14 +483,13 @@ Result<RecoveryOutcome> DeltaCheckpointPolicy::OnFailure(
   auto* delta = static_cast<iteration::DeltaState*>(state);
   // Replay the chain per partition: base entries first, newer deltas
   // overwrite older ones; the workset comes from the newest checkpoint
-  // alone. Each v2 blob records the clock window it was cut from, so a
-  // chain whose links do not abut (a lost or reordered delta) is detected
-  // instead of silently restoring a hole.
+  // alone. Each blob records the clock window it was cut from, so a chain
+  // whose links do not abut (a lost or reordered delta) is detected instead
+  // of silently restoring a hole.
   for (int p = 0; p < delta->num_partitions(); ++p) {
     delta->solution().ClearPartition(p);
     delta->workset().ClearPartition(p);
     uint64_t expected_since = 0;
-    bool have_versions = true;
     for (size_t link = 0; link < chain_.size(); ++link) {
       bool newest = link + 1 == chain_.size();
       FLINKLESS_ASSIGN_OR_RETURN(
@@ -526,26 +500,21 @@ Result<RecoveryOutcome> DeltaCheckpointPolicy::OnFailure(
       DeltaBlobVersions versions;
       FLINKLESS_RETURN_NOT_OK(
           UnframeDeltaBlob(blob, &entries, &workset_records, &versions));
-      if (versions.framed && have_versions) {
-        if (link == 0 && versions.since != 0) {
-          return Status::DataLoss(
-              "delta-checkpoint chain of job '" + ctx.job_id +
-              "' does not start with a full snapshot (base since=" +
-              std::to_string(versions.since) + ")");
-        }
-        if (link > 0 && versions.since != expected_since) {
-          return Status::DataLoss(
-              "delta-checkpoint chain of job '" + ctx.job_id +
-              "' is not contiguous for partition " + std::to_string(p) +
-              ": link " + std::to_string(link) + " covers since=" +
-              std::to_string(versions.since) + ", previous link ended at " +
-              std::to_string(expected_since));
-        }
-        expected_since = versions.clock;
-      } else {
-        // A legacy v1 link carries no window; validation stops here.
-        have_versions = false;
+      if (link == 0 && versions.since != 0) {
+        return Status::DataLoss(
+            "delta-checkpoint chain of job '" + ctx.job_id +
+            "' does not start with a full snapshot (base since=" +
+            std::to_string(versions.since) + ")");
       }
+      if (link > 0 && versions.since != expected_since) {
+        return Status::DataLoss(
+            "delta-checkpoint chain of job '" + ctx.job_id +
+            "' is not contiguous for partition " + std::to_string(p) +
+            ": link " + std::to_string(link) + " covers since=" +
+            std::to_string(versions.since) + ", previous link ended at " +
+            std::to_string(expected_since));
+      }
+      expected_since = versions.clock;
       for (auto& record : entries) {
         delta->solution().UpsertIntoPartition(p, std::move(record));
       }
@@ -555,9 +524,7 @@ Result<RecoveryOutcome> DeltaCheckpointPolicy::OnFailure(
     // link was cut, so post-recovery deltas chain contiguously with the
     // pre-failure links (a second failure would otherwise trip the
     // contiguity check above).
-    if (have_versions && !chain_.empty()) {
-      delta->solution().FastForwardClock(p, expected_since);
-    }
+    delta->solution().FastForwardClock(p, expected_since);
   }
   // Resync the watermarks to the restored clocks: the replay rebuilt each
   // partition from version 0, and the next incremental delta must capture

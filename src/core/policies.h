@@ -60,11 +60,10 @@ class RestartPolicy final : public iteration::FaultTolerancePolicy {
 class CheckpointRollbackPolicy final
     : public iteration::FaultTolerancePolicy {
  public:
-  /// `interval` >= 1: checkpoint after every interval-th iteration. When
-  /// `keep_only_latest` is set, blobs no longer referenced by the latest
-  /// checkpoint are garbage-collected after it is safely written.
-  explicit CheckpointRollbackPolicy(int interval, bool keep_only_latest = true,
-                                    bool incremental = false);
+  /// `interval` >= 1: checkpoint after every interval-th iteration. Blobs
+  /// no longer referenced by the latest checkpoint are garbage-collected
+  /// after it is safely written.
+  explicit CheckpointRollbackPolicy(int interval, bool incremental = false);
 
   std::string name() const override {
     return std::string("rollback(k=") + std::to_string(interval_) +
@@ -90,7 +89,6 @@ class CheckpointRollbackPolicy final
                          const iteration::IterationState& state);
 
   int interval_;
-  bool keep_only_latest_;
   bool incremental_;
   int last_checkpoint_ = -1;
   /// partition -> blob key holding that partition's state as of the last

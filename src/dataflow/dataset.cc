@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "common/byte_codec.h"
 #include "common/logging.h"
 #include "dataflow/columnar.h"
 
@@ -130,34 +131,6 @@ uint64_t ColumnarPartitionBytes(const std::vector<Record>& part,
     }
   }
   return size;
-}
-
-void PutU32(uint32_t v, std::vector<uint8_t>* out) {
-  for (int i = 0; i < 4; ++i) out->push_back((v >> (8 * i)) & 0xff);
-}
-
-void PutU64(uint64_t v, std::vector<uint8_t>* out) {
-  for (int i = 0; i < 8; ++i) out->push_back((v >> (8 * i)) & 0xff);
-}
-
-bool GetU32(const std::vector<uint8_t>& bytes, size_t* offset, uint32_t* v) {
-  if (*offset + 4 > bytes.size()) return false;
-  *v = 0;
-  for (int i = 0; i < 4; ++i) {
-    *v |= static_cast<uint32_t>(bytes[*offset + i]) << (8 * i);
-  }
-  *offset += 4;
-  return true;
-}
-
-bool GetU64(const std::vector<uint8_t>& bytes, size_t* offset, uint64_t* v) {
-  if (*offset + 8 > bytes.size()) return false;
-  *v = 0;
-  for (int i = 0; i < 8; ++i) {
-    *v |= static_cast<uint64_t>(bytes[*offset + i]) << (8 * i);
-  }
-  *offset += 8;
-  return true;
 }
 
 /// Reads a partition count. Every partition's block starts with a u64 row

@@ -9,11 +9,10 @@
 // which source bindings it rebinds every superstep, and passes the cache to
 // the executor via ExecOptions; the executor fills it with
 //  * the materialized outputs of fully loop-invariant nodes (role kOutput),
-//  * the shuffled build side + per-partition hash index of joins whose
-//    build side is invariant (role kBuild) — index entries reference the
-//    cached records instead of copying groups,
-//  * the shuffled probe side of joins / the grouped side of cogroups whose
-//    other side is invariant (role kProbe).
+//  * the invariant shuffled input of a loop-variant join/cogroup, keyed by
+//    its port (InputRoutes): port l as role kBuild, port r as kProbe. A
+//    join's port l also keeps a per-partition hash index whose entries
+//    reference the cached records; a cogroup side keeps its groups.
 //
 // Memory budget (DESIGN.md §11): with a MemoryManager attached, every
 // entry is a SpillableSegment keyed "spill/<job>/n<node>.r<role>". When
@@ -73,8 +72,8 @@ class ExecCache {
   /// What a cached artifact is for its plan node (part of the cache key).
   enum class Role : int {
     kOutput = 0,  // materialized output of a fully invariant node
-    kBuild = 1,   // shuffled build (left) side + hash index / groups
-    kProbe = 2,   // shuffled probe (right) side + groups for cogroups
+    kBuild = 1,   // shuffled port l (left) side + hash index / groups
+    kProbe = 2,   // shuffled port r (right) side + groups for cogroups
   };
 
   struct Entry {

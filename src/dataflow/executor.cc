@@ -273,14 +273,6 @@ bool StripedJoinProbe(const FlatKeyIndex& index,
   return true;
 }
 
-uint64_t MaxPartitionSize(const PartitionedDataset& ds) {
-  uint64_t m = 0;
-  for (int p = 0; p < ds.num_partitions(); ++p) {
-    m = std::max(m, static_cast<uint64_t>(ds.partition(p).size()));
-  }
-  return m;
-}
-
 const std::vector<Record> kEmptyGroup;
 
 /// Reusable "prefix<i>" formatter for per-partition span arg keys: one
@@ -598,20 +590,12 @@ void Executor::ChargeCompute(
                           static_cast<int64_t>(critical));
 }
 
-void Executor::ChargeCompute(const PartitionedDataset& a,
-                             const PartitionedDataset* b) const {
-  if (options_.clock == nullptr || options_.costs == nullptr) return;
-  uint64_t critical = 0;
-  for (int p = 0; p < a.num_partitions(); ++p) {
-    uint64_t records = a.partition(p).size();
-    if (b != nullptr && p < b->num_partitions()) {
-      records += b->partition(p).size();
-    }
-    critical = std::max(critical, records);
+void Executor::ChargeCompute(const PartitionedDataset& in) const {
+  std::vector<uint64_t> records(in.num_partitions());
+  for (int p = 0; p < in.num_partitions(); ++p) {
+    records[p] = in.partition(p).size();
   }
-  options_.clock->Add(runtime::Charge::kCompute,
-                      options_.costs->cpu_per_record_ns *
-                          static_cast<int64_t>(critical));
+  ChargeCompute(records);
 }
 
 void Executor::ChargeNetwork(uint64_t messages) const {
@@ -895,15 +879,15 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
     return out;
   };
 
-  // The loop-invariant input `input` of join/cogroup `node`, shuffled on
-  // `key` (and indexed or grouped by `derive`) on first use and served from
-  // the cache after that. `*hit` says which; a hit is counted with the
-  // records whose shuffle it saved.
+  // Input `i` of loop-variant `node` when it is a loop-invariant shuffled
+  // side: shuffled on `route`'s key on first use and served from the cache
+  // after that, port l as role kBuild and port r as kProbe. `*hit` says
+  // which; a hit is counted with the records whose shuffle it saved.
   auto cached_side = [&](const PlanNode& node, runtime::TraceSpan& span,
-                         ExecCache::Role role, NodeId input,
-                         const KeyColumns& key,
-                         const std::function<void(ExecCache::Entry&)>& derive,
+                         const InputRoute& route, size_t i,
                          bool* hit) -> Result<ExecCache::Entry*> {
+    const ExecCache::Role role =
+        i == 0 ? ExecCache::Role::kBuild : ExecCache::Role::kProbe;
     bool reloaded = false;
     FLINKLESS_ASSIGN_OR_RETURN(
         ExecCache::Entry* e,
@@ -918,11 +902,31 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
       }
       return e;
     }
-    PartitionedDataset shuffled = Shuffle(input_of(input), key, &local_stats);
+    const KeyColumns& key = *route.key;
+    PartitionedDataset shuffled =
+        Shuffle(input_of(node.inputs[i]), key, &local_stats);
     ExecCache::Entry& entry = cache->Emplace(node.id, role);
     entry.data = std::make_shared<PartitionedDataset>(std::move(shuffled));
     entry.index_key = key;
-    if (derive) derive(entry);
+    if (node.kind == OpKind::kJoin && role == ExecCache::Role::kBuild) {
+      // Later supersteps probe the prebuilt per-partition flat index,
+      // whose rows are the cached records themselves.
+      entry.flat_index.resize(n);
+      ForEachPartition(n, [&](int p) {
+        entry.flat_index[p].Build(entry.data->partition(p), key);
+      });
+      ObserveBatchRows(*entry.data);
+      for (const FlatKeyIndex& index : entry.flat_index) {
+        ObserveProbeChains(options_.metrics, index);
+      }
+    } else if (node.kind == OpKind::kCoGroup) {
+      // Cogroup has no flat index: its UDF sweeps fully materialized groups
+      // on both sides at once (DESIGN.md §12), so the side keeps its groups.
+      entry.groups.resize(n);
+      ForEachPartition(n, [&](int p) {
+        entry.groups[p] = GroupByKey(entry.data->partition(p), key);
+      });
+    }
     FLINKLESS_RETURN_NOT_OK(
         cache->OnEntryFilled(node.id, role, options_.tracer));
     if (span.active()) span.AddArg("cache_build", 1);
@@ -930,6 +934,7 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
   };
 
   for (const PlanNode& node : plan.nodes()) {
+    const std::vector<InputRoute> routes = InputRoutes(node);
     // One span per operator; per-partition child spans are recorded by the
     // traced ForEachPartition overload below. Input/output record counts
     // land as args when the span closes at the end of this loop body.
@@ -957,20 +962,11 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
                               options_.tracer, &reloaded));
       if (e != nullptr) {
         ++local_stats.cache_hits;
-        switch (node.kind) {
-          case OpKind::kReduceByKey:
-          case OpKind::kGroupReduceByKey:
-          case OpKind::kJoin:
-          case OpKind::kCoGroup:
-          case OpKind::kDistinct:
-            // These would have shuffled their inputs.
-            for (int idx : node.inputs) {
-              local_stats.records_not_reshuffled +=
-                  slots[idx].view->NumRecords();
-            }
-            break;
-          default:
-            break;
+        for (size_t i = 0; i < routes.size(); ++i) {
+          if (routes[i].kind == InputRoute::kShuffled) {
+            local_stats.records_not_reshuffled +=
+                slots[node.inputs[i]].view->NumRecords();
+          }
         }
         push_cached(e->data);
         if (op_span.active()) {
@@ -983,51 +979,61 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
       }
     }
 
-    if (!from_cache) {
-      switch (node.kind) {
-        case OpKind::kSource: {
-          auto it = bindings.find(node.source_name);
-          if (it == bindings.end() || it->second == nullptr) {
-            return Status::NotFound("no binding for source '" +
-                                    node.source_name + "'");
-          }
-          if (it->second->num_partitions() != n) {
-            return Status::InvalidArgument(
-                "binding '" + node.source_name + "' has " +
-                std::to_string(it->second->num_partitions()) +
-                " partitions, executor expects " + std::to_string(n));
-          }
-          push_view(it->second);
-          break;
+    if (node.kind == OpKind::kSource) {
+      auto it = bindings.find(node.source_name);
+      if (it == bindings.end() || it->second == nullptr) {
+        return Status::NotFound("no binding for source '" + node.source_name +
+                                "'");
+      }
+      if (it->second->num_partitions() != n) {
+        return Status::InvalidArgument(
+            "binding '" + node.source_name + "' has " +
+            std::to_string(it->second->num_partitions()) +
+            " partitions, executor expects " + std::to_string(n));
+      }
+      push_view(it->second);
+    } else if (!from_cache) {
+      // Every input moves along its route (DESIGN.md §12). The cached
+      // loop-invariant sides are looked up first, then the volatile sides
+      // are shuffled in port order and logged in port order. Work is
+      // counted and charged over the sides that were not cache hits.
+      const PartitionedDataset* side[2] = {nullptr, nullptr};
+      PartitionedDataset shuffled[2];
+      bool cached[2] = {false, false};
+      bool hit[2] = {false, false};
+      std::vector<Record> broadcast;
+      OpInputs inputs;
+      inputs.metrics = options_.metrics;
+      for (size_t i = 0; i < routes.size(); ++i) {
+        if (routes[i].kind != InputRoute::kShuffled || cache == nullptr ||
+            invariant[node.id] || !invariant[node.inputs[i]]) {
+          continue;
         }
-
-        case OpKind::kMap:
-        case OpKind::kFlatMap:
-        case OpKind::kFilter:
-        case OpKind::kProject:
-        case OpKind::kUnion: {
-          // Partition-local operators: no shuffle, partition p reads only
-          // partition p of its inputs.
-          const PartitionedDataset& in = input_of(node.inputs[0]);
-          OpInputs inputs;
-          inputs.a = &in;
-          if (node.kind == OpKind::kUnion) inputs.b = &input_of(node.inputs[1]);
-          FLINKLESS_ASSIGN_OR_RETURN(PartitionedDataset out,
-                                     run_body(node, op_span, inputs, &in));
-          local_stats.records_processed +=
-              in.NumRecords() +
-              (inputs.b != nullptr ? inputs.b->NumRecords() : 0);
-          ChargeCompute(in, inputs.b);
-          push_owned(std::move(out));
-          break;
+        FLINKLESS_ASSIGN_OR_RETURN(
+            ExecCache::Entry* e,
+            cached_side(node, op_span, routes[i], i, &hit[i]));
+        cached[i] = true;
+        side[i] = e->data.get();
+        if (!e->flat_index.empty()) inputs.build_index = &e->flat_index;
+        if (!e->groups.empty()) {
+          (i == 0 ? inputs.a_groups : inputs.b_groups) = &e->groups;
         }
-
-        case OpKind::kReduceByKey:
-        case OpKind::kGroupReduceByKey:
-        case OpKind::kDistinct: {
-          const PartitionedDataset& in = input_of(node.inputs[0]);
-          PartitionedDataset shuffled;
-          if (node.kind == OpKind::kReduceByKey && node.pre_combine) {
+      }
+      for (size_t i = 0; i < routes.size(); ++i) {
+        if (cached[i]) continue;
+        const PartitionedDataset& in = input_of(node.inputs[i]);
+        side[i] = &in;
+        if (routes[i].kind == InputRoute::kBroadcast) {
+          // Every record is replicated to every partition but its own
+          // (counted as messages).
+          broadcast = in.Collect();
+          const uint64_t messages =
+              in.NumRecords() * static_cast<uint64_t>(n - 1);
+          local_stats.messages_shuffled += messages;
+          ChargeNetwork(messages);
+          inputs.broadcast = &broadcast;
+        } else if (routes[i].kind == InputRoute::kShuffled) {
+          if (routes[i].pre_combine) {
             // Local pre-aggregation before the shuffle: fewer messages.
             ObserveBatchRows(in);
             OpInputs local;
@@ -1037,245 +1043,59 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
                                        run_body(node, op_span, local, &in));
             local_stats.records_processed += in.NumRecords();
             ChargeCompute(in);
-            shuffled =
-                Shuffle(std::move(combined), node.left_key, &local_stats);
+            shuffled[i] = Shuffle(std::move(combined), *routes[i].key,
+                                  &local_stats);
           } else {
-            shuffled = Shuffle(in, node.left_key, &local_stats);
+            shuffled[i] = Shuffle(in, *routes[i].key, &local_stats);
           }
-          FLINKLESS_RETURN_NOT_OK(
-              log_shuffled(node, node.inputs[0], "in", shuffled));
-          ObserveBatchRows(shuffled);
-          OpInputs inputs;
-          inputs.a = &shuffled;
-          FLINKLESS_ASSIGN_OR_RETURN(
-              PartitionedDataset out,
-              run_body(node, op_span, inputs, &shuffled));
-          local_stats.records_processed += shuffled.NumRecords();
-          ChargeCompute(shuffled);
-          push_owned(std::move(out));
-          break;
-        }
-
-        case OpKind::kJoin: {
-          const bool build_static = cache != nullptr && !invariant[node.id] &&
-                                    invariant[node.inputs[0]];
-          const bool probe_static = cache != nullptr && !invariant[node.id] &&
-                                    invariant[node.inputs[1]];
-          OpInputs inputs;
-          inputs.metrics = options_.metrics;
-          if (build_static) {
-            // Loop-invariant build side: shuffle + index it once; later
-            // supersteps probe the prebuilt per-partition flat index, whose
-            // rows are the cached records themselves.
-            bool hit = false;
-            FLINKLESS_ASSIGN_OR_RETURN(
-                ExecCache::Entry* e,
-                cached_side(
-                    node, op_span, ExecCache::Role::kBuild, node.inputs[0],
-                    node.left_key,
-                    [&](ExecCache::Entry& entry) {
-                      entry.flat_index.resize(n);
-                      ForEachPartition(n, [&](int p) {
-                        entry.flat_index[p].Build(entry.data->partition(p),
-                                                  node.left_key);
-                      });
-                      ObserveBatchRows(*entry.data);
-                      for (const FlatKeyIndex& index : entry.flat_index) {
-                        ObserveProbeChains(options_.metrics, index);
-                      }
-                    },
-                    &hit));
-            PartitionedDataset right = Shuffle(input_of(node.inputs[1]),
-                                               node.right_key, &local_stats);
-            FLINKLESS_RETURN_NOT_OK(
-                log_shuffled(node, node.inputs[1], "r", right));
-            inputs.a = e->data.get();
-            inputs.b = &right;
-            inputs.build_index = &e->flat_index;
-            FLINKLESS_ASSIGN_OR_RETURN(
-                PartitionedDataset out,
-                run_body(node, op_span, inputs, &right));
-            if (hit) {
-              // Only the probe side is processed this superstep; the
-              // cached side costs nothing (that is the optimization).
-              local_stats.records_processed += right.NumRecords();
-              ChargeCompute(right);
-            } else {
-              local_stats.records_processed +=
-                  e->data->NumRecords() + right.NumRecords();
-              ChargeCompute(*e->data, &right);
-            }
-            push_owned(std::move(out));
-            break;
-          }
-          if (probe_static) {
-            // Loop-invariant probe side: its shuffle is cached; the hash
-            // table still rebuilds from the changing build side.
-            bool hit = false;
-            FLINKLESS_ASSIGN_OR_RETURN(
-                ExecCache::Entry* e,
-                cached_side(node, op_span, ExecCache::Role::kProbe,
-                            node.inputs[1], node.right_key, nullptr, &hit));
-            const PartitionedDataset& right = *e->data;
-            PartitionedDataset left = Shuffle(input_of(node.inputs[0]),
-                                              node.left_key, &local_stats);
-            FLINKLESS_RETURN_NOT_OK(
-                log_shuffled(node, node.inputs[0], "l", left));
-            ObserveBatchRows(left);
-            inputs.a = &left;
-            inputs.b = &right;
-            FLINKLESS_ASSIGN_OR_RETURN(
-                PartitionedDataset out,
-                run_body(node, op_span, inputs, &left));
-            if (hit) {
-              local_stats.records_processed += left.NumRecords();
-              ChargeCompute(left);
-            } else {
-              local_stats.records_processed +=
-                  left.NumRecords() + right.NumRecords();
-              ChargeCompute(left, &right);
-            }
-            push_owned(std::move(out));
-            break;
-          }
-          PartitionedDataset left =
-              Shuffle(input_of(node.inputs[0]), node.left_key, &local_stats);
-          PartitionedDataset right =
-              Shuffle(input_of(node.inputs[1]), node.right_key, &local_stats);
-          FLINKLESS_RETURN_NOT_OK(
-              log_shuffled(node, node.inputs[0], "l", left));
-          FLINKLESS_RETURN_NOT_OK(
-              log_shuffled(node, node.inputs[1], "r", right));
-          ObserveBatchRows(left);
-          inputs.a = &left;
-          inputs.b = &right;
-          FLINKLESS_ASSIGN_OR_RETURN(PartitionedDataset out,
-                                     run_body(node, op_span, inputs, &left));
-          local_stats.records_processed +=
-              left.NumRecords() + right.NumRecords();
-          ChargeCompute(left, &right);
-          push_owned(std::move(out));
-          break;
-        }
-
-        case OpKind::kCoGroup: {
-          // Cogroup has no flat index: its UDF sweeps fully materialized
-          // groups on both sides at once, so flattening one side into an
-          // index buys nothing (DESIGN.md §12).
-          const bool left_static = cache != nullptr && !invariant[node.id] &&
-                                   invariant[node.inputs[0]];
-          const bool right_static = cache != nullptr && !invariant[node.id] &&
-                                    invariant[node.inputs[1]];
-          OpInputs inputs;
-          if (left_static || right_static) {
-            // One loop-invariant side: shuffle + group it once, reuse the
-            // materialized groups every later superstep.
-            const int static_in =
-                left_static ? node.inputs[0] : node.inputs[1];
-            const KeyColumns& static_key =
-                left_static ? node.left_key : node.right_key;
-            const ExecCache::Role role = left_static
-                                             ? ExecCache::Role::kBuild
-                                             : ExecCache::Role::kProbe;
-            bool hit = false;
-            FLINKLESS_ASSIGN_OR_RETURN(
-                ExecCache::Entry* e,
-                cached_side(
-                    node, op_span, role, static_in, static_key,
-                    [&](ExecCache::Entry& entry) {
-                      entry.groups.resize(n);
-                      ForEachPartition(n, [&](int p) {
-                        entry.groups[p] =
-                            GroupByKey(entry.data->partition(p), static_key);
-                      });
-                    },
-                    &hit));
-            const int vol_in = left_static ? node.inputs[1] : node.inputs[0];
-            const KeyColumns& vol_key =
-                left_static ? node.right_key : node.left_key;
-            PartitionedDataset vol =
-                Shuffle(input_of(vol_in), vol_key, &local_stats);
-            FLINKLESS_RETURN_NOT_OK(log_shuffled(
-                node, vol_in, left_static ? "r" : "l", vol));
-            if (left_static) {
-              inputs.a_groups = &e->groups;
-              inputs.b = &vol;
-            } else {
-              inputs.a = &vol;
-              inputs.b_groups = &e->groups;
-            }
-            FLINKLESS_ASSIGN_OR_RETURN(PartitionedDataset out,
-                                       run_body(node, op_span, inputs, &vol));
-            if (hit) {
-              local_stats.records_processed += vol.NumRecords();
-              ChargeCompute(vol);
-            } else {
-              local_stats.records_processed +=
-                  e->data->NumRecords() + vol.NumRecords();
-              ChargeCompute(*e->data, &vol);
-            }
-            push_owned(std::move(out));
-            break;
-          }
-          PartitionedDataset left =
-              Shuffle(input_of(node.inputs[0]), node.left_key, &local_stats);
-          PartitionedDataset right =
-              Shuffle(input_of(node.inputs[1]), node.right_key, &local_stats);
-          FLINKLESS_RETURN_NOT_OK(
-              log_shuffled(node, node.inputs[0], "l", left));
-          FLINKLESS_RETURN_NOT_OK(
-              log_shuffled(node, node.inputs[1], "r", right));
-          inputs.a = &left;
-          inputs.b = &right;
-          FLINKLESS_ASSIGN_OR_RETURN(PartitionedDataset out,
-                                     run_body(node, op_span, inputs, &left));
-          local_stats.records_processed +=
-              left.NumRecords() + right.NumRecords();
-          ChargeCompute(left, &right);
-          push_owned(std::move(out));
-          break;
-        }
-
-        case OpKind::kCross: {
-          const PartitionedDataset& left = input_of(node.inputs[0]);
-          const PartitionedDataset& right = input_of(node.inputs[1]);
-          // Broadcast the right side: every record is replicated to every
-          // partition but its own (counted as messages).
-          std::vector<Record> right_all = right.Collect();
-          uint64_t broadcast_messages =
-              right.NumRecords() * static_cast<uint64_t>(n > 0 ? n - 1 : 0);
-          local_stats.messages_shuffled += broadcast_messages;
-          ChargeNetwork(broadcast_messages);
-          OpInputs inputs;
-          inputs.a = &left;
-          inputs.broadcast = &right_all;
-          FLINKLESS_ASSIGN_OR_RETURN(PartitionedDataset out,
-                                     run_body(node, op_span, inputs, &left));
-          local_stats.records_processed +=
-              left.NumRecords() + right.NumRecords();
-          // Partition p pays for its own left records against the whole
-          // broadcast right side; the critical path is the largest
-          // partition.
-          ChargeCompute(std::vector<uint64_t>{MaxPartitionSize(left) *
-                                              right_all.size()});
-          push_owned(std::move(out));
-          break;
+          side[i] = &shuffled[i];
         }
       }
-
-      if (store_output) {
-        // First execution of an invariant node: move its output into the
-        // cache and keep serving this Execute from the cached copy.
-        Slot& s = slots.back();
-        auto shared = std::make_shared<PartitionedDataset>(std::move(s.owned));
-        cache->Emplace(node.id, ExecCache::Role::kOutput).data = shared;
-        s.keepalive = shared;
-        s.view = shared.get();
-        s.is_owned = false;
-        FLINKLESS_RETURN_NOT_OK(cache->OnEntryFilled(
-            node.id, ExecCache::Role::kOutput, options_.tracer));
-        if (op_span.active()) op_span.AddArg("cache_build", 1);
+      for (size_t i = 0; i < routes.size(); ++i) {
+        if (side[i] == &shuffled[i]) {
+          FLINKLESS_RETURN_NOT_OK(
+              log_shuffled(node, node.inputs[i], routes[i].port, shuffled[i]));
+        }
       }
+      // Batch sizes of the flat kernels' input side: the reduce input and
+      // the join build side (a cached build side is observed when its
+      // index is built).
+      if (side[0] == &shuffled[0] && node.kind != OpKind::kCoGroup) {
+        ObserveBatchRows(shuffled[0]);
+      }
+      inputs.a = side[0];
+      inputs.b = side[1];
+      FLINKLESS_ASSIGN_OR_RETURN(
+          PartitionedDataset out,
+          run_body(node, op_span, inputs, cached[0] ? side[1] : side[0]));
+      std::vector<uint64_t> work(n, 0);
+      for (size_t i = 0; i < routes.size(); ++i) {
+        if (hit[i]) continue;
+        local_stats.records_processed += side[i]->NumRecords();
+        if (routes[i].kind == InputRoute::kBroadcast) continue;
+        for (int p = 0; p < n; ++p) work[p] += side[i]->partition(p).size();
+      }
+      // Partition p pays for its own records against the whole broadcast
+      // side.
+      if (inputs.broadcast != nullptr) {
+        for (uint64_t& w : work) w *= broadcast.size();
+      }
+      ChargeCompute(work);
+      push_owned(std::move(out));
+    }
+
+    if (store_output) {
+      // First execution of an invariant node: move its output into the
+      // cache and keep serving this Execute from the cached copy.
+      Slot& s = slots.back();
+      auto shared = std::make_shared<PartitionedDataset>(std::move(s.owned));
+      cache->Emplace(node.id, ExecCache::Role::kOutput).data = shared;
+      s.keepalive = shared;
+      s.view = shared.get();
+      s.is_owned = false;
+      FLINKLESS_RETURN_NOT_OK(cache->OnEntryFilled(
+          node.id, ExecCache::Role::kOutput, options_.tracer));
+      if (op_span.active()) op_span.AddArg("cache_build", 1);
     }
 
     count_output(node, *slots.back().view);
@@ -1330,14 +1150,14 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
 // post-shuffle channels (DESIGN.md §14). Two passes:
 //
 //  1. Backward demand analysis. Each node is demanded at kNone, kLost
-//     (only the lost partitions of its output are needed) or kAll.
-//     Narrow operators pass their demand to their input unchanged — they
-//     are partition-local. A shuffle operator *stops* demand on a variant
-//     input (its post-shuffle content is in the log) and raises kAll on an
-//     invariant input (the side must be recomputed and re-shuffled in
-//     full, since any source partition can feed a lost target). Cross
-//     demands its left side at the node's demand and its right side —
-//     broadcast everywhere during Execute — at kAll.
+//     (only the lost partitions of its output are needed) or kAll, and
+//     passes demand to each input by that input's route (InputRoutes). A
+//     local input gets the node's demand unchanged. A shuffled input
+//     *stops* demand when it is variant (its post-shuffle content is in the
+//     log) and is raised to kAll when it is invariant (the side must be
+//     recomputed and re-shuffled in full, since any source partition can
+//     feed a lost target). A broadcast input — copied everywhere during
+//     Execute — is raised to kAll.
 //
 //  2. Forward pass over the demanded nodes, computing only the demanded
 //     partitions with the operator bodies Execute runs (RunBody), so each
@@ -1379,37 +1199,21 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Replay(
   for (int id = num_nodes - 1; id >= 0; --id) {
     if (demand[id] == kNone) continue;
     const PlanNode& node = plan.node(id);
-    auto demand_shuffled = [&](NodeId input) {
-      if (invariant[input]) raise(input, kAll);
-      // Variant input: its post-shuffle bytes are a logged channel.
-    };
-    switch (node.kind) {
-      case OpKind::kSource:
-        break;
-      case OpKind::kMap:
-      case OpKind::kFlatMap:
-      case OpKind::kFilter:
-      case OpKind::kProject:
-        raise(node.inputs[0], demand[id]);
-        break;
-      case OpKind::kUnion:
-        raise(node.inputs[0], demand[id]);
-        raise(node.inputs[1], demand[id]);
-        break;
-      case OpKind::kReduceByKey:
-      case OpKind::kGroupReduceByKey:
-      case OpKind::kDistinct:
-        demand_shuffled(node.inputs[0]);
-        break;
-      case OpKind::kJoin:
-      case OpKind::kCoGroup:
-        demand_shuffled(node.inputs[0]);
-        demand_shuffled(node.inputs[1]);
-        break;
-      case OpKind::kCross:
-        raise(node.inputs[0], demand[id]);
-        raise(node.inputs[1], kAll);
-        break;
+    const std::vector<InputRoute> routes = InputRoutes(node);
+    for (size_t i = 0; i < routes.size(); ++i) {
+      const NodeId input = node.inputs[i];
+      switch (routes[i].kind) {
+        case InputRoute::kLocal:
+          raise(input, demand[id]);
+          break;
+        case InputRoute::kShuffled:
+          // A variant input's post-shuffle bytes are a logged channel.
+          if (invariant[input]) raise(input, kAll);
+          break;
+        case InputRoute::kBroadcast:
+          raise(input, kAll);
+          break;
+      }
     }
   }
   // A demanded volatile source would need the failed superstep's *input*
@@ -1515,13 +1319,12 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Replay(
   // earlier one, so the demanded partitions are copied out while the
   // segment is resident.
   auto shuffled_input = [&](const PlanNode& node, NodeId input,
-                            const char* port, const KeyColumns& key)
+                            const InputRoute& route)
       -> Result<PartitionedDataset> {
+    const KeyColumns& key = *route.key;
     if (invariant[input]) {
       const PartitionedDataset& in = input_of(input);
-      if (node.kind != OpKind::kReduceByKey || !node.pre_combine) {
-        return rescatter(in, key);
-      }
+      if (!route.pre_combine) return rescatter(in, key);
       OpInputs local;
       local.a = &in;
       local.validate = false;
@@ -1532,10 +1335,10 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Replay(
     }
     FLINKLESS_ASSIGN_OR_RETURN(
         const PartitionedDataset* channel,
-        log->Channel(MsglogChannel(node.id, port), options_.tracer));
+        log->Channel(MsglogChannel(node.id, route.port), options_.tracer));
     if (channel->num_partitions() != n) {
       return Status::DataLoss("logged channel '" +
-                              MsglogChannel(node.id, port) +
+                              MsglogChannel(node.id, route.port) +
                               "' has the wrong partition count");
     }
     PartitionedDataset out(n);
@@ -1556,79 +1359,61 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Replay(
     const PlanNode& node = plan.node(id);
     const std::vector<int> parts = parts_of(demand[id]);
 
-    OpInputs inputs;
-    PartitionedDataset left, right;  // shuffled inputs, owned here
+    if (node.kind == OpKind::kSource) {
+      auto it = bindings.find(node.source_name);
+      if (it == bindings.end() || it->second == nullptr) {
+        return Status::NotFound("replay: no binding for source '" +
+                                node.source_name + "'");
+      }
+      if (it->second->num_partitions() != n) {
+        return Status::InvalidArgument(
+            "replay binding '" + node.source_name + "' has " +
+            std::to_string(it->second->num_partitions()) +
+            " partitions, executor expects " + std::to_string(n));
+      }
+      slots[id].view = it->second;
+      continue;
+    }
+
+    const std::vector<InputRoute> routes = InputRoutes(node);
+    const PartitionedDataset* side[2] = {nullptr, nullptr};
+    PartitionedDataset shuffled[2];  // shuffled inputs, owned here
     std::vector<Record> broadcast;
-    switch (node.kind) {
-      case OpKind::kSource: {
-        auto it = bindings.find(node.source_name);
-        if (it == bindings.end() || it->second == nullptr) {
-          return Status::NotFound("replay: no binding for source '" +
-                                  node.source_name + "'");
+    OpInputs inputs;
+    for (size_t i = 0; i < routes.size(); ++i) {
+      switch (routes[i].kind) {
+        case InputRoute::kLocal:
+          side[i] = &input_of(node.inputs[i]);
+          break;
+        case InputRoute::kShuffled: {
+          FLINKLESS_ASSIGN_OR_RETURN(
+              shuffled[i], shuffled_input(node, node.inputs[i], routes[i]));
+          side[i] = &shuffled[i];
+          break;
         }
-        if (it->second->num_partitions() != n) {
-          return Status::InvalidArgument(
-              "replay binding '" + node.source_name + "' has " +
-              std::to_string(it->second->num_partitions()) +
-              " partitions, executor expects " + std::to_string(n));
+        case InputRoute::kBroadcast: {
+          broadcast = input_of(node.inputs[i]).Collect();
+          inputs.broadcast = &broadcast;
+          // Execute broadcast this side everywhere; recovery only re-ships
+          // it to the partitions being rebuilt.
+          uint64_t lost_targets = 0;
+          for (int p : parts) {
+            if (is_lost[p]) ++lost_targets;
+          }
+          charge_shipped(broadcast.size() * lost_targets);
+          break;
         }
-        slots[id].view = it->second;
-        continue;
-      }
-
-      case OpKind::kMap:
-      case OpKind::kFlatMap:
-      case OpKind::kFilter:
-      case OpKind::kProject:
-        inputs.a = &input_of(node.inputs[0]);
-        break;
-
-      case OpKind::kUnion:
-        inputs.a = &input_of(node.inputs[0]);
-        inputs.b = &input_of(node.inputs[1]);
-        break;
-
-      case OpKind::kReduceByKey:
-      case OpKind::kGroupReduceByKey:
-      case OpKind::kDistinct: {
-        FLINKLESS_ASSIGN_OR_RETURN(
-            left, shuffled_input(node, node.inputs[0], "in", node.left_key));
-        inputs.a = &left;
-        break;
-      }
-
-      case OpKind::kJoin:
-      case OpKind::kCoGroup: {
-        FLINKLESS_ASSIGN_OR_RETURN(
-            left, shuffled_input(node, node.inputs[0], "l", node.left_key));
-        FLINKLESS_ASSIGN_OR_RETURN(
-            right, shuffled_input(node, node.inputs[1], "r", node.right_key));
-        inputs.a = &left;
-        inputs.b = &right;
-        break;
-      }
-
-      case OpKind::kCross: {
-        inputs.a = &input_of(node.inputs[0]);
-        broadcast = input_of(node.inputs[1]).Collect();
-        inputs.broadcast = &broadcast;
-        // Execute broadcast the right side everywhere; recovery only
-        // re-ships it to the partitions being rebuilt.
-        uint64_t lost_targets = 0;
-        for (int p : parts) {
-          if (is_lost[p]) ++lost_targets;
-        }
-        charge_shipped(broadcast.size() * lost_targets);
-        break;
       }
     }
+    inputs.a = side[0];
+    inputs.b = side[1];
 
     FLINKLESS_ASSIGN_OR_RETURN(PartitionedDataset out,
                                run_body(node, inputs, parts));
     std::vector<uint64_t> work(n, 0);
     for (int p : parts) {
       const uint64_t a = inputs.a->partition(p).size();
-      if (node.kind == OpKind::kCross) {
+      if (inputs.broadcast != nullptr) {
         work[p] = a * broadcast.size();
         local_stats.records_processed += a + broadcast.size();
         continue;

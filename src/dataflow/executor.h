@@ -192,10 +192,8 @@ class Executor {
   /// function of the data — independent of num_threads.
   void ChargeCompute(const std::vector<uint64_t>& per_partition) const;
 
-  /// Critical-path charge where partition p processes `a.partition(p)` (and
-  /// `b.partition(p)` when b is non-null).
-  void ChargeCompute(const PartitionedDataset& a,
-                     const PartitionedDataset* b = nullptr) const;
+  /// Critical-path charge where partition p processes `in.partition(p)`.
+  void ChargeCompute(const PartitionedDataset& in) const;
 
   void ChargeNetwork(uint64_t messages) const;
 

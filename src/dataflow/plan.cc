@@ -183,6 +183,33 @@ void Plan::Output(NodeId node, const std::string& output_name) {
   outputs_.emplace_back(output_name, node);
 }
 
+std::vector<InputRoute> InputRoutes(const PlanNode& node) {
+  const InputRoute local;
+  switch (node.kind) {
+    case OpKind::kSource:
+      return {};
+    case OpKind::kMap:
+    case OpKind::kFlatMap:
+    case OpKind::kFilter:
+    case OpKind::kProject:
+      return {local};
+    case OpKind::kUnion:
+      return {local, local};
+    case OpKind::kReduceByKey:
+    case OpKind::kGroupReduceByKey:
+    case OpKind::kDistinct:
+      return {{InputRoute::kShuffled, &node.left_key, "in",
+               node.kind == OpKind::kReduceByKey && node.pre_combine}};
+    case OpKind::kJoin:
+    case OpKind::kCoGroup:
+      return {{InputRoute::kShuffled, &node.left_key, "l"},
+              {InputRoute::kShuffled, &node.right_key, "r"}};
+    case OpKind::kCross:
+      return {local, {InputRoute::kBroadcast}};
+  }
+  return {};
+}
+
 std::vector<std::string> Plan::SourceNames() const {
   std::vector<std::string> names;
   for (const auto& n : nodes_) {
@@ -235,11 +262,7 @@ Status Plan::Validate() const {
     }
   }
   for (const auto& n : nodes_) {
-    size_t want_inputs =
-        (n.kind == OpKind::kSource)                                    ? 0
-        : (n.kind == OpKind::kJoin || n.kind == OpKind::kCoGroup ||
-           n.kind == OpKind::kCross || n.kind == OpKind::kUnion)       ? 2
-                                                                       : 1;
+    const size_t want_inputs = InputRoutes(n).size();
     if (n.inputs.size() != want_inputs) {
       return Status::FailedPrecondition(
           "node '" + n.name + "' (" + OpKindName(n.kind) + ") has " +

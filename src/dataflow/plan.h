@@ -117,6 +117,36 @@ struct PlanNode {
   CoGroupFn cogroup_fn;
 };
 
+/// How one input of an operator reaches the partitions that consume it.
+struct InputRoute {
+  enum Kind {
+    /// Partition p reads partition p of the input (Map, FlatMap, Filter,
+    /// Project, Union, and Cross's left side).
+    kLocal,
+    /// Hash-partitioned on `key` first (ReduceByKey, GroupReduceByKey,
+    /// Distinct, and both sides of Join and CoGroup).
+    kShuffled,
+    /// Copied whole to every partition (Cross's right side).
+    kBroadcast,
+  };
+  Kind kind = kLocal;
+  /// kShuffled: the node's key this input is partitioned on (`left_key`
+  /// for input 0, `right_key` for input 1).
+  const KeyColumns* key = nullptr;
+  /// kShuffled: message-log port of the post-shuffle channel — "in" for a
+  /// single-input operator, "l"/"r" for the sides of a two-input one.
+  const char* port = nullptr;
+  /// kShuffled: fold with the combiner before the shuffle (a ReduceByKey
+  /// with `pre_combine` set).
+  bool pre_combine = false;
+};
+
+/// The routes of `node`'s inputs, one entry per input its kind takes. This
+/// is the single local / shuffled / broadcast decision: Plan::Validate
+/// checks arities against it, and the executor, confined replay and
+/// lineage analysis all move inputs by it.
+std::vector<InputRoute> InputRoutes(const PlanNode& node);
+
 /// Builder and container of the dataflow DAG.
 class Plan {
  public:

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "common/byte_codec.h"
 #include "common/hash.h"
 #include "common/logging.h"
 
@@ -76,38 +77,6 @@ bool KeyLess(const Record& a, const Record& b, const KeyColumns& key) {
 }
 
 bool RecordLess(const Record& a, const Record& b) { return a < b; }
-
-namespace {
-
-void PutU32(uint32_t v, std::vector<uint8_t>* out) {
-  for (int i = 0; i < 4; ++i) out->push_back((v >> (8 * i)) & 0xff);
-}
-
-void PutU64(uint64_t v, std::vector<uint8_t>* out) {
-  for (int i = 0; i < 8; ++i) out->push_back((v >> (8 * i)) & 0xff);
-}
-
-bool GetU32(const std::vector<uint8_t>& bytes, size_t* offset, uint32_t* v) {
-  if (*offset + 4 > bytes.size()) return false;
-  *v = 0;
-  for (int i = 0; i < 4; ++i) {
-    *v |= static_cast<uint32_t>(bytes[*offset + i]) << (8 * i);
-  }
-  *offset += 4;
-  return true;
-}
-
-bool GetU64(const std::vector<uint8_t>& bytes, size_t* offset, uint64_t* v) {
-  if (*offset + 8 > bytes.size()) return false;
-  *v = 0;
-  for (int i = 0; i < 8; ++i) {
-    *v |= static_cast<uint64_t>(bytes[*offset + i]) << (8 * i);
-  }
-  *offset += 8;
-  return true;
-}
-
-}  // namespace
 
 void SerializeRecord(const Record& record, std::vector<uint8_t>* out) {
   PutU32(static_cast<uint32_t>(record.size()), out);

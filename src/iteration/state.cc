@@ -3,6 +3,7 @@
 #include <string>
 #include <utility>
 
+#include "common/byte_codec.h"
 #include "common/logging.h"
 
 namespace flinkless::iteration {
@@ -232,24 +233,6 @@ Status SolutionSet::ReplacePartition(int p, std::vector<Record> records) {
   }
   return Status::OK();
 }
-
-namespace {
-
-void PutU64(uint64_t v, std::vector<uint8_t>* out) {
-  for (int i = 0; i < 8; ++i) out->push_back((v >> (8 * i)) & 0xff);
-}
-
-bool GetU64(const std::vector<uint8_t>& bytes, size_t* offset, uint64_t* v) {
-  if (*offset + 8 > bytes.size()) return false;
-  *v = 0;
-  for (int i = 0; i < 8; ++i) {
-    *v |= static_cast<uint64_t>(bytes[*offset + i]) << (8 * i);
-  }
-  *offset += 8;
-  return true;
-}
-
-}  // namespace
 
 std::vector<uint8_t> DeltaState::SerializePartition(int p) const {
   FLINKLESS_CHECK(p >= 0 && p < num_partitions(),

@@ -13,9 +13,11 @@
 
 #include "dataflow/exec_cache.h"
 #include "dataflow/executor.h"
+#include "runtime/cost_model.h"
 #include "runtime/memory_manager.h"
 #include "runtime/message_log.h"
 #include "runtime/metrics.h"
+#include "runtime/sim_clock.h"
 #include "runtime/stable_storage.h"
 #include "runtime/tracing.h"
 
@@ -274,7 +276,8 @@ TEST_P(ReplayTest, ReplayReadsSpilledChannels) {
 
 /// A step plan using every OpKind: map, flat-map, filter, project, union,
 /// cross, reduce (pre-combined generic, declared, and plain generic),
-/// group-reduce, join, cogroup, distinct. The
+/// group-reduce, join, cogroup, distinct. Each two-sided keyed operator
+/// appears with its loop-invariant side on the left and on the right. The
 /// volatile "state" reaches every output only through a shuffle.
 Plan BuildEveryOpPlan() {
   Plan plan;
@@ -350,6 +353,21 @@ Plan BuildEveryOpPlan() {
         out->push_back(MakeRecord(key[0].AsInt64(), mix));
       },
       "cogroup");
+  auto build_joined = plan.Join(
+      scaled, summed, {0}, {0},
+      [](const Record& l, const Record& r) {
+        return MakeRecord(l[1].AsInt64(), r[1].AsInt64() - l[0].AsInt64());
+      },
+      "static-build-join");
+  auto left_cogrouped = plan.CoGroup(
+      reversed, maxed, {0}, {0},
+      [](const Record& key, const std::vector<Record>& left,
+         const std::vector<Record>& right, std::vector<Record>* out) {
+        int64_t mix = static_cast<int64_t>(left.size() * 100 + right.size());
+        for (const Record& r : right) mix = mix * 5 + r[1].AsInt64();
+        out->push_back(MakeRecord(key[0].AsInt64(), mix));
+      },
+      "static-left-cogroup");
   auto swapped = plan.Project(joined, {1, 0}, "swap");
   auto unique = plan.Distinct(swapped, {0}, "distinct");
   auto few = plan.Filter(
@@ -366,6 +384,8 @@ Plan BuildEveryOpPlan() {
   plan.Output(grouped, "group");
   plan.Output(joined, "join");
   plan.Output(cogrouped, "cogroup");
+  plan.Output(build_joined, "static-build-join");
+  plan.Output(left_cogrouped, "static-left-cogroup");
   plan.Output(unique, "distinct");
   plan.Output(crossed, "cross");
   return plan;
@@ -379,7 +399,7 @@ TEST_P(ReplayTest, EveryOperatorReplaysByteIdenticalToExecute) {
   Bindings statics{{"edges", &data.edges}};
 
   // Without and with a loop-invariant cache: Execute then serves the
-  // static join/cogroup sides and the batch schemas from it.
+  // static join/cogroup sides from it.
   for (bool cached : {false, true}) {
     SCOPED_TRACE(cached ? "cached" : "uncached");
     dataflow::ExecCache cache({"state"});
@@ -437,6 +457,98 @@ TEST_P(ReplayTest, EveryOperatorReplaysByteIdenticalToExecute) {
                               return e.category == "msglog.replay";
                             }),
               3);
+  }
+}
+
+/// Accounting totals of three Executes of BuildEveryOpPlan.
+struct Accounting {
+  uint64_t records_processed;
+  uint64_t messages_shuffled;
+  uint64_t cache_hits;
+  uint64_t records_not_reshuffled;
+  int64_t compute_ns;
+  int64_t network_ns;
+  uint64_t exec_records;
+  uint64_t shuffle_fanout;
+  uint64_t not_reshuffled_family;
+  uint64_t batch_rows_samples;
+  uint64_t probe_chain_samples;
+};
+
+TEST_P(ReplayTest, EveryOperatorAccountingIsPinnedWithAndWithoutCache) {
+  // Three supersteps over the same bindings: uncached, then cached (the
+  // first superstep fills the cache, the next two are served from it).
+  // Outputs must agree, and every count and charge is pinned, so a change
+  // in how any input is routed, cached, charged or counted shows up here.
+  const Accounting kWant[2] = {
+      /*uncached=*/{7575, 873, 0, 0, 215850, 873000, 6222, 846, 0, 120, 384},
+      /*cached=*/{5655, 679, 16, 1152, 160650, 679000, 4814, 652, 1152, 96,
+                  256},
+  };
+  const int parts = 4;
+  Plan plan = BuildEveryOpPlan();
+  StepData data = MakeStepData(parts);
+  Bindings bindings{{"state", &data.state}, {"edges", &data.edges}};
+  const CostModel costs;
+
+  std::vector<std::map<std::string, PartitionedDataset>> uncached_outputs;
+  for (bool cached : {false, true}) {
+    SCOPED_TRACE(cached ? "cached" : "uncached");
+    dataflow::ExecCache cache({"state"});
+    MessageLog log({"state"});
+    MetricsSink metrics;
+    SimClock clock;
+    ExecOptions options;
+    options.num_partitions = parts;
+    options.num_threads = GetParam();
+    options.clock = &clock;
+    options.costs = &costs;
+    options.message_log = &log;
+    options.metrics = &metrics;
+    if (cached) options.cache = &cache;
+    Executor executor(options);
+
+    ExecStats stats;
+    for (int superstep = 0; superstep < 3; ++superstep) {
+      log.BeginSuperstep(superstep + 1);
+      auto executed = executor.Execute(plan, bindings, &stats);
+      ASSERT_TRUE(executed.ok()) << executed.status().ToString();
+      if (!cached) {
+        uncached_outputs.push_back(*std::move(executed));
+        continue;
+      }
+      for (const auto& [output, node] : plan.outputs()) {
+        const PartitionedDataset& want = uncached_outputs[superstep].at(output);
+        const PartitionedDataset& got = executed->at(output);
+        ASSERT_EQ(got.num_partitions(), parts);
+        for (int p = 0; p < parts; ++p) {
+          EXPECT_EQ(got.partition(p), want.partition(p))
+              << output << " partition " << p << " superstep " << superstep;
+        }
+      }
+    }
+
+    const MetricsSnapshot snapshot = metrics.Collect();
+    auto samples = [&](const char* name) -> uint64_t {
+      const Histogram* h = snapshot.FindHistogram(name);
+      return h == nullptr ? 0 : h->count();
+    };
+    const Accounting& want = kWant[cached ? 1 : 0];
+    EXPECT_EQ(stats.records_processed, want.records_processed);
+    EXPECT_EQ(stats.messages_shuffled, want.messages_shuffled);
+    EXPECT_EQ(stats.cache_hits, want.cache_hits);
+    EXPECT_EQ(stats.records_not_reshuffled, want.records_not_reshuffled);
+    EXPECT_EQ(clock.Of(Charge::kCompute), want.compute_ns);
+    EXPECT_EQ(clock.Of(Charge::kNetwork), want.network_ns);
+    EXPECT_EQ(clock.Of(Charge::kCheckpointIo), 0);
+    EXPECT_EQ(clock.Of(Charge::kRecovery), 0);
+    EXPECT_EQ(snapshot.CounterTotal(metric::kExecRecords), want.exec_records);
+    EXPECT_EQ(snapshot.CounterTotal(metric::kShuffleFanout),
+              want.shuffle_fanout);
+    EXPECT_EQ(snapshot.CounterTotal(metric::kCacheRecordsNotReshuffled),
+              want.not_reshuffled_family);
+    EXPECT_EQ(samples(metric::kHistBatchRows), want.batch_rows_samples);
+    EXPECT_EQ(samples(metric::kHistProbeChain), want.probe_chain_samples);
   }
 }
 

@@ -102,7 +102,7 @@ TEST(RollbackTest, ChecksIntervalBeforeCheckpointing) {
 
 TEST(RollbackTest, GarbageCollectsOlderCheckpoints) {
   runtime::StableStorage storage(nullptr, nullptr);
-  CheckpointRollbackPolicy policy(/*interval=*/1, /*keep_only_latest=*/true);
+  CheckpointRollbackPolicy policy(/*interval=*/1);
   BulkState state = MakeState(8, 2, 1);
   ASSERT_TRUE(policy.OnJobStart(MakeContext(0, 2, &storage), &state).ok());
   ASSERT_TRUE(
@@ -114,18 +114,6 @@ TEST(RollbackTest, GarbageCollectsOlderCheckpoints) {
   for (const auto& key : storage.ListWithPrefix("test-job/ckpt/")) {
     EXPECT_NE(key.find("00000002"), std::string::npos);
   }
-}
-
-TEST(RollbackTest, KeepAllCheckpointsWhenConfigured) {
-  runtime::StableStorage storage(nullptr, nullptr);
-  CheckpointRollbackPolicy policy(/*interval=*/1, /*keep_only_latest=*/false);
-  BulkState state = MakeState(8, 2, 1);
-  ASSERT_TRUE(policy.OnJobStart(MakeContext(0, 2, &storage), &state).ok());
-  ASSERT_TRUE(
-      policy.AfterIteration(MakeContext(1, 2, &storage), &state).ok());
-  ASSERT_TRUE(
-      policy.AfterIteration(MakeContext(2, 2, &storage), &state).ok());
-  EXPECT_EQ(storage.ListWithPrefix("test-job/ckpt/").size(), 6u);
 }
 
 TEST(RollbackTest, RestoresAllPartitionsAndRewinds) {
@@ -185,8 +173,7 @@ TEST(RollbackTest, NameIncludesInterval) {
 
 TEST(IncrementalRollbackTest, SkipsUnchangedPartitions) {
   runtime::StableStorage storage(nullptr, nullptr);
-  CheckpointRollbackPolicy policy(/*interval=*/1, /*keep_only_latest=*/false,
-                                  /*incremental=*/true);
+  CheckpointRollbackPolicy policy(/*interval=*/1, /*incremental=*/true);
   BulkState state = MakeState(16, 4, 7);
   ASSERT_TRUE(policy.OnJobStart(MakeContext(0, 4, &storage), &state).ok());
   uint64_t writes_after_start = storage.num_writes();
@@ -207,8 +194,7 @@ TEST(IncrementalRollbackTest, SkipsUnchangedPartitions) {
 
 TEST(IncrementalRollbackTest, RestoreMixesBlobGenerations) {
   runtime::StableStorage storage(nullptr, nullptr);
-  CheckpointRollbackPolicy policy(/*interval=*/1, /*keep_only_latest=*/true,
-                                  /*incremental=*/true);
+  CheckpointRollbackPolicy policy(/*interval=*/1, /*incremental=*/true);
   BulkState state = MakeState(16, 4, 7);
   ASSERT_TRUE(policy.OnJobStart(MakeContext(0, 4, &storage), &state).ok());
 
@@ -241,8 +227,7 @@ TEST(IncrementalRollbackTest, RestoreMixesBlobGenerations) {
 
 TEST(IncrementalRollbackTest, GcKeepsReferencedOldBlobs) {
   runtime::StableStorage storage(nullptr, nullptr);
-  CheckpointRollbackPolicy policy(/*interval=*/1, /*keep_only_latest=*/true,
-                                  /*incremental=*/true);
+  CheckpointRollbackPolicy policy(/*interval=*/1, /*incremental=*/true);
   BulkState state = MakeState(16, 4, 7);
   ASSERT_TRUE(policy.OnJobStart(MakeContext(0, 4, &storage), &state).ok());
   // Two more checkpoints with only partition 1 changing.
@@ -267,7 +252,7 @@ TEST(IncrementalRollbackTest, WritesLessThanFullForConvergingState) {
   // Simulated converging job: fewer and fewer partitions change.
   auto run = [](bool incremental) {
     runtime::StableStorage storage(nullptr, nullptr);
-    CheckpointRollbackPolicy policy(1, true, incremental);
+    CheckpointRollbackPolicy policy(1, incremental);
     BulkState state = MakeState(32, 4, 0);
     EXPECT_TRUE(policy.OnJobStart(MakeContext(0, 4, &storage), &state).ok());
     for (int iter = 1; iter <= 4; ++iter) {
@@ -649,10 +634,11 @@ TEST(DeltaCheckpointTest, RestoreRejectsNonContiguousChain) {
       << outcome.status();
 }
 
-TEST(DeltaCheckpointTest, RestoresLegacyV1BlobsWithoutVersionFraming) {
-  // Blobs written before the v2 format carried no version metadata: the
-  // first u64 is the solution length directly. Restores must still work
-  // (without contiguity validation).
+TEST(DeltaCheckpointTest, RejectsLegacyV1BlobsWithoutVersionFraming) {
+  // A v1-framed link carries no version metadata: the first u64 is the
+  // solution length directly. Without its window the chain cannot be
+  // checked for contiguity, so the restore is refused as DataLoss instead
+  // of silently restoring whatever the link holds.
   auto frame_v1 = [](const std::vector<Record>& solution_entries,
                      const std::vector<Record>& workset_records) {
     std::vector<uint8_t> solution_blob =
@@ -685,13 +671,10 @@ TEST(DeltaCheckpointTest, RestoresLegacyV1BlobsWithoutVersionFraming) {
 
   for (int p = 0; p < 2; ++p) state.ClearPartition(p);
   auto outcome = policy.OnFailure(MakeContext(1, 2, &storage), &state, {0, 1});
-  ASSERT_TRUE(outcome.ok()) << outcome.status();
-  EXPECT_EQ(state.solution().NumEntries(), 8u);
-  for (int64_t v = 0; v < 8; ++v) {
-    const Record* entry = state.solution().Lookup(MakeRecord(v));
-    ASSERT_NE(entry, nullptr);
-    EXPECT_EQ((*entry)[1].AsInt64(), v);
-  }
+  ASSERT_TRUE(outcome.status().IsDataLoss()) << outcome.status();
+  EXPECT_NE(outcome.status().message().find("version framing"),
+            std::string::npos)
+      << outcome.status();
 }
 
 // ------------------------------------------------------------ Optimistic --
