@@ -26,6 +26,9 @@
 //        else NDJSON), --profile (critical-path profile; implied by
 //        --trace), --baseline (failure-free re-run; recovery health is then
 //        reported net of it)
+//
+// Exits 1 when the job did not converge or a rank ends farther than the
+// convergence tolerance from the reference ranks.
 
 #include <chrono>
 #include <cmath>
@@ -384,5 +387,5 @@ int main(int argc, char** argv) {
   std::cout << "converged=" << (run->converged ? "yes" : "no") << " after "
             << run->iterations << " iterations, " << run->failures_recovered
             << " failures recovered, max |rank - true| = " << max_err << "\n";
-  return 0;
+  return run->converged && max_err <= options.converged_tolerance ? 0 : 1;
 }

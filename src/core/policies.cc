@@ -1,10 +1,9 @@
 #include "core/policies.h"
 
 #include <cstdio>
-#include <set>
+#include <numeric>
 
 #include "common/byte_codec.h"
-#include "common/hash.h"
 #include "common/logging.h"
 
 namespace flinkless::core {
@@ -33,233 +32,118 @@ Result<RecoveryOutcome> RestartPolicy::OnFailure(
   return RecoveryOutcome::Restart();
 }
 
-CheckpointRollbackPolicy::CheckpointRollbackPolicy(int interval,
-                                                   bool incremental)
-    : interval_(interval), incremental_(incremental) {
+namespace {
+
+/// The one precondition every checkpointing policy shares.
+Status RequireStorage(const IterationContext& ctx) {
+  if (ctx.storage != nullptr) return Status::OK();
+  return Status::FailedPrecondition(
+      "checkpoint recovery requires stable storage in the job environment");
+}
+
+/// Re-seeds a delta iteration's workset after its lost solution partitions
+/// were restored from a (stale) snapshot; bulk iterations need nothing.
+Status RefreshWorkset(const WorksetRefresher& refresher,
+                      const IterationContext& ctx, IterationState* state,
+                      const std::vector<int>& lost) {
+  if (state->kind() != iteration::StateKind::kDelta) return Status::OK();
+  if (!refresher) {
+    return Status::FailedPrecondition(
+        "confined recovery of a delta iteration needs a workset refresher");
+  }
+  return refresher(ctx, static_cast<iteration::DeltaState*>(state), lost);
+}
+
+}  // namespace
+
+PartitionSnapshots::PartitionSnapshots(std::string tag, int interval)
+    : tag_(std::move(tag)), interval_(interval) {
   FLINKLESS_CHECK(interval_ >= 1, "checkpoint interval must be >= 1");
 }
 
-std::string CheckpointRollbackPolicy::CheckpointKey(const std::string& job_id,
-                                                    int iteration,
-                                                    int partition) const {
+std::string PartitionSnapshots::Key(const std::string& job_id, int epoch,
+                                    int partition) const {
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "/ckpt/%08d/%06d", iteration, partition);
-  return job_id + buf;
+  if (partition < 0) {
+    std::snprintf(buf, sizeof(buf), "/%08d/", epoch);
+  } else {
+    std::snprintf(buf, sizeof(buf), "/%08d/%06d", epoch, partition);
+  }
+  return job_id + "/" + tag_ + buf;
 }
 
-Status CheckpointRollbackPolicy::WriteCheckpoint(
-    const IterationContext& ctx, const IterationState& state) {
-  if (ctx.storage == nullptr) {
-    return Status::FailedPrecondition(
-        "rollback recovery requires stable storage in the job environment");
-  }
+Status PartitionSnapshots::Start(const IterationContext& ctx,
+                                 const IterationState& state) {
+  epoch_ = -1;
+  FLINKLESS_RETURN_NOT_OK(RequireStorage(ctx));
+  ctx.storage->DeleteWithPrefix(ctx.job_id + "/" + tag_ + "/");
+  return Write(ctx, state);
+}
+
+Status PartitionSnapshots::AfterIteration(const IterationContext& ctx,
+                                          const IterationState& state) {
+  if (ctx.iteration % interval_ != 0) return Status::OK();
+  FLINKLESS_RETURN_NOT_OK(RequireStorage(ctx));
+  return Write(ctx, state);
+}
+
+Status PartitionSnapshots::Write(const IterationContext& ctx,
+                                 const IterationState& state) {
   for (int p = 0; p < state.num_partitions(); ++p) {
-    std::vector<uint8_t> blob = state.SerializePartition(p);
-    uint64_t hash = HashBytes(blob.data(), blob.size());
-    if (incremental_) {
-      auto it = content_hash_.find(p);
-      if (it != content_hash_.end() && it->second == hash &&
-          ctx.storage->Exists(manifest_[p])) {
-        // Unchanged since the previous checkpoint: keep referencing the
-        // existing blob, write nothing.
-        continue;
-      }
-    }
-    std::string key = CheckpointKey(ctx.job_id, ctx.iteration, p);
-    FLINKLESS_RETURN_NOT_OK(ctx.storage->Write(key, std::move(blob)));
-    manifest_[p] = std::move(key);
-    content_hash_[p] = hash;
+    FLINKLESS_RETURN_NOT_OK(ctx.storage->Write(
+        Key(ctx.job_id, ctx.iteration, p), state.SerializePartition(p)));
   }
-  // Drop every blob of this job that the fresh manifest does not reference
-  // (with full snapshots that is exactly "all older checkpoints").
-  std::set<std::string> referenced;
-  for (const auto& [p, key] : manifest_) referenced.insert(key);
-  for (const std::string& key :
-       ctx.storage->ListWithPrefix(ctx.job_id + "/ckpt/")) {
-    if (referenced.count(key) == 0) ctx.storage->Delete(key);
+  // The new epoch is complete; only now is the previous one dropped.
+  if (epoch_ >= 0 && epoch_ != ctx.iteration) {
+    ctx.storage->DeleteWithPrefix(Key(ctx.job_id, epoch_));
   }
-  last_checkpoint_ = ctx.iteration;
+  epoch_ = ctx.iteration;
   return Status::OK();
 }
 
-Status CheckpointRollbackPolicy::OnJobStart(const IterationContext& ctx,
-                                            IterationState* state) {
-  // A fresh job run: forget checkpoints of previous runs under this id.
-  if (ctx.storage != nullptr) {
-    ctx.storage->DeleteWithPrefix(ctx.job_id + "/ckpt/");
+Status PartitionSnapshots::Restore(const IterationContext& ctx,
+                                   IterationState* state,
+                                   const std::vector<int>& partitions) const {
+  FLINKLESS_RETURN_NOT_OK(RequireStorage(ctx));
+  if (epoch_ < 0) {
+    return Status::DataLoss("no checkpoint available for job '" + ctx.job_id +
+                            "'");
   }
-  last_checkpoint_ = -1;
-  manifest_.clear();
-  content_hash_.clear();
-  // Checkpoint the initial state so a failure in the first interval has a
-  // snapshot to roll back to.
-  return WriteCheckpoint(ctx, *state);
-}
-
-Status CheckpointRollbackPolicy::AfterIteration(const IterationContext& ctx,
-                                                IterationState* state) {
-  if (ctx.iteration % interval_ != 0) return Status::OK();
-  return WriteCheckpoint(ctx, *state);
+  for (int p : partitions) {
+    FLINKLESS_ASSIGN_OR_RETURN(std::vector<uint8_t> blob,
+                               ctx.storage->Read(Key(ctx.job_id, epoch_, p)));
+    FLINKLESS_RETURN_NOT_OK(state->RestorePartition(p, blob));
+  }
+  return Status::OK();
 }
 
 Result<RecoveryOutcome> CheckpointRollbackPolicy::OnFailure(
     const IterationContext& ctx, IterationState* state,
     const std::vector<int>& lost) {
   (void)lost;
-  if (ctx.storage == nullptr) {
-    return Status::FailedPrecondition(
-        "rollback recovery requires stable storage in the job environment");
-  }
-  if (last_checkpoint_ < 0) {
-    return Status::DataLoss("no checkpoint available for job '" + ctx.job_id +
-                            "'");
-  }
   // Synchronous rollback: every partition is restored to the snapshot, not
   // just the lost ones — the surviving partitions' progress since the
   // checkpoint is discarded too.
-  for (int p = 0; p < state->num_partitions(); ++p) {
-    auto it = manifest_.find(p);
-    if (it == manifest_.end()) {
-      return Status::DataLoss("no checkpointed blob for partition " +
-                              std::to_string(p) + " of job '" + ctx.job_id +
-                              "'");
-    }
-    FLINKLESS_ASSIGN_OR_RETURN(std::vector<uint8_t> blob,
-                               ctx.storage->Read(it->second));
-    FLINKLESS_RETURN_NOT_OK(state->RestorePartition(p, blob));
-  }
+  std::vector<int> all(state->num_partitions());
+  std::iota(all.begin(), all.end(), 0);
+  FLINKLESS_RETURN_NOT_OK(snapshots_.Restore(ctx, state, all));
   FLOG_INFO("job '" << ctx.job_id << "': rolled back from iteration "
                     << ctx.iteration << " to checkpoint at iteration "
-                    << last_checkpoint_);
-  return RecoveryOutcome::Rewind(last_checkpoint_);
-}
-
-ConfinedRollbackPolicy::ConfinedRollbackPolicy(int interval,
-                                               WorksetRefresher refresher)
-    : interval_(interval), refresher_(std::move(refresher)) {
-  FLINKLESS_CHECK(interval_ >= 1, "checkpoint interval must be >= 1");
-}
-
-std::string ConfinedRollbackPolicy::CheckpointKey(const std::string& job_id,
-                                                  int partition) const {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "/confined/%06d", partition);
-  return job_id + buf;
-}
-
-Status ConfinedRollbackPolicy::WriteCheckpoint(
-    const IterationContext& ctx, const IterationState& state) {
-  if (ctx.storage == nullptr) {
-    return Status::FailedPrecondition(
-        "confined rollback requires stable storage in the job environment");
-  }
-  // No rewinding means only the latest snapshot is ever read; each write
-  // overwrites in place.
-  for (int p = 0; p < state.num_partitions(); ++p) {
-    FLINKLESS_RETURN_NOT_OK(ctx.storage->Write(
-        CheckpointKey(ctx.job_id, p), state.SerializePartition(p)));
-  }
-  have_checkpoint_ = true;
-  return Status::OK();
-}
-
-Status ConfinedRollbackPolicy::OnJobStart(const IterationContext& ctx,
-                                          IterationState* state) {
-  if (ctx.storage != nullptr) {
-    ctx.storage->DeleteWithPrefix(ctx.job_id + "/confined/");
-  }
-  have_checkpoint_ = false;
-  return WriteCheckpoint(ctx, *state);
-}
-
-Status ConfinedRollbackPolicy::AfterIteration(const IterationContext& ctx,
-                                              IterationState* state) {
-  if (ctx.iteration % interval_ != 0) return Status::OK();
-  return WriteCheckpoint(ctx, *state);
+                    << snapshots_.epoch());
+  return RecoveryOutcome::Rewind(snapshots_.epoch());
 }
 
 Result<RecoveryOutcome> ConfinedRollbackPolicy::OnFailure(
     const IterationContext& ctx, IterationState* state,
     const std::vector<int>& lost) {
-  if (ctx.storage == nullptr) {
-    return Status::FailedPrecondition(
-        "confined rollback requires stable storage in the job environment");
-  }
-  if (!have_checkpoint_) {
-    return Status::DataLoss("no checkpoint available for job '" + ctx.job_id +
-                            "'");
-  }
   // Confined restore: only the lost partitions come back from the (stale)
   // snapshot; the survivors keep their current, newer state.
-  for (int p : lost) {
-    FLINKLESS_ASSIGN_OR_RETURN(std::vector<uint8_t> blob,
-                               ctx.storage->Read(CheckpointKey(ctx.job_id,
-                                                               p)));
-    FLINKLESS_RETURN_NOT_OK(state->RestorePartition(p, blob));
-  }
-  if (state->kind() == iteration::StateKind::kDelta) {
-    if (!refresher_) {
-      return Status::FailedPrecondition(
-          "confined rollback on a delta iteration needs a workset "
-          "refresher");
-    }
-    FLINKLESS_RETURN_NOT_OK(refresher_(
-        ctx, static_cast<iteration::DeltaState*>(state), lost));
-  }
+  FLINKLESS_RETURN_NOT_OK(snapshots_.Restore(ctx, state, lost));
+  FLINKLESS_RETURN_NOT_OK(RefreshWorkset(refresher_, ctx, state, lost));
   FLOG_INFO("job '" << ctx.job_id << "': confined restore of "
                     << lost.size() << " partitions at iteration "
                     << ctx.iteration << " (survivors keep their progress)");
   return RecoveryOutcome::Continue();
-}
-
-ConfinedLogReplayPolicy::ConfinedLogReplayPolicy(int interval,
-                                                 WorksetRefresher refresher)
-    : interval_(interval), refresher_(std::move(refresher)) {
-  FLINKLESS_CHECK(interval_ >= 1, "checkpoint interval must be >= 1");
-}
-
-std::string ConfinedLogReplayPolicy::CheckpointKey(const std::string& job_id,
-                                                   int partition) const {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "/clog/%06d", partition);
-  return job_id + buf;
-}
-
-Status ConfinedLogReplayPolicy::WriteCheckpoint(
-    const IterationContext& ctx, const IterationState& state) {
-  if (ctx.storage == nullptr) {
-    return Status::FailedPrecondition(
-        "confined-log recovery on a delta iteration requires stable "
-        "storage in the job environment");
-  }
-  // Only the latest snapshot is ever read; each write overwrites in place.
-  for (int p = 0; p < state.num_partitions(); ++p) {
-    FLINKLESS_RETURN_NOT_OK(ctx.storage->Write(
-        CheckpointKey(ctx.job_id, p), state.SerializePartition(p)));
-  }
-  have_checkpoint_ = true;
-  return Status::OK();
-}
-
-Status ConfinedLogReplayPolicy::OnJobStart(const IterationContext& ctx,
-                                           IterationState* state) {
-  have_checkpoint_ = false;
-  // Bulk iterations recover from the message log alone: the logged
-  // channels of the failed superstep determine the lost partitions' next
-  // state exactly, so there is nothing to checkpoint and the failure-free
-  // overhead is the log itself.
-  if (state->kind() != iteration::StateKind::kDelta) return Status::OK();
-  if (ctx.storage != nullptr) {
-    ctx.storage->DeleteWithPrefix(ctx.job_id + "/clog/");
-  }
-  return WriteCheckpoint(ctx, *state);
-}
-
-Status ConfinedLogReplayPolicy::AfterIteration(const IterationContext& ctx,
-                                               IterationState* state) {
-  if (state->kind() != iteration::StateKind::kDelta) return Status::OK();
-  if (ctx.iteration % interval_ != 0) return Status::OK();
-  return WriteCheckpoint(ctx, *state);
 }
 
 Result<RecoveryOutcome> ConfinedLogReplayPolicy::OnFailure(
@@ -271,41 +155,16 @@ Result<RecoveryOutcome> ConfinedLogReplayPolicy::OnFailure(
         "enable message_log in the iteration config (--msglog on the "
         "demos)");
   }
+  // The solution set accumulates across supersteps; the log only covers
+  // the failed one. Restore the lost solution partitions to the latest
+  // snapshot first, let the replayed delta re-apply the failed superstep's
+  // updates on top, then re-seed the workset so the snapshot-to-now
+  // staleness re-propagates and converges out — like confined rollback.
   if (state->kind() == iteration::StateKind::kDelta) {
-    // The solution set accumulates across supersteps; the log only covers
-    // the failed one. Restore the lost solution partitions to the latest
-    // snapshot first, then let the replayed delta re-apply the failed
-    // superstep's updates on top.
-    if (ctx.storage == nullptr) {
-      return Status::FailedPrecondition(
-          "confined-log recovery on a delta iteration requires stable "
-          "storage in the job environment");
-    }
-    if (!have_checkpoint_) {
-      return Status::DataLoss("no checkpoint available for job '" +
-                              ctx.job_id + "'");
-    }
-    for (int p : lost) {
-      FLINKLESS_ASSIGN_OR_RETURN(
-          std::vector<uint8_t> blob,
-          ctx.storage->Read(CheckpointKey(ctx.job_id, p)));
-      FLINKLESS_RETURN_NOT_OK(state->RestorePartition(p, blob));
-    }
+    FLINKLESS_RETURN_NOT_OK(snapshots_.Restore(ctx, state, lost));
   }
   FLINKLESS_RETURN_NOT_OK(ctx.replay_messages(lost));
-  if (state->kind() == iteration::StateKind::kDelta) {
-    // The restored partitions are still stale between the snapshot and the
-    // failed superstep (the replay healed only the failed superstep's
-    // delta). Re-seed the workset so the stale region re-propagates and
-    // converges out — exactly like confined rollback.
-    if (!refresher_) {
-      return Status::FailedPrecondition(
-          "confined-log recovery on a delta iteration needs a workset "
-          "refresher");
-    }
-    FLINKLESS_RETURN_NOT_OK(refresher_(
-        ctx, static_cast<iteration::DeltaState*>(state), lost));
-  }
+  FLINKLESS_RETURN_NOT_OK(RefreshWorkset(refresher_, ctx, state, lost));
   FLOG_INFO("job '" << ctx.job_id << "': confined-log replay rebuilt "
                     << lost.size() << " partitions at iteration "
                     << ctx.iteration << " (survivors idle, no recompute)");
@@ -368,7 +227,7 @@ Status UnframeDeltaBlob(const std::vector<uint8_t>& blob,
       !GetU64(blob, &offset, &solution_len)) {
     return Status::DataLoss("truncated delta-checkpoint blob header");
   }
-  if (offset + solution_len > blob.size()) {
+  if (solution_len > blob.size() - offset) {
     return Status::DataLoss("truncated delta-checkpoint blob");
   }
   std::vector<uint8_t> solution_blob(blob.begin() + offset,
@@ -401,11 +260,7 @@ std::string DeltaCheckpointPolicy::BlobKey(const std::string& job_id,
 Status DeltaCheckpointPolicy::WriteCheckpoint(
     const IterationContext& ctx, const iteration::DeltaState& state,
     bool full) {
-  if (ctx.storage == nullptr) {
-    return Status::FailedPrecondition(
-        "delta checkpointing requires stable storage in the job "
-        "environment");
-  }
+  FLINKLESS_RETURN_NOT_OK(RequireStorage(ctx));
   int sequence = next_sequence_++;
   if (static_cast<int>(last_versions_.size()) != state.num_partitions()) {
     last_versions_.assign(state.num_partitions(), 0);
@@ -467,11 +322,7 @@ Result<RecoveryOutcome> DeltaCheckpointPolicy::OnFailure(
     const IterationContext& ctx, IterationState* state,
     const std::vector<int>& lost) {
   (void)lost;
-  if (ctx.storage == nullptr) {
-    return Status::FailedPrecondition(
-        "delta checkpointing requires stable storage in the job "
-        "environment");
-  }
+  FLINKLESS_RETURN_NOT_OK(RequireStorage(ctx));
   if (state->kind() != iteration::StateKind::kDelta) {
     return Status::InvalidArgument(
         "delta checkpointing applies to delta iterations only");

@@ -13,14 +13,17 @@
 //   * OptimisticRecovery — the paper's contribution: no checkpoints at all;
 //                          on failure, run the algorithm's compensation
 //                          function and continue from the current iteration.
+//
+// Rollback and its confined variants share one PartitionSnapshots store and
+// differ only in OnFailure.
 
 #ifndef FLINKLESS_CORE_POLICIES_H_
 #define FLINKLESS_CORE_POLICIES_H_
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/compensation.h"
@@ -48,55 +51,75 @@ class RestartPolicy final : public iteration::FaultTolerancePolicy {
       const std::vector<int>& lost) override;
 };
 
+/// Per-partition snapshots in stable storage, shared by the rollback,
+/// confined and confined-log policies. An epoch holds every partition's
+/// SerializePartition blob as of one iteration, keyed
+/// `<job>/<tag>/<iteration:08d>/<partition:06d>`; a new epoch is written
+/// whole before the previous one is deleted.
+class PartitionSnapshots {
+ public:
+  /// `tag` is the key namespace; `interval` >= 1.
+  PartitionSnapshots(std::string tag, int interval);
+
+  int interval() const { return interval_; }
+  /// Iteration of the latest complete epoch (-1 = none).
+  int epoch() const { return epoch_; }
+
+  /// Drops this job id's snapshots of earlier runs, then snapshots the
+  /// initial state so a failure in the first interval can be restored.
+  Status Start(const iteration::IterationContext& ctx,
+               const iteration::IterationState& state);
+  /// Snapshots after every interval-th iteration.
+  Status AfterIteration(const iteration::IterationContext& ctx,
+                        const iteration::IterationState& state);
+  /// Restores `partitions` from the latest epoch (DataLoss if none).
+  Status Restore(const iteration::IterationContext& ctx,
+                 iteration::IterationState* state,
+                 const std::vector<int>& partitions) const;
+
+ private:
+  Status Write(const iteration::IterationContext& ctx,
+               const iteration::IterationState& state);
+  /// The epoch's key prefix, or with `partition` >= 0 the partition's key.
+  std::string Key(const std::string& job_id, int epoch,
+                  int partition = -1) const;
+
+  std::string tag_;
+  int interval_;
+  int epoch_ = -1;
+};
+
 /// Pessimistic rollback recovery: synchronous checkpoints of every state
 /// partition to stable storage every `interval` iterations (plus iteration
 /// 0), full restore + rewind on failure.
-///
-/// With `incremental` set, a partition whose serialized content did not
-/// change since the last checkpoint is not rewritten — its previous blob is
-/// kept and referenced by the new checkpoint's manifest. For delta
-/// iterations this shrinks checkpoint I/O dramatically once parts of the
-/// solution set converge (ablation A4 in DESIGN.md).
 class CheckpointRollbackPolicy final
     : public iteration::FaultTolerancePolicy {
  public:
-  /// `interval` >= 1: checkpoint after every interval-th iteration. Blobs
-  /// no longer referenced by the latest checkpoint are garbage-collected
-  /// after it is safely written.
-  explicit CheckpointRollbackPolicy(int interval, bool incremental = false);
+  explicit CheckpointRollbackPolicy(int interval)
+      : snapshots_("ckpt", interval) {}
 
   std::string name() const override {
-    return std::string("rollback(k=") + std::to_string(interval_) +
-           (incremental_ ? ",inc" : "") + ")";
+    return "rollback(k=" + std::to_string(snapshots_.interval()) + ")";
   }
 
   Status OnJobStart(const iteration::IterationContext& ctx,
-                    iteration::IterationState* state) override;
+                    iteration::IterationState* state) override {
+    return snapshots_.Start(ctx, *state);
+  }
   Status AfterIteration(const iteration::IterationContext& ctx,
-                        iteration::IterationState* state) override;
+                        iteration::IterationState* state) override {
+    return snapshots_.AfterIteration(ctx, *state);
+  }
   Result<iteration::RecoveryOutcome> OnFailure(
       const iteration::IterationContext& ctx,
       iteration::IterationState* state,
       const std::vector<int>& lost) override;
 
   /// Iteration of the most recent checkpoint (-1 before OnJobStart).
-  int last_checkpoint_iteration() const { return last_checkpoint_; }
+  int last_checkpoint_iteration() const { return snapshots_.epoch(); }
 
  private:
-  std::string CheckpointKey(const std::string& job_id, int iteration,
-                            int partition) const;
-  Status WriteCheckpoint(const iteration::IterationContext& ctx,
-                         const iteration::IterationState& state);
-
-  int interval_;
-  bool incremental_;
-  int last_checkpoint_ = -1;
-  /// partition -> blob key holding that partition's state as of the last
-  /// checkpoint (for incremental mode the keys can be from different
-  /// iterations).
-  std::map<int, std::string> manifest_;
-  /// partition -> content hash of the blob the manifest references.
-  std::map<int, uint64_t> content_hash_;
+  PartitionSnapshots snapshots_;
 };
 
 /// Repopulates a delta iteration's workset after lost solution partitions
@@ -124,29 +147,29 @@ class ConfinedRollbackPolicy final : public iteration::FaultTolerancePolicy {
   /// `refresher` is required for delta iterations (bulk iterations need no
   /// workset fix-up) and may be empty otherwise.
   explicit ConfinedRollbackPolicy(int interval,
-                                  WorksetRefresher refresher = {});
+                                  WorksetRefresher refresher = {})
+      : snapshots_("confined", interval), refresher_(std::move(refresher)) {}
 
   std::string name() const override {
-    return "confined(k=" + std::to_string(interval_) + ")";
+    return "confined(k=" + std::to_string(snapshots_.interval()) + ")";
   }
 
   Status OnJobStart(const iteration::IterationContext& ctx,
-                    iteration::IterationState* state) override;
+                    iteration::IterationState* state) override {
+    return snapshots_.Start(ctx, *state);
+  }
   Status AfterIteration(const iteration::IterationContext& ctx,
-                        iteration::IterationState* state) override;
+                        iteration::IterationState* state) override {
+    return snapshots_.AfterIteration(ctx, *state);
+  }
   Result<iteration::RecoveryOutcome> OnFailure(
       const iteration::IterationContext& ctx,
       iteration::IterationState* state,
       const std::vector<int>& lost) override;
 
  private:
-  std::string CheckpointKey(const std::string& job_id, int partition) const;
-  Status WriteCheckpoint(const iteration::IterationContext& ctx,
-                         const iteration::IterationState& state);
-
-  int interval_;
+  PartitionSnapshots snapshots_;
   WorksetRefresher refresher_;
-  bool have_checkpoint_ = false;
 };
 
 /// Confined recovery by outbound-message-log replay (DESIGN.md §14): the
@@ -171,29 +194,31 @@ class ConfinedLogReplayPolicy final : public iteration::FaultTolerancePolicy {
   /// `interval` only matters for delta iterations (bulk iterations write no
   /// checkpoints); `refresher` is required for delta iterations.
   explicit ConfinedLogReplayPolicy(int interval = 2,
-                                   WorksetRefresher refresher = {});
+                                   WorksetRefresher refresher = {})
+      : snapshots_("clog", interval), refresher_(std::move(refresher)) {}
 
   std::string name() const override {
-    return "confined-log(k=" + std::to_string(interval_) + ")";
+    return "confined-log(k=" + std::to_string(snapshots_.interval()) + ")";
   }
 
   Status OnJobStart(const iteration::IterationContext& ctx,
-                    iteration::IterationState* state) override;
+                    iteration::IterationState* state) override {
+    if (state->kind() != iteration::StateKind::kDelta) return Status::OK();
+    return snapshots_.Start(ctx, *state);
+  }
   Status AfterIteration(const iteration::IterationContext& ctx,
-                        iteration::IterationState* state) override;
+                        iteration::IterationState* state) override {
+    if (state->kind() != iteration::StateKind::kDelta) return Status::OK();
+    return snapshots_.AfterIteration(ctx, *state);
+  }
   Result<iteration::RecoveryOutcome> OnFailure(
       const iteration::IterationContext& ctx,
       iteration::IterationState* state,
       const std::vector<int>& lost) override;
 
  private:
-  std::string CheckpointKey(const std::string& job_id, int partition) const;
-  Status WriteCheckpoint(const iteration::IterationContext& ctx,
-                         const iteration::IterationState& state);
-
-  int interval_;
+  PartitionSnapshots snapshots_;
   WorksetRefresher refresher_;
-  bool have_checkpoint_ = false;
 };
 
 /// Entry-level incremental checkpointing for delta iterations: each
@@ -202,10 +227,10 @@ class ConfinedLogReplayPolicy final : public iteration::FaultTolerancePolicy {
 /// base + delta + delta + ...; recovery replays the chain. Because
 /// solution-set entries stop changing once their region of the graph
 /// converges, the written bytes shrink with convergence even under hash
-/// partitioning — where partition-granular incremental checkpointing (see
-/// CheckpointRollbackPolicy) saves nothing, since every partition holds
-/// some still-changing entries. Solution sets must be upsert-only (true
-/// for Flink-style delta iterations).
+/// partitioning — where skipping unchanged partitions saves nothing, since
+/// every partition holds some still-changing entries (EXPERIMENTS.md A4).
+/// Solution sets must be upsert-only (true for Flink-style delta
+/// iterations).
 class DeltaCheckpointPolicy final : public iteration::FaultTolerancePolicy {
  public:
   /// Checkpoint after every `interval`-th iteration. After `compact_every`

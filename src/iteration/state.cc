@@ -256,7 +256,7 @@ Status DeltaState::RestorePartition(int p, const std::vector<uint8_t>& blob) {
   size_t offset = 0;
   uint64_t solution_len = 0;
   if (!GetU64(blob, &offset, &solution_len) ||
-      offset + solution_len > blob.size()) {
+      solution_len > blob.size() - offset) {
     return Status::DataLoss("truncated delta-state snapshot");
   }
   std::vector<uint8_t> solution_blob(blob.begin() + offset,

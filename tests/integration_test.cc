@@ -17,6 +17,7 @@
 #include "algos/connected_components.h"
 #include "algos/kmeans.h"
 #include "algos/pagerank.h"
+#include "algos/refreshers.h"
 #include "algos/sssp.h"
 #include "common/rng.h"
 #include "core/policies.h"
@@ -31,7 +32,15 @@ using algos::ConnectedComponentsOptions;
 using algos::PageRankOptions;
 using algos::SsspOptions;
 
-enum class Strategy { kOptimistic, kRollback1, kRollback3, kRestart };
+enum class Strategy {
+  kOptimistic,
+  kRollback1,
+  kRollback3,
+  kRestart,
+  kConfined2,
+  kConfinedLog2,
+  kDeltaCkpt2,  // delta iterations only: swept on CC, not on PageRank
+};
 
 std::string StrategyName(Strategy s) {
   switch (s) {
@@ -43,6 +52,12 @@ std::string StrategyName(Strategy s) {
       return "rollback3";
     case Strategy::kRestart:
       return "restart";
+    case Strategy::kConfined2:
+      return "confined2";
+    case Strategy::kConfinedLog2:
+      return "confinedlog2";
+    case Strategy::kDeltaCkpt2:
+      return "deltackpt2";
   }
   return "?";
 }
@@ -69,6 +84,17 @@ StrategyBundle MakeCcStrategy(Strategy s, const graph::Graph* g) {
       break;
     case Strategy::kRestart:
       bundle.policy = std::make_unique<core::RestartPolicy>();
+      break;
+    case Strategy::kConfined2:
+      bundle.policy = std::make_unique<core::ConfinedRollbackPolicy>(
+          2, algos::MakeNeighborhoodRefresher(g));
+      break;
+    case Strategy::kConfinedLog2:
+      bundle.policy = std::make_unique<core::ConfinedLogReplayPolicy>(
+          2, algos::MakeNeighborhoodRefresher(g));
+      break;
+    case Strategy::kDeltaCkpt2:
+      bundle.policy = std::make_unique<core::DeltaCheckpointPolicy>(2);
       break;
   }
   return bundle;
@@ -100,6 +126,7 @@ TEST_P(CcInvarianceTest, AnyFailureAnyStrategySameResult) {
   StrategyBundle bundle = MakeCcStrategy(strategy, &g);
   ConnectedComponentsOptions options;
   options.num_partitions = 4;
+  options.message_log = strategy == Strategy::kConfinedLog2;
   auto result =
       algos::RunConnectedComponents(g, options, env, bundle.policy.get());
   ASSERT_TRUE(result.ok()) << result.status();
@@ -113,7 +140,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(Strategy::kOptimistic,
                                          Strategy::kRollback1,
                                          Strategy::kRollback3,
-                                         Strategy::kRestart),
+                                         Strategy::kRestart,
+                                         Strategy::kConfined2,
+                                         Strategy::kConfinedLog2,
+                                         Strategy::kDeltaCkpt2),
                        ::testing::Range(1, 7)));
 
 // --------------------------------------------------------------- PR sweep --
@@ -154,11 +184,20 @@ TEST_P(PrInvarianceTest, AnyFailureAnyStrategySameRanks) {
     case Strategy::kRestart:
       bundle.policy = std::make_unique<core::RestartPolicy>();
       break;
+    case Strategy::kConfined2:
+      bundle.policy = std::make_unique<core::ConfinedRollbackPolicy>(2);
+      break;
+    case Strategy::kConfinedLog2:
+      bundle.policy = std::make_unique<core::ConfinedLogReplayPolicy>(2);
+      break;
+    case Strategy::kDeltaCkpt2:
+      GTEST_FAIL() << "delta checkpoints apply to delta iterations only";
   }
 
   PageRankOptions options;
   options.num_partitions = 4;
   options.max_iterations = 300;
+  options.message_log = strategy == Strategy::kConfinedLog2;
   auto result = algos::RunPageRank(g, options, env, bundle.policy.get());
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(result->converged);
@@ -173,7 +212,9 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, PrInvarianceTest,
     ::testing::Combine(::testing::Values(Strategy::kOptimistic,
                                          Strategy::kRollback1,
-                                         Strategy::kRestart),
+                                         Strategy::kRestart,
+                                         Strategy::kConfined2,
+                                         Strategy::kConfinedLog2),
                        ::testing::Range(1, 5)));
 
 // ------------------------------------------------------------- SSSP sweep --
@@ -333,6 +374,101 @@ TEST(AccountingTest, RollbackChargesCheckpointBytesPerInterval) {
   EXPECT_GT(checkpointing_iterations, 0);
   EXPECT_GT(clock.Of(runtime::Charge::kCheckpointIo), 0);
   EXPECT_EQ(metrics.TotalCheckpointBytes() > 0, true);
+}
+
+TEST(AccountingTest, SnapshotPoliciesMoveThePinnedBytesAndCharges) {
+  // Rollback, confined and confined-log (k=2) on bulk PageRank (the directed
+  // demo graph) and delta CC (the undirected one), one failure each. The constants pin every byte, write and nanosecond the
+  // snapshot path moves, so a change to how snapshots are keyed, written or
+  // restored cannot shift the I/O accounting unnoticed.
+  struct Pinned {
+    const char* policy;
+    bool pagerank;
+    int iterations;
+    uint64_t bytes_written;
+    uint64_t bytes_read;
+    uint64_t writes;
+    int64_t checkpoint_io_ns;
+    int64_t recovery_ns;
+  };
+  const Pinned kPinned[] = {
+      // policy, pagerank, iterations, written, read, writes, io_ns, rec_ns
+      {"rollback", true, 34, 4536, 252, 72, 360138600, 20000000},
+      {"confined", true, 102, 13104, 118, 208, 1040394300, 20000000},
+      {"confined-log", true, 34, 0, 0, 0, 0, 20013850},
+      {"rollback", false, 4, 1784, 536, 12, 60058880, 20000000},
+      {"confined", false, 5, 1806, 288, 12, 60057060, 20000000},
+      {"confined-log", false, 4, 1784, 288, 12, 60056400, 20012750},
+  };
+  const graph::Graph directed = graph::DemoDirectedGraph();
+  const graph::Graph undirected = graph::DemoGraph();
+  const auto true_ranks =
+      graph::ReferencePageRank(directed, 0.85, 1000, 1e-14);
+  const auto true_labels = graph::ReferenceConnectedComponents(undirected);
+
+  for (const Pinned& pinned : kPinned) {
+    const std::string policy_name = pinned.policy;
+    SCOPED_TRACE((pinned.pagerank ? "pagerank " : "cc ") + policy_name);
+    runtime::SimClock clock;
+    runtime::CostModel costs;
+    runtime::StableStorage storage(&clock, &costs);
+    runtime::FailureSchedule failures(
+        std::vector<runtime::FailureEvent>{{3, {1}}});
+    iteration::JobEnv env;
+    env.clock = &clock;
+    env.costs = &costs;
+    env.storage = &storage;
+    env.failures = &failures;
+
+    core::WorksetRefresher refresher;
+    if (!pinned.pagerank) {
+      refresher = algos::MakeNeighborhoodRefresher(&undirected);
+    }
+    std::unique_ptr<iteration::FaultTolerancePolicy> policy;
+    if (policy_name == "rollback") {
+      policy = std::make_unique<core::CheckpointRollbackPolicy>(2);
+    } else if (policy_name == "confined") {
+      policy = std::make_unique<core::ConfinedRollbackPolicy>(2, refresher);
+    } else {
+      policy = std::make_unique<core::ConfinedLogReplayPolicy>(2, refresher);
+    }
+    const bool message_log = policy_name == "confined-log";
+
+    int iterations = 0;
+    if (pinned.pagerank) {
+      PageRankOptions options;
+      options.num_partitions = 4;
+      options.max_iterations = 300;
+      options.message_log = message_log;
+      auto result =
+          algos::RunPageRank(directed, options, env, policy.get());
+      ASSERT_TRUE(result.ok()) << result.status();
+      EXPECT_TRUE(result->converged);
+      EXPECT_EQ(result->failures_recovered, 1);
+      for (size_t v = 0; v < true_ranks.size(); ++v) {
+        EXPECT_NEAR(result->ranks[v], true_ranks[v], 1e-6) << "vertex " << v;
+      }
+      iterations = result->iterations;
+    } else {
+      ConnectedComponentsOptions options;
+      options.num_partitions = 4;
+      options.message_log = message_log;
+      auto result =
+          algos::RunConnectedComponents(undirected, options, env, policy.get());
+      ASSERT_TRUE(result.ok()) << result.status();
+      EXPECT_TRUE(result->converged);
+      EXPECT_EQ(result->failures_recovered, 1);
+      EXPECT_EQ(result->labels, true_labels);
+      iterations = result->iterations;
+    }
+    EXPECT_EQ(iterations, pinned.iterations);
+    EXPECT_EQ(storage.bytes_written(), pinned.bytes_written);
+    EXPECT_EQ(storage.bytes_read(), pinned.bytes_read);
+    EXPECT_EQ(storage.num_writes(), pinned.writes);
+    EXPECT_EQ(clock.Of(runtime::Charge::kCheckpointIo),
+              pinned.checkpoint_io_ns);
+    EXPECT_EQ(clock.Of(runtime::Charge::kRecovery), pinned.recovery_ns);
+  }
 }
 
 TEST(AccountingTest, RecoveryChargesNodeAcquisition) {

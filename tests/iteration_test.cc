@@ -268,6 +268,17 @@ TEST(DeltaStateTest, RestoreRejectsTruncatedBlob) {
   EXPECT_FALSE(state.RestorePartition(0, {0, 0, 0}).ok());
 }
 
+TEST(DeltaStateTest, RestoreRejectsSolutionLengthThatWrapsTheOffset) {
+  // A corrupt length of 2^64 - 8 makes `offset + length` wrap to 0; the
+  // restore must still see it as truncated instead of slicing the blob.
+  DeltaState state(SolutionSet(2, {0}), PartitionedDataset(2));
+  std::vector<uint8_t> blob(8, 0);
+  const uint64_t length = ~uint64_t{0} - 7;  // 2^64 - 8
+  for (int i = 0; i < 8; ++i) blob[i] = (length >> (8 * i)) & 0xff;
+  blob.push_back(0);
+  EXPECT_TRUE(state.RestorePartition(0, blob).IsDataLoss());
+}
+
 // --------------------------------------------------- scripted test policy --
 
 /// Counts hook invocations and performs a fixed action on failure.

@@ -72,6 +72,32 @@ TEST(RestartPolicyTest, FailureRequestsRestart) {
   EXPECT_EQ(outcome->action, RecoveryAction::kRestart);
 }
 
+// ---------------------------------------------------- partition snapshots --
+
+TEST(PartitionSnapshotsTest, KeepsOnlyTheLatestEpochUnderItsTag) {
+  runtime::StableStorage storage(nullptr, nullptr);
+  PartitionSnapshots snapshots("confined", /*interval=*/2);
+  BulkState state = MakeState(8, 2, 1);
+  ASSERT_TRUE(snapshots.Start(MakeContext(0, 2, &storage), state).ok());
+  ASSERT_TRUE(
+      snapshots.AfterIteration(MakeContext(1, 2, &storage), state).ok());
+  EXPECT_EQ(snapshots.epoch(), 0);  // 1 is not a multiple of the interval
+  ASSERT_TRUE(
+      snapshots.AfterIteration(MakeContext(2, 2, &storage), state).ok());
+  EXPECT_EQ(snapshots.epoch(), 2);
+  EXPECT_EQ(storage.ListWithPrefix("test-job/"),
+            (std::vector<std::string>{"test-job/confined/00000002/000000",
+                                      "test-job/confined/00000002/000001"}));
+}
+
+TEST(PartitionSnapshotsTest, RestoreWithoutSnapshotIsDataLoss) {
+  runtime::StableStorage storage(nullptr, nullptr);
+  PartitionSnapshots snapshots("ckpt", /*interval=*/1);
+  BulkState state = MakeState(4, 2, 1);
+  EXPECT_TRUE(snapshots.Restore(MakeContext(1, 2, &storage), &state, {0})
+                  .IsDataLoss());
+}
+
 // -------------------------------------------------------------- Rollback --
 
 TEST(RollbackTest, CheckpointsInitialStateOnJobStart) {
@@ -167,108 +193,6 @@ TEST(RollbackTest, JobStartClearsStaleCheckpoints) {
 
 TEST(RollbackTest, NameIncludesInterval) {
   EXPECT_EQ(CheckpointRollbackPolicy(5).name(), "rollback(k=5)");
-}
-
-// -------------------------------------------------- incremental rollback --
-
-TEST(IncrementalRollbackTest, SkipsUnchangedPartitions) {
-  runtime::StableStorage storage(nullptr, nullptr);
-  CheckpointRollbackPolicy policy(/*interval=*/1, /*incremental=*/true);
-  BulkState state = MakeState(16, 4, 7);
-  ASSERT_TRUE(policy.OnJobStart(MakeContext(0, 4, &storage), &state).ok());
-  uint64_t writes_after_start = storage.num_writes();
-  EXPECT_EQ(writes_after_start, 4u);
-
-  // Change only partition 2; the next checkpoint writes only that one.
-  for (auto& record : state.data().partition(2)) record[1] = int64_t{99};
-  ASSERT_TRUE(
-      policy.AfterIteration(MakeContext(1, 4, &storage), &state).ok());
-  EXPECT_EQ(storage.num_writes(), writes_after_start + 1);
-
-  // Nothing changed: the next checkpoint writes nothing at all.
-  ASSERT_TRUE(
-      policy.AfterIteration(MakeContext(2, 4, &storage), &state).ok());
-  EXPECT_EQ(storage.num_writes(), writes_after_start + 1);
-  EXPECT_EQ(policy.last_checkpoint_iteration(), 2);
-}
-
-TEST(IncrementalRollbackTest, RestoreMixesBlobGenerations) {
-  runtime::StableStorage storage(nullptr, nullptr);
-  CheckpointRollbackPolicy policy(/*interval=*/1, /*incremental=*/true);
-  BulkState state = MakeState(16, 4, 7);
-  ASSERT_TRUE(policy.OnJobStart(MakeContext(0, 4, &storage), &state).ok());
-
-  // Iteration 1: only partition 0 progresses, checkpointed.
-  for (auto& record : state.data().partition(0)) record[1] = int64_t{8};
-  ASSERT_TRUE(
-      policy.AfterIteration(MakeContext(1, 4, &storage), &state).ok());
-
-  // Iteration 2: all partitions progress (not checkpointed yet), then a
-  // failure destroys partition 3.
-  for (int p = 0; p < 4; ++p) {
-    for (auto& record : state.data().partition(p)) record[1] = int64_t{50};
-  }
-  state.ClearPartition(3);
-  auto outcome = policy.OnFailure(MakeContext(2, 4, &storage), &state, {3});
-  ASSERT_TRUE(outcome.ok());
-  EXPECT_EQ(outcome->action, RecoveryAction::kRewind);
-  EXPECT_EQ(outcome->rewind_to_iteration, 1);
-
-  // Restored state: partition 0 from the iteration-1 blob (value 8), the
-  // others from the iteration-0 blobs (value 7) — a consistent snapshot of
-  // checkpoint 1 assembled from two blob generations.
-  EXPECT_EQ(state.data().NumRecords(), 16u);
-  for (const Record& r : state.data().CollectSorted()) {
-    int64_t expected =
-        PartitionedDataset::PartitionOf(r, {0}, 4) == 0 ? 8 : 7;
-    EXPECT_EQ(r[1].AsInt64(), expected) << RecordToString(r);
-  }
-}
-
-TEST(IncrementalRollbackTest, GcKeepsReferencedOldBlobs) {
-  runtime::StableStorage storage(nullptr, nullptr);
-  CheckpointRollbackPolicy policy(/*interval=*/1, /*incremental=*/true);
-  BulkState state = MakeState(16, 4, 7);
-  ASSERT_TRUE(policy.OnJobStart(MakeContext(0, 4, &storage), &state).ok());
-  // Two more checkpoints with only partition 1 changing.
-  for (int iter = 1; iter <= 2; ++iter) {
-    for (auto& record : state.data().partition(1)) {
-      record[1] = int64_t{100 + iter};
-    }
-    ASSERT_TRUE(
-        policy.AfterIteration(MakeContext(iter, 4, &storage), &state).ok());
-  }
-  // Live blobs: the three unchanged partitions' iteration-0 blobs plus
-  // partition 1's iteration-2 blob.
-  EXPECT_EQ(storage.ListWithPrefix("test-job/ckpt/").size(), 4u);
-  // And a failure can still restore everything.
-  state.ClearPartition(0);
-  auto outcome = policy.OnFailure(MakeContext(3, 4, &storage), &state, {0});
-  ASSERT_TRUE(outcome.ok());
-  EXPECT_EQ(state.data().NumRecords(), 16u);
-}
-
-TEST(IncrementalRollbackTest, WritesLessThanFullForConvergingState) {
-  // Simulated converging job: fewer and fewer partitions change.
-  auto run = [](bool incremental) {
-    runtime::StableStorage storage(nullptr, nullptr);
-    CheckpointRollbackPolicy policy(1, incremental);
-    BulkState state = MakeState(32, 4, 0);
-    EXPECT_TRUE(policy.OnJobStart(MakeContext(0, 4, &storage), &state).ok());
-    for (int iter = 1; iter <= 4; ++iter) {
-      // Partition p stops changing after iteration p.
-      for (int p = iter; p < 4; ++p) {
-        for (auto& record : state.data().partition(p)) {
-          record[1] = int64_t{iter};
-        }
-      }
-      EXPECT_TRUE(
-          policy.AfterIteration(MakeContext(iter, 4, &storage), &state)
-              .ok());
-    }
-    return storage.bytes_written();
-  };
-  EXPECT_LT(run(true), run(false));
 }
 
 // ---------------------------------------------------- confined rollback --
@@ -675,6 +599,31 @@ TEST(DeltaCheckpointTest, RejectsLegacyV1BlobsWithoutVersionFraming) {
   EXPECT_NE(outcome.status().message().find("version framing"),
             std::string::npos)
       << outcome.status();
+}
+
+TEST(DeltaCheckpointTest, RestoreRejectsSolutionLengthThatWrapsTheOffset) {
+  // A link whose framed solution length is 2^64 - 32 makes
+  // `offset + length` wrap to 0 after the 32-byte header; the restore must
+  // return DataLoss instead of slicing the blob.
+  runtime::StableStorage storage(nullptr, nullptr);
+  DeltaCheckpointPolicy policy(1);
+  iteration::DeltaState state = MakeDeltaState(8, 2);
+  ASSERT_TRUE(policy.OnJobStart(MakeContext(0, 2, &storage), &state).ok());
+
+  auto put_u64 = [](uint64_t v, std::vector<uint8_t>* out) {
+    for (int i = 0; i < 8; ++i) out->push_back((v >> (8 * i)) & 0xff);
+  };
+  auto base = storage.Read("test-job/dckpt/00000000/000000");
+  ASSERT_TRUE(base.ok());
+  std::vector<uint8_t> corrupt(base->begin(), base->begin() + 24);
+  put_u64(~uint64_t{0} - 31, &corrupt);  // 2^64 - 32
+  corrupt.push_back(0);
+  ASSERT_TRUE(
+      storage.Write("test-job/dckpt/00000000/000000", corrupt).ok());
+
+  state.ClearPartition(0);
+  auto outcome = policy.OnFailure(MakeContext(1, 2, &storage), &state, {0});
+  EXPECT_TRUE(outcome.status().IsDataLoss()) << outcome.status();
 }
 
 // ------------------------------------------------------------ Optimistic --
