@@ -9,8 +9,6 @@ namespace flinkless::iteration {
 
 using dataflow::PartitionedDataset;
 
-namespace {
-
 /// Bulk supersteps: the plan's next-state output replaces the whole state.
 class BulkHooks final : public SuperstepHooks {
  public:
@@ -71,8 +69,6 @@ class BulkHooks final : public SuperstepHooks {
   BulkState state_;
 };
 
-}  // namespace
-
 BulkIterationDriver::BulkIterationDriver(const dataflow::Plan* step_plan,
                                          dataflow::Bindings static_bindings,
                                          BulkIterationConfig config,
@@ -86,7 +82,19 @@ BulkIterationDriver::BulkIterationDriver(const dataflow::Plan* step_plan,
   FLINKLESS_CHECK(step_plan_ != nullptr, "bulk driver needs a step plan");
 }
 
+BulkIterationDriver::~BulkIterationDriver() = default;
+
 Result<BulkIterationResult> BulkIterationDriver::Run(
+    PartitionedDataset initial, FaultTolerancePolicy* policy) {
+  FLINKLESS_ASSIGN_OR_RETURN(SuperstepLoop* loop,
+                             Start(std::move(initial), policy));
+  for (;;) {
+    FLINKLESS_ASSIGN_OR_RETURN(bool more, loop->Step());
+    if (!more) return TakeResult();
+  }
+}
+
+Result<SuperstepLoop*> BulkIterationDriver::Start(
     PartitionedDataset initial, FaultTolerancePolicy* policy) {
   FLINKLESS_CHECK(policy != nullptr, "bulk driver needs a policy");
   const int n = exec_options_.num_partitions;
@@ -104,17 +112,19 @@ Result<BulkIterationResult> BulkIterationDriver::Run(
   loop.epoch_hook = config_.epoch_hook;
   loop.volatile_bindings = {config_.state_binding};
 
-  BulkHooks hooks(config_, std::move(initial));
-  FLINKLESS_ASSIGN_OR_RETURN(
-      SuperstepLoopResult run,
-      RunSuperstepLoop(*step_plan_, static_bindings_, loop, exec_options_,
-                       env_, policy, &hooks));
-  BulkIterationResult result;
-  result.final_state = std::move(hooks.data());
-  result.iterations = run.iterations;
-  result.supersteps_executed = run.supersteps_executed;
-  result.converged = run.converged;
-  result.failures_recovered = run.failures_recovered;
+  loop_.reset();  // a previous run's loop borrows its hooks
+  hooks_ = std::make_unique<BulkHooks>(config_, std::move(initial));
+  loop_ = std::make_unique<SuperstepLoop>(*step_plan_, static_bindings_,
+                                          std::move(loop), exec_options_, env_,
+                                          policy, hooks_.get());
+  return loop_.get();
+}
+
+BulkIterationResult BulkIterationDriver::TakeResult() {
+  FLINKLESS_CHECK(loop_ != nullptr, "TakeResult() needs a started run");
+  BulkIterationResult result{loop_->result(), std::move(hooks_->data())};
+  loop_.reset();
+  hooks_.reset();
   return result;
 }
 

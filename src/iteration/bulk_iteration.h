@@ -5,6 +5,7 @@
 #define FLINKLESS_ITERATION_BULK_ITERATION_H_
 
 #include <functional>
+#include <memory>
 #include <string>
 
 #include "common/result.h"
@@ -14,6 +15,7 @@
 #include "iteration/epoch.h"
 #include "iteration/policy.h"
 #include "iteration/state.h"
+#include "iteration/superstep_loop.h"
 
 namespace flinkless::iteration {
 
@@ -78,21 +80,17 @@ struct BulkIterationConfig {
   /// OnJobStart (kJobStart), at each consistent superstep boundary
   /// (kEpochComplete / kRecoveryComplete) and mid-recovery
   /// (kFailureDetected). The driver blocks while the hook runs — the job
-  /// server parks the job thread here to hand out superstep turns. Empty =
-  /// off; the hook never changes outputs, stats, or simulated charges.
+  /// server publishes read views and answers reads here. Empty = off; the
+  /// hook never changes outputs, stats, or simulated charges.
   EpochHook epoch_hook;
 };
 
 /// Result of a bulk-iterative run.
-struct BulkIterationResult {
+struct BulkIterationResult : SuperstepLoopResult {
   dataflow::PartitionedDataset final_state;
-  /// Highest iteration number reached (the job's logical progress).
-  int iterations = 0;
-  /// Total supersteps actually executed, counting rollback re-execution.
-  int supersteps_executed = 0;
-  bool converged = false;
-  int failures_recovered = 0;
 };
+
+class BulkHooks;
 
 /// Drives a bulk iteration of `step_plan` under a fault-tolerance policy.
 class BulkIterationDriver {
@@ -105,12 +103,22 @@ class BulkIterationDriver {
                       dataflow::Bindings static_bindings,
                       BulkIterationConfig config,
                       dataflow::ExecOptions exec_options, JobEnv env);
+  ~BulkIterationDriver();
 
   /// Runs to convergence (or max_iterations) from `initial`, which must be
   /// hash-partitioned by config.state_key. The policy handles any failures
-  /// from env.failures.
+  /// from env.failures. Start, then Step until false, then TakeResult.
   Result<BulkIterationResult> Run(dataflow::PartitionedDataset initial,
                                   FaultTolerancePolicy* policy);
+
+  /// Run one turn at a time, for a caller that interleaves jobs (the job
+  /// server): Start prepares the run, executes nothing, and returns the
+  /// loop to step (SuperstepLoop::Step) until it returns false; TakeResult
+  /// then hands out the result and releases the loop with the run's cache,
+  /// message log, and executor.
+  Result<SuperstepLoop*> Start(dataflow::PartitionedDataset initial,
+                               FaultTolerancePolicy* policy);
+  BulkIterationResult TakeResult();
 
  private:
   const dataflow::Plan* step_plan_;
@@ -118,6 +126,8 @@ class BulkIterationDriver {
   BulkIterationConfig config_;
   dataflow::ExecOptions exec_options_;
   JobEnv env_;
+  std::unique_ptr<BulkHooks> hooks_;
+  std::unique_ptr<SuperstepLoop> loop_;
 };
 
 }  // namespace flinkless::iteration

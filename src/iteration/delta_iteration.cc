@@ -10,8 +10,6 @@ namespace flinkless::iteration {
 using dataflow::PartitionedDataset;
 using dataflow::Record;
 
-namespace {
-
 /// Delta supersteps: the delta output is upserted into the solution set and
 /// the next-workset output replaces the workset; an empty workset ends the
 /// iteration.
@@ -136,8 +134,6 @@ class DeltaHooks final : public SuperstepHooks {
   PartitionedDataset solution_ds_;
 };
 
-}  // namespace
-
 DeltaIterationDriver::DeltaIterationDriver(const dataflow::Plan* step_plan,
                                            dataflow::Bindings static_bindings,
                                            DeltaIterationConfig config,
@@ -151,7 +147,21 @@ DeltaIterationDriver::DeltaIterationDriver(const dataflow::Plan* step_plan,
   FLINKLESS_CHECK(step_plan_ != nullptr, "delta driver needs a step plan");
 }
 
+DeltaIterationDriver::~DeltaIterationDriver() = default;
+
 Result<DeltaIterationResult> DeltaIterationDriver::Run(
+    std::vector<Record> initial_solution, PartitionedDataset initial_workset,
+    FaultTolerancePolicy* policy) {
+  FLINKLESS_ASSIGN_OR_RETURN(
+      SuperstepLoop* loop,
+      Start(std::move(initial_solution), std::move(initial_workset), policy));
+  for (;;) {
+    FLINKLESS_ASSIGN_OR_RETURN(bool more, loop->Step());
+    if (!more) return TakeResult();
+  }
+}
+
+Result<SuperstepLoop*> DeltaIterationDriver::Start(
     std::vector<Record> initial_solution, PartitionedDataset initial_workset,
     FaultTolerancePolicy* policy) {
   FLINKLESS_CHECK(policy != nullptr, "delta driver needs a policy");
@@ -171,18 +181,20 @@ Result<DeltaIterationResult> DeltaIterationDriver::Run(
   loop.epoch_hook = config_.epoch_hook;
   loop.volatile_bindings = {config_.workset_binding, config_.solution_binding};
 
-  DeltaHooks hooks(config_, n, std::move(initial_solution),
-                   std::move(initial_workset));
-  FLINKLESS_ASSIGN_OR_RETURN(
-      SuperstepLoopResult run,
-      RunSuperstepLoop(*step_plan_, static_bindings_, loop, exec_options_,
-                       env_, policy, &hooks));
-  DeltaIterationResult result;
-  result.final_solution = std::move(hooks.solution());
-  result.iterations = run.iterations;
-  result.supersteps_executed = run.supersteps_executed;
-  result.converged = run.converged;
-  result.failures_recovered = run.failures_recovered;
+  loop_.reset();  // a previous run's loop borrows its hooks
+  hooks_ = std::make_unique<DeltaHooks>(config_, n, std::move(initial_solution),
+                                        std::move(initial_workset));
+  loop_ = std::make_unique<SuperstepLoop>(*step_plan_, static_bindings_,
+                                          std::move(loop), exec_options_, env_,
+                                          policy, hooks_.get());
+  return loop_.get();
+}
+
+DeltaIterationResult DeltaIterationDriver::TakeResult() {
+  FLINKLESS_CHECK(loop_ != nullptr, "TakeResult() needs a started run");
+  DeltaIterationResult result{loop_->result(), std::move(hooks_->solution())};
+  loop_.reset();
+  hooks_.reset();
   return result;
 }
 

@@ -7,6 +7,7 @@
 #define FLINKLESS_ITERATION_DELTA_ITERATION_H_
 
 #include <functional>
+#include <memory>
 #include <string>
 
 #include "common/result.h"
@@ -16,6 +17,7 @@
 #include "iteration/epoch.h"
 #include "iteration/policy.h"
 #include "iteration/state.h"
+#include "iteration/superstep_loop.h"
 
 namespace flinkless::iteration {
 
@@ -70,20 +72,19 @@ struct DeltaIterationConfig {
   /// OnJobStart (kJobStart), at each consistent superstep boundary
   /// (kEpochComplete / kRecoveryComplete) and mid-recovery
   /// (kFailureDetected). The driver blocks while the hook runs — the job
-  /// server parks the job thread here to hand out superstep turns. Empty =
-  /// off; the hook never changes outputs, stats, or simulated charges.
+  /// server publishes read views and answers reads here. Empty = off; the
+  /// hook never changes outputs, stats, or simulated charges.
   EpochHook epoch_hook;
 };
 
 /// Result of a delta-iterative run.
-struct DeltaIterationResult {
+/// `converged` is true when the workset drained (the delta iteration's
+/// convergence).
+struct DeltaIterationResult : SuperstepLoopResult {
   SolutionSet final_solution;
-  int iterations = 0;
-  int supersteps_executed = 0;
-  /// True when the workset drained (the delta iteration's convergence).
-  bool converged = false;
-  int failures_recovered = 0;
 };
+
+class DeltaHooks;
 
 /// Drives a delta iteration of `step_plan` under a fault-tolerance policy.
 class DeltaIterationDriver {
@@ -92,14 +93,22 @@ class DeltaIterationDriver {
                        dataflow::Bindings static_bindings,
                        DeltaIterationConfig config,
                        dataflow::ExecOptions exec_options, JobEnv env);
+  ~DeltaIterationDriver();
 
   /// Runs until the workset drains (or max_iterations). `initial_solution`
   /// records are indexed by config.solution_key; `initial_workset` must have
-  /// the executor's partition count.
+  /// the executor's partition count. Start, then Step until false, then
+  /// TakeResult.
   Result<DeltaIterationResult> Run(
       std::vector<dataflow::Record> initial_solution,
       dataflow::PartitionedDataset initial_workset,
       FaultTolerancePolicy* policy);
+
+  /// Run one turn at a time (see BulkIterationDriver::Start).
+  Result<SuperstepLoop*> Start(std::vector<dataflow::Record> initial_solution,
+                               dataflow::PartitionedDataset initial_workset,
+                               FaultTolerancePolicy* policy);
+  DeltaIterationResult TakeResult();
 
  private:
   const dataflow::Plan* step_plan_;
@@ -107,6 +116,8 @@ class DeltaIterationDriver {
   DeltaIterationConfig config_;
   dataflow::ExecOptions exec_options_;
   JobEnv env_;
+  std::unique_ptr<DeltaHooks> hooks_;
+  std::unique_ptr<SuperstepLoop> loop_;
 };
 
 }  // namespace flinkless::iteration

@@ -3,8 +3,12 @@
 // read-your-epoch consistency.
 //
 // Both drivers fire the hook at the same four points of their superstep
-// loop. Per superstep exactly one of kEpochComplete OR the pair
-// (kFailureDetected, then kRecoveryComplete) fires, so a consumer that
+// loop (iteration/superstep_loop.h). kJobStart ends the loop's first turn
+// and kEpochComplete / kRecoveryComplete end each superstep's turn;
+// kFailureDetected fires in the middle of a superstep, which is why the
+// hook exists even though the loop is stepped turn by turn. Per superstep
+// exactly one of kEpochComplete OR the pair (kFailureDetected, then
+// kRecoveryComplete) fires, so a consumer that
 // refreshes its view only on kEpochComplete/kRecoveryComplete never
 // observes a half-applied delta: between those two events the state is
 // either untouched or mid-recovery, and the previous published epoch stays
@@ -56,8 +60,7 @@ struct EpochInfo {
 };
 
 /// Fired on the driver's orchestration thread; the driver blocks until it
-/// returns, so a hook may safely read `state` (and may block to hand the
-/// superstep "turn" to a scheduler — the job-server pattern).
+/// returns, so a hook may safely read `state`.
 using EpochHook = std::function<void(const EpochInfo&)>;
 
 }  // namespace flinkless::iteration

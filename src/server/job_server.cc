@@ -1,6 +1,7 @@
 #include "server/job_server.h"
 
 #include <utility>
+#include <vector>
 
 #include "common/logging.h"
 
@@ -28,22 +29,6 @@ JobServer::JobServer(runtime::SimClock* clock, const runtime::CostModel* costs,
   memory_.set_metrics(metrics_);
   lookup_cost_ns_ = options_.lookup_cost_ns >= 0 ? options_.lookup_cost_ns
                                                  : costs_->cpu_per_record_ns;
-}
-
-JobServer::~JobServer() {
-  // Never run what never started; then grant turns until every running
-  // driver exits, so job threads are joined before members are torn down.
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    queued_.clear();
-  }
-  for (;;) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (running_.empty()) break;
-    }
-    Pump();
-  }
 }
 
 Status JobServer::Submit(JobSpec spec) {
@@ -76,24 +61,6 @@ Status JobServer::Submit(JobSpec spec) {
         " partitions, exec options say " + std::to_string(n));
   }
 
-  std::lock_guard<std::mutex> lk(mu_);
-  if (runtime::Tracer* tracer = spec.exec.tracer; tracer != nullptr) {
-    // A tracer's spans must close in reverse open order, so one tracer can
-    // follow one thread: the server's records publishes, each job's its own
-    // run. Two live jobs sharing one would abort mid-run.
-    if (tracer == tracer_) {
-      return Status::InvalidArgument(
-          "job '" + spec.job_id +
-          "': exec.tracer is the server's tracer; give the job its own");
-    }
-    for (const auto& [id, other] : jobs_) {
-      if (!other->reaped && other->spec.exec.tracer == tracer) {
-        return Status::InvalidArgument("job '" + spec.job_id +
-                                       "': exec.tracer belongs to live job '" +
-                                       id + "'");
-      }
-    }
-  }
   if (jobs_.count(spec.job_id) > 0) {
     // The spill-key registry would catch the namespace collision later
     // with a crash; reject the duplicate id cleanly up front instead
@@ -110,7 +77,7 @@ Status JobServer::Submit(JobSpec spec) {
   return Status::OK();
 }
 
-void JobServer::AssignCacheSlotLocked(Job* job) {
+void JobServer::AssignCacheSlot(Job* job) {
   JobSpec& spec = job->spec;
   const bool wants_cache = spec.kind == StateKind::kDelta
                                ? spec.delta.cache_loop_invariant
@@ -169,7 +136,7 @@ void JobServer::AssignCacheSlotLocked(Job* job) {
   spec.exec.cache = slot.cache.get();
 }
 
-void JobServer::AdmitLocked() {
+void JobServer::Admit() {
   // The memory gate never starves an idle server: with nothing running,
   // residency cannot shrink on its own (warm cache slots keep bytes
   // registered), so the head-of-line job is admitted regardless — its
@@ -180,35 +147,24 @@ void JobServer::AdmitLocked() {
           memory_.resident_bytes() <= options_.memory_budget_bytes)) {
     Job* job = queued_.front();
     queued_.pop_front();
-    AssignCacheSlotLocked(job);
+    AssignCacheSlot(job);
     running_.push_back(job);
     if (metrics_ != nullptr) {
       metrics_->Count(runtime::metric::kServerJobsAdmitted, -1);
     }
-    // The thread parks until its first turn grant, so job setup (driver
-    // construction, OnJobStart checkpoints) is serialized like any
-    // superstep.
-    job->thread = std::thread(&JobServer::JobMain, this, job);
   }
 }
 
-void JobServer::JobMain(Job* job) {
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_.wait(lk, [job] { return job->turn_granted; });
+Result<bool> JobServer::StepJob(Job* job) {
+  // The driver is built in the job's first turn, so job setup (driver
+  // construction, OnJobStart checkpoints) is serialized like any superstep.
+  if (job->loop == nullptr) {
+    FLINKLESS_ASSIGN_OR_RETURN(job->loop, StartJob(job));
   }
-  Status st = RunJob(job);
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    job->run_status = st;
-    job->finished = true;
-    job->turn_granted = false;
-    job->turn_done = true;
-  }
-  cv_.notify_all();
+  return job->loop->Step();
 }
 
-Status JobServer::RunJob(Job* job) {
+Result<iteration::SuperstepLoop*> JobServer::StartJob(Job* job) {
   JobSpec& spec = job->spec;
 
   iteration::JobEnv env;
@@ -225,34 +181,42 @@ Status JobServer::RunJob(Job* job) {
   if (exec.clock == nullptr) exec.clock = clock_;
   if (exec.costs == nullptr) exec.costs = costs_;
 
+  auto hook = [this, job](const EpochInfo& info) { OnEpochEvent(job, info); };
   if (spec.kind == StateKind::kDelta) {
     iteration::DeltaIterationConfig config = spec.delta;
-    config.epoch_hook = [this, job](const EpochInfo& info) {
-      OnEpochEvent(job, info);
-    };
-    iteration::DeltaIterationDriver driver(spec.plan, spec.bindings, config,
-                                           exec, env);
-    Result<iteration::DeltaIterationResult> result = driver.Run(
-        spec.initial_solution, spec.initial_workset, spec.policy);
-    if (!result.ok()) return result.status();
-    job->delta_result = std::move(result).ValueOrDie();
-    return Status::OK();
+    config.epoch_hook = hook;
+    job->delta_driver = std::make_unique<iteration::DeltaIterationDriver>(
+        spec.plan, spec.bindings, std::move(config), exec, env);
+    return job->delta_driver->Start(std::move(spec.initial_solution),
+                                    std::move(spec.initial_workset),
+                                    spec.policy);
   }
   iteration::BulkIterationConfig config = spec.bulk;
-  config.epoch_hook = [this, job](const EpochInfo& info) {
-    OnEpochEvent(job, info);
-  };
-  iteration::BulkIterationDriver driver(spec.plan, spec.bindings, config, exec,
-                                        env);
-  Result<iteration::BulkIterationResult> result =
-      driver.Run(spec.initial_state, spec.policy);
-  if (!result.ok()) return result.status();
-  job->bulk_result = std::move(result).ValueOrDie();
-  return Status::OK();
+  config.epoch_hook = hook;
+  job->bulk_driver = std::make_unique<iteration::BulkIterationDriver>(
+      spec.plan, spec.bindings, std::move(config), exec, env);
+  return job->bulk_driver->Start(std::move(spec.initial_state), spec.policy);
+}
+
+void JobServer::FinishJob(Job* job, Status status) {
+  if (status.ok() && job->delta_driver != nullptr) {
+    job->delta_result = job->delta_driver->TakeResult();
+  } else if (status.ok()) {
+    job->bulk_result = job->bulk_driver->TakeResult();
+  }
+  job->loop = nullptr;
+  job->delta_driver.reset();
+  job->bulk_driver.reset();
+  job->run_status = std::move(status);
+  if (job->slot != nullptr) {
+    job->cache_builds = job->slot->cache->builds() - job->slot_builds_before;
+    job->slot->in_use = false;
+    job->slot = nullptr;
+  }
+  job->finished = true;
 }
 
 void JobServer::OnEpochEvent(Job* job, const EpochInfo& info) {
-  std::unique_lock<std::mutex> lk(mu_);
   if (info.event == EpochEvent::kFailureDetected) {
     // Mid-turn service point: the iteration state is inconsistent, but the
     // view still pins the last published epoch — reads keep flowing while
@@ -260,7 +224,7 @@ void JobServer::OnEpochEvent(Job* job, const EpochInfo& info) {
     // incremental watermarks are dead: full rematerialize next publish.
     job->view.MarkAllDirty();
     job->in_recovery = true;
-    ServeQueuedLookupsLocked();
+    ServeQueuedLookups();
     return;
   }
   {
@@ -278,39 +242,27 @@ void JobServer::OnEpochEvent(Job* job, const EpochInfo& info) {
     }
   }
   if (info.event == EpochEvent::kRecoveryComplete) job->in_recovery = false;
-  ServeQueuedLookupsLocked();
-  EndTurnAndWaitLocked(lk, job);
-}
-
-void JobServer::EndTurnAndWaitLocked(std::unique_lock<std::mutex>& lk,
-                                     Job* job) {
-  job->turn_granted = false;
-  job->turn_done = true;
-  cv_.notify_all();
-  cv_.wait(lk, [job] { return job->turn_granted; });
-  (void)lk;
+  ServeQueuedLookups();
 }
 
 bool JobServer::Pump() {
-  std::unique_lock<std::mutex> lk(mu_);
-  AdmitLocked();
+  Admit();
   // running_ is stable inside the loop (admission above, reaping below),
   // so the turn order is exactly the admission order.
-  const size_t count = running_.size();
-  for (size_t i = 0; i < count; ++i) {
-    Job* job = running_[i];
-    if (job->finished) continue;
-    job->turn_done = false;
-    job->turn_granted = true;
-    cv_.notify_all();
-    cv_.wait(lk, [job] { return job->turn_done; });
+  for (Job* job : running_) {
+    Result<bool> more = StepJob(job);
+    if (!more.ok()) {
+      FinishJob(job, more.status());
+    } else if (!*more) {
+      FinishJob(job, Status::OK());
+    }
     if (metrics_ != nullptr) {
       metrics_->Count(runtime::metric::kServerTurns, -1);
     }
   }
-  ReapLocked();
-  AdmitLocked();  // freed capacity: late jobs get their first turn next pump
-  ServeQueuedLookupsLocked();
+  std::erase_if(running_, [](const Job* job) { return job->finished; });
+  Admit();  // freed capacity: late jobs get their first turn next pump
+  ServeQueuedLookups();
   return !running_.empty() || !queued_.empty();
 }
 
@@ -326,31 +278,13 @@ Status JobServer::RunToCompletion(uint64_t max_pumps) {
   return Status::OK();
 }
 
-void JobServer::ReapLocked() {
-  for (auto it = running_.begin(); it != running_.end();) {
-    Job* job = *it;
-    if (!job->finished) {
-      ++it;
-      continue;
-    }
-    if (job->thread.joinable()) job->thread.join();
-    if (job->slot != nullptr) {
-      job->cache_builds = job->slot->cache->builds() - job->slot_builds_before;
-      job->slot->in_use = false;
-      job->slot = nullptr;
-    }
-    job->reaped = true;
-    it = running_.erase(it);
-  }
-}
-
 Result<uint64_t> JobServer::EnqueueLookup(const std::string& job_id,
                                           Record key_projection) {
-  std::lock_guard<std::mutex> lk(mu_);
-  Job* job = FindJobLocked(job_id);
+  Job* job = FindJob(job_id);
   if (job == nullptr) {
     return Status::NotFound("no job '" + job_id + "' on this server");
   }
+  FLINKLESS_RETURN_NOT_OK(CheckKey(*job, key_projection));
   PendingLookup pending;
   const uint64_t ticket = next_ticket_++;
   pending.ticket = ticket;
@@ -362,40 +296,19 @@ Result<uint64_t> JobServer::EnqueueLookup(const std::string& job_id,
 }
 
 std::vector<LookupAnswer> JobServer::TakeAnswers() {
-  std::lock_guard<std::mutex> lk(mu_);
   std::vector<LookupAnswer> out = std::move(answered_);
   answered_.clear();
   return out;
 }
 
-Result<LookupAnswer> JobServer::Lookup(const std::string& job_id,
-                                       Record key_projection) {
-  std::lock_guard<std::mutex> lk(mu_);
-  Job* job = FindJobLocked(job_id);
-  if (job == nullptr) {
-    return Status::NotFound("no job '" + job_id + "' on this server");
-  }
-  ReadView::LookupResult r = job->view.Lookup(key_projection);
-  if (r.hit == ReadView::Hit::kPending) {
-    if (job->finished && MaterializeForFinishedLocked(job, r.partition)) {
-      r = job->view.Lookup(key_projection);
-    } else {
-      return Status::FailedPrecondition(
-          "partition " + std::to_string(r.partition) + " of job '" + job_id +
-          "' is not materialized yet; it is now wanted — retry after the "
-          "next Pump, or use EnqueueLookup");
-    }
-  }
-  return AnswerLocked(next_ticket_++, job, key_projection, r,
-                      clock_->TotalNs());
-}
-
 Result<std::vector<LookupAnswer>> JobServer::MultiLookup(
     const std::string& job_id, std::vector<Record> keys) {
-  std::lock_guard<std::mutex> lk(mu_);
-  Job* job = FindJobLocked(job_id);
+  Job* job = FindJob(job_id);
   if (job == nullptr) {
     return Status::NotFound("no job '" + job_id + "' on this server");
+  }
+  for (const Record& key : keys) {
+    FLINKLESS_RETURN_NOT_OK(CheckKey(*job, key));
   }
   // First pass: every key must be answerable from the one pinned epoch —
   // all-or-nothing, so the batch can never mix materialization states.
@@ -405,7 +318,7 @@ Result<std::vector<LookupAnswer>> JobServer::MultiLookup(
   for (const Record& key : keys) {
     ReadView::LookupResult r = job->view.Lookup(key);
     if (r.hit == ReadView::Hit::kPending) {
-      if (job->finished && MaterializeForFinishedLocked(job, r.partition)) {
+      if (job->finished && MaterializeForFinished(job, r.partition)) {
         r = job->view.Lookup(key);
       } else {
         ++pending;
@@ -424,17 +337,17 @@ Result<std::vector<LookupAnswer>> JobServer::MultiLookup(
   answers.reserve(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {
     answers.push_back(
-        AnswerLocked(next_ticket_++, job, keys[i], hits[i], clock_->TotalNs()));
+        Answer(next_ticket_++, job, keys[i], hits[i], clock_->TotalNs()));
   }
   return answers;
 }
 
-void JobServer::ServeQueuedLookupsLocked() {
+void JobServer::ServeQueuedLookups() {
   for (auto it = pending_lookups_.begin(); it != pending_lookups_.end();) {
     Job* job = it->job;
     ReadView::LookupResult r = job->view.Lookup(it->key);
     if (r.hit == ReadView::Hit::kPending) {
-      if (job->finished && MaterializeForFinishedLocked(job, r.partition)) {
+      if (job->finished && MaterializeForFinished(job, r.partition)) {
         r = job->view.Lookup(it->key);
       } else if (job->finished) {
         // The job died without a final state (e.g. DataLoss under the
@@ -454,16 +367,14 @@ void JobServer::ServeQueuedLookupsLocked() {
         continue;
       }
     }
-    answered_.push_back(
-        AnswerLocked(it->ticket, job, it->key, r, it->submit_sim_ns));
+    answered_.push_back(Answer(it->ticket, job, it->key, r, it->submit_sim_ns));
     it = pending_lookups_.erase(it);
   }
 }
 
-LookupAnswer JobServer::AnswerLocked(uint64_t ticket, Job* job,
-                                     const Record& key,
-                                     const ReadView::LookupResult& r,
-                                     int64_t submit_sim_ns) {
+LookupAnswer JobServer::Answer(uint64_t ticket, Job* job, const Record& key,
+                               const ReadView::LookupResult& r,
+                               int64_t submit_sim_ns) {
   LookupAnswer answer;
   answer.ticket = ticket;
   answer.job_id = job->spec.job_id;
@@ -489,7 +400,7 @@ LookupAnswer JobServer::AnswerLocked(uint64_t ticket, Job* job,
   return answer;
 }
 
-bool JobServer::MaterializeForFinishedLocked(Job* job, int partition) {
+bool JobServer::MaterializeForFinished(Job* job, int partition) {
   if (!job->run_status.ok()) return false;
   if (job->spec.kind == StateKind::kDelta) {
     if (job->delta_result.final_solution.num_partitions() !=
@@ -510,7 +421,6 @@ bool JobServer::MaterializeForFinishedLocked(Job* job, int partition) {
 }
 
 Status JobServer::InvalidateDataflow(const std::string& dataflow_id) {
-  std::lock_guard<std::mutex> lk(mu_);
   auto it = cache_slots_.find(dataflow_id);
   if (it == cache_slots_.end()) return Status::OK();  // nothing cached
   if (it->second.in_use) {
@@ -523,24 +433,25 @@ Status JobServer::InvalidateDataflow(const std::string& dataflow_id) {
   return Status::OK();
 }
 
-JobServer::Job* JobServer::FindJobLocked(const std::string& job_id) const {
+Status JobServer::CheckKey(const Job& job, const Record& key) {
+  if (key.size() == job.view.key_arity()) return Status::OK();
+  return Status::InvalidArgument(
+      "a lookup key of job '" + job.spec.job_id + "' has " +
+      std::to_string(job.view.key_arity()) + " field(s), not " +
+      std::to_string(key.size()));
+}
+
+JobServer::Job* JobServer::FindJob(const std::string& job_id) const {
   auto it = jobs_.find(job_id);
   return it != jobs_.end() ? it->second.get() : nullptr;
 }
 
-const ReadView* JobServer::view(const std::string& job_id) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  Job* job = FindJobLocked(job_id);
-  return job != nullptr ? &job->view : nullptr;
-}
-
 Result<JobReport> JobServer::Report(const std::string& job_id) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  Job* job = FindJobLocked(job_id);
+  Job* job = FindJob(job_id);
   if (job == nullptr) {
     return Status::NotFound("no job '" + job_id + "' on this server");
   }
-  if (!job->reaped) {
+  if (!job->finished) {
     return Status::NotFound("job '" + job_id + "' has not finished yet");
   }
   JobReport report;
@@ -548,35 +459,31 @@ Result<JobReport> JobServer::Report(const std::string& job_id) const {
   report.status = job->run_status;
   report.cache_slot_reused = job->slot_reused;
   report.cache_builds = job->cache_builds;
-  if (job->spec.kind == StateKind::kDelta) {
-    report.converged = job->delta_result.converged;
-    report.iterations = job->delta_result.iterations;
-    report.supersteps_executed = job->delta_result.supersteps_executed;
-    report.failures_recovered = job->delta_result.failures_recovered;
-  } else {
-    report.converged = job->bulk_result.converged;
-    report.iterations = job->bulk_result.iterations;
-    report.supersteps_executed = job->bulk_result.supersteps_executed;
-    report.failures_recovered = job->bulk_result.failures_recovered;
-  }
+  const iteration::SuperstepLoopResult& run =
+      job->spec.kind == StateKind::kDelta
+          ? static_cast<const iteration::SuperstepLoopResult&>(
+                job->delta_result)
+          : job->bulk_result;
+  report.converged = run.converged;
+  report.iterations = run.iterations;
+  report.supersteps_executed = run.supersteps_executed;
+  report.failures_recovered = run.failures_recovered;
   return report;
 }
 
 const runtime::MetricsRegistry* JobServer::job_metrics(
     const std::string& job_id) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  Job* job = FindJobLocked(job_id);
+  Job* job = FindJob(job_id);
   return job != nullptr ? &job->metrics : nullptr;
 }
 
 Result<const iteration::SolutionSet*> JobServer::FinalSolution(
     const std::string& job_id) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  Job* job = FindJobLocked(job_id);
+  Job* job = FindJob(job_id);
   if (job == nullptr) {
     return Status::NotFound("no job '" + job_id + "' on this server");
   }
-  if (!job->reaped || !job->run_status.ok()) {
+  if (!job->finished || !job->run_status.ok()) {
     return Status::FailedPrecondition("job '" + job_id +
                                       "' has no final solution (yet)");
   }
@@ -585,26 +492,6 @@ Result<const iteration::SolutionSet*> JobServer::FinalSolution(
   }
   return static_cast<const iteration::SolutionSet*>(
       &job->delta_result.final_solution);
-}
-
-int JobServer::num_running() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return static_cast<int>(running_.size());
-}
-
-int JobServer::num_queued() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return static_cast<int>(queued_.size());
-}
-
-uint64_t JobServer::lookups_answered() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return lookups_answered_;
-}
-
-uint64_t JobServer::answered_during_recovery() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return answered_during_recovery_;
 }
 
 }  // namespace flinkless::server

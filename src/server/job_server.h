@@ -8,18 +8,17 @@
 // fixpoint being queried, so recovery quality becomes visible as read
 // availability and staleness, not just as job runtime.
 //
-// Scheduling: turn-based cooperative multitasking. Each admitted job runs
-// its iteration driver on a dedicated thread, but the thread only computes
-// while it holds the server's *turn*: the driver's epoch hook
-// (iteration/epoch.h) blocks at every superstep boundary until Pump()
-// grants the next turn. Pump() grants one superstep per running job per
-// call, round-robin in admission order. Because exactly one thread — a
-// turn holder or the pump thread — touches the shared services (SimClock,
-// StableStorage, MemoryManager, views, lookup queue) at any moment, and
-// every handoff goes through one mutex/condvar pair, the schedule is
-// deterministic and the whole server is clean under TSan: same admission
-// order => same turn order => same simulated timeline, answers, and
-// charges at any executor thread count.
+// Scheduling: turn-based, on the caller's thread. Each admitted job's
+// iteration driver is stepped one turn at a time (SuperstepLoop::Step):
+// the first turn runs the job's setup and OnJobStart, each later turn one
+// superstep through its epoch hook (iteration/epoch.h), the last one the
+// end of the run. Pump() gives one turn to every running job per call,
+// round-robin in admission order. Nothing else runs in between, so the
+// shared services (SimClock, StableStorage, MemoryManager, views, lookup
+// queue) are touched in one deterministic order: same admission order =>
+// same turn order => same simulated timeline, answers, and charges at any
+// executor thread count. The server is not thread-safe; like Executor, it
+// is driven from one thread.
 //
 // Admission control: a queued job starts only while fewer than
 // max_concurrent_jobs run AND the shared MemoryManager's residency is
@@ -41,21 +40,18 @@
 // each failure detection (mid-compensation, from the pinned pre-failure
 // epoch), and the end of each Pump. Answers carry the observed epoch and
 // SimClock-based submit/answer timestamps; each answered read charges one
-// record's CPU cost to the shared clock. The synchronous Lookup/
-// MultiLookup answer immediately from materialized view state or report
-// the partition as pending (marking it wanted — the Noria-style upquery).
+// record's CPU cost to the shared clock. The synchronous MultiLookup
+// answers immediately from materialized view state or reports the cold
+// partitions as pending (marking them wanted — the Noria-style upquery).
 
 #ifndef FLINKLESS_SERVER_JOB_SERVER_H_
 #define FLINKLESS_SERVER_JOB_SERVER_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/result.h"
@@ -94,8 +90,7 @@ struct JobSpec {
   iteration::StateKind kind = iteration::StateKind::kDelta;
   const dataflow::Plan* plan = nullptr;
   dataflow::Bindings bindings;
-  /// exec.tracer (optional) traces this job's run; it must not be shared
-  /// with the server or another live job.
+  /// exec.tracer (optional) traces this job's run.
   dataflow::ExecOptions exec;
   iteration::FaultTolerancePolicy* policy = nullptr;
   runtime::FailureSchedule failures;
@@ -160,28 +155,24 @@ class JobServer {
   /// `clock`, `costs`, and `storage` are the shared runtime services every
   /// job charges against (borrowed). `tracer`/`metrics` may be null. The
   /// server's tracer records only "server.publish" spans; a job is traced
-  /// through its own JobSpec::exec.tracer.
+  /// through its own JobSpec::exec.tracer. A server destroyed mid-run
+  /// drops its running jobs: their caches and message logs delete their
+  /// spill blobs and release their spill namespaces.
   JobServer(runtime::SimClock* clock, const runtime::CostModel* costs,
             runtime::StableStorage* storage, ServerOptions options,
             runtime::Tracer* tracer = nullptr,
             runtime::MetricsSink* metrics = nullptr);
 
-  /// Joins any still-running job threads (granting them turns until they
-  /// finish), so destruction is safe mid-run.
-  ~JobServer();
-
   JobServer(const JobServer&) = delete;
   JobServer& operator=(const JobServer&) = delete;
 
   /// Queues a job. Fails with AlreadyExists on a duplicate job id (live or
-  /// finished) and InvalidArgument on a malformed spec — including an
-  /// exec.tracer that is the server's or another live job's (a tracer
-  /// follows one thread).
+  /// finished) and InvalidArgument on a malformed spec.
   Status Submit(JobSpec spec);
 
-  /// One scheduling round: admit what fits, grant every running job one
-  /// superstep turn (admission order), reap finished jobs, serve queued
-  /// lookups. Returns true while any job is queued or running.
+  /// One scheduling round: admit what fits, step every running job one
+  /// turn (admission order), reap finished jobs, serve queued lookups.
+  /// Returns true while any job is queued or running.
   bool Pump();
 
   /// Pumps until every job finished. `max_pumps` guards against a stuck
@@ -190,24 +181,20 @@ class JobServer {
 
   /// Queues a keyed read against `job_id`'s view; returns the ticket. The
   /// answer appears in TakeAnswers() once served (kFound or kMissing) at a
-  /// service point; reads of cold partitions wait materialization.
+  /// service point; reads of cold partitions wait materialization. A key
+  /// whose field count differs from the job's key is InvalidArgument.
   Result<uint64_t> EnqueueLookup(const std::string& job_id,
                                  dataflow::Record key_projection);
 
   /// Answers served since the last call, in service order.
   std::vector<LookupAnswer> TakeAnswers();
 
-  /// Synchronous read: answers immediately from the view's pinned epoch.
-  /// For a live job whose partition is not materialized yet, fails with
-  /// FailedPrecondition after marking the partition wanted (retry after
-  /// the next Pump); for a finished job the partition is materialized on
-  /// demand from the final state.
-  Result<LookupAnswer> Lookup(const std::string& job_id,
-                              dataflow::Record key_projection);
-
-  /// Lookup over several keys, all answered from one consistent epoch.
-  /// All-or-nothing: any pending partition fails the batch (every cold
-  /// partition is marked wanted first).
+  /// Synchronous read of several keys, all answered from one consistent
+  /// epoch. All-or-nothing: any pending partition of a live job fails the
+  /// batch with FailedPrecondition (every cold partition is marked wanted
+  /// first; retry after the next Pump); for a finished job cold partitions
+  /// are materialized on demand from the final state. A key whose field
+  /// count differs from the job's key is InvalidArgument.
   Result<std::vector<LookupAnswer>> MultiLookup(
       const std::string& job_id, std::vector<dataflow::Record> keys);
 
@@ -215,9 +202,6 @@ class JobServer {
   /// artifacts so the next submission rebuilds from the new bindings.
   /// FailedPrecondition while a live job holds the slot.
   Status InvalidateDataflow(const std::string& dataflow_id);
-
-  /// The view serving `job_id`'s reads (nullptr for unknown jobs).
-  const ReadView* view(const std::string& job_id) const;
 
   /// Report of a finished job (NotFound until it finishes).
   Result<JobReport> Report(const std::string& job_id) const;
@@ -231,12 +215,14 @@ class JobServer {
 
   runtime::MemoryManager& memory() { return memory_; }
 
-  int num_running() const;
-  int num_queued() const;
-  uint64_t lookups_answered() const;
+  int num_running() const { return static_cast<int>(running_.size()); }
+  int num_queued() const { return static_cast<int>(queued_.size()); }
+  uint64_t lookups_answered() const { return lookups_answered_; }
   /// Answers served while the queried job was mid-recovery — the
   /// availability the epoch-pinned views buy (the CI smoke asserts > 0).
-  uint64_t answered_during_recovery() const;
+  uint64_t answered_during_recovery() const {
+    return answered_during_recovery_;
+  }
 
  private:
   struct CacheSlot {
@@ -250,13 +236,13 @@ class JobServer {
     JobSpec spec;
     ReadView view;
     runtime::MetricsRegistry metrics;
-    std::thread thread;
+    /// The driver of spec.kind and the loop it steps, from the job's first
+    /// turn until it finishes.
+    std::unique_ptr<iteration::DeltaIterationDriver> delta_driver;
+    std::unique_ptr<iteration::BulkIterationDriver> bulk_driver;
+    iteration::SuperstepLoop* loop = nullptr;
 
-    // Turn-protocol flags; all guarded by mu_.
-    bool turn_granted = false;
-    bool turn_done = false;
     bool finished = false;
-    bool reaped = false;
     /// Between kFailureDetected and kRecoveryComplete: reads served from
     /// the pinned epoch count as answered-during-recovery.
     bool in_recovery = false;
@@ -268,7 +254,7 @@ class JobServer {
     CacheSlot* slot = nullptr;
     bool slot_reused = false;
     uint64_t slot_builds_before = 0;
-    /// Builds charged to this job on its slot, settled at reap time.
+    /// Builds charged to this job on its slot, settled when it finishes.
     uint64_t cache_builds = 0;
 
     Job(JobSpec s, int num_partitions)
@@ -287,26 +273,27 @@ class JobServer {
     bool counted_deferred = false;
   };
 
-  // Thread body of one job; runs the driver between turn grants.
-  void JobMain(Job* job);
-  Status RunJob(Job* job);
-  // Epoch-hook target, called on the job thread while it holds the turn.
+  // Runs `job`'s next turn, creating its driver on the first; false once
+  // the job's run is over.
+  Result<bool> StepJob(Job* job);
+  Result<iteration::SuperstepLoop*> StartJob(Job* job);
+  // Settles a job whose run ended with `status`: keeps its result,
+  // releases its driver and its cache slot.
+  void FinishJob(Job* job, Status status);
+  // Epoch-hook target, called inside the job's turn.
   void OnEpochEvent(Job* job, const iteration::EpochInfo& info);
-  void EndTurnAndWaitLocked(std::unique_lock<std::mutex>& lk, Job* job);
 
-  // All *Locked methods require mu_ held.
-  void AdmitLocked();
-  void AssignCacheSlotLocked(Job* job);
-  void ReapLocked();
-  void ServeQueuedLookupsLocked();
-  LookupAnswer AnswerLocked(uint64_t ticket, Job* job,
-                            const dataflow::Record& key,
-                            const ReadView::LookupResult& r,
-                            int64_t submit_sim_ns);
+  void Admit();
+  void AssignCacheSlot(Job* job);
+  void ServeQueuedLookups();
+  LookupAnswer Answer(uint64_t ticket, Job* job, const dataflow::Record& key,
+                      const ReadView::LookupResult& r, int64_t submit_sim_ns);
   /// Resolves a kPending hit against a finished job's final state; returns
   /// true when the lookup can be retried.
-  bool MaterializeForFinishedLocked(Job* job, int partition);
-  Job* FindJobLocked(const std::string& job_id) const;
+  bool MaterializeForFinished(Job* job, int partition);
+  /// InvalidArgument unless `key` has as many fields as `job`'s key.
+  static Status CheckKey(const Job& job, const dataflow::Record& key);
+  Job* FindJob(const std::string& job_id) const;
 
   runtime::SimClock* clock_;
   const runtime::CostModel* costs_;
@@ -317,16 +304,16 @@ class JobServer {
   runtime::MemoryManager memory_;
   int64_t lookup_cost_ns_;
 
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-
+  /// Declared before jobs_, so that a running job's driver (its cache and
+  /// message log) is torn down first and the slots' caches next, all
+  /// while the shared memory manager still lives.
+  std::map<std::string, CacheSlot> cache_slots_;
   /// All jobs ever submitted, by id (owns them; views and results stay
   /// queryable after finish).
   std::map<std::string, std::unique_ptr<Job>> jobs_;
   std::deque<Job*> queued_;
   /// Admission order — the deterministic turn order.
   std::vector<Job*> running_;
-  std::map<std::string, CacheSlot> cache_slots_;
 
   std::vector<PendingLookup> pending_lookups_;
   std::vector<LookupAnswer> answered_;

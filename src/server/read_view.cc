@@ -31,10 +31,7 @@ bool ReadView::Publish(const iteration::IterationState& state, int epoch) {
 bool ReadView::PublishDelta(const SolutionSet& solution, int epoch) {
   FLINKLESS_CHECK(solution.num_partitions() == num_partitions(),
                   "publish with mismatched partition count");
-  if (epoch < epoch_) {
-    ++publishes_skipped_;
-    return false;
-  }
+  if (epoch < epoch_) return false;
   for (int p = 0; p < num_partitions(); ++p) {
     Partition& part = parts_[p];
     if (!ActiveOnPublish(part)) continue;
@@ -47,30 +44,23 @@ bool ReadView::PublishDelta(const SolutionSet& solution, int epoch) {
     for (Record& record : solution.EntriesSince(p, part.watermark)) {
       Record projection = dataflow::ExtractKey(record, key_);
       part.entries.insert_or_assign(std::move(projection), std::move(record));
-      ++records_refreshed_;
     }
     part.watermark = solution.version(p);
-    ++delta_refreshes_;
   }
   epoch_ = epoch;
   dirty_ = false;
-  ++publishes_;
   return true;
 }
 
 bool ReadView::PublishBulk(const PartitionedDataset& data, int epoch) {
   FLINKLESS_CHECK(data.num_partitions() == num_partitions(),
                   "publish with mismatched partition count");
-  if (epoch < epoch_) {
-    ++publishes_skipped_;
-    return false;
-  }
+  if (epoch < epoch_) return false;
   for (int p = 0; p < num_partitions(); ++p) {
     if (ActiveOnPublish(parts_[p])) FillFromBulk(p, data);
   }
   epoch_ = epoch;
   dirty_ = false;
-  ++publishes_;
   return true;
 }
 
@@ -108,24 +98,16 @@ void ReadView::MaterializePartitionFromBulk(int p,
   FillFromBulk(p, d);
 }
 
-int ReadView::materialized_partitions() const {
-  int count = 0;
-  for (const Partition& part : parts_) count += part.materialized ? 1 : 0;
-  return count;
-}
-
 void ReadView::FillFromSolution(int p, const SolutionSet& s) {
   Partition& part = parts_[p];
   part.entries.clear();
   for (Record& record : s.PartitionRecords(p)) {
     Record projection = dataflow::ExtractKey(record, key_);
     part.entries.emplace(std::move(projection), std::move(record));
-    ++records_refreshed_;
   }
   part.watermark = s.version(p);
   part.materialized = true;
   part.wanted = false;
-  ++full_materializations_;
 }
 
 void ReadView::FillFromBulk(int p, const PartitionedDataset& d) {
@@ -134,12 +116,10 @@ void ReadView::FillFromBulk(int p, const PartitionedDataset& d) {
   for (const Record& record : d.partition(p)) {
     Record projection = dataflow::ExtractKey(record, key_);
     part.entries.insert_or_assign(std::move(projection), record);
-    ++records_refreshed_;
   }
   part.watermark = 0;
   part.materialized = true;
   part.wanted = false;
-  ++full_materializations_;
 }
 
 }  // namespace flinkless::server

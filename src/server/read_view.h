@@ -32,8 +32,8 @@
 //    equal-epoch publish is accepted — after a rewind it re-delivers
 //    identical content, and accepting it clears the dirty flag.
 //
-// Threading: not thread-safe; the JobServer serializes all access under
-// its turn protocol.
+// Threading: not thread-safe; the JobServer touches views from its one
+// caller's thread.
 
 #ifndef FLINKLESS_SERVER_READ_VIEW_H_
 #define FLINKLESS_SERVER_READ_VIEW_H_
@@ -73,6 +73,8 @@ class ReadView {
   ReadView(dataflow::KeyColumns key, int num_partitions);
 
   int num_partitions() const { return static_cast<int>(parts_.size()); }
+  /// Fields of a key projection.
+  size_t key_arity() const { return key_.size(); }
 
   /// Epoch of the pinned view; -1 before the first publish.
   int epoch() const { return epoch_; }
@@ -104,15 +106,6 @@ class ReadView {
   void MaterializePartitionFromBulk(int p,
                                     const dataflow::PartitionedDataset& d);
 
-  int materialized_partitions() const;
-
-  // Introspection for tests and metrics mirroring.
-  uint64_t publishes() const { return publishes_; }
-  uint64_t publishes_skipped() const { return publishes_skipped_; }
-  uint64_t full_materializations() const { return full_materializations_; }
-  uint64_t delta_refreshes() const { return delta_refreshes_; }
-  uint64_t records_refreshed() const { return records_refreshed_; }
-
  private:
   struct Partition {
     /// key projection -> full record. Ordered map: deterministic iteration
@@ -141,11 +134,6 @@ class ReadView {
   std::vector<Partition> parts_;
   int epoch_ = -1;
   bool dirty_ = false;
-  uint64_t publishes_ = 0;
-  uint64_t publishes_skipped_ = 0;
-  uint64_t full_materializations_ = 0;
-  uint64_t delta_refreshes_ = 0;
-  uint64_t records_refreshed_ = 0;
 };
 
 }  // namespace flinkless::server

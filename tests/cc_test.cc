@@ -53,6 +53,20 @@ TEST(CcTest, FailureFreeMatchesGroundTruthOnDemoGraph) {
   EXPECT_EQ(result->failures_recovered, 0);
 }
 
+TEST(CcTest, HugeIterationCapDoesNotOverflowTheSuperstepLimit) {
+  // max_iterations * max_total_supersteps_factor exceeds INT_MAX here; the
+  // recovery-loop safety valve must not wrap negative and abort the job
+  // before its first superstep.
+  graph::Graph g = graph::DemoGraph();
+  core::NoFaultTolerancePolicy policy;
+  ConnectedComponentsOptions options = Options(4);
+  options.max_iterations = 200'000'000;
+  auto result = RunConnectedComponents(g, options, {}, &policy);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->converged);
+  EXPECT_EQ(result->labels, graph::ReferenceConnectedComponents(g));
+}
+
 TEST(CcTest, IsolatedVerticesKeepOwnLabels) {
   graph::Graph g(5, false);
   ASSERT_TRUE(g.AddEdge(1, 3).ok());

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -16,6 +17,7 @@
 #include "algos/connected_components.h"
 #include "algos/datasets.h"
 #include "algos/refreshers.h"
+#include "common/hash.h"
 #include "common/rng.h"
 #include "core/policies.h"
 #include "graph/generators.h"
@@ -118,7 +120,8 @@ struct ServingRun {
 
 /// Two concurrent CC jobs — one with an injected failure repaired by
 /// compensation — probed with a fixed key set between every pump.
-ServingRun RunServingScenario(int num_threads, bool with_failures) {
+ServingRun RunServingScenario(int num_threads, bool with_failures,
+                              runtime::MetricsSink* metrics = nullptr) {
   graph::Graph graph = TestGraph();
   CcJobFixture fixture(graph);
   runtime::SimClock clock;
@@ -130,7 +133,7 @@ ServingRun RunServingScenario(int num_threads, bool with_failures) {
 
   ServerOptions options;
   options.max_concurrent_jobs = 2;
-  JobServer server(&clock, &costs, &storage, options);
+  JobServer server(&clock, &costs, &storage, options, nullptr, metrics);
   EXPECT_TRUE(server
                   .Submit(fixture.Spec("cc-a", "cc-df-a",
                                        with_failures ? "2:3" : "",
@@ -203,6 +206,25 @@ TEST_P(ServerDeterminismTest, RecoveredJobsConvergeToReferenceLabels) {
 
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, ServerDeterminismTest,
                          ::testing::Values(1, 2, 8));
+
+// Pins the serving timeline of the recovery scenario: which pump serves
+// which read, from which epoch, at which SimClock instant. A scheduling
+// change that moves a turn, a service point, or a charge fails here.
+TEST(ServerTimelineTest, RecoveryScenarioKeepsItsTimeline) {
+  runtime::MetricsSink metrics;
+  ServingRun run = RunServingScenario(1, /*with_failures=*/true, &metrics);
+  uint64_t digest = 0;
+  for (const std::string& answer : run.answers) {
+    digest = HashCombine(digest, HashString(answer));
+  }
+  EXPECT_EQ(run.pumps, 8);
+  EXPECT_EQ(run.answers.size(), 256u);
+  EXPECT_EQ(digest, 17758202443601873075ull);
+  EXPECT_EQ(run.sim_total_ns, 44082050);
+  EXPECT_EQ(run.answered_during_recovery, 16u);
+  EXPECT_EQ(metrics.Collect().CounterTotal(runtime::metric::kServerTurns),
+            15u);
+}
 
 TEST(ServerReadConsistencyTest, AnswerEpochsNeverRegressAndPinDuringRecovery) {
   graph::Graph graph = TestGraph();
@@ -289,6 +311,106 @@ TEST(ServerReadConsistencyTest, MultiLookupObservesOneEpoch) {
     ASSERT_TRUE((*final_batch)[i].found);
     EXPECT_EQ((*final_batch)[i].record[1].AsInt64(),
               truth[static_cast<int64_t>(i)]);
+  }
+}
+
+TEST(ServerReadConsistencyTest, MultiLookupRejectsKeysOfTheWrongArity) {
+  graph::Graph graph = TestGraph();
+  CcJobFixture fixture(graph);
+  runtime::SimClock clock;
+  runtime::CostModel costs;
+  runtime::StableStorage storage(&clock, &costs);
+  core::OptimisticRecoveryPolicy policy(&fixture.fix);
+
+  JobServer server(&clock, &costs, &storage, ServerOptions{});
+  ASSERT_TRUE(
+      server.Submit(fixture.Spec("cc", "cc-df", "", 1, &policy)).ok());
+  ASSERT_TRUE(server.RunToCompletion().ok());
+  // CC is keyed on the vertex id alone.
+  EXPECT_EQ(server.MultiLookup("cc", {MakeRecord(int64_t{0}), Record()})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(server.MultiLookup("cc", {MakeRecord(int64_t{0}, int64_t{1})})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(server.lookups_answered(), 0u);
+  EXPECT_TRUE(server.MultiLookup("cc", {MakeRecord(int64_t{0})}).ok());
+}
+
+TEST(ServerReadConsistencyTest, EnqueueLookupRejectsKeysOfTheWrongArity) {
+  graph::Graph graph = TestGraph();
+  CcJobFixture fixture(graph);
+  runtime::SimClock clock;
+  runtime::CostModel costs;
+  runtime::StableStorage storage(&clock, &costs);
+  core::OptimisticRecoveryPolicy policy(&fixture.fix);
+
+  JobServer server(&clock, &costs, &storage, ServerOptions{});
+  ASSERT_TRUE(
+      server.Submit(fixture.Spec("cc", "cc-df", "", 1, &policy)).ok());
+  EXPECT_EQ(server.EnqueueLookup("cc", Record()).status().code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(server.EnqueueLookup("cc", MakeRecord(int64_t{0})).ok());
+  // Serving the queue must not trip over the rejected key.
+  ASSERT_TRUE(server.RunToCompletion().ok());
+  std::vector<LookupAnswer> answers = server.TakeAnswers();
+  ASSERT_EQ(answers.size(), 1u);
+  EXPECT_TRUE(answers[0].found);
+}
+
+TEST(ServerTeardownTest, DestroyedMidRunLeavesNoSpillState) {
+  graph::Graph graph = TestGraph();
+  CcJobFixture fixture(graph);
+  runtime::SimClock clock;
+  runtime::CostModel costs;
+  runtime::StableStorage storage(&clock, &costs);
+  auto truth = graph::ReferenceConnectedComponents(graph);
+  const std::vector<std::string> ids = {"spilly", "logged"};
+
+  // A budget small enough that every superstep boundary spills, and one
+  // job that also keeps an outbound message log.
+  ServerOptions options;
+  options.max_concurrent_jobs = 2;
+  options.memory_budget_bytes = 1024;
+  core::OptimisticRecoveryPolicy policy(&fixture.fix);
+  auto submit_both = [&](JobServer* server) {
+    for (const std::string& id : ids) {
+      JobSpec spec = fixture.Spec(id, "df-" + id, "", 1, &policy);
+      spec.delta.message_log = id == "logged";
+      ASSERT_TRUE(server->Submit(std::move(spec)).ok());
+    }
+  };
+
+  {
+    JobServer server(&clock, &costs, &storage, options);
+    submit_both(&server);
+    ASSERT_TRUE(server.Pump());  // setup turns
+    ASSERT_TRUE(server.Pump());  // first supersteps
+    ASSERT_EQ(server.num_running(), 2);
+    ASSERT_FALSE(storage.ListWithPrefix("spill/").empty())
+        << "the budget must force spills for this test to bite";
+  }
+  EXPECT_TRUE(storage.ListWithPrefix("spill/").empty());
+  for (const std::string& id : ids) {
+    for (const std::string& prefix :
+         {"spill/" + id + "/", "spill/" + id + "/msglog/",
+          "spill/df-" + id + "/"}) {
+      EXPECT_FALSE(storage.PrefixAcquired(prefix)) << prefix;
+    }
+  }
+
+  // The same job ids run to completion on a fresh server over the same
+  // storage.
+  JobServer server(&clock, &costs, &storage, options);
+  submit_both(&server);
+  ASSERT_TRUE(server.RunToCompletion().ok());
+  for (const std::string& id : ids) {
+    auto report = server.Report(id);
+    ASSERT_TRUE(report.ok()) << id;
+    EXPECT_TRUE(report->status.ok()) << report->status.ToString();
+    EXPECT_EQ(LabelsFromServer(server, id, graph.num_vertices()), truth);
   }
 }
 
@@ -433,36 +555,60 @@ TEST(ServerTracingTest, ServerTracerRecordsPublishesOfConcurrentJobs) {
   }
 }
 
-TEST(ServerTracingTest, SharedTracersAreRejected) {
-  graph::Graph graph = TestGraph();
+TEST(ServerTracingTest, JobsSharingATracerRecordOneWellNestedTrace) {
+  // The server steps its jobs one turn at a time on the caller's thread,
+  // and a turn closes every span it opens, so two jobs may share one
+  // tracer: their turns interleave, their spans never do.
+  graph::Graph graph = graph::GridGraph(16, 16);
   CcJobFixture fixture(graph);
   runtime::SimClock clock;
   runtime::CostModel costs;
   runtime::StableStorage storage(&clock, &costs);
-  core::OptimisticRecoveryPolicy policy(&fixture.fix);
-  runtime::Tracer server_tracer;
-  runtime::Tracer job_tracer;
+  core::OptimisticRecoveryPolicy policy_a(&fixture.fix);
+  core::OptimisticRecoveryPolicy policy_b(&fixture.fix);
+  runtime::Tracer tracer;
 
-  JobServer server(&clock, &costs, &storage, ServerOptions{}, &server_tracer);
-  JobSpec borrows_server = fixture.Spec("x", "df-x", "", 1, &policy);
-  borrows_server.exec.tracer = &server_tracer;
-  EXPECT_EQ(server.Submit(std::move(borrows_server)).code(),
-            StatusCode::kInvalidArgument);
-
-  JobSpec first = fixture.Spec("y", "df-y", "", 1, &policy);
-  first.exec.tracer = &job_tracer;
-  ASSERT_TRUE(server.Submit(std::move(first)).ok());
-  JobSpec second = fixture.Spec("z", "df-z", "", 1, &policy);
-  second.exec.tracer = &job_tracer;
-  EXPECT_EQ(server.Submit(std::move(second)).code(),
-            StatusCode::kInvalidArgument);
-
-  // Once its job is done, the tracer may trace the next one.
+  ServerOptions options;
+  options.max_concurrent_jobs = 2;
+  JobServer server(&clock, &costs, &storage, options);
+  for (auto [id, policy] : {std::pair{"a", &policy_a}, {"b", &policy_b}}) {
+    JobSpec spec = fixture.Spec(id, std::string("df-") + id, "2:1", 2, policy);
+    spec.exec.tracer = &tracer;
+    ASSERT_TRUE(server.Submit(std::move(spec)).ok());
+  }
   ASSERT_TRUE(server.RunToCompletion().ok());
-  JobSpec third = fixture.Spec("w", "df-w", "", 1, &policy);
-  third.exec.tracer = &job_tracer;
-  EXPECT_TRUE(server.Submit(std::move(third)).ok());
-  ASSERT_TRUE(server.RunToCompletion().ok());
+  for (const char* id : {"a", "b"}) {
+    auto report = server.Report(id);
+    ASSERT_TRUE(report.ok());
+    EXPECT_TRUE(report->converged) << id;
+    EXPECT_EQ(LabelsFromServer(server, id, graph.num_vertices()),
+              graph::ReferenceConnectedComponents(graph));
+  }
+
+  // Every span closes after the spans opened inside it: a child's wall
+  // interval lies within its parent's.
+  const runtime::Tracer::Snapshot snapshot = tracer.Flush();
+  EXPECT_EQ(snapshot.dropped, 0u);
+  std::map<uint64_t, const runtime::TraceEvent*> spans;
+  for (const runtime::TraceEvent& e : snapshot.events) {
+    if (e.kind == runtime::TraceEvent::Kind::kSpan) spans.emplace(e.seq, &e);
+  }
+  int supersteps = 0;
+  int nested = 0;
+  for (const runtime::TraceEvent& e : snapshot.events) {
+    if (e.kind != runtime::TraceEvent::Kind::kSpan) continue;
+    if (e.category == "iteration") ++supersteps;
+    auto parent = spans.find(e.parent_seq);
+    if (parent == spans.end()) continue;
+    const runtime::TraceEvent& p = *parent->second;
+    EXPECT_LE(p.wall_ts_ns, e.wall_ts_ns) << e.name << " opened before "
+                                          << p.name;
+    EXPECT_LE(e.wall_ts_ns + e.wall_dur_ns, p.wall_ts_ns + p.wall_dur_ns)
+        << e.name << " closed after " << p.name;
+    ++nested;
+  }
+  EXPECT_GT(supersteps, 0);
+  EXPECT_GT(nested, supersteps);
 }
 
 TEST(ServerAdmissionTest, QueueDrainsUnderMemoryGateAndConcurrencyCap) {
