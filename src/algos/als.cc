@@ -89,6 +89,8 @@ Record SolveEntity(int64_t kind, const Record& key,
   return out;
 }
 
+}  // namespace
+
 Plan BuildAlsPlan(int rank, double regularization) {
   Plan plan;
   auto state = plan.Source("state");      // (kind, id, f_0..f_{r-1})
@@ -141,6 +143,8 @@ Plan BuildAlsPlan(int rank, double regularization) {
   plan.Output(next, "next_state");
   return plan;
 }
+
+namespace {
 
 std::map<std::pair<int64_t, int64_t>, std::vector<double>> RowsByEntity(
     const PartitionedDataset& state, int rank) {

@@ -53,6 +53,12 @@ double RatingsRmse(const std::vector<Rating>& ratings,
                    const std::vector<std::vector<double>>& user_factors,
                    const std::vector<std::vector<double>>& item_factors);
 
+/// One ALS superstep: solves every user from the item rows of "state"
+/// (kind, id, f_0..f_{rank-1}; kind 0 = user, 1 = item) and the "ratings"
+/// (user, item, value), then every item from the new user rows. Output
+/// "next_state" has the shape of "state".
+dataflow::Plan BuildAlsPlan(int rank, double regularization);
+
 /// Deterministic initial factor row for an entity (used for both the
 /// initial state and the compensation's re-seeding).
 std::vector<double> InitialFactorRow(int64_t entity_id, int rank,

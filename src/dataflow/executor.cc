@@ -1,6 +1,7 @@
 #include "dataflow/executor.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <utility>
 #include <vector>
@@ -101,176 +102,190 @@ class FlatSlotMap {
   size_t size_ = 0;
 };
 
-/// Reduce of one partition: accumulate in first-arrival order through a
-/// FlatSlotMap, then emit accumulators sorted on their key columns.
-/// `validate` enforces the combiner-keeps-the-key contract (post-shuffle
-/// phase only).
-Status FlatReducePartition(const std::vector<Record>& in,
-                           const KeyColumns& key, const CombineFn& combine,
-                           bool validate, const std::string& node_name,
-                           std::vector<Record>* out) {
-  std::vector<Record> acc;
-  acc.reserve(in.size());
-  FlatSlotMap slots(in.size());
-  // Single-int64-key fast path: hash the whole key column in one pass
-  // and compare slots on the flat array (each slot remembers its
-  // first-arrival key — equal to the accumulator's key under the
-  // combiner-keeps-the-key contract the validate phase enforces).
-  std::vector<int64_t> key64;
-  std::vector<uint64_t> hashes;
-  std::vector<int64_t> slot_key;
-  const bool fast = ExtractKey64(in, key, &key64);
-  if (fast) {
-    hashes.resize(in.size());
-    for (size_t i = 0; i < in.size(); ++i) hashes[i] = HashInt64Key(key64[i]);
-    slot_key.reserve(in.size());
+/// The first key column `row` is too short for, or -1 (Plan::Validate has
+/// rejected negative columns).
+int MissingKeyColumn(const Record& row, const KeyColumns& key) {
+  for (int col : key) {
+    if (static_cast<size_t>(col) >= row.size()) return col;
   }
-  for (size_t i = 0; i < in.size(); ++i) {
-    const Record& r = in[i];
-    const uint64_t h = fast ? hashes[i] : HashKey(r, key);
-    bool inserted = false;
-    int32_t slot;
-    if (fast) {
-      slot = slots.FindOrInsert(
-          h, [&](int32_t s) { return slot_key[s] == key64[i]; }, &inserted);
-      if (inserted) slot_key.push_back(key64[i]);
-    } else {
-      slot = slots.FindOrInsert(
-          h, [&](int32_t s) { return KeysEqual(acc[s], key, r, key); },
-          &inserted);
-    }
-    if (inserted) {
-      acc.push_back(r);
-      continue;
-    }
-    Record folded = combine(acc[slot], r);
-    if (validate && !KeysEqual(folded, key, r, key)) {
-      return Status::Internal("ReduceByKey '" + node_name +
-                              "': combiner changed the key (got " +
-                              RecordToString(folded) + ")");
-    }
-    acc[slot] = std::move(folded);
-  }
-  std::vector<int32_t> order(acc.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int32_t>(i);
-  std::sort(order.begin(), order.end(), [&](int32_t a, int32_t b) {
-    return KeyLess(acc[a], acc[b], key);
-  });
-  out->reserve(out->size() + order.size());
-  for (int32_t s : order) out->push_back(std::move(acc[s]));
-  return Status::OK();
+  return -1;
 }
 
-/// Typed columnar reduce of one partition (DESIGN.md §15): when the
-/// combiner is declared (Plan::DeclareReduce) and the partition has the
-/// declared shape — records (int64 key, value), key == {0}, value column 1
-/// of the declared type — the fold runs over scalar accumulators on flat
-/// columns, never materializing intermediate Records. Returns false on any
-/// shape mismatch; the caller falls back to FlatReducePartition. Fold and
-/// emission order match the generic path exactly: arrival-order folding
-/// per key (kSumDouble strictly sequential — FP association is
-/// load-bearing), emission sorted by key (KeyLess on an int64 key is
-/// numeric order).
-bool FlatReduceTypedPartition(const std::vector<Record>& in,
-                              const KeyColumns& key, ReduceKind kind,
-                              int value_col, std::vector<Record>* out) {
-  if (key.size() != 1 || key[0] != 0 || value_col != 1) return false;
-  const bool want_double = kind == ReduceKind::kSumDouble;
-  for (const Record& r : in) {
-    if (r.size() != 2 || !r[0].is_int64()) return false;
-    if (want_double ? !r[1].is_double() : !r[1].is_int64()) return false;
-  }
-  if (in.empty()) return true;
+/// A row too short for `node`'s key.
+Status KeyColumnError(const PlanNode& node, int col, const Record& row) {
+  return Status::OutOfRange(OpKindName(node.kind) + " '" + node.name +
+                            "': key column " + std::to_string(col) +
+                            " out of range for record " + RecordToString(row));
+}
 
-  std::vector<int64_t> keys(in.size());
-  std::vector<uint64_t> hashes(in.size());
-  for (size_t i = 0; i < in.size(); ++i) {
-    keys[i] = in[i][0].AsInt64();
-    hashes[i] = HashInt64Key(keys[i]);
-  }
-  FlatSlotMap slots(in.size());
-  std::vector<int64_t> slot_key;
-  slot_key.reserve(in.size());
-  std::vector<int64_t> acc_i;
-  std::vector<double> acc_d;
-  for (size_t i = 0; i < in.size(); ++i) {
+/// Where an operator body emits its rows: into the output partition, or on
+/// into a chained consumer. Returns false when the consumer stopped on an
+/// error, which it stored in the partition's status; the body stops too.
+using RowSink = std::function<bool(Record&&)>;
+
+/// Reduce of one partition, fed one row at a time in arrival order and
+/// emitted sorted on the key. A declared combiner (DESIGN.md §15) folds
+/// scalar (key, accumulator) pairs while rows have the declared shape; the
+/// first row that does not turns the pairs into records and folds on with
+/// the combiner, which the declaration promises is byte-identical.
+/// `validate` enforces the combiner-keeps-the-key contract (post-shuffle).
+class ReduceFold {
+ public:
+  ReduceFold(const PlanNode& node, bool validate)
+      : node_(node),
+        validate_(validate),
+        typed_(node.reduce_kind != ReduceKind::kNone &&
+               node.left_key == KeyColumns{0} && node.reduce_value_col == 1),
+        slots_(0) {}
+
+  /// Folds one row; false (with *error set) when the row or the combiner
+  /// breaks the operator's contract.
+  bool Add(const Record& row, Status* error) {
+    if (typed_) {
+      if (AddTyped(row)) return true;
+      ToRecords();
+    }
+    const KeyColumns& key = node_.left_key;
+    const int missing = MissingKeyColumn(row, key);
+    if (missing >= 0) {
+      *error = KeyColumnError(node_, missing, row);
+      return false;
+    }
+    // HashInt64Key is HashKey for a single int64 key column.
+    const uint64_t h = key.size() == 1 && row[key[0]].is_int64()
+                           ? HashInt64Key(row[key[0]].AsInt64())
+                           : HashKey(row, key);
     bool inserted = false;
-    const int32_t slot = slots.FindOrInsert(
-        hashes[i], [&](int32_t s) { return slot_key[s] == keys[i]; },
+    const int32_t slot = slots_.FindOrInsert(
+        h, [&](int32_t s) { return KeysEqual(acc_[s], key, row, key); },
         &inserted);
-    if (want_double) {
-      const double v = in[i][1].AsDouble();
-      if (inserted) {
-        slot_key.push_back(keys[i]);
-        acc_d.push_back(v);
-      } else {
-        acc_d[slot] += v;  // arrival order, same association as combine()
-      }
-      continue;
-    }
-    const int64_t v = in[i][1].AsInt64();
     if (inserted) {
-      slot_key.push_back(keys[i]);
-      acc_i.push_back(v);
-      continue;
+      acc_.push_back(row);
+      return true;
     }
-    switch (kind) {
+    Record folded = node_.combine_fn(acc_[slot], row);
+    if (validate_ && !KeysEqual(folded, key, row, key)) {
+      *error = Status::Internal("ReduceByKey '" + node_.name +
+                                "': combiner changed the key (got " +
+                                RecordToString(folded) + ")");
+      return false;
+    }
+    acc_[slot] = std::move(folded);
+    return true;
+  }
+
+  /// Emits the accumulators in key order (KeyLess; numeric order for an
+  /// int64 key).
+  bool Emit(const RowSink& out) {
+    if (typed_) {
+      // Keys are unique, so sorting the pairs sorts them by key.
+      std::sort(pairs_.begin(), pairs_.end());
+      for (const auto& pair : pairs_) {
+        if (!out(PairRecord(pair))) return false;
+      }
+      return true;
+    }
+    std::vector<int32_t> order(acc_.size());
+    for (size_t i = 0; i < order.size(); ++i) {
+      order[i] = static_cast<int32_t>(i);
+    }
+    std::sort(order.begin(), order.end(), [&](int32_t a, int32_t b) {
+      return KeyLess(acc_[a], acc_[b], node_.left_key);
+    });
+    for (int32_t s : order) {
+      if (!out(std::move(acc_[s]))) return false;
+    }
+    return true;
+  }
+
+ private:
+  /// Folds a row of the declared shape; false when the row is not. A
+  /// kSumDouble accumulator holds its double's bits.
+  bool AddTyped(const Record& row) {
+    const bool sum_double = node_.reduce_kind == ReduceKind::kSumDouble;
+    if (row.size() != 2 || !row[0].is_int64() ||
+        (sum_double ? !row[1].is_double() : !row[1].is_int64())) {
+      return false;
+    }
+    const int64_t k = row[0].AsInt64();
+    const int64_t v = sum_double ? std::bit_cast<int64_t>(row[1].AsDouble())
+                                 : row[1].AsInt64();
+    bool inserted = false;
+    const int32_t slot = slots_.FindOrInsert(
+        HashInt64Key(k), [&](int32_t s) { return pairs_[s].first == k; },
+        &inserted);
+    if (inserted) {
+      pairs_.emplace_back(k, v);
+      return true;
+    }
+    int64_t& acc = pairs_[slot].second;
+    switch (node_.reduce_kind) {
+      case ReduceKind::kSumDouble:  // arrival order, as combine() folds
+        acc = std::bit_cast<int64_t>(std::bit_cast<double>(acc) +
+                                     row[1].AsDouble());
+        break;
       case ReduceKind::kSumInt64:
-        acc_i[slot] = static_cast<int64_t>(static_cast<uint64_t>(acc_i[slot]) +
-                                           static_cast<uint64_t>(v));
+        acc = static_cast<int64_t>(static_cast<uint64_t>(acc) +
+                                   static_cast<uint64_t>(v));
         break;
       case ReduceKind::kMinInt64:
-        if (v < acc_i[slot]) acc_i[slot] = v;  // ties keep the accumulator
+        if (v < acc) acc = v;  // ties keep the accumulator
         break;
       case ReduceKind::kMaxInt64:
-        if (v > acc_i[slot]) acc_i[slot] = v;
+        if (v > acc) acc = v;
         break;
-      case ReduceKind::kSumDouble:
       case ReduceKind::kNone:
         break;  // unreachable
     }
+    return true;
   }
-  std::vector<int32_t> order(slot_key.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int32_t>(i);
-  std::sort(order.begin(), order.end(), [&](int32_t a, int32_t b) {
-    return slot_key[a] < slot_key[b];
-  });
-  out->reserve(out->size() + order.size());
-  for (int32_t s : order) {
-    if (want_double) {
-      out->push_back(MakeRecord(slot_key[s], acc_d[s]));
-    } else {
-      out->push_back(MakeRecord(slot_key[s], acc_i[s]));
-    }
-  }
-  return true;
-}
 
-/// Batched join probe (DESIGN.md §15): when the build index runs in key64
-/// mode and the probe side's key extracts to a flat int64 column, hash the
-/// probe keys in one pass and resolve all group heads with
-/// FindFirstStripe before emitting. Emission order (probe order, chains in
-/// arrival order) is identical to the per-record FindFirst loop. Returns
-/// false when the shapes don't allow it; the caller probes row by row.
-bool StripedJoinProbe(const FlatKeyIndex& index,
-                      const std::vector<Record>& build,
-                      const std::vector<Record>& probes,
-                      const KeyColumns& probe_key, const JoinFn& join_fn,
-                      std::vector<Record>* out) {
-  if (!index.key64_probe_ready()) return false;
-  std::vector<int64_t> keys;
-  if (!ExtractKey64(probes, probe_key, &keys)) return false;
-  std::vector<uint64_t> hashes(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) hashes[i] = HashInt64Key(keys[i]);
-  std::vector<int32_t> first(keys.size());
-  index.FindFirstStripe(keys.data(), hashes.data(), keys.size(),
-                        first.data());
-  for (size_t i = 0; i < probes.size(); ++i) {
-    for (int32_t row = first[i]; row >= 0; row = index.Next(row)) {
-      out->push_back(join_fn(build[row], probes[i]));
-    }
+  Record PairRecord(const std::pair<int64_t, int64_t>& pair) const {
+    return node_.reduce_kind == ReduceKind::kSumDouble
+               ? MakeRecord(pair.first, std::bit_cast<double>(pair.second))
+               : MakeRecord(pair.first, pair.second);
   }
-  return true;
+
+  /// Leaves the typed fold: slot s's pair becomes accumulator record s, so
+  /// the slot map (hashed with HashInt64Key == HashKey) carries over.
+  void ToRecords() {
+    typed_ = false;
+    acc_.reserve(pairs_.size());
+    for (const auto& pair : pairs_) acc_.push_back(PairRecord(pair));
+    pairs_ = {};
+  }
+
+  const PlanNode& node_;
+  const bool validate_;
+  bool typed_;
+  FlatSlotMap slots_;
+  std::vector<std::pair<int64_t, int64_t>> pairs_;
+  std::vector<Record> acc_;
+};
+
+/// Join probe: the head of each probe row's build-side group, resolved in
+/// one striped pass (DESIGN.md §15) when the index runs in key64 mode and
+/// the probe keys extract to a flat int64 column, row by row otherwise.
+/// Either way first[i] is exactly index.FindFirst of probe i.
+std::vector<int32_t> ProbeHeads(const FlatKeyIndex& index,
+                                const std::vector<Record>& probes,
+                                const KeyColumns& probe_key) {
+  std::vector<int32_t> first(probes.size());
+  std::vector<int64_t> keys;
+  if (index.key64_probe_ready() && ExtractKey64(probes, probe_key, &keys)) {
+    std::vector<uint64_t> hashes(keys.size());
+    for (size_t i = 0; i < keys.size(); ++i) {
+      hashes[i] = HashInt64Key(keys[i]);
+    }
+    index.FindFirstStripe(keys.data(), hashes.data(), keys.size(),
+                          first.data());
+    return first;
+  }
+  for (size_t i = 0; i < probes.size(); ++i) {
+    first[i] = index.FindFirst(probes[i], probe_key,
+                               HashKey(probes[i], probe_key));
+  }
+  return first;
 }
 
 const std::vector<Record> kEmptyGroup;
@@ -311,14 +326,17 @@ void ObserveProbeChains(runtime::MetricsSink* metrics,
 
 // ------------------------------------------------ operator bodies -------
 //
-// Each OpKind's per-partition work, written once. Execute runs a body over
-// every partition on the pool; Replay runs the same body over the
-// partitions its demand analysis selects. A body writes only its own output
-// partition and never counts, charges, or traces: both callers do their own
-// accounting around it.
+// Each OpKind's per-partition work, written once. A body reads each input
+// row by row — a materialized partition, or what a chained producer's body
+// emits on the same partition (DESIGN.md §17) — and emits into a RowSink.
+// Execute and Replay run the same bodies; a body never counts, charges, or
+// traces: its callers do their own accounting around it.
 
-/// What an operator body reads. Execute fills it from fresh shuffles and
-/// cache entries, Replay from logged channels and re-scattered inputs.
+struct Stage;
+
+/// What an operator body reads. Execute fills it from fresh shuffles, cache
+/// entries and chained producers, Replay from logged channels and
+/// re-scattered inputs.
 struct OpInputs {
   /// Input 0: the plain input of a narrow operator, the post-shuffle input
   /// of a keyed one (the join build side, the cogroup left side).
@@ -326,6 +344,8 @@ struct OpInputs {
   /// Input 1: union's second input, the join probe side, the cogroup right
   /// side.
   const PartitionedDataset* b = nullptr;
+  /// Chained producers streaming input 0 / 1 instead of `a` / `b`.
+  Stage* chain[2] = {nullptr, nullptr};
   /// Cross: the collected right side, broadcast to every partition.
   const std::vector<Record>* broadcast = nullptr;
   /// Join: the cached per-partition index over `a`; null = build one.
@@ -338,76 +358,142 @@ struct OpInputs {
   /// Join: sink for the probe-chain histogram of freshly built indexes;
   /// null = not observed.
   runtime::MetricsSink* metrics = nullptr;
+
+  const PartitionedDataset* side(int i) const { return i == 0 ? a : b; }
 };
 
-/// Computes partition `p` of `node`'s output into `out` (empty on entry).
-Status RunBody(const PlanNode& node, const OpInputs& in, int p,
-               std::vector<Record>* out) {
+/// One node's resolved inputs in Execute, kept from its position in plan
+/// order until the section running its body ends (DESIGN.md §17).
+struct Stage {
+  const PlanNode* node = nullptr;
+  OpInputs in;
+  /// Chained: the rows its body emitted, per partition.
+  std::vector<uint64_t> emitted;
+  PartitionedDataset shuffled[2];
+  std::vector<Record> broadcast;
+  /// Cached sides: the entry and its pinned records (see Repin).
+  ExecCache::Entry* entry[2] = {nullptr, nullptr};
+  std::shared_ptr<const PartitionedDataset> pinned[2];
+  std::vector<FlatKeyIndex> own_index;
+  std::vector<CachedGroups> own_groups[2];
+  bool cached[2] = {false, false};
+  bool hit[2] = {false, false};
+  /// Cache args for the operator span the body runs in.
+  std::vector<std::pair<std::string, int64_t>> span_args;
+};
+
+/// Computes partition `p` of `node`'s output into `out`; false when it
+/// failed (*error says why) or `out` stopped.
+bool RunBody(const PlanNode& node, const OpInputs& in, int p,
+             const RowSink& out, Status* error);
+
+/// Rows input `i` delivered to partition `p` (chained: once it ran).
+uint64_t RowsOf(const OpInputs& in, int i, int p) {
+  return in.chain[i] != nullptr ? in.chain[i]->emitted[p]
+                                : in.side(i)->partition(p).size();
+}
+
+/// Runs chained producer `st` on partition `p` into `sink`, counting rows.
+bool RunChained(Stage& st, int p, const RowSink& sink, Status* error) {
+  uint64_t rows = 0;
+  const RowSink counted = [&](Record&& r) {
+    ++rows;
+    return sink(std::move(r));
+  };
+  const bool ok = RunBody(*st.node, st.in, p, counted, error);
+  st.emitted[p] += rows;
+  return ok;
+}
+
+/// Visits partition `p` of input `i` in arrival order; `fn` returns false
+/// to stop.
+template <typename Fn>
+bool EachRow(const OpInputs& in, int i, int p, Status* error, Fn&& fn) {
+  if (in.chain[i] != nullptr) {
+    return RunChained(
+        *in.chain[i], p, [&](Record&& r) { return fn(std::as_const(r)); },
+        error);
+  }
+  for (const Record& r : in.side(i)->partition(p)) {
+    if (!fn(r)) return false;
+  }
+  return true;
+}
+
+/// Emits partition `p` of input `i` unchanged (chained rows are moved).
+bool ForwardRows(const OpInputs& in, int i, int p, const RowSink& out,
+                 Status* error) {
+  if (in.chain[i] != nullptr) return RunChained(*in.chain[i], p, out, error);
+  return EachRow(in, i, p, error,
+                 [&](const Record& r) { return out(Record(r)); });
+}
+
+/// Moves the rows a vector-appending UDF produced into `out`.
+bool EmitAll(std::vector<Record>* rows, const RowSink& out) {
+  for (Record& r : *rows) {
+    if (!out(std::move(r))) return false;
+  }
+  rows->clear();
+  return true;
+}
+
+bool RunBody(const PlanNode& node, const OpInputs& in, int p,
+             const RowSink& out, Status* error) {
   switch (node.kind) {
     case OpKind::kSource:
-      break;  // sources are bound views, never run
+      return true;  // sources are bound views, never run
 
     case OpKind::kMap:
+      return EachRow(in, 0, p, error, [&](const Record& r) {
+        return out(node.map_fn(r));
+      });
+
     case OpKind::kFlatMap: {
-      const std::vector<Record>& rows = in.a->partition(p);
-      if (node.kind == OpKind::kMap) {
-        out->reserve(rows.size());
-        for (const Record& r : rows) out->push_back(node.map_fn(r));
-      } else {
-        for (const Record& r : rows) node.flat_map_fn(r, out);
-      }
-      break;
+      std::vector<Record> rows;
+      return EachRow(in, 0, p, error, [&](const Record& r) {
+        node.flat_map_fn(r, &rows);
+        return EmitAll(&rows, out);
+      });
     }
 
     case OpKind::kFilter:
-      for (const Record& r : in.a->partition(p)) {
-        if (node.filter_fn(r)) out->push_back(r);
-      }
-      break;
+      return EachRow(in, 0, p, error, [&](const Record& r) {
+        return !node.filter_fn(r) || out(Record(r));
+      });
 
     case OpKind::kProject:
-      for (const Record& r : in.a->partition(p)) {
+      return EachRow(in, 0, p, error, [&](const Record& r) {
         Record projected;
         projected.reserve(node.project_columns.size());
         for (int col : node.project_columns) {
           if (col < 0 || static_cast<size_t>(col) >= r.size()) {
-            return Status::OutOfRange(
+            *error = Status::OutOfRange(
                 "Project '" + node.name + "': column " + std::to_string(col) +
                 " out of range for record " + RecordToString(r));
+            return false;
           }
           projected.push_back(r[col]);
         }
-        out->push_back(std::move(projected));
-      }
-      break;
+        return out(std::move(projected));
+      });
 
-    case OpKind::kUnion: {
-      const std::vector<Record>& a = in.a->partition(p);
-      const std::vector<Record>& b = in.b->partition(p);
-      out->reserve(a.size() + b.size());
-      out->insert(out->end(), a.begin(), a.end());
-      out->insert(out->end(), b.begin(), b.end());
-      break;
-    }
+    case OpKind::kUnion:
+      return ForwardRows(in, 0, p, out, error) &&
+             ForwardRows(in, 1, p, out, error);
 
     case OpKind::kCross:
-      out->reserve(in.a->partition(p).size() * in.broadcast->size());
-      for (const Record& l : in.a->partition(p)) {
+      return EachRow(in, 0, p, error, [&](const Record& l) {
         for (const Record& r : *in.broadcast) {
-          out->push_back(node.join_fn(l, r));
+          if (!out(node.join_fn(l, r))) return false;
         }
-      }
-      break;
+        return true;
+      });
 
     case OpKind::kReduceByKey: {
-      const std::vector<Record>& rows = in.a->partition(p);
-      if (node.reduce_kind != ReduceKind::kNone &&
-          FlatReduceTypedPartition(rows, node.left_key, node.reduce_kind,
-                                   node.reduce_value_col, out)) {
-        break;
-      }
-      return FlatReducePartition(rows, node.left_key, node.combine_fn,
-                                 in.validate, node.name, out);
+      ReduceFold fold(node, in.validate);
+      return EachRow(in, 0, p, error,
+                     [&](const Record& r) { return fold.Add(r, error); }) &&
+             fold.Emit(out);
     }
 
     case OpKind::kGroupReduceByKey: {
@@ -422,17 +508,18 @@ Status RunBody(const PlanNode& node, const OpInputs& in, int p,
       std::sort(heads.begin(), heads.end(), [&](int32_t a, int32_t b) {
         return KeyLess(rows[a], rows[b], node.left_key);
       });
-      out->reserve(heads.size());
       std::vector<Record> group;
       for (int32_t head : heads) {
         group.clear();
         for (int32_t r = head; r >= 0; r = index.Next(r)) {
           group.push_back(rows[r]);
         }
-        out->push_back(node.group_reduce_fn(
-            ExtractKey(rows[head], node.left_key), group));
+        if (!out(node.group_reduce_fn(
+                ExtractKey(rows[head], node.left_key), group))) {
+          return false;
+        }
       }
-      break;
+      return true;
     }
 
     case OpKind::kJoin: {
@@ -446,18 +533,15 @@ Status RunBody(const PlanNode& node, const OpInputs& in, int p,
         fresh.Build(build, node.left_key);
         ObserveProbeChains(in.metrics, fresh);
       }
-      if (StripedJoinProbe(*index, build, probes, node.right_key,
-                           node.join_fn, out)) {
-        break;
-      }
-      for (const Record& r : probes) {
-        int32_t row =
-            index->FindFirst(r, node.right_key, HashKey(r, node.right_key));
-        for (; row >= 0; row = index->Next(row)) {
-          out->push_back(node.join_fn(build[row], r));
+      // Probe order, each group's chain in arrival order.
+      const std::vector<int32_t> first =
+          ProbeHeads(*index, probes, node.right_key);
+      for (size_t i = 0; i < probes.size(); ++i) {
+        for (int32_t row = first[i]; row >= 0; row = index->Next(row)) {
+          if (!out(node.join_fn(build[row], probes[i]))) return false;
         }
       }
-      break;
+      return true;
     }
 
     case OpKind::kCoGroup: {
@@ -485,33 +569,102 @@ Status RunBody(const PlanNode& node, const OpInputs& in, int p,
                 [](const Record* a, const Record* b) {
                   return RecordLess(*a, *b);
                 });
+      std::vector<Record> rows;
       for (const Record* key : keys) {
         auto lit = lgroups.find(*key);
         auto rit = rgroups.find(*key);
-        node.cogroup_fn(*key,
-                        lit != lgroups.end() ? lit->second : kEmptyGroup,
+        node.cogroup_fn(*key, lit != lgroups.end() ? lit->second : kEmptyGroup,
                         rit != rgroups.end() ? rit->second : kEmptyGroup,
-                        out);
+                        &rows);
+        if (!EmitAll(&rows, out)) return false;
       }
-      break;
+      return true;
     }
 
     case OpKind::kDistinct: {
-      // Flat slot map keyed on the whole record; the emitted records double
-      // as the dedup table (first occurrence wins).
+      // Flat slot map keyed on the whole record; the kept records double as
+      // the dedup table (first occurrence wins).
       const std::vector<Record>& rows = in.a->partition(p);
+      std::vector<Record> kept;
       FlatSlotMap slots(rows.size());
       for (const Record& r : rows) {
         bool inserted = false;
         slots.FindOrInsert(
-            HashRecord(r), [&](int32_t s) { return (*out)[s] == r; },
+            HashRecord(r), [&](int32_t s) { return kept[s] == r; },
             &inserted);
-        if (inserted) out->push_back(r);
+        if (inserted) kept.push_back(r);
       }
-      break;
+      return EmitAll(&kept, out);
     }
   }
-  return Status::OK();
+  return true;
+}
+
+/// Runs `node`'s body on partition `p` into `out`.
+Status RunInto(const PlanNode& node, const OpInputs& in, int p,
+               std::vector<Record>* out) {
+  Status status;
+  RunBody(
+      node, in, p,
+      [out](Record&& r) {
+        out->push_back(std::move(r));
+        return true;
+      },
+      &status);
+  return status;
+}
+
+/// Appends the chained producers streaming into `in`, transitively.
+void ChainMembers(const OpInputs& in, std::vector<NodeId>* members) {
+  for (const Stage* producer : in.chain) {
+    if (producer == nullptr) continue;
+    members->push_back(producer->node->id);
+    ChainMembers(producer->in, members);
+  }
+}
+
+/// A spill since a cache lookup may have dropped the index or groups a
+/// stage points at. Its pinned records are still alive: rebuild them.
+void Repin(const PlanNode& node, Stage* st) {
+  for (int i = 0; i < 2; ++i) {
+    if (st->entry[i] == nullptr || st->entry[i]->data == st->pinned[i]) {
+      continue;
+    }
+    const PartitionedDataset& data = *st->pinned[i];
+    const KeyColumns& key = i == 0 ? node.left_key : node.right_key;
+    st->own_groups[i].clear();
+    if (i == 0) st->own_index.clear();
+    for (int p = 0; p < data.num_partitions(); ++p) {
+      if (node.kind == OpKind::kCoGroup) {
+        st->own_groups[i].push_back(GroupByKey(data.partition(p), key));
+      } else if (i == 0) {
+        st->own_index.emplace_back().Build(data.partition(p), key);
+      }
+    }
+    if (node.kind == OpKind::kCoGroup) {
+      (i == 0 ? st->in.a_groups : st->in.b_groups) = &st->own_groups[i];
+    } else if (i == 0) {
+      st->in.build_index = &st->own_index;
+    }
+  }
+}
+
+bool Streams(const Stage& st) {
+  return st.in.chain[0] != nullptr || st.in.chain[1] != nullptr;
+}
+
+std::vector<uint64_t> Sizes(const PartitionedDataset& ds) {
+  std::vector<uint64_t> sizes(ds.num_partitions());
+  for (int p = 0; p < ds.num_partitions(); ++p) {
+    sizes[p] = ds.partition(p).size();
+  }
+  return sizes;
+}
+
+uint64_t Sum(const std::vector<uint64_t>& v) {
+  uint64_t total = 0;
+  for (uint64_t x : v) total += x;
+  return total;
 }
 
 }  // namespace
@@ -537,31 +690,11 @@ Executor::Executor(ExecOptions options) : options_(options) {
   }
 }
 
-void Executor::ForEachPartition(int count,
-                                const std::function<void(int)>& fn) const {
+void Executor::ForEachPartition(
+    const runtime::TraceSpan& parent, int count,
+    const std::function<void(int)>& fn,
+    const std::function<int64_t(int)>& records_of) const {
   CountPoolWork(count);
-  runtime::ParallelFor(pool_.get(), count, fn);
-}
-
-void Executor::ForEachPartition(const runtime::TraceSpan& parent,
-                                const PartitionedDataset* in, int count,
-                                const std::function<void(int)>& fn) const {
-  CountPoolWork(count);
-  if (options_.metrics != nullptr && in != nullptr) {
-    // Per-partition operator input records, counted on the orchestration
-    // thread so the family exists (with identical values) at any thread
-    // count.
-    for (int p = 0; p < count; ++p) {
-      options_.metrics->Count(runtime::metric::kExecRecords, p,
-                              in->partition(p).size());
-    }
-  }
-  std::function<int64_t(int)> records_of;
-  if (parent.active() && in != nullptr) {
-    records_of = [in](int p) {
-      return static_cast<int64_t>(in->partition(p).size());
-    };
-  }
   runtime::TracedParallelFor(pool_.get(), parent, count, fn, records_of);
 }
 
@@ -572,11 +705,11 @@ void Executor::CountPoolWork(int tasks) const {
                           static_cast<uint64_t>(tasks));
 }
 
-void Executor::ObserveBatchRows(const PartitionedDataset& ds) const {
+void Executor::ObserveBatchRows(const std::vector<uint64_t>& rows) const {
   if (options_.metrics == nullptr) return;
-  for (int p = 0; p < ds.num_partitions(); ++p) {
+  for (uint64_t r : rows) {
     options_.metrics->Observe(runtime::metric::kHistBatchRows,
-                              static_cast<int64_t>(ds.partition(p).size()));
+                              static_cast<int64_t>(r));
   }
 }
 
@@ -590,14 +723,6 @@ void Executor::ChargeCompute(
                           static_cast<int64_t>(critical));
 }
 
-void Executor::ChargeCompute(const PartitionedDataset& in) const {
-  std::vector<uint64_t> records(in.num_partitions());
-  for (int p = 0; p < in.num_partitions(); ++p) {
-    records[p] = in.partition(p).size();
-  }
-  ChargeCompute(records);
-}
-
 void Executor::ChargeNetwork(uint64_t messages) const {
   if (options_.clock == nullptr || options_.costs == nullptr) return;
   options_.clock->Add(runtime::Charge::kNetwork,
@@ -606,8 +731,10 @@ void Executor::ChargeNetwork(uint64_t messages) const {
 }
 
 template <typename Input>
-PartitionedDataset Executor::ShuffleImpl(Input&& input, const KeyColumns& key,
-                                         ExecStats* stats) const {
+Result<PartitionedDataset> Executor::ShuffleImpl(Input&& input,
+                                                 const KeyColumns& key,
+                                                 ExecStats* stats,
+                                                 const PlanNode* node) const {
   constexpr bool kMove = !std::is_lvalue_reference_v<Input>;
   const int n = options_.num_partitions;
   const int sources = input.num_partitions();
@@ -630,6 +757,7 @@ PartitionedDataset Executor::ShuffleImpl(Input&& input, const KeyColumns& key,
   PartitionedDataset out(n);
   std::vector<uint64_t> moved(sources, 0);
   uint64_t outbox_peak = 0;
+  std::vector<Status> key_errors(node != nullptr ? sources : 0);
 
   runtime::TraceSpan scatter_span(options_.tracer,
                                   runtime::SpanKind::kShuffleScatter,
@@ -679,6 +807,12 @@ PartitionedDataset Executor::ShuffleImpl(Input&& input, const KeyColumns& key,
               }
             } else {
               for (size_t r = 0; r < src.size(); ++r) {
+                const int missing =
+                    node != nullptr ? MissingKeyColumn(src[r], key) : -1;
+                if (missing >= 0) {
+                  key_errors[p] = KeyColumnError(*node, missing, src[r]);
+                  return;
+                }
                 const int t = PartitionedDataset::PartitionOf(src[r], key, n);
                 target[r] = t;
                 ++counts[t];
@@ -705,7 +839,7 @@ PartitionedDataset Executor::ShuffleImpl(Input&& input, const KeyColumns& key,
 
       // Drain this block's outboxes, freeing them before the next block
       // scatters (the outbox vector's scope ends with the loop body).
-      ForEachPartition(gather_span, nullptr, n, [&](int t) {
+      ForEachPartition(gather_span, n, [&](int t) {
         std::vector<Record>& dst = out.partition(t);
         size_t add = 0;
         for (int i = 0; i < count; ++i) add += outbox[i][t].size();
@@ -723,6 +857,8 @@ PartitionedDataset Executor::ShuffleImpl(Input&& input, const KeyColumns& key,
                          static_cast<int64_t>(outbox_peak));
     }
   }
+
+  for (const Status& error : key_errors) FLINKLESS_RETURN_NOT_OK(error);
 
   uint64_t total_moved = 0;
   for (uint64_t m : moved) total_moved += m;
@@ -757,19 +893,20 @@ PartitionedDataset Executor::ShuffleImpl(Input&& input, const KeyColumns& key,
 PartitionedDataset Executor::Shuffle(const PartitionedDataset& input,
                                      const KeyColumns& key,
                                      ExecStats* stats) const {
-  return ShuffleImpl(input, key, stats);
+  return ShuffleImpl(input, key, stats).ValueOrDie();
 }
 
 PartitionedDataset Executor::Shuffle(PartitionedDataset&& input,
                                      const KeyColumns& key,
                                      ExecStats* stats) const {
-  return ShuffleImpl(std::move(input), key, stats);
+  return ShuffleImpl(std::move(input), key, stats).ValueOrDie();
 }
 
 Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
     const Plan& plan, const Bindings& bindings, ExecStats* stats) const {
   FLINKLESS_RETURN_NOT_OK(plan.Validate());
   const int n = options_.num_partitions;
+  const int num_nodes = static_cast<int>(plan.num_nodes());
 
   // Loop-invariant analysis: with a cache attached, a node whose value
   // cannot change between supersteps is served from / stored into it.
@@ -805,12 +942,24 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
                           options_.tracer);
   };
 
+  // Operator chaining (DESIGN.md §17). runs_at[id] is the node whose
+  // position runs id's body: id unless chained, a pre-combining reduce for
+  // its input, else the consumer's runs_at.
+  const std::vector<NodeId> chained_into = plan.ChainedInto(invariant);
+  std::vector<NodeId> runs_at(num_nodes);
+  for (int id = num_nodes - 1; id >= 0; --id) {
+    const NodeId c = chained_into[id];
+    runs_at[id] = c < 0                                      ? id
+                  : plan.node(c).kind == OpKind::kReduceByKey ? c
+                                                              : runs_at[c];
+  }
+
   ExecStats local_stats;
 
   // Node results are views over a borrowed source binding, a cache entry,
   // or an executor-owned dataset — sources and cache hits cost no copies
-  // (the executor used to deep-copy every source binding per Execute).
-  // Reserved up front: views point into their own slots.
+  // (a chained node has none). Reserved up front: views point into their
+  // own slots.
   struct Slot {
     PartitionedDataset owned;
     std::shared_ptr<const PartitionedDataset> keepalive;
@@ -818,7 +967,7 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
     bool is_owned = false;
   };
   std::vector<Slot> slots;
-  slots.reserve(plan.num_nodes());
+  slots.reserve(num_nodes);
   auto push_owned = [&](PartitionedDataset ds) {
     Slot& s = slots.emplace_back();
     s.owned = std::move(ds);
@@ -837,18 +986,23 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
     return *slots[idx].view;
   };
 
-  // An executor-owned result is released once its last consumer has run,
-  // not at the end of Execute: peak memory drops, and the release runs on
-  // the pool inside that consumer's operator span. Plan outputs stay.
-  std::vector<NodeId> last_consumer(plan.num_nodes(), -1);
+  // An executor-owned result is released once the last section reading it
+  // has run (a local route reads at its consumer's runs_at), not at the end
+  // of Execute: peak memory drops. Plan outputs stay.
+  std::vector<NodeId> release_at(num_nodes, -1);
   for (const PlanNode& node : plan.nodes()) {
-    for (NodeId idx : node.inputs) last_consumer[idx] = node.id;
+    const std::vector<InputRoute> routes = InputRoutes(node);
+    for (size_t i = 0; i < routes.size(); ++i) {
+      NodeId& at = release_at[node.inputs[i]];
+      at = std::max(at, routes[i].kind == InputRoute::kLocal ? runs_at[node.id]
+                                                              : node.id);
+    }
   }
-  for (const auto& [name, node] : plan.outputs()) last_consumer[node] = -1;
-  auto release_dead_inputs = [&](const PlanNode& node) {
-    for (NodeId idx : node.inputs) {
+  for (const auto& [name, node] : plan.outputs()) release_at[node] = -1;
+  auto release_dead = [&](NodeId at) {
+    for (NodeId idx = 0; idx < at; ++idx) {
       Slot& s = slots[idx];
-      if (!s.is_owned || last_consumer[idx] != node.id) continue;
+      if (!s.is_owned || release_at[idx] != at) continue;
       runtime::ParallelFor(pool_.get(), s.owned.num_partitions(), [&](int p) {
         std::vector<Record>().swap(s.owned.partition(p));
       });
@@ -858,53 +1012,98 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
     }
   };
 
-  auto count_output = [&](const PlanNode& node,
-                          const PartitionedDataset& ds) {
-    local_stats.node_output_counts[node.name] += ds.NumRecords();
+  std::vector<Stage> stages(num_nodes);
+
+  // Counts and charges a body from the rows its `inputs` inputs delivered
+  // per partition. A node whose inputs are all materialized is charged at
+  // its own position, so every span sees the SimClock it saw unchained.
+  auto charge = [&](const Stage& st, size_t inputs) {
+    std::vector<uint64_t> work(n, 0);
+    for (size_t i = 0; i < inputs; ++i) {
+      if (st.hit[i]) continue;
+      if (i == 1 && st.in.broadcast != nullptr) {
+        local_stats.records_processed += st.broadcast.size();
+        continue;
+      }
+      for (int p = 0; p < n; ++p) {
+        const uint64_t rows = RowsOf(st.in, static_cast<int>(i), p);
+        work[p] += rows;
+        local_stats.records_processed += rows;
+      }
+    }
+    // Partition p pays for its own records against the whole broadcast
+    // side.
+    if (st.in.broadcast != nullptr) {
+      for (uint64_t& w : work) w *= st.broadcast.size();
+    }
+    ChargeCompute(work);
+    for (int p = 0; p < n && options_.metrics != nullptr; ++p) {
+      options_.metrics->Count(runtime::metric::kExecRecords, p,
+                              RowsOf(st.in, st.cached[0] ? 1 : 0, p));
+    }
   };
 
-  // Runs `node`'s body over every partition, one child span of `span` per
-  // partition; `traced` supplies their "records" args and the exec.records
-  // counts. Failures are checked in partition order after the parallel
-  // section, so the reported error is the one serial execution hits first.
-  std::vector<Status> part_status(n);
-  auto run_body = [&](const PlanNode& node, const runtime::TraceSpan& span,
-                      const OpInputs& inputs, const PartitionedDataset* traced)
+  // Runs `node`'s body over every partition in one parallel section, its
+  // chained producers streaming in, and materializes what it emits; the
+  // child spans carry input `traced`'s rows. Failures are checked in
+  // partition order, so the error is the one serial execution hits first.
+  // The producers are counted (charged, if streamed into) and appended to
+  // `members`.
+  auto run_section = [&](const PlanNode& node, const OpInputs& in,
+                         const runtime::TraceSpan& span, int traced,
+                         std::vector<NodeId>* members)
       -> Result<PartitionedDataset> {
+    const size_t first = members->size();
+    ChainMembers(in, members);
+    for (size_t m = first; m < members->size(); ++m) {
+      Repin(plan.node((*members)[m]), &stages[(*members)[m]]);
+    }
     PartitionedDataset out(n);
-    ForEachPartition(span, traced, n, [&](int p) {
-      part_status[p] = RunBody(node, inputs, p, &out.partition(p));
-    });
-    for (const Status& s : part_status) FLINKLESS_RETURN_NOT_OK(s);
+    std::vector<Status> status(n);
+    std::function<int64_t(int)> records_of;
+    if (span.active()) {
+      records_of = [&](int p) {
+        return static_cast<int64_t>(RowsOf(in, traced, p));
+      };
+    }
+    ForEachPartition(
+        span, n,
+        [&](int p) { status[p] = RunInto(node, in, p, &out.partition(p)); },
+        records_of);
+    for (const Status& s : status) FLINKLESS_RETURN_NOT_OK(s);
+    for (size_t m = first; m < members->size(); ++m) {
+      const Stage& member = stages[(*members)[m]];
+      if (Streams(member)) charge(member, member.node->inputs.size());
+      local_stats.node_output_counts[member.node->name] += Sum(member.emitted);
+    }
     return out;
   };
 
   // Input `i` of loop-variant `node` when it is a loop-invariant shuffled
   // side: shuffled on `route`'s key on first use and served from the cache
-  // after that, port l as role kBuild and port r as kProbe. `*hit` says
-  // which; a hit is counted with the records whose shuffle it saved.
-  auto cached_side = [&](const PlanNode& node, runtime::TraceSpan& span,
-                         const InputRoute& route, size_t i,
-                         bool* hit) -> Result<ExecCache::Entry*> {
+  // after that, port l as role kBuild and port r as kProbe. A hit is
+  // counted with the records whose shuffle it saved.
+  auto cached_side = [&](const PlanNode& node, const InputRoute& route,
+                         size_t i) -> Result<ExecCache::Entry*> {
+    Stage& st = stages[node.id];
     const ExecCache::Role role =
         i == 0 ? ExecCache::Role::kBuild : ExecCache::Role::kProbe;
     bool reloaded = false;
     FLINKLESS_ASSIGN_OR_RETURN(
         ExecCache::Entry* e,
         cache->FindResident(node.id, role, options_.tracer, &reloaded));
-    *hit = e != nullptr;
-    if (*hit) {
+    st.hit[i] = e != nullptr;
+    if (st.hit[i]) {
       ++local_stats.cache_hits;
       local_stats.records_not_reshuffled += e->data->NumRecords();
-      if (span.active()) {
-        span.AddArg("cache_hit", 1);
-        span.AddArg("reloaded", reloaded ? 1 : 0);
-      }
+      st.span_args.emplace_back("cache_hit", 1);
+      st.span_args.emplace_back("reloaded", reloaded ? 1 : 0);
       return e;
     }
     const KeyColumns& key = *route.key;
-    PartitionedDataset shuffled =
-        Shuffle(input_of(node.inputs[i]), key, &local_stats);
+    FLINKLESS_ASSIGN_OR_RETURN(
+        PartitionedDataset shuffled,
+        ShuffleImpl(input_of(node.inputs[i]), key, &local_stats, &node));
     ExecCache::Entry& entry = cache->Emplace(node.id, role);
     entry.data = std::make_shared<PartitionedDataset>(std::move(shuffled));
     entry.index_key = key;
@@ -912,10 +1111,10 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
       // Later supersteps probe the prebuilt per-partition flat index,
       // whose rows are the cached records themselves.
       entry.flat_index.resize(n);
-      ForEachPartition(n, [&](int p) {
+      ForEachPartition(runtime::TraceSpan(), n, [&](int p) {
         entry.flat_index[p].Build(entry.data->partition(p), key);
       });
-      ObserveBatchRows(*entry.data);
+      ObserveBatchRows(Sizes(*entry.data));
       for (const FlatKeyIndex& index : entry.flat_index) {
         ObserveProbeChains(options_.metrics, index);
       }
@@ -923,29 +1122,28 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
       // Cogroup has no flat index: its UDF sweeps fully materialized groups
       // on both sides at once (DESIGN.md §12), so the side keeps its groups.
       entry.groups.resize(n);
-      ForEachPartition(n, [&](int p) {
+      ForEachPartition(runtime::TraceSpan(), n, [&](int p) {
         entry.groups[p] = GroupByKey(entry.data->partition(p), key);
       });
     }
     FLINKLESS_RETURN_NOT_OK(
         cache->OnEntryFilled(node.id, role, options_.tracer));
-    if (span.active()) span.AddArg("cache_build", 1);
+    st.span_args.emplace_back("cache_build", 1);
     return &entry;
   };
 
   for (const PlanNode& node : plan.nodes()) {
     const std::vector<InputRoute> routes = InputRoutes(node);
-    // One span per operator; per-partition child spans are recorded by the
-    // traced ForEachPartition overload below. Input/output record counts
-    // land as args when the span closes at the end of this loop body.
-    uint64_t span_records_in = 0;
-    if (options_.tracer != nullptr) {
-      for (int idx : node.inputs) {
-        span_records_in += slots[idx].view->NumRecords();
-      }
-    }
-    runtime::TraceSpan op_span(options_.tracer, runtime::SpanKind::kOperator,
-                               node.name);
+    const bool chained = chained_into[node.id] >= 0;
+    const bool pre_combine = !routes.empty() && routes[0].pre_combine;
+    Stage& st = stages[node.id];
+    // Chained producers whose bodies ran in this position's sections.
+    std::vector<NodeId> members;
+    // One span per position that runs a section: a chained node's body
+    // runs in its root's span, but its pre-combine fold is its own.
+    runtime::TraceSpan op_span(!chained || pre_combine ? options_.tracer
+                                                       : nullptr,
+                               runtime::SpanKind::kOperator, node.name);
 
     // Fully loop-invariant node: its output is the same every superstep,
     // so the first execution materializes it into the cache and every
@@ -993,95 +1191,107 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
       }
       push_view(it->second);
     } else if (!from_cache) {
-      // Every input moves along its route (DESIGN.md §12). The cached
-      // loop-invariant sides are looked up first, then the volatile sides
-      // are shuffled in port order and logged in port order. Work is
-      // counted and charged over the sides that were not cache hits.
+      // Every input moves along its route (DESIGN.md §12); a chained local
+      // input streams in when the body runs. The cached loop-invariant
+      // sides are looked up first, then the volatile sides are shuffled in
+      // port order and logged in port order.
       const PartitionedDataset* side[2] = {nullptr, nullptr};
-      PartitionedDataset shuffled[2];
-      bool cached[2] = {false, false};
-      bool hit[2] = {false, false};
-      std::vector<Record> broadcast;
-      OpInputs inputs;
-      inputs.metrics = options_.metrics;
+      st.in.metrics = options_.metrics;
       for (size_t i = 0; i < routes.size(); ++i) {
+        if (routes[i].kind == InputRoute::kLocal &&
+            chained_into[node.inputs[i]] == node.id) {
+          st.in.chain[i] = &stages[node.inputs[i]];
+        }
         if (routes[i].kind != InputRoute::kShuffled || cache == nullptr ||
             invariant[node.id] || !invariant[node.inputs[i]]) {
           continue;
         }
-        FLINKLESS_ASSIGN_OR_RETURN(
-            ExecCache::Entry* e,
-            cached_side(node, op_span, routes[i], i, &hit[i]));
-        cached[i] = true;
+        FLINKLESS_ASSIGN_OR_RETURN(ExecCache::Entry* e,
+                                   cached_side(node, routes[i], i));
+        st.cached[i] = true;
+        st.entry[i] = e;
+        st.pinned[i] = e->data;
         side[i] = e->data.get();
-        if (!e->flat_index.empty()) inputs.build_index = &e->flat_index;
+        if (!e->flat_index.empty()) st.in.build_index = &e->flat_index;
         if (!e->groups.empty()) {
-          (i == 0 ? inputs.a_groups : inputs.b_groups) = &e->groups;
+          (i == 0 ? st.in.a_groups : st.in.b_groups) = &e->groups;
         }
       }
       for (size_t i = 0; i < routes.size(); ++i) {
-        if (cached[i]) continue;
-        const PartitionedDataset& in = input_of(node.inputs[i]);
+        if (st.cached[i] || st.in.chain[i] != nullptr) continue;
+        const NodeId input = node.inputs[i];
+        if (routes[i].pre_combine) {
+          // Local pre-aggregation before the shuffle: fewer messages.
+          Stage pre;
+          pre.in.validate = false;
+          if (chained_into[input] == node.id) {
+            pre.in.chain[0] = &stages[input];
+          } else {
+            pre.in.a = &input_of(input);
+          }
+          FLINKLESS_ASSIGN_OR_RETURN(
+              PartitionedDataset combined,
+              run_section(node, pre.in, op_span, 0, &members));
+          std::vector<uint64_t> rows(n);
+          for (int p = 0; p < n; ++p) rows[p] = RowsOf(pre.in, 0, p);
+          ObserveBatchRows(rows);
+          charge(pre, 1);
+          FLINKLESS_ASSIGN_OR_RETURN(
+              st.shuffled[i],
+              ShuffleImpl(std::move(combined), *routes[i].key, &local_stats,
+                          &node));
+          side[i] = &st.shuffled[i];
+          continue;
+        }
+        const PartitionedDataset& in = input_of(input);
         side[i] = &in;
         if (routes[i].kind == InputRoute::kBroadcast) {
           // Every record is replicated to every partition but its own
           // (counted as messages).
-          broadcast = in.Collect();
+          st.broadcast = in.Collect();
           const uint64_t messages =
               in.NumRecords() * static_cast<uint64_t>(n - 1);
           local_stats.messages_shuffled += messages;
           ChargeNetwork(messages);
-          inputs.broadcast = &broadcast;
+          st.in.broadcast = &st.broadcast;
         } else if (routes[i].kind == InputRoute::kShuffled) {
-          if (routes[i].pre_combine) {
-            // Local pre-aggregation before the shuffle: fewer messages.
-            ObserveBatchRows(in);
-            OpInputs local;
-            local.a = &in;
-            local.validate = false;
-            FLINKLESS_ASSIGN_OR_RETURN(PartitionedDataset combined,
-                                       run_body(node, op_span, local, &in));
-            local_stats.records_processed += in.NumRecords();
-            ChargeCompute(in);
-            shuffled[i] = Shuffle(std::move(combined), *routes[i].key,
-                                  &local_stats);
-          } else {
-            shuffled[i] = Shuffle(in, *routes[i].key, &local_stats);
-          }
-          side[i] = &shuffled[i];
+          FLINKLESS_ASSIGN_OR_RETURN(
+              st.shuffled[i],
+              ShuffleImpl(in, *routes[i].key, &local_stats, &node));
+          side[i] = &st.shuffled[i];
         }
       }
       for (size_t i = 0; i < routes.size(); ++i) {
-        if (side[i] == &shuffled[i]) {
-          FLINKLESS_RETURN_NOT_OK(
-              log_shuffled(node, node.inputs[i], routes[i].port, shuffled[i]));
+        if (side[i] == &st.shuffled[i]) {
+          FLINKLESS_RETURN_NOT_OK(log_shuffled(node, node.inputs[i],
+                                               routes[i].port,
+                                               st.shuffled[i]));
         }
       }
       // Batch sizes of the flat kernels' input side: the reduce input and
       // the join build side (a cached build side is observed when its
       // index is built).
-      if (side[0] == &shuffled[0] && node.kind != OpKind::kCoGroup) {
-        ObserveBatchRows(shuffled[0]);
+      if (side[0] == &st.shuffled[0] && node.kind != OpKind::kCoGroup) {
+        ObserveBatchRows(Sizes(st.shuffled[0]));
       }
-      inputs.a = side[0];
-      inputs.b = side[1];
-      FLINKLESS_ASSIGN_OR_RETURN(
-          PartitionedDataset out,
-          run_body(node, op_span, inputs, cached[0] ? side[1] : side[0]));
-      std::vector<uint64_t> work(n, 0);
-      for (size_t i = 0; i < routes.size(); ++i) {
-        if (hit[i]) continue;
-        local_stats.records_processed += side[i]->NumRecords();
-        if (routes[i].kind == InputRoute::kBroadcast) continue;
-        for (int p = 0; p < n; ++p) work[p] += side[i]->partition(p).size();
+      st.in.a = side[0];
+      st.in.b = side[1];
+      if (chained) {
+        st.node = &node;
+        st.emitted.assign(n, 0);
+        if (!Streams(st)) charge(st, routes.size());
+        slots.emplace_back();
+      } else {
+        for (auto& [key, value] : st.span_args) op_span.AddArg(key, value);
+        Repin(node, &st);
+        FLINKLESS_ASSIGN_OR_RETURN(
+            PartitionedDataset out,
+            run_section(node, st.in, op_span, st.cached[0] ? 1 : 0,
+                        &members));
+        charge(st, routes.size());
+        local_stats.node_output_counts[node.name] += out.NumRecords();
+        push_owned(std::move(out));
       }
-      // Partition p pays for its own records against the whole broadcast
-      // side.
-      if (inputs.broadcast != nullptr) {
-        for (uint64_t& w : work) w *= broadcast.size();
-      }
-      ChargeCompute(work);
-      push_owned(std::move(out));
     }
 
     if (store_output) {
@@ -1097,22 +1307,46 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
           node.id, ExecCache::Role::kOutput, options_.tracer));
       if (op_span.active()) op_span.AddArg("cache_build", 1);
     }
+    if (node.kind == OpKind::kSource || from_cache) {
+      local_stats.node_output_counts[node.name] +=
+          slots.back().view->NumRecords();
+    }
 
-    count_output(node, *slots.back().view);
     if (op_span.active()) {
-      const PartitionedDataset& produced = *slots.back().view;
-      op_span.AddArg("records_in", static_cast<int64_t>(span_records_in));
-      op_span.AddArg("records_out",
-                     static_cast<int64_t>(produced.NumRecords()));
-      if (per_partition_args_) {
-        PartitionKeyBuffer out_key("out_p");
-        for (int p = 0; p < produced.num_partitions(); ++p) {
-          op_span.AddArg(out_key.Key(p),
-                         static_cast<int64_t>(produced.partition(p).size()));
+      // The chained producers that ran here, each with its output rows.
+      if (!members.empty()) {
+        op_span.AddArg("chained", static_cast<int64_t>(members.size()));
+      }
+      for (NodeId m : members) {
+        for (auto& [key, value] : stages[m].span_args) {
+          op_span.AddArg(key, value);
+        }
+        op_span.AddArg("chained." + plan.node(m).name,
+                       static_cast<int64_t>(Sum(stages[m].emitted)));
+      }
+      uint64_t records_in = 0;
+      for (NodeId idx : node.inputs) {
+        records_in += chained_into[idx] == node.id
+                          ? Sum(stages[idx].emitted)
+                          : slots[idx].view->NumRecords();
+      }
+      op_span.AddArg("records_in", static_cast<int64_t>(records_in));
+      if (!chained) {
+        const PartitionedDataset& produced = *slots.back().view;
+        op_span.AddArg("records_out",
+                       static_cast<int64_t>(produced.NumRecords()));
+        if (per_partition_args_) {
+          PartitionKeyBuffer out_key("out_p");
+          for (int p = 0; p < produced.num_partitions(); ++p) {
+            op_span.AddArg(out_key.Key(p),
+                           static_cast<int64_t>(produced.partition(p).size()));
+          }
         }
       }
     }
-    release_dead_inputs(node);
+    for (NodeId m : members) stages[m] = Stage();
+    if (!chained) st = Stage();
+    release_dead(node.id);
   }
 
   std::map<std::string, PartitionedDataset> outputs;
@@ -1285,7 +1519,7 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Replay(
     std::vector<Status> status(parts.size());
     runtime::ParallelFor(pool_.get(), static_cast<int>(parts.size()),
                          [&](int i) {
-                           status[i] = RunBody(node, inputs, parts[i],
+                           status[i] = RunInto(node, inputs, parts[i],
                                                &out.partition(parts[i]));
                          });
     for (const Status& s : status) FLINKLESS_RETURN_NOT_OK(s);
@@ -1296,11 +1530,14 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Replay(
   // scatter visiting sources in order, so partition contents are
   // byte-identical to ShuffleImpl's gather. Records landing in lost
   // partitions are a recovery charge at network rate.
-  auto rescatter = [&](const PartitionedDataset& in, const KeyColumns& key) {
+  auto rescatter = [&](const PlanNode& node, const PartitionedDataset& in,
+                       const KeyColumns& key) -> Result<PartitionedDataset> {
     PartitionedDataset out(n);
     uint64_t shipped = 0;
     for (int p = 0; p < in.num_partitions(); ++p) {
       for (const Record& r : in.partition(p)) {
+        const int missing = MissingKeyColumn(r, key);
+        if (missing >= 0) return KeyColumnError(node, missing, r);
         const int target = PartitionedDataset::PartitionOf(r, key, n);
         if (is_lost[target]) ++shipped;
         out.partition(target).push_back(r);
@@ -1324,14 +1561,14 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Replay(
     const KeyColumns& key = *route.key;
     if (invariant[input]) {
       const PartitionedDataset& in = input_of(input);
-      if (!route.pre_combine) return rescatter(in, key);
+      if (!route.pre_combine) return rescatter(node, in, key);
       OpInputs local;
       local.a = &in;
       local.validate = false;
       FLINKLESS_ASSIGN_OR_RETURN(PartitionedDataset combined,
                                  run_body(node, local, parts_of(kAll)));
       local_stats.records_processed += in.NumRecords();
-      return rescatter(combined, key);
+      return rescatter(node, combined, key);
     }
     FLINKLESS_ASSIGN_OR_RETURN(
         const PartitionedDataset* channel,

@@ -5,7 +5,10 @@
 // distinct) first shuffle their input so equal keys meet in one partition.
 // Records that cross partitions during a shuffle are the "messages" the
 // paper's GUI plots per iteration; the executor counts them and charges
-// simulated network time for them.
+// simulated network time for them. An intermediate with a single consumer
+// that reads it locally (or pre-combines it) is never materialized: its
+// operator runs inside the consumer's parallel section and streams its rows
+// into it (DESIGN.md §17).
 
 #ifndef FLINKLESS_DATAFLOW_EXECUTOR_H_
 #define FLINKLESS_DATAFLOW_EXECUTOR_H_
@@ -82,10 +85,11 @@ struct ExecOptions {
   int num_threads = 1;
 
   /// Optional trace recorder. When set, Execute/Shuffle record one span per
-  /// operator, per shuffle phase, and per partition (with record/message
-  /// counts as args). Null = tracing off; every call site is guarded, so
-  /// the disabled path costs one branch. Tracing never changes outputs,
-  /// ExecStats, or SimClock charges (DESIGN.md §8).
+  /// operator (a chained operator runs in its root's span), per shuffle
+  /// phase, and per partition (with record/message counts as args). Null =
+  /// tracing off; every call site is guarded, so the disabled path costs
+  /// one branch. Tracing never changes outputs, ExecStats, or SimClock
+  /// charges (DESIGN.md §8).
   runtime::Tracer* tracer = nullptr;
 
   /// Optional loop-invariant cache, owned by the iteration driver and
@@ -176,24 +180,19 @@ class Executor {
   runtime::ThreadPool* pool() const { return pool_.get(); }
 
  private:
-  /// Runs fn(p) for every partition, on the pool when present.
-  void ForEachPartition(int count, const std::function<void(int)>& fn) const;
-
-  /// ForEachPartition plus one per-partition child span of `parent` when
-  /// tracing is on. `in` (optional) supplies the "records" arg of partition
-  /// p's span — evaluated before fn(p), so move-consuming fns are safe.
-  void ForEachPartition(const runtime::TraceSpan& parent,
-                        const PartitionedDataset* in, int count,
-                        const std::function<void(int)>& fn) const;
+  /// Runs fn(p) for every partition, on the pool when present, with one
+  /// per-partition child span of `parent` when it is active; `records_of`
+  /// (optional) supplies span p's "records" arg, evaluated once fn(p) ran.
+  void ForEachPartition(const runtime::TraceSpan& parent, int count,
+                        const std::function<void(int)>& fn,
+                        const std::function<int64_t(int)>& records_of = {})
+      const;
 
   /// Charges compute for per-partition record counts under critical-path
   /// semantics: the simulated cluster runs its N partitions on N workers in
   /// parallel, so an operator costs as much as its slowest partition. A pure
   /// function of the data — independent of num_threads.
   void ChargeCompute(const std::vector<uint64_t>& per_partition) const;
-
-  /// Critical-path charge where partition p processes `in.partition(p)`.
-  void ChargeCompute(const PartitionedDataset& in) const;
 
   void ChargeNetwork(uint64_t messages) const;
 
@@ -205,11 +204,15 @@ class Executor {
 
   /// Observes every partition's row count into the batch-size histogram
   /// (called at the reduce and join sites only).
-  void ObserveBatchRows(const PartitionedDataset& ds) const;
+  void ObserveBatchRows(const std::vector<uint64_t>& rows) const;
 
+  /// Shuffle of `node`'s input. With `node` set, a row too short for `key`
+  /// fails it with an OutOfRange naming the node instead of aborting (the
+  /// public Shuffle keeps the CHECK).
   template <typename Input>
-  PartitionedDataset ShuffleImpl(Input&& input, const KeyColumns& key,
-                                 ExecStats* stats) const;
+  Result<PartitionedDataset> ShuffleImpl(Input&& input, const KeyColumns& key,
+                                         ExecStats* stats,
+                                         const PlanNode* node = nullptr) const;
 
   ExecOptions options_;
   /// Record per-partition span args ("out_p<i>", "moved_p<i>")? They cost

@@ -1,5 +1,7 @@
 #include "dataflow/plan.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace flinkless::dataflow {
@@ -245,6 +247,27 @@ std::vector<bool> Plan::InvariantNodes(
   return invariant;
 }
 
+std::vector<NodeId> Plan::ChainedInto(const std::vector<bool>& cached) const {
+  std::vector<int> consumers(nodes_.size(), 0);
+  std::vector<NodeId> into(nodes_.size(), -1);
+  for (const PlanNode& n : nodes_) {
+    const std::vector<InputRoute> routes = InputRoutes(n);
+    for (size_t i = 0; i < routes.size() && i < n.inputs.size(); ++i) {
+      const NodeId in = n.inputs[i];
+      const bool streams =
+          routes[i].kind == InputRoute::kLocal || routes[i].pre_combine;
+      into[in] = ++consumers[in] == 1 && streams ? n.id : -1;
+    }
+  }
+  for (const auto& [name, node] : outputs_) into[node] = -1;
+  for (const PlanNode& n : nodes_) {
+    if (n.kind == OpKind::kSource || (!cached.empty() && cached[n.id])) {
+      into[n.id] = -1;
+    }
+  }
+  return into;
+}
+
 Status Plan::Validate() const {
   if (outputs_.empty()) {
     return Status::FailedPrecondition("plan declares no outputs");
@@ -268,6 +291,12 @@ Status Plan::Validate() const {
           "node '" + n.name + "' (" + OpKindName(n.kind) + ") has " +
           std::to_string(n.inputs.size()) + " inputs, expected " +
           std::to_string(want_inputs));
+    }
+    for (const KeyColumns* key : {&n.left_key, &n.right_key}) {
+      if (std::any_of(key->begin(), key->end(), [](int c) { return c < 0; })) {
+        return Status::FailedPrecondition(OpKindName(n.kind) + " '" + n.name +
+                                          "' has a negative key column");
+      }
     }
     switch (n.kind) {
       case OpKind::kMap:

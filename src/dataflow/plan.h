@@ -216,8 +216,18 @@ class Plan {
   std::vector<bool> InvariantNodes(
       const std::vector<std::string>& volatile_bindings) const;
 
+  /// Operator chaining (DESIGN.md §17): entry i is the node that node i
+  /// streams its rows into, partition by partition, instead of
+  /// materializing them, or -1 when node i is materialized. A node chains
+  /// when it is not a source and not a plan output, has exactly one
+  /// consumer edge, is not served from or stored into an ExecCache
+  /// (`cached[i]`; empty = no cache), and that consumer reads it through a
+  /// kLocal route or as the pre-combine input of a ReduceByKey.
+  std::vector<NodeId> ChainedInto(const std::vector<bool>& cached) const;
+
   /// Structural sanity: inputs in range, arities right, at least one output,
-  /// output names unique, UDFs present where required.
+  /// output names unique, UDFs present where required, no negative key
+  /// columns.
   Status Validate() const;
 
   /// Human-readable DAG dump — the textual equivalent of the paper's

@@ -274,10 +274,10 @@ void TracedParallelFor(ThreadPool* pool, const TraceSpan& parent, int count,
     // orchestration thread after the section, so the parent's timestamp
     // is the right attribution.
     e.sim_ts_ns = sim_ts;
-    if (records_of) e.args.emplace_back("records", records_of(p));
     e.wall_ts_ns = tracer->NowNs();
     fn(p);
     e.wall_dur_ns = tracer->NowNs() - e.wall_ts_ns;
+    if (records_of) e.args.emplace_back("records", records_of(p));
     tracer->Record(std::move(e));
   });
 }

@@ -253,11 +253,12 @@ class TraceSpan {
 /// every index, tagged with the worker slot that ran it — this is what
 /// makes pool utilization and partition skew visible. Degrades to a plain
 /// ParallelFor when `parent` is inactive. `records_of(i)`, when provided,
-/// is evaluated *before* fn(i) (fn may consume the input) and becomes the
-/// "records" arg of span i. `partition_offset` shifts the recorded
-/// partition index of span i to `partition_offset + i` — the streaming
-/// shuffle scatters source partitions in blocks but still attributes each
-/// child span to its global partition.
+/// is evaluated *after* fn(i) (a chained section learns its input rows by
+/// running) and becomes the "records" arg of span i; a fn that consumes
+/// its input must leave records_of's answer intact. `partition_offset`
+/// shifts the recorded partition index of span i to `partition_offset + i`
+/// — the streaming shuffle scatters source partitions in blocks but still
+/// attributes each child span to its global partition.
 void TracedParallelFor(ThreadPool* pool, const TraceSpan& parent, int count,
                        const std::function<void(int)>& fn,
                        const std::function<int64_t(int)>& records_of = {},

@@ -1,0 +1,420 @@
+// Operator chaining (DESIGN.md §17): a single-consumer intermediate streams
+// into its consumer instead of being materialized. Chaining must be
+// invisible: every shipped step plan produces the same outputs, ExecStats,
+// SimClock charges and metrics as its fully materialized twin (the same
+// plan with every node declared an output, since outputs never chain), at
+// any thread count, with and without the loop-invariant cache. The
+// streamed reduce fold keeps the typed fold's fallback and every error.
+
+#include <gtest/gtest.h>
+
+#include <map>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "algos/als.h"
+#include "algos/connected_components.h"
+#include "algos/datasets.h"
+#include "algos/kmeans.h"
+#include "algos/pagerank.h"
+#include "algos/sssp.h"
+#include "common/rng.h"
+#include "dataflow/exec_cache.h"
+#include "dataflow/executor.h"
+#include "graph/generators.h"
+#include "runtime/memory_manager.h"
+#include "runtime/metrics.h"
+#include "runtime/sim_clock.h"
+#include "runtime/stable_storage.h"
+#include "runtime/tracing.h"
+
+namespace flinkless {
+namespace {
+
+using dataflow::Bindings;
+using dataflow::ExecCache;
+using dataflow::ExecOptions;
+using dataflow::ExecStats;
+using dataflow::Executor;
+using dataflow::MakeRecord;
+using dataflow::PartitionedDataset;
+using dataflow::Plan;
+using dataflow::Record;
+
+constexpr int kParts = 4;
+
+/// A step plan with the bindings of its first superstep.
+struct StepCase {
+  Plan plan;
+  std::map<std::string, PartitionedDataset> data;
+  std::vector<std::string> volatile_bindings;
+};
+
+PartitionedDataset Hashed(std::vector<Record> rows) {
+  return PartitionedDataset::HashPartitioned(std::move(rows), {0}, kParts);
+}
+
+StepCase MakeCase(const std::string& algo) {
+  Rng rng(7);
+  StepCase c;
+  if (algo == "pagerank") {
+    graph::Graph g = graph::Rmat(8, 6, &rng);
+    c.plan = algos::BuildPageRankPlan(g.num_vertices(), 0.85);
+    c.data.emplace("state", algos::InitialRanks(g, kParts));
+    c.data.emplace("links", algos::Links(g, kParts));
+    c.data.emplace("dangling", algos::DanglingVertices(g, kParts));
+    c.data.emplace("zero_mass", Hashed({MakeRecord(int64_t{0}, 0.0)}));
+    c.volatile_bindings = {"state"};
+  } else if (algo == "cc" || algo == "sssp") {
+    graph::Graph directed = graph::Rmat(8, 4, &rng);
+    graph::Graph g(directed.num_vertices(), /*directed=*/false);
+    for (const graph::Edge& e : directed.edges()) {
+      EXPECT_TRUE(g.AddEdge(e.src, e.dst).ok());
+    }
+    c.data.emplace("edges", algos::EdgePairs(g, kParts));
+    std::vector<Record> workset, solution;
+    for (int64_t v = 0; v < g.num_vertices(); ++v) {
+      workset.push_back(MakeRecord(v, algo == "cc" ? v : v % 5));
+      solution.push_back(MakeRecord(v, algo == "cc" ? v : int64_t{3}));
+    }
+    c.data.emplace("workset", Hashed(std::move(workset)));
+    c.data.emplace("solution", Hashed(std::move(solution)));
+    c.plan = algo == "cc" ? algos::BuildConnectedComponentsPlan()
+                          : algos::BuildSsspPlan();
+    c.volatile_bindings = {"workset", "solution"};
+  } else if (algo == "kmeans") {
+    std::vector<algos::Point> points =
+        algos::GenerateBlobs(4, 60, 10.0, 1.0, &rng);
+    std::vector<Record> rows, centroids;
+    for (size_t i = 0; i < points.size(); ++i) {
+      rows.push_back(
+          MakeRecord(static_cast<int64_t>(i), points[i].x, points[i].y));
+    }
+    std::vector<algos::Point> initial = algos::InitialCentroids(points, 4);
+    for (int k = 0; k < 4; ++k) {
+      centroids.push_back(
+          MakeRecord(int64_t{k}, initial[k].x, initial[k].y));
+    }
+    c.plan = algos::BuildKMeansPlan();
+    c.data.emplace("points", Hashed(std::move(rows)));
+    c.data.emplace("state", Hashed(std::move(centroids)));
+    c.volatile_bindings = {"state"};
+  } else {  // als
+    const int rank = 2;
+    std::vector<Record> ratings, state;
+    for (const algos::Rating& r :
+         algos::GenerateRatings(12, 9, rank, 0.5, 0.01, &rng)) {
+      ratings.push_back(MakeRecord(r.user, r.item, r.value));
+    }
+    for (int64_t kind : {0, 1}) {
+      for (int64_t id = 0; id < (kind == 0 ? 12 : 9); ++id) {
+        Record row = MakeRecord(kind, id);
+        for (double f : algos::InitialFactorRow(id, rank, kind == 1)) {
+          row.emplace_back(f);
+        }
+        state.push_back(std::move(row));
+      }
+    }
+    c.plan = algos::BuildAlsPlan(rank, 0.1);
+    c.data.emplace("ratings", Hashed(std::move(ratings)));
+    c.data.emplace("state", PartitionedDataset::HashPartitioned(
+                                std::move(state), {0, 1}, kParts));
+    c.volatile_bindings = {"state"};
+  }
+  return c;
+}
+
+/// `plan` with every non-source node also declared an output.
+Plan Materialized(const Plan& plan) {
+  Plan copy = plan;
+  for (const auto& node : plan.nodes()) {
+    if (node.kind != dataflow::OpKind::kSource) {
+      copy.Output(node.id, "materialized:" + node.name);
+    }
+  }
+  return copy;
+}
+
+/// Everything one run of three supersteps observably produced.
+struct RunResult {
+  std::vector<std::map<std::string, PartitionedDataset>> outputs;
+  std::vector<ExecStats> stats;
+  std::map<runtime::Charge, int64_t> sim;
+  runtime::MetricsSnapshot metrics;
+  int64_t chained_spans = 0;
+};
+
+RunResult RunSteps(const StepCase& c, const Plan& plan, int threads,
+                   bool cache) {
+  RunResult out;
+  runtime::SimClock clock;
+  runtime::CostModel costs;
+  runtime::MetricsSink metrics;
+  runtime::Tracer tracer;
+  ExecCache exec_cache(c.volatile_bindings);
+  ExecOptions options;
+  options.num_partitions = kParts;
+  options.num_threads = threads;
+  options.clock = &clock;
+  options.costs = &costs;
+  options.metrics = &metrics;
+  options.tracer = &tracer;
+  options.cache = cache ? &exec_cache : nullptr;
+  Executor executor(options);
+
+  std::map<std::string, PartitionedDataset> data = c.data;
+  for (int step = 0; step < 3; ++step) {
+    Bindings bindings;
+    for (const auto& [name, ds] : data) bindings[name] = &ds;
+    ExecStats stats;
+    auto result = executor.Execute(plan, bindings, &stats);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    if (!result.ok()) return out;
+    // Feed the bulk plans' next state back, so supersteps differ.
+    if (result->count("next_state") > 0) {
+      data["state"] = result->at("next_state");
+    }
+    out.outputs.push_back(std::move(*result));
+    out.stats.push_back(std::move(stats));
+  }
+  for (int ch = 0; ch < runtime::kNumCharges; ++ch) {
+    const auto charge = static_cast<runtime::Charge>(ch);
+    out.sim[charge] = clock.Of(charge);
+  }
+  out.metrics = metrics.Collect();
+  for (auto it = out.metrics.counters.begin();
+       it != out.metrics.counters.end();) {
+    it = it->first.rfind("pool.", 0) == 0 ? out.metrics.counters.erase(it)
+                                          : std::next(it);
+  }
+  for (const auto& e : tracer.Flush().events) {
+    if (e.category == "operator" && e.partition < 0) {
+      out.chained_spans += e.Arg("chained") > 0 ? 1 : 0;
+    }
+  }
+  return out;
+}
+
+void ExpectSameStats(const ExecStats& a, const ExecStats& b) {
+  EXPECT_EQ(a.records_processed, b.records_processed);
+  EXPECT_EQ(a.messages_shuffled, b.messages_shuffled);
+  EXPECT_EQ(a.cache_hits, b.cache_hits);
+  EXPECT_EQ(a.records_not_reshuffled, b.records_not_reshuffled);
+  EXPECT_EQ(a.messages_replayed, b.messages_replayed);
+  EXPECT_EQ(a.node_output_counts, b.node_output_counts);
+}
+
+class ChainingTest
+    : public ::testing::TestWithParam<std::tuple<std::string, int, bool>> {};
+
+TEST_P(ChainingTest, ChainedRunMatchesMaterializedRun) {
+  const auto& [algo, threads, cache] = GetParam();
+  const StepCase c = MakeCase(algo);
+  const RunResult chained = RunSteps(c, c.plan, threads, cache);
+  const RunResult oracle = RunSteps(c, Materialized(c.plan), threads, cache);
+  ASSERT_EQ(chained.outputs.size(), 3u);
+  ASSERT_EQ(oracle.outputs.size(), 3u);
+
+  EXPECT_GT(chained.chained_spans, 0) << "no chain ran";
+  EXPECT_EQ(oracle.chained_spans, 0);
+  for (size_t step = 0; step < chained.outputs.size(); ++step) {
+    for (const auto& [name, ds] : chained.outputs[step]) {
+      ASSERT_EQ(oracle.outputs[step].count(name), 1u) << name;
+      const PartitionedDataset& want = oracle.outputs[step].at(name);
+      ASSERT_EQ(ds.num_partitions(), want.num_partitions());
+      for (int p = 0; p < ds.num_partitions(); ++p) {
+        EXPECT_EQ(ds.partition(p), want.partition(p))
+            << name << " step " << step << " partition " << p;
+      }
+    }
+    ExpectSameStats(chained.stats[step], oracle.stats[step]);
+  }
+  EXPECT_EQ(chained.sim, oracle.sim);
+  EXPECT_EQ(chained.metrics.counters, oracle.metrics.counters);
+  EXPECT_EQ(chained.metrics.histograms, oracle.metrics.histograms);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    StepPlans, ChainingTest,
+    ::testing::Combine(::testing::Values("pagerank", "cc", "sssp", "kmeans",
+                                         "als"),
+                       ::testing::Values(1, 4), ::testing::Bool()),
+    [](const auto& info) {
+      return std::get<0>(info.param) + "_t" +
+             std::to_string(std::get<1>(info.param)) +
+             (std::get<2>(info.param) ? "_cache" : "_nocache");
+    });
+
+TEST(ChainingSpillTest, ChainedJoinSurvivesItsBuildSideSpillingBeforeItRuns) {
+  // "first" is chained into "out-first", whose position comes after the
+  // "second" join: filling or reloading the second build side under a
+  // one-byte budget spills the first one before the chained join's body
+  // runs, so the section must rebuild its index over the pinned records.
+  Plan plan;
+  auto static1 = plan.Source("static1");
+  auto static2 = plan.Source("static2");
+  auto vol = plan.Source("volatile");
+  auto join = [](const Record& l, const Record& r) {
+    return MakeRecord(l[1].AsInt64(), l[1].AsInt64() + r[1].AsInt64());
+  };
+  auto first = plan.Join(static1, vol, {0}, {0}, join, "first");
+  auto second = plan.Join(static2, vol, {0}, {0}, join, "second");
+  auto out = plan.Map(first, [](const Record& r) { return r; }, "out-first");
+  plan.Output(out, "first");
+  plan.Output(second, "second");
+
+  std::vector<Record> s1, s2, v;
+  for (int64_t k = 0; k < 200; ++k) {
+    s1.push_back(MakeRecord(k % 50, k));
+    s2.push_back(MakeRecord(k % 40, 3 * k));
+    v.push_back(MakeRecord(k % 60, k + 1));
+  }
+  const PartitionedDataset d1 = Hashed(s1), d2 = Hashed(s2), dv = Hashed(v);
+
+  auto run = [&](const Plan& p, int threads) {
+    runtime::SimClock clock;
+    runtime::CostModel costs;
+    runtime::StableStorage storage(&clock, &costs);
+    runtime::MemoryManager manager(/*budget_bytes=*/1);
+    ExecCache cache({"volatile"});
+    cache.AttachMemoryManager(&manager, &storage, "job");
+    ExecOptions options;
+    options.num_partitions = kParts;
+    options.num_threads = threads;
+    options.clock = &clock;
+    options.costs = &costs;
+    options.cache = &cache;
+    Executor executor(options);
+    std::vector<std::map<std::string, PartitionedDataset>> outs;
+    for (int step = 0; step < 2; ++step) {
+      auto result = executor.Execute(
+          p, {{"static1", &d1}, {"static2", &d2}, {"volatile", &dv}},
+          nullptr);
+      EXPECT_TRUE(result.ok()) << result.status().ToString();
+      if (result.ok()) outs.push_back(std::move(*result));
+    }
+    EXPECT_GT(manager.stats().spills, 0u);
+    return std::make_pair(outs, clock.TotalNs());
+  };
+  for (int threads : {1, 4}) {
+    const auto [chained, chained_ns] = run(plan, threads);
+    const auto [oracle, oracle_ns] = run(Materialized(plan), threads);
+    ASSERT_EQ(chained.size(), 2u);
+    ASSERT_EQ(oracle.size(), 2u);
+    for (size_t step = 0; step < 2; ++step) {
+      for (const char* name : {"first", "second"}) {
+        for (int p = 0; p < kParts; ++p) {
+          EXPECT_EQ(chained[step].at(name).partition(p),
+                    oracle[step].at(name).partition(p));
+        }
+      }
+    }
+    EXPECT_EQ(chained_ns, oracle_ns);
+  }
+}
+
+// ------------------------------------------------- the streamed fold --
+
+PartitionedDataset KeyValues(int n) {
+  std::vector<Record> rows;
+  for (int i = 0; i < n; ++i) {
+    rows.push_back(MakeRecord(int64_t{i % 7}, 0.5 * i + 0.125));
+  }
+  return Hashed(std::move(rows));
+}
+
+/// Map -> ReduceByKey(pre-combine) with `map` and `combine`, the reduce
+/// declared kSumDouble when `declare` is set.
+Plan FoldPlan(dataflow::MapFn map, dataflow::CombineFn combine,
+              bool declare) {
+  Plan plan;
+  auto in = plan.Source("in");
+  auto mapped = plan.Map(in, std::move(map), "shape");
+  auto sums = plan.ReduceByKey(mapped, {0}, std::move(combine), "sum",
+                               /*pre_combine=*/true);
+  if (declare) plan.DeclareReduce(sums, dataflow::ReduceKind::kSumDouble, 1);
+  plan.Output(sums, "out");
+  return plan;
+}
+
+Result<std::map<std::string, PartitionedDataset>> RunFold(
+    const Plan& plan, const PartitionedDataset& in, int threads) {
+  ExecOptions options;
+  options.num_partitions = kParts;
+  options.num_threads = threads;
+  Executor executor(options);
+  return executor.Execute(plan, {{"in", &in}}, nullptr);
+}
+
+/// Sums column 1 as a double whatever its type, keeping the key.
+Record SumAny(const Record& a, const Record& b) {
+  auto num = [](const dataflow::Value& v) {
+    return v.is_double() ? v.AsDouble() : static_cast<double>(v.AsInt64());
+  };
+  return MakeRecord(a[0].AsInt64(), num(a[1]) + num(b[1]));
+}
+
+TEST(StreamedFoldTest, TypedFoldFallsBackMidPartitionWithSameOutput) {
+  const PartitionedDataset in = KeyValues(400);
+  // One row of the wrong shape (an int64 value) in the middle of the
+  // partition holding record 200: every row before it has folded typed.
+  auto map = [](const Record& r) {
+    if (r[1].AsDouble() == 0.5 * 200 + 0.125) {
+      return MakeRecord(r[0].AsInt64(), int64_t{3});
+    }
+    return r;
+  };
+  for (int threads : {1, 4}) {
+    auto chained = RunFold(FoldPlan(map, SumAny, true), in, threads);
+    auto materialized =
+        RunFold(Materialized(FoldPlan(map, SumAny, true)), in, threads);
+    // The generic fold over every row is the reference the declaration
+    // promises to equal.
+    auto generic = RunFold(FoldPlan(map, SumAny, false), in, threads);
+    ASSERT_TRUE(chained.ok()) << chained.status().ToString();
+    ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
+    ASSERT_TRUE(generic.ok()) << generic.status().ToString();
+    for (int p = 0; p < kParts; ++p) {
+      EXPECT_EQ(chained->at("out").partition(p),
+                materialized->at("out").partition(p));
+      EXPECT_EQ(chained->at("out").partition(p),
+                generic->at("out").partition(p));
+    }
+    EXPECT_EQ(chained->at("out").NumRecords(), 7u);
+  }
+}
+
+TEST(StreamedFoldTest, KeyChangingCombinerFailsLikeMaterializedRun) {
+  const PartitionedDataset in = KeyValues(100);
+  auto identity = [](const Record& r) { return r; };
+  auto rekey = [](const Record& a, const Record& b) {
+    return MakeRecord(a[0].AsInt64() + 100, a[1].AsDouble() + b[1].AsDouble());
+  };
+  auto chained = RunFold(FoldPlan(identity, rekey, false), in, 4);
+  auto materialized =
+      RunFold(Materialized(FoldPlan(identity, rekey, false)), in, 4);
+  ASSERT_FALSE(chained.ok());
+  EXPECT_EQ(chained.status().ToString(), materialized.status().ToString());
+  EXPECT_NE(chained.status().message().find("combiner changed the key"),
+            std::string::npos)
+      << chained.status().ToString();
+}
+
+TEST(StreamedFoldTest, ChainedProjectErrorMatchesMaterializedRun) {
+  const PartitionedDataset in = KeyValues(50);
+  Plan plan;
+  auto src = plan.Source("in");
+  auto projected = plan.Project(src, {0, 1, 4}, "widen");
+  auto doubled = plan.Map(
+      projected, [](const Record& r) { return r; }, "pass");
+  plan.Output(doubled, "out");
+  auto chained = RunFold(plan, in, 4);
+  auto materialized = RunFold(Materialized(plan), in, 4);
+  ASSERT_FALSE(chained.ok());
+  EXPECT_EQ(chained.status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(chained.status().ToString(), materialized.status().ToString());
+}
+
+}  // namespace
+}  // namespace flinkless

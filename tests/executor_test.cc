@@ -8,6 +8,7 @@
 #include <algorithm>
 
 #include "dataflow/executor.h"
+#include "runtime/message_log.h"
 
 namespace flinkless::dataflow {
 namespace {
@@ -187,6 +188,89 @@ TEST_F(ExecutorTest, CombinerChangingKeyIsInternalError) {
   auto in = KeyValues({{1, 1}, {1, 2}}, kParts);
   auto outs = executor_.Execute(plan, {{"in", &in}}, nullptr);
   EXPECT_EQ(outs.status().code(), StatusCode::kInternal);
+}
+
+// A key column outside the record fails the operator with OutOfRange
+// instead of aborting the process, pre-combined or shuffled raw, chained
+// or not.
+TEST_F(ExecutorTest, ReduceKeyColumnPastRecordEndIsOutOfRange) {
+  auto in = KeyValues({{1, 1}, {2, 2}, {1, 3}}, kParts);
+  for (bool pre_combine : {true, false}) {
+    Plan plan;
+    auto src = plan.Source("in");
+    auto passed = plan.Map(src, [](const Record& r) { return r; }, "pass");
+    auto summed = plan.ReduceByKey(
+        passed, {2}, [](const Record& a, const Record&) { return a; },
+        "sum", pre_combine);
+    plan.Output(summed, "out");
+    auto outs = executor_.Execute(plan, {{"in", &in}}, nullptr);
+    EXPECT_EQ(outs.status().code(), StatusCode::kOutOfRange)
+        << outs.status().ToString();
+    EXPECT_NE(outs.status().message().find("ReduceByKey 'sum'"),
+              std::string::npos)
+        << outs.status().ToString();
+  }
+}
+
+TEST_F(ExecutorTest, NegativeKeyColumnIsRejectedByValidate) {
+  Plan plan;
+  auto src = plan.Source("in");
+  auto summed = plan.ReduceByKey(
+      src, {-1}, [](const Record& a, const Record&) { return a; }, "sum");
+  plan.Output(summed, "out");
+  EXPECT_EQ(plan.Validate().code(), StatusCode::kFailedPrecondition);
+  auto in = KeyValues({{1, 1}}, kParts);
+  auto outs = executor_.Execute(plan, {{"in", &in}}, nullptr);
+  EXPECT_EQ(outs.status().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST_F(ExecutorTest, JoinKeyColumnPastRecordEndIsOutOfRange) {
+  Plan plan;
+  auto src = plan.Source("in");
+  auto joined = plan.Join(
+      src, src, {0}, {5}, [](const Record& l, const Record&) { return l; },
+      "self-join");
+  plan.Output(joined, "out");
+  auto in = KeyValues({{1, 1}, {2, 2}}, kParts);
+  auto outs = executor_.Execute(plan, {{"in", &in}}, nullptr);
+  EXPECT_EQ(outs.status().code(), StatusCode::kOutOfRange)
+      << outs.status().ToString();
+  EXPECT_NE(outs.status().message().find("Join 'self-join'"),
+            std::string::npos)
+      << outs.status().ToString();
+}
+
+TEST_F(ExecutorTest, ReplayRescatterKeyColumnPastRecordEndIsOutOfRange) {
+  // The static side is re-scattered from the bindings Replay is given; a
+  // row too short for its key fails the replay like it fails Execute.
+  Plan plan;
+  auto state = plan.Source("state");
+  auto edges = plan.Source("edges");
+  auto joined = plan.Join(
+      state, edges, {0}, {1},
+      [](const Record& l, const Record& r) {
+        return MakeRecord(r[0].AsInt64(), l[1].AsInt64());
+      },
+      "send");
+  plan.Output(joined, "out");
+  auto states = KeyValues({{1, 10}, {2, 20}}, kParts);
+  auto good = KeyValues({{5, 1}, {6, 2}}, kParts);
+  auto bad = PartitionedDataset::HashPartitioned(
+      {MakeRecord(int64_t{5}), MakeRecord(int64_t{6})}, {0}, kParts);
+  runtime::MessageLog log({"state"});
+  ExecOptions options{kParts, nullptr, nullptr};
+  options.message_log = &log;
+  Executor executor(options);
+  ASSERT_TRUE(
+      executor.Execute(plan, {{"state", &states}, {"edges", &good}}, nullptr)
+          .ok());
+  auto replayed =
+      executor.Replay(plan, {{"edges", &bad}}, {0, 1}, &log, nullptr);
+  EXPECT_EQ(replayed.status().code(), StatusCode::kOutOfRange)
+      << replayed.status().ToString();
+  EXPECT_NE(replayed.status().message().find("Join 'send'"),
+            std::string::npos)
+      << replayed.status().ToString();
 }
 
 TEST_F(ExecutorTest, PreCombineReducesMessages) {

@@ -182,21 +182,32 @@ TEST(ExecutorTracingTest, RecordsOperatorAndShufflePhaseSpans) {
   ExecStats stats;
   ASSERT_TRUE(executor.Execute(plan, {{"in", &in}}, &stats).ok());
 
-  TraceSummary summary = TraceSummary::FromSnapshot(tracer.Flush());
-  const TraceOperatorSummary* map_op = summary.Find("double");
-  ASSERT_NE(map_op, nullptr);
-  EXPECT_EQ(map_op->spans, 1u);
-  EXPECT_EQ(map_op->records_in, 40u);
-  EXPECT_EQ(map_op->records_out, 40u);
-  EXPECT_EQ(map_op->partition_records.size(), 4u);
-  uint64_t partition_sum = 0;
-  for (uint64_t r : map_op->partition_records) partition_sum += r;
-  EXPECT_EQ(partition_sum, 40u);
-  EXPECT_GE(map_op->SkewRatio(), 1.0);
+  const Tracer::Snapshot snapshot = tracer.Flush();
+  TraceSummary summary = TraceSummary::FromSnapshot(snapshot);
+  // The Map is chained into the reduce's pre-combine: it has no span of its
+  // own, and the reduce's span names it with the rows it emitted.
+  EXPECT_EQ(summary.Find("double"), nullptr);
+  int64_t chained_rows = -1;
+  for (const auto& e : snapshot.events) {
+    if (e.category == "operator" && e.name == "sum" && e.partition < 0) {
+      EXPECT_EQ(e.Arg("chained"), 1);
+      chained_rows = e.Arg("chained.double", -1);
+    }
+  }
+  EXPECT_EQ(chained_rows, 40);
 
   const TraceOperatorSummary* reduce_op = summary.Find("sum");
   ASSERT_NE(reduce_op, nullptr);
+  EXPECT_EQ(reduce_op->spans, 1u);
+  EXPECT_EQ(reduce_op->records_in, 40u);
   EXPECT_EQ(reduce_op->records_out, 5u);
+  // The pre-combine section's partition spans carry the streamed rows; the
+  // post-shuffle section's carry the shuffled ones.
+  EXPECT_EQ(reduce_op->partition_records.size(), 4u);
+  uint64_t partition_sum = 0;
+  for (uint64_t r : reduce_op->partition_records) partition_sum += r;
+  EXPECT_GE(partition_sum, 40u);
+  EXPECT_GE(reduce_op->SkewRatio(), 1.0);
   // The reduce's shuffle messages are attributed to the reduce operator and
   // agree with the executor's own accounting.
   EXPECT_EQ(reduce_op->messages, stats.messages_shuffled);
