@@ -329,14 +329,13 @@ void ObserveProbeChains(runtime::MetricsSink* metrics,
 // Each OpKind's per-partition work, written once. A body reads each input
 // row by row — a materialized partition, or what a chained producer's body
 // emits on the same partition (DESIGN.md §17) — and emits into a RowSink.
-// Execute and Replay run the same bodies; a body never counts, charges, or
-// traces: its callers do their own accounting around it.
+// A body never counts, charges, or traces: Execute's loop does its own
+// accounting around it, for Replay's recovery pass too.
 
 struct Stage;
 
-/// What an operator body reads. Execute fills it from fresh shuffles, cache
-/// entries and chained producers, Replay from logged channels and
-/// re-scattered inputs.
+/// What an operator body reads: fresh shuffles, cache entries, chained
+/// producers, or (in a recovery) channels read back from the message log.
 struct OpInputs {
   /// Input 0: the plain input of a narrow operator, the post-shuffle input
   /// of a keyed one (the join build side, the cogroup left side).
@@ -600,20 +599,6 @@ bool RunBody(const PlanNode& node, const OpInputs& in, int p,
   return true;
 }
 
-/// Runs `node`'s body on partition `p` into `out`.
-Status RunInto(const PlanNode& node, const OpInputs& in, int p,
-               std::vector<Record>* out) {
-  Status status;
-  RunBody(
-      node, in, p,
-      [out](Record&& r) {
-        out->push_back(std::move(r));
-        return true;
-      },
-      &status);
-  return status;
-}
-
 /// Appends the chained producers streaming into `in`, transitively.
 void ChainMembers(const OpInputs& in, std::vector<NodeId>* members) {
   for (const Stage* producer : in.chain) {
@@ -667,6 +652,37 @@ uint64_t Sum(const std::vector<uint64_t>& v) {
   return total;
 }
 
+std::vector<int> AllPartitions(int n) {
+  std::vector<int> all(n);
+  for (int p = 0; p < n; ++p) all[p] = p;
+  return all;
+}
+
+/// Per node of `plan`, whether a shuffle of its output is a message-log
+/// channel (DESIGN.md §14): the node is loop-variant against `log`'s own
+/// volatile set, so logging works with or without a cache, and the logged
+/// channel set is identical either way (a static build side served from
+/// the cache is invariant, hence never logged). All false without a log.
+std::vector<bool> LogVariant(const Plan* plan, const runtime::MessageLog* log) {
+  if (plan == nullptr) return {};
+  std::vector<bool> variant(plan->num_nodes(), false);
+  if (log == nullptr) return variant;
+  const std::vector<bool> invariant =
+      plan->InvariantNodes(log->volatile_bindings());
+  for (size_t i = 0; i < variant.size(); ++i) variant[i] = !invariant[i];
+  return variant;
+}
+
+/// Observes every partition's row count into the batch-size histogram
+/// (called at the reduce and join sites only).
+void ObserveBatchRows(runtime::MetricsSink* metrics,
+                      const std::vector<uint64_t>& rows) {
+  if (metrics == nullptr) return;
+  for (uint64_t r : rows) {
+    metrics->Observe(runtime::metric::kHistBatchRows, static_cast<int64_t>(r));
+  }
+}
+
 }  // namespace
 
 void ExecStats::MergeFrom(const ExecStats& other) {
@@ -680,6 +696,128 @@ void ExecStats::MergeFrom(const ExecStats& other) {
   }
 }
 
+// ------------------------------------------------------------ the pass --
+
+/// Execute's pass runs every node on every partition, records into the
+/// options' tracer, metrics and cache, appends its loop-variant shuffled
+/// channels to the message log, and charges compute and network. Replay's
+/// recovery pass (DESIGN.md §14) runs the demanded nodes on their demanded
+/// partitions, reads each loop-variant shuffled input back from the log
+/// instead of shuffling it, records only its msglog.messages_replayed
+/// counts, and charges kRecovery only: the critical path over the demanded
+/// partitions plus network for the records that land in lost partitions.
+/// Survivors are charged nothing; they idle until the replay completes.
+struct Executor::Pass {
+  /// Execute's pass over `plan`, or a bare shuffle's without one.
+  Pass(const ExecOptions& exec_options, const Plan* plan)
+      : options(exec_options),
+        parts(plan == nullptr ? 0 : plan->num_nodes(),
+              AllPartitions(exec_options.num_partitions)),
+        appended(LogVariant(plan, exec_options.message_log)),
+        read_back(parts.size(), false) {}
+
+  const ExecOptions& options;
+  runtime::Tracer* tracer = options.tracer;
+  runtime::MetricsSink* metrics = options.metrics;
+  ExecCache* cache = options.cache;
+  runtime::MessageLog* log = options.message_log;
+  /// Per node, the partitions it runs on; a node with none does not run.
+  std::vector<std::vector<int>> parts;
+  /// Per node, whether its shuffled channels are appended to `log`, or
+  /// read back from it instead of shuffled.
+  std::vector<bool> appended;
+  std::vector<bool> read_back;
+  /// Recovery: the lost partitions; empty in Execute's pass.
+  std::vector<bool> lost;
+
+  /// Operator work, charged as its slowest partition: the simulated cluster
+  /// runs the partitions on parallel workers. A pure function of the data,
+  /// independent of num_threads.
+  void ChargeCompute(const std::vector<uint64_t>& per_partition) const {
+    uint64_t critical = 0;
+    for (uint64_t records : per_partition) critical = std::max(critical, records);
+    Add(runtime::Charge::kCompute, &runtime::CostModel::cpu_per_record_ns,
+        critical);
+  }
+
+  /// A shuffle of `in_sizes` records per source into `out`, `moved` of them
+  /// crossing partitions. Execute charges the scatter's critical path and
+  /// the moved records and counts them as messages; a recovery re-ships to
+  /// the fresh workers only the records that land in lost partitions.
+  void ChargeShuffle(const std::vector<uint64_t>& in_sizes, uint64_t moved,
+                     const PartitionedDataset& out, ExecStats* stats) const {
+    if (!lost.empty()) return ChargeNetwork(Landed(out));
+    ChargeCompute(in_sizes);
+    ChargeNetwork(moved);
+    if (stats != nullptr) stats->messages_shuffled += moved;
+  }
+
+  /// A broadcast of `records` rows: Execute sends each to every partition
+  /// but its own (counted as messages), a recovery to the lost ones only.
+  void ChargeBroadcast(uint64_t records, ExecStats* stats) const {
+    if (!lost.empty()) {
+      return ChargeNetwork(records * static_cast<uint64_t>(std::count(
+                                         lost.begin(), lost.end(), true)));
+    }
+    const uint64_t messages =
+        records * static_cast<uint64_t>(options.num_partitions - 1);
+    stats->messages_shuffled += messages;
+    ChargeNetwork(messages);
+  }
+
+  /// Input `route` of `node` read back from `log`: the partitions `node`
+  /// runs on, copied while resident (fetching a later channel may spill
+  /// this one) and counted as replayed messages, per partition into the
+  /// options' metrics. The records landing in lost partitions are shipped
+  /// to the fresh workers.
+  Result<PartitionedDataset> ReadBack(const PlanNode& node,
+                                      const InputRoute& route,
+                                      ExecStats* stats) const {
+    const std::string name = MsglogChannel(node.id, route.port);
+    FLINKLESS_ASSIGN_OR_RETURN(const PartitionedDataset* channel,
+                               log->Channel(name, options.tracer));
+    if (channel->num_partitions() != options.num_partitions) {
+      return Status::DataLoss("logged channel '" + name +
+                              "' has the wrong partition count");
+    }
+    PartitionedDataset out(options.num_partitions);
+    for (int p : parts[node.id]) {
+      const uint64_t records = channel->partition(p).size();
+      stats->messages_replayed += records;
+      if (options.metrics != nullptr && records > 0) {
+        options.metrics->Count(runtime::metric::kMsglogMessagesReplayed, p,
+                               records);
+      }
+      out.partition(p) = channel->partition(p);
+    }
+    ChargeNetwork(Landed(out));
+    return out;
+  }
+
+ private:
+  void Add(runtime::Charge kind, int64_t runtime::CostModel::*ns_per_record,
+           uint64_t records) const {
+    if (options.clock == nullptr || options.costs == nullptr) return;
+    options.clock->Add(lost.empty() ? kind : runtime::Charge::kRecovery,
+                       options.costs->*ns_per_record *
+                           static_cast<int64_t>(records));
+  }
+
+  void ChargeNetwork(uint64_t records) const {
+    Add(runtime::Charge::kNetwork, &runtime::CostModel::network_per_record_ns,
+        records);
+  }
+
+  /// Records of `ds` in lost partitions.
+  uint64_t Landed(const PartitionedDataset& ds) const {
+    uint64_t records = 0;
+    for (int p = 0; p < ds.num_partitions(); ++p) {
+      if (lost[p]) records += ds.partition(p).size();
+    }
+    return records;
+  }
+};
+
 Executor::Executor(ExecOptions options) : options_(options) {
   FLINKLESS_CHECK(options_.num_partitions > 0,
                   "executor needs at least one partition");
@@ -691,47 +829,24 @@ Executor::Executor(ExecOptions options) : options_(options) {
 }
 
 void Executor::ForEachPartition(
-    const runtime::TraceSpan& parent, int count,
+    const Pass& pass, const runtime::TraceSpan& parent, int count,
     const std::function<void(int)>& fn,
-    const std::function<int64_t(int)>& records_of) const {
-  CountPoolWork(count);
-  runtime::TracedParallelFor(pool_.get(), parent, count, fn, records_of);
-}
-
-void Executor::CountPoolWork(int tasks) const {
-  if (options_.metrics == nullptr || tasks <= 0) return;
-  options_.metrics->Count(runtime::metric::kPoolParallelSections, -1);
-  options_.metrics->Count(runtime::metric::kPoolTasks, -1,
-                          static_cast<uint64_t>(tasks));
-}
-
-void Executor::ObserveBatchRows(const std::vector<uint64_t>& rows) const {
-  if (options_.metrics == nullptr) return;
-  for (uint64_t r : rows) {
-    options_.metrics->Observe(runtime::metric::kHistBatchRows,
-                              static_cast<int64_t>(r));
+    const std::function<int64_t(int)>& records_of, int offset) const {
+  // Pool work is counted here, not inside the ThreadPool: a serial executor
+  // (num_threads == 1) has no pool at all, and the exported totals must be
+  // identical at any thread count.
+  if (pass.metrics != nullptr && count > 0) {
+    pass.metrics->Count(runtime::metric::kPoolParallelSections, -1);
+    pass.metrics->Count(runtime::metric::kPoolTasks, -1,
+                        static_cast<uint64_t>(count));
   }
-}
-
-void Executor::ChargeCompute(
-    const std::vector<uint64_t>& per_partition) const {
-  if (options_.clock == nullptr || options_.costs == nullptr) return;
-  uint64_t critical = 0;
-  for (uint64_t records : per_partition) critical = std::max(critical, records);
-  options_.clock->Add(runtime::Charge::kCompute,
-                      options_.costs->cpu_per_record_ns *
-                          static_cast<int64_t>(critical));
-}
-
-void Executor::ChargeNetwork(uint64_t messages) const {
-  if (options_.clock == nullptr || options_.costs == nullptr) return;
-  options_.clock->Add(runtime::Charge::kNetwork,
-                      options_.costs->network_per_record_ns *
-                          static_cast<int64_t>(messages));
+  runtime::TracedParallelFor(pool_.get(), parent, count, fn, records_of,
+                             offset);
 }
 
 template <typename Input>
-Result<PartitionedDataset> Executor::ShuffleImpl(Input&& input,
+Result<PartitionedDataset> Executor::ShuffleImpl(const Pass& pass,
+                                                 Input&& input,
                                                  const KeyColumns& key,
                                                  ExecStats* stats,
                                                  const PlanNode* node) const {
@@ -759,13 +874,13 @@ Result<PartitionedDataset> Executor::ShuffleImpl(Input&& input,
   uint64_t outbox_peak = 0;
   std::vector<Status> key_errors(node != nullptr ? sources : 0);
 
-  runtime::TraceSpan scatter_span(options_.tracer,
+  runtime::TraceSpan scatter_span(pass.tracer,
                                   runtime::SpanKind::kShuffleScatter,
                                   "scatter");
   {
     // The gather span nests inside the scatter span (the phases now
     // interleave per block); it must close first.
-    runtime::TraceSpan gather_span(options_.tracer,
+    runtime::TraceSpan gather_span(pass.tracer,
                                    runtime::SpanKind::kShuffleGather,
                                    "gather");
     for (int base = 0; base < sources; base += block) {
@@ -778,9 +893,8 @@ Result<PartitionedDataset> Executor::ShuffleImpl(Input&& input,
           return static_cast<int64_t>(in_sizes[base + i]);
         };
       }
-      CountPoolWork(count);
-      runtime::TracedParallelFor(
-          pool_.get(), scatter_span, count,
+      ForEachPartition(
+          pass, scatter_span, count,
           [&](int i) {
             const int p = base + i;
             auto& boxes = outbox[i];
@@ -831,7 +945,7 @@ Result<PartitionedDataset> Executor::ShuffleImpl(Input&& input,
               }
             }
           },
-          records_of, /*partition_offset=*/base);
+          records_of, /*offset=*/base);
 
       uint64_t block_records = 0;
       for (int i = 0; i < count; ++i) block_records += in_sizes[base + i];
@@ -839,7 +953,7 @@ Result<PartitionedDataset> Executor::ShuffleImpl(Input&& input,
 
       // Drain this block's outboxes, freeing them before the next block
       // scatters (the outbox vector's scope ends with the loop body).
-      ForEachPartition(gather_span, n, [&](int t) {
+      ForEachPartition(pass, gather_span, n, [&](int t) {
         std::vector<Record>& dst = out.partition(t);
         size_t add = 0;
         for (int i = 0; i < count; ++i) add += outbox[i][t].size();
@@ -862,15 +976,15 @@ Result<PartitionedDataset> Executor::ShuffleImpl(Input&& input,
 
   uint64_t total_moved = 0;
   for (uint64_t m : moved) total_moved += m;
-  if (options_.metrics != nullptr) {
+  if (pass.metrics != nullptr) {
     // Per-source-partition shuffle fan-out: how many of partition p's
     // records left it for another partition. The counter makes skewed
     // senders visible; the histogram gives the distribution across all
     // shuffles of the run.
     for (int p = 0; p < sources; ++p) {
-      options_.metrics->Count(runtime::metric::kShuffleFanout, p, moved[p]);
-      options_.metrics->Observe(runtime::metric::kHistShuffleFanout,
-                                static_cast<int64_t>(moved[p]));
+      pass.metrics->Count(runtime::metric::kShuffleFanout, p, moved[p]);
+      pass.metrics->Observe(runtime::metric::kHistShuffleFanout,
+                            static_cast<int64_t>(moved[p]));
     }
   }
   if (scatter_span.active()) {
@@ -884,63 +998,43 @@ Result<PartitionedDataset> Executor::ShuffleImpl(Input&& input,
   }
   scatter_span.Close();
 
-  ChargeCompute(in_sizes);
-  ChargeNetwork(total_moved);
-  if (stats != nullptr) stats->messages_shuffled += total_moved;
+  pass.ChargeShuffle(in_sizes, total_moved, out, stats);
   return out;
 }
 
 PartitionedDataset Executor::Shuffle(const PartitionedDataset& input,
                                      const KeyColumns& key,
                                      ExecStats* stats) const {
-  return ShuffleImpl(input, key, stats).ValueOrDie();
+  return ShuffleImpl(Pass(options_, nullptr), input, key, stats).ValueOrDie();
 }
 
 PartitionedDataset Executor::Shuffle(PartitionedDataset&& input,
                                      const KeyColumns& key,
                                      ExecStats* stats) const {
-  return ShuffleImpl(std::move(input), key, stats).ValueOrDie();
+  return ShuffleImpl(Pass(options_, nullptr), std::move(input), key, stats)
+      .ValueOrDie();
 }
 
 Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
     const Plan& plan, const Bindings& bindings, ExecStats* stats) const {
   FLINKLESS_RETURN_NOT_OK(plan.Validate());
+  return Run(plan, bindings, Pass(options_, &plan), stats);
+}
+
+Result<std::map<std::string, PartitionedDataset>> Executor::Run(
+    const Plan& plan, const Bindings& bindings, const Pass& pass,
+    ExecStats* stats) const {
   const int n = options_.num_partitions;
   const int num_nodes = static_cast<int>(plan.num_nodes());
 
   // Loop-invariant analysis: with a cache attached, a node whose value
   // cannot change between supersteps is served from / stored into it.
-  ExecCache* cache = options_.cache;
+  ExecCache* cache = pass.cache;
   std::vector<bool> invariant;
   if (cache != nullptr) {
     cache->EnsurePartitionCount(n);
     invariant = plan.InvariantNodes(cache->volatile_bindings());
   }
-
-  // Outbound message log (DESIGN.md §14): every shuffle of a loop-variant
-  // channel is appended post-gather. Variance is computed against the
-  // log's own volatile set so logging works with or without a cache, and
-  // the logged channel set is identical either way (a static build side
-  // served from the cache is invariant, hence never logged).
-  runtime::MessageLog* msglog = options_.message_log;
-  std::vector<bool> log_variant;
-  if (msglog != nullptr) {
-    std::vector<bool> log_invariant =
-        plan.InvariantNodes(msglog->volatile_bindings());
-    log_variant.resize(log_invariant.size());
-    for (size_t i = 0; i < log_invariant.size(); ++i) {
-      log_variant[i] = !log_invariant[i];
-    }
-  }
-  // Appends a just-shuffled channel of `node` (the shuffled input is plan
-  // node `input_node`, arriving on `port` ∈ {in, l, r}).
-  auto log_shuffled = [&](const PlanNode& node, NodeId input_node,
-                          const char* port,
-                          const PartitionedDataset& shuffled) -> Status {
-    if (msglog == nullptr || !log_variant[input_node]) return Status::OK();
-    return msglog->Append(MsglogChannel(node.id, port), shuffled,
-                          options_.tracer);
-  };
 
   // Operator chaining (DESIGN.md §17). runs_at[id] is the node whose
   // position runs id's body: id unless chained, a pre-combining reduce for
@@ -1015,9 +1109,11 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
   std::vector<Stage> stages(num_nodes);
 
   // Counts and charges a body from the rows its `inputs` inputs delivered
-  // per partition. A node whose inputs are all materialized is charged at
-  // its own position, so every span sees the SimClock it saw unchained.
-  auto charge = [&](const Stage& st, size_t inputs) {
+  // to the partitions it ran on. A node whose inputs are all materialized
+  // is charged at its own position, so every span sees the SimClock it saw
+  // unchained.
+  auto charge = [&](const Stage& st, size_t inputs,
+                    const std::vector<int>& parts) {
     std::vector<uint64_t> work(n, 0);
     for (size_t i = 0; i < inputs; ++i) {
       if (st.hit[i]) continue;
@@ -1025,7 +1121,7 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
         local_stats.records_processed += st.broadcast.size();
         continue;
       }
-      for (int p = 0; p < n; ++p) {
+      for (int p : parts) {
         const uint64_t rows = RowsOf(st.in, static_cast<int>(i), p);
         work[p] += rows;
         local_stats.records_processed += rows;
@@ -1036,20 +1132,22 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
     if (st.in.broadcast != nullptr) {
       for (uint64_t& w : work) w *= st.broadcast.size();
     }
-    ChargeCompute(work);
-    for (int p = 0; p < n && options_.metrics != nullptr; ++p) {
-      options_.metrics->Count(runtime::metric::kExecRecords, p,
-                              RowsOf(st.in, st.cached[0] ? 1 : 0, p));
+    pass.ChargeCompute(work);
+    for (int p : parts) {
+      if (pass.metrics == nullptr) break;
+      pass.metrics->Count(runtime::metric::kExecRecords, p,
+                          RowsOf(st.in, st.cached[0] ? 1 : 0, p));
     }
   };
 
-  // Runs `node`'s body over every partition in one parallel section, its
-  // chained producers streaming in, and materializes what it emits; the
-  // child spans carry input `traced`'s rows. Failures are checked in
-  // partition order, so the error is the one serial execution hits first.
-  // The producers are counted (charged, if streamed into) and appended to
+  // Runs `node`'s body over `parts` in one parallel section, its chained
+  // producers streaming in, and materializes what it emits; the child
+  // spans carry input `traced`'s rows. Failures are checked in partition
+  // order, so the error is the one serial execution hits first. The
+  // producers are counted (charged, if streamed into) and appended to
   // `members`.
   auto run_section = [&](const PlanNode& node, const OpInputs& in,
+                         const std::vector<int>& parts,
                          const runtime::TraceSpan& span, int traced,
                          std::vector<NodeId>* members)
       -> Result<PartitionedDataset> {
@@ -1059,21 +1157,33 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
       Repin(plan.node((*members)[m]), &stages[(*members)[m]]);
     }
     PartitionedDataset out(n);
-    std::vector<Status> status(n);
+    std::vector<Status> status(parts.size());
     std::function<int64_t(int)> records_of;
     if (span.active()) {
-      records_of = [&](int p) {
-        return static_cast<int64_t>(RowsOf(in, traced, p));
+      records_of = [&](int i) {
+        return static_cast<int64_t>(RowsOf(in, traced, parts[i]));
       };
     }
     ForEachPartition(
-        span, n,
-        [&](int p) { status[p] = RunInto(node, in, p, &out.partition(p)); },
+        pass, span, static_cast<int>(parts.size()),
+        [&](int i) {
+          std::vector<Record>& rows = out.partition(parts[i]);
+          RunBody(
+              node, in, parts[i],
+              [&rows](Record&& r) {
+                rows.push_back(std::move(r));
+                return true;
+              },
+              &status[i]);
+        },
         records_of);
     for (const Status& s : status) FLINKLESS_RETURN_NOT_OK(s);
     for (size_t m = first; m < members->size(); ++m) {
       const Stage& member = stages[(*members)[m]];
-      if (Streams(member)) charge(member, member.node->inputs.size());
+      if (Streams(member)) {
+        charge(member, member.node->inputs.size(),
+               pass.parts[member.node->id]);
+      }
       local_stats.node_output_counts[member.node->name] += Sum(member.emitted);
     }
     return out;
@@ -1091,7 +1201,7 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
     bool reloaded = false;
     FLINKLESS_ASSIGN_OR_RETURN(
         ExecCache::Entry* e,
-        cache->FindResident(node.id, role, options_.tracer, &reloaded));
+        cache->FindResident(node.id, role, pass.tracer, &reloaded));
     st.hit[i] = e != nullptr;
     if (st.hit[i]) {
       ++local_stats.cache_hits;
@@ -1103,7 +1213,8 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
     const KeyColumns& key = *route.key;
     FLINKLESS_ASSIGN_OR_RETURN(
         PartitionedDataset shuffled,
-        ShuffleImpl(input_of(node.inputs[i]), key, &local_stats, &node));
+        ShuffleImpl(pass, input_of(node.inputs[i]), key, &local_stats,
+                    &node));
     ExecCache::Entry& entry = cache->Emplace(node.id, role);
     entry.data = std::make_shared<PartitionedDataset>(std::move(shuffled));
     entry.index_key = key;
@@ -1111,28 +1222,35 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
       // Later supersteps probe the prebuilt per-partition flat index,
       // whose rows are the cached records themselves.
       entry.flat_index.resize(n);
-      ForEachPartition(runtime::TraceSpan(), n, [&](int p) {
+      ForEachPartition(pass, runtime::TraceSpan(), n, [&](int p) {
         entry.flat_index[p].Build(entry.data->partition(p), key);
       });
-      ObserveBatchRows(Sizes(*entry.data));
+      ObserveBatchRows(pass.metrics, Sizes(*entry.data));
       for (const FlatKeyIndex& index : entry.flat_index) {
-        ObserveProbeChains(options_.metrics, index);
+        ObserveProbeChains(pass.metrics, index);
       }
     } else if (node.kind == OpKind::kCoGroup) {
       // Cogroup has no flat index: its UDF sweeps fully materialized groups
       // on both sides at once (DESIGN.md §12), so the side keeps its groups.
       entry.groups.resize(n);
-      ForEachPartition(runtime::TraceSpan(), n, [&](int p) {
+      ForEachPartition(pass, runtime::TraceSpan(), n, [&](int p) {
         entry.groups[p] = GroupByKey(entry.data->partition(p), key);
       });
     }
     FLINKLESS_RETURN_NOT_OK(
-        cache->OnEntryFilled(node.id, role, options_.tracer));
+        cache->OnEntryFilled(node.id, role, pass.tracer));
     st.span_args.emplace_back("cache_build", 1);
     return &entry;
   };
 
   for (const PlanNode& node : plan.nodes()) {
+    const std::vector<int>& parts = pass.parts[node.id];
+    if (parts.empty()) {
+      // Not demanded by a recovery: not run, not bound.
+      slots.emplace_back();
+      release_dead(node.id);
+      continue;
+    }
     const std::vector<InputRoute> routes = InputRoutes(node);
     const bool chained = chained_into[node.id] >= 0;
     const bool pre_combine = !routes.empty() && routes[0].pre_combine;
@@ -1141,8 +1259,7 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
     std::vector<NodeId> members;
     // One span per position that runs a section: a chained node's body
     // runs in its root's span, but its pre-combine fold is its own.
-    runtime::TraceSpan op_span(!chained || pre_combine ? options_.tracer
-                                                       : nullptr,
+    runtime::TraceSpan op_span(!chained || pre_combine ? pass.tracer : nullptr,
                                runtime::SpanKind::kOperator, node.name);
 
     // Fully loop-invariant node: its output is the same every superstep,
@@ -1157,7 +1274,7 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
       FLINKLESS_ASSIGN_OR_RETURN(
           ExecCache::Entry* e,
           cache->FindResident(node.id, ExecCache::Role::kOutput,
-                              options_.tracer, &reloaded));
+                              pass.tracer, &reloaded));
       if (e != nullptr) {
         ++local_stats.cache_hits;
         for (size_t i = 0; i < routes.size(); ++i) {
@@ -1193,10 +1310,11 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
     } else if (!from_cache) {
       // Every input moves along its route (DESIGN.md §12); a chained local
       // input streams in when the body runs. The cached loop-invariant
-      // sides are looked up first, then the volatile sides are shuffled in
-      // port order and logged in port order.
+      // sides are looked up first, then the volatile sides are shuffled (or,
+      // in a recovery, read back from the log) in port order and logged in
+      // port order.
       const PartitionedDataset* side[2] = {nullptr, nullptr};
-      st.in.metrics = options_.metrics;
+      st.in.metrics = pass.metrics;
       for (size_t i = 0; i < routes.size(); ++i) {
         if (routes[i].kind == InputRoute::kLocal &&
             chained_into[node.inputs[i]] == node.id) {
@@ -1220,6 +1338,12 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
       for (size_t i = 0; i < routes.size(); ++i) {
         if (st.cached[i] || st.in.chain[i] != nullptr) continue;
         const NodeId input = node.inputs[i];
+        if (routes[i].kind == InputRoute::kShuffled && pass.read_back[input]) {
+          FLINKLESS_ASSIGN_OR_RETURN(
+              st.shuffled[i], pass.ReadBack(node, routes[i], &local_stats));
+          side[i] = &st.shuffled[i];
+          continue;
+        }
         if (routes[i].pre_combine) {
           // Local pre-aggregation before the shuffle: fewer messages.
           Stage pre;
@@ -1231,64 +1355,62 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
           }
           FLINKLESS_ASSIGN_OR_RETURN(
               PartitionedDataset combined,
-              run_section(node, pre.in, op_span, 0, &members));
+              run_section(node, pre.in, pass.parts[input], op_span, 0,
+                          &members));
           std::vector<uint64_t> rows(n);
           for (int p = 0; p < n; ++p) rows[p] = RowsOf(pre.in, 0, p);
-          ObserveBatchRows(rows);
-          charge(pre, 1);
+          ObserveBatchRows(pass.metrics, rows);
+          charge(pre, 1, pass.parts[input]);
           FLINKLESS_ASSIGN_OR_RETURN(
               st.shuffled[i],
-              ShuffleImpl(std::move(combined), *routes[i].key, &local_stats,
-                          &node));
+              ShuffleImpl(pass, std::move(combined), *routes[i].key,
+                          &local_stats, &node));
           side[i] = &st.shuffled[i];
           continue;
         }
         const PartitionedDataset& in = input_of(input);
         side[i] = &in;
         if (routes[i].kind == InputRoute::kBroadcast) {
-          // Every record is replicated to every partition but its own
-          // (counted as messages).
           st.broadcast = in.Collect();
-          const uint64_t messages =
-              in.NumRecords() * static_cast<uint64_t>(n - 1);
-          local_stats.messages_shuffled += messages;
-          ChargeNetwork(messages);
+          pass.ChargeBroadcast(st.broadcast.size(), &local_stats);
           st.in.broadcast = &st.broadcast;
         } else if (routes[i].kind == InputRoute::kShuffled) {
           FLINKLESS_ASSIGN_OR_RETURN(
               st.shuffled[i],
-              ShuffleImpl(in, *routes[i].key, &local_stats, &node));
+              ShuffleImpl(pass, in, *routes[i].key, &local_stats, &node));
           side[i] = &st.shuffled[i];
         }
       }
+      // Outbound message log (DESIGN.md §14): loop-variant channels are
+      // appended post-gather.
       for (size_t i = 0; i < routes.size(); ++i) {
-        if (side[i] == &st.shuffled[i]) {
-          FLINKLESS_RETURN_NOT_OK(log_shuffled(node, node.inputs[i],
-                                               routes[i].port,
-                                               st.shuffled[i]));
+        if (side[i] == &st.shuffled[i] && pass.appended[node.inputs[i]]) {
+          FLINKLESS_RETURN_NOT_OK(pass.log->Append(
+              MsglogChannel(node.id, routes[i].port), st.shuffled[i],
+              pass.tracer));
         }
       }
       // Batch sizes of the flat kernels' input side: the reduce input and
       // the join build side (a cached build side is observed when its
       // index is built).
       if (side[0] == &st.shuffled[0] && node.kind != OpKind::kCoGroup) {
-        ObserveBatchRows(Sizes(st.shuffled[0]));
+        ObserveBatchRows(pass.metrics, Sizes(st.shuffled[0]));
       }
       st.in.a = side[0];
       st.in.b = side[1];
       if (chained) {
         st.node = &node;
         st.emitted.assign(n, 0);
-        if (!Streams(st)) charge(st, routes.size());
+        if (!Streams(st)) charge(st, routes.size(), parts);
         slots.emplace_back();
       } else {
         for (auto& [key, value] : st.span_args) op_span.AddArg(key, value);
         Repin(node, &st);
         FLINKLESS_ASSIGN_OR_RETURN(
             PartitionedDataset out,
-            run_section(node, st.in, op_span, st.cached[0] ? 1 : 0,
+            run_section(node, st.in, parts, op_span, st.cached[0] ? 1 : 0,
                         &members));
-        charge(st, routes.size());
+        charge(st, routes.size(), parts);
         local_stats.node_output_counts[node.name] += out.NumRecords();
         push_owned(std::move(out));
       }
@@ -1304,7 +1426,7 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
       s.view = shared.get();
       s.is_owned = false;
       FLINKLESS_RETURN_NOT_OK(cache->OnEntryFilled(
-          node.id, ExecCache::Role::kOutput, options_.tracer));
+          node.id, ExecCache::Role::kOutput, pass.tracer));
       if (op_span.active()) op_span.AddArg("cache_build", 1);
     }
     if (node.kind == OpKind::kSource || from_cache) {
@@ -1362,12 +1484,12 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
       outputs.emplace(name, *s.view);
     }
   }
-  if (options_.metrics != nullptr) {
+  if (pass.metrics != nullptr) {
     // Job-level roll-ups of this Execute, under the canonical v2 names.
     // The per-partition families (exec.records, shuffle.fanout) are
     // recorded at the operator/shuffle sites above. cache.hits appears
     // only once a hit happened, so cache-less runs carry no such family.
-    runtime::MetricsSink* m = options_.metrics;
+    runtime::MetricsSink* m = pass.metrics;
     if (local_stats.cache_hits > 0) {
       m->Count(runtime::metric::kCacheHits, -1, local_stats.cache_hits);
     }
@@ -1381,28 +1503,16 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
 // ------------------------------------------------ confined-log replay --
 //
 // Rebuilds the plan outputs for the lost partitions from the logged
-// post-shuffle channels (DESIGN.md §14). Two passes:
-//
-//  1. Backward demand analysis. Each node is demanded at kNone, kLost
-//     (only the lost partitions of its output are needed) or kAll, and
-//     passes demand to each input by that input's route (InputRoutes). A
-//     local input gets the node's demand unchanged. A shuffled input
-//     *stops* demand when it is variant (its post-shuffle content is in the
-//     log) and is raised to kAll when it is invariant (the side must be
-//     recomputed and re-shuffled in full, since any source partition can
-//     feed a lost target). A broadcast input — copied everywhere during
-//     Execute — is raised to kAll.
-//
-//  2. Forward pass over the demanded nodes, computing only the demanded
-//     partitions with the operator bodies Execute runs (RunBody), so each
-//     rebuilt partition is byte-identical to the failed Execute's. The
-//     bodies run on the pool; no spans, metrics, or cache entries are
-//     touched beyond the one "replay" span and the replay counters.
-//
-// Everything is charged to Charge::kRecovery: logged messages shipped
-// into lost partitions at network rate, recomputed records on the
-// critical path at cpu rate. Survivors contribute no charges — they idle
-// until the replay completes, exactly the confined-recovery story.
+// post-shuffle channels (DESIGN.md §14). A backward demand pass decides
+// which nodes run on which partitions: each node is demanded at kNone,
+// kLost (only the lost partitions of its output are needed) or kAll, and
+// passes demand to each input by that input's route (InputRoutes). A local
+// input gets the node's demand unchanged. A shuffled input *stops* demand
+// when it is variant (its post-shuffle content is in the log) and is raised
+// to kAll when it is invariant (the side must be recomputed and re-shuffled
+// in full, since any source partition can feed a lost target). A broadcast
+// input, copied everywhere during Execute, is raised to kAll. Execute's
+// loop then runs the demanded nodes under the recovery pass.
 Result<std::map<std::string, PartitionedDataset>> Executor::Replay(
     const Plan& plan, const Bindings& bindings, const std::vector<int>& lost,
     runtime::MessageLog* log, ExecStats* stats) const {
@@ -1411,23 +1521,30 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Replay(
     return Status::InvalidArgument("Replay needs a message log");
   }
   const int n = options_.num_partitions;
-  std::vector<bool> is_lost(n, false);
+  const int num_nodes = static_cast<int>(plan.num_nodes());
+  Pass pass(options_, &plan);
+  pass.tracer = nullptr;
+  pass.metrics = nullptr;
+  pass.cache = nullptr;
+  pass.log = log;
+  pass.appended.assign(num_nodes, false);
+  pass.read_back = LogVariant(&plan, log);
+  pass.lost.assign(n, false);
   for (int p : lost) {
-    if (p >= 0 && p < n) is_lost[p] = true;
+    if (p < 0 || p >= n) {
+      return Status::InvalidArgument("replay: lost partition " +
+                                     std::to_string(p) + " is outside [0, " +
+                                     std::to_string(n) + ")");
+    }
+    pass.lost[p] = true;
   }
 
   runtime::TraceSpan span(options_.tracer, runtime::SpanKind::kMessageLogReplay,
                           "replay");
 
-  // ---- pass 1: backward demand ----
   enum Demand { kNone = 0, kLost = 1, kAll = 2 };
-  std::vector<bool> invariant = plan.InvariantNodes(log->volatile_bindings());
-  const int num_nodes = static_cast<int>(plan.num_nodes());
   std::vector<Demand> demand(num_nodes, kNone);
-  auto raise = [&](NodeId id, Demand d) {
-    if (d > demand[id]) demand[id] = d;
-  };
-  for (const auto& [name, node_id] : plan.outputs()) raise(node_id, kLost);
+  for (const auto& [name, node_id] : plan.outputs()) demand[node_id] = kLost;
   // Node ids are topologically ordered (operators only reference earlier
   // nodes), so one backward sweep settles every demand.
   for (int id = num_nodes - 1; id >= 0; --id) {
@@ -1436,246 +1553,37 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Replay(
     const std::vector<InputRoute> routes = InputRoutes(node);
     for (size_t i = 0; i < routes.size(); ++i) {
       const NodeId input = node.inputs[i];
-      switch (routes[i].kind) {
-        case InputRoute::kLocal:
-          raise(input, demand[id]);
-          break;
-        case InputRoute::kShuffled:
-          // A variant input's post-shuffle bytes are a logged channel.
-          if (invariant[input]) raise(input, kAll);
-          break;
-        case InputRoute::kBroadcast:
-          raise(input, kAll);
-          break;
+      Demand d = routes[i].kind == InputRoute::kLocal ? demand[id] : kAll;
+      if (routes[i].kind == InputRoute::kShuffled && pass.read_back[input]) {
+        d = kNone;  // its post-shuffle bytes are a logged channel
       }
+      demand[input] = std::max(demand[input], d);
     }
   }
-  // A demanded volatile source would need the failed superstep's *input*
-  // state, which the driver has already advanced past. Every plan in
-  // src/algos routes volatile data through a shuffle before any output,
-  // so this only rejects plans confined-log recovery cannot serve.
+  std::vector<int> lost_parts;
+  for (int p = 0; p < n; ++p) {
+    if (pass.lost[p]) lost_parts.push_back(p);
+  }
   for (int id = 0; id < num_nodes; ++id) {
+    // A demanded volatile source would need the failed superstep's *input*
+    // state, which the superstep loop has already advanced past. Every plan
+    // in src/algos routes volatile data through a shuffle before any
+    // output, so this only rejects plans confined-log recovery cannot serve.
     const PlanNode& node = plan.node(id);
     if (node.kind == OpKind::kSource && demand[id] != kNone &&
-        !invariant[id]) {
+        pass.read_back[id]) {
       return Status::FailedPrecondition(
           "confined-log replay: plan output depends on volatile source '" +
           node.source_name +
           "' outside any logged shuffle; the plan is not replayable");
     }
+    if (demand[id] == kNone) pass.parts[id].clear();
+    if (demand[id] == kLost) pass.parts[id] = lost_parts;
   }
 
-  // ---- pass 2: forward execution of demanded partitions ----
   ExecStats local_stats;
-  std::vector<uint64_t> replayed_per_part(n, 0);
-  const bool charging =
-      options_.clock != nullptr && options_.costs != nullptr;
-  auto charge_recovery = [&](int64_t ns) {
-    if (charging && ns > 0) {
-      options_.clock->Add(runtime::Charge::kRecovery, ns);
-    }
-  };
-  auto charge_shipped = [&](uint64_t records) {
-    if (charging) {
-      charge_recovery(options_.costs->network_per_record_ns *
-                      static_cast<int64_t>(records));
-    }
-  };
-  // Recomputation runs on the demanded partitions' workers in parallel in
-  // the simulated cluster: charge the slowest one.
-  auto charge_compute_critical = [&](const std::vector<uint64_t>& per_part) {
-    uint64_t critical = 0;
-    for (uint64_t records : per_part) critical = std::max(critical, records);
-    if (charging) {
-      charge_recovery(options_.costs->cpu_per_record_ns *
-                      static_cast<int64_t>(critical));
-    }
-  };
-  auto parts_of = [&](Demand d) {
-    std::vector<int> parts;
-    for (int p = 0; p < n; ++p) {
-      if (d == kAll || (d == kLost && is_lost[p])) parts.push_back(p);
-    }
-    return parts;
-  };
-
-  struct RSlot {
-    PartitionedDataset owned;
-    const PartitionedDataset* view = nullptr;
-  };
-  std::vector<RSlot> slots(plan.num_nodes());
-  auto input_of = [&](NodeId id) -> const PartitionedDataset& {
-    FLINKLESS_CHECK(slots[id].view != nullptr,
-                    "replay read an input that was never demanded");
-    return *slots[id].view;
-  };
-
-  // Runs `node`'s body over `parts` — the same body Execute runs — on the
-  // pool, without spans, metrics, or charges (the caller charges).
-  auto run_body = [&](const PlanNode& node, const OpInputs& inputs,
-                      const std::vector<int>& parts)
-      -> Result<PartitionedDataset> {
-    PartitionedDataset out(n);
-    std::vector<Status> status(parts.size());
-    runtime::ParallelFor(pool_.get(), static_cast<int>(parts.size()),
-                         [&](int i) {
-                           status[i] = RunInto(node, inputs, parts[i],
-                                               &out.partition(parts[i]));
-                         });
-    for (const Status& s : status) FLINKLESS_RETURN_NOT_OK(s);
-    return out;
-  };
-
-  // Re-ships a recomputed invariant input to the fresh workers: a serial
-  // scatter visiting sources in order, so partition contents are
-  // byte-identical to ShuffleImpl's gather. Records landing in lost
-  // partitions are a recovery charge at network rate.
-  auto rescatter = [&](const PlanNode& node, const PartitionedDataset& in,
-                       const KeyColumns& key) -> Result<PartitionedDataset> {
-    PartitionedDataset out(n);
-    uint64_t shipped = 0;
-    for (int p = 0; p < in.num_partitions(); ++p) {
-      for (const Record& r : in.partition(p)) {
-        const int missing = MissingKeyColumn(r, key);
-        if (missing >= 0) return KeyColumnError(node, missing, r);
-        const int target = PartitionedDataset::PartitionOf(r, key, n);
-        if (is_lost[target]) ++shipped;
-        out.partition(target).push_back(r);
-      }
-    }
-    charge_shipped(shipped);
-    return out;
-  };
-
-  // The shuffled input of a shuffle operator: the logged channel for a
-  // variant input (counted as replayed messages; shipping into lost
-  // partitions is charged at network rate), or the re-scattered recomputed
-  // invariant input — pre-combined first when the reduce asks for it, as
-  // Execute does. Returned by value: logged channels live in
-  // budget-managed segments, and fetching a later channel may spill an
-  // earlier one, so the demanded partitions are copied out while the
-  // segment is resident.
-  auto shuffled_input = [&](const PlanNode& node, NodeId input,
-                            const InputRoute& route)
-      -> Result<PartitionedDataset> {
-    const KeyColumns& key = *route.key;
-    if (invariant[input]) {
-      const PartitionedDataset& in = input_of(input);
-      if (!route.pre_combine) return rescatter(node, in, key);
-      OpInputs local;
-      local.a = &in;
-      local.validate = false;
-      FLINKLESS_ASSIGN_OR_RETURN(PartitionedDataset combined,
-                                 run_body(node, local, parts_of(kAll)));
-      local_stats.records_processed += in.NumRecords();
-      return rescatter(node, combined, key);
-    }
-    FLINKLESS_ASSIGN_OR_RETURN(
-        const PartitionedDataset* channel,
-        log->Channel(MsglogChannel(node.id, route.port), options_.tracer));
-    if (channel->num_partitions() != n) {
-      return Status::DataLoss("logged channel '" +
-                              MsglogChannel(node.id, route.port) +
-                              "' has the wrong partition count");
-    }
-    PartitionedDataset out(n);
-    uint64_t shipped = 0;
-    for (int p : parts_of(demand[node.id])) {
-      uint64_t records = channel->partition(p).size();
-      local_stats.messages_replayed += records;
-      replayed_per_part[p] += records;
-      if (is_lost[p]) shipped += records;
-      out.partition(p) = channel->partition(p);
-    }
-    charge_shipped(shipped);
-    return out;
-  };
-
-  for (int id = 0; id < num_nodes; ++id) {
-    if (demand[id] == kNone) continue;
-    const PlanNode& node = plan.node(id);
-    const std::vector<int> parts = parts_of(demand[id]);
-
-    if (node.kind == OpKind::kSource) {
-      auto it = bindings.find(node.source_name);
-      if (it == bindings.end() || it->second == nullptr) {
-        return Status::NotFound("replay: no binding for source '" +
-                                node.source_name + "'");
-      }
-      if (it->second->num_partitions() != n) {
-        return Status::InvalidArgument(
-            "replay binding '" + node.source_name + "' has " +
-            std::to_string(it->second->num_partitions()) +
-            " partitions, executor expects " + std::to_string(n));
-      }
-      slots[id].view = it->second;
-      continue;
-    }
-
-    const std::vector<InputRoute> routes = InputRoutes(node);
-    const PartitionedDataset* side[2] = {nullptr, nullptr};
-    PartitionedDataset shuffled[2];  // shuffled inputs, owned here
-    std::vector<Record> broadcast;
-    OpInputs inputs;
-    for (size_t i = 0; i < routes.size(); ++i) {
-      switch (routes[i].kind) {
-        case InputRoute::kLocal:
-          side[i] = &input_of(node.inputs[i]);
-          break;
-        case InputRoute::kShuffled: {
-          FLINKLESS_ASSIGN_OR_RETURN(
-              shuffled[i], shuffled_input(node, node.inputs[i], routes[i]));
-          side[i] = &shuffled[i];
-          break;
-        }
-        case InputRoute::kBroadcast: {
-          broadcast = input_of(node.inputs[i]).Collect();
-          inputs.broadcast = &broadcast;
-          // Execute broadcast this side everywhere; recovery only re-ships
-          // it to the partitions being rebuilt.
-          uint64_t lost_targets = 0;
-          for (int p : parts) {
-            if (is_lost[p]) ++lost_targets;
-          }
-          charge_shipped(broadcast.size() * lost_targets);
-          break;
-        }
-      }
-    }
-    inputs.a = side[0];
-    inputs.b = side[1];
-
-    FLINKLESS_ASSIGN_OR_RETURN(PartitionedDataset out,
-                               run_body(node, inputs, parts));
-    std::vector<uint64_t> work(n, 0);
-    for (int p : parts) {
-      const uint64_t a = inputs.a->partition(p).size();
-      if (inputs.broadcast != nullptr) {
-        work[p] = a * broadcast.size();
-        local_stats.records_processed += a + broadcast.size();
-        continue;
-      }
-      work[p] = a + (inputs.b != nullptr ? inputs.b->partition(p).size() : 0);
-      local_stats.records_processed += work[p];
-    }
-    charge_compute_critical(work);
-    slots[id].owned = std::move(out);
-    slots[id].view = &slots[id].owned;
-  }
-
-  std::map<std::string, PartitionedDataset> outputs;
-  for (const auto& [name, node_id] : plan.outputs()) {
-    outputs.emplace(name, *slots[node_id].view);
-  }
-
-  if (options_.metrics != nullptr) {
-    for (int p = 0; p < n; ++p) {
-      if (replayed_per_part[p] > 0) {
-        options_.metrics->Count(runtime::metric::kMsglogMessagesReplayed, p,
-                                replayed_per_part[p]);
-      }
-    }
-  }
+  FLINKLESS_ASSIGN_OR_RETURN(auto outputs,
+                             Run(plan, bindings, pass, &local_stats));
   if (span.active()) {
     span.AddArg("partitions_lost", static_cast<int64_t>(lost.size()));
     span.AddArg("messages_replayed",

@@ -141,11 +141,11 @@ class Executor {
       const Plan& plan, const Bindings& bindings, ExecStats* stats) const;
 
   /// Hash-repartitions `input` on `key`, counting moved records into `stats`
-  /// and charging the clock. Exposed because the iteration drivers also need
-  /// to co-partition state. Two-phase: every source partition scatters into
-  /// its own N-way outbox (in parallel), then every target partition
-  /// concatenates its outboxes in source order — so the result is
-  /// byte-identical to a serial single-pass shuffle.
+  /// and charging the clock: the shuffle Execute runs for a keyed input,
+  /// exposed for tests and micro-benchmarks. Two-phase: every source
+  /// partition scatters into its own N-way outbox (in parallel), then every
+  /// target partition concatenates its outboxes in source order — so the
+  /// result is byte-identical to a serial single-pass shuffle.
   PartitionedDataset Shuffle(const PartitionedDataset& input,
                              const KeyColumns& key, ExecStats* stats) const;
 
@@ -160,14 +160,16 @@ class Executor {
   /// set to it) plus the loop-invariant bindings — without re-running the
   /// survivors. Volatile bindings need not be in `bindings`; a plan whose
   /// outputs depend on a volatile source *not* through a logged shuffle is
-  /// rejected with FailedPrecondition (no such plan exists in src/algos).
-  /// Runs Execute's operator bodies over the demanded partitions; every
-  /// charge lands on Charge::kRecovery (replayed messages shipped to the
-  /// fresh workers, recomputation critical path over the demanded
-  /// partitions), so healthy partitions only wait. Returned datasets have
-  /// num_partitions() partitions with only the demanded ones populated,
-  /// byte-identical to the corresponding partitions of the failed Execute
-  /// at any thread count. `stats` may be nullptr.
+  /// rejected with FailedPrecondition (no such plan exists in src/algos),
+  /// and a lost id outside [0, num_partitions()) with InvalidArgument.
+  /// Runs Execute's per-node loop over the demanded nodes and partitions
+  /// only, reading the logged channels instead of shuffling loop-variant
+  /// inputs; every charge lands on Charge::kRecovery (replayed messages
+  /// shipped to the fresh workers, recomputation critical path over the
+  /// demanded partitions), so healthy partitions only wait. Returned
+  /// datasets have num_partitions() partitions with only the demanded ones
+  /// populated, byte-identical to the corresponding partitions of the
+  /// failed Execute at any thread count. `stats` may be nullptr.
   Result<std::map<std::string, PartitionedDataset>> Replay(
       const Plan& plan, const Bindings& bindings, const std::vector<int>& lost,
       runtime::MessageLog* log, ExecStats* stats) const;
@@ -180,37 +182,32 @@ class Executor {
   runtime::ThreadPool* pool() const { return pool_.get(); }
 
  private:
-  /// Runs fn(p) for every partition, on the pool when present, with one
-  /// per-partition child span of `parent` when it is active; `records_of`
-  /// (optional) supplies span p's "records" arg, evaluated once fn(p) ran.
-  void ForEachPartition(const runtime::TraceSpan& parent, int count,
-                        const std::function<void(int)>& fn,
-                        const std::function<int64_t(int)>& records_of = {})
-      const;
+  /// One run of Execute's per-node loop: which nodes run on which
+  /// partitions, what the run records into and where it charges — Execute's
+  /// failure-free pass or Replay's recovery pass (executor.cc).
+  struct Pass;
 
-  /// Charges compute for per-partition record counts under critical-path
-  /// semantics: the simulated cluster runs its N partitions on N workers in
-  /// parallel, so an operator costs as much as its slowest partition. A pure
-  /// function of the data — independent of num_threads.
-  void ChargeCompute(const std::vector<uint64_t>& per_partition) const;
+  /// Execute's per-node loop over `plan` under `pass`.
+  Result<std::map<std::string, PartitionedDataset>> Run(
+      const Plan& plan, const Bindings& bindings, const Pass& pass,
+      ExecStats* stats) const;
 
-  void ChargeNetwork(uint64_t messages) const;
+  /// Runs fn(i) for i in [0, count) as one parallel section (counted into
+  /// the pass's pool metrics), on the pool when present, with one child
+  /// span of `parent` per i (for partition offset + i) when it is active;
+  /// `records_of` (optional) supplies span i's "records" arg, evaluated
+  /// once fn(i) ran.
+  void ForEachPartition(const Pass& pass, const runtime::TraceSpan& parent,
+                        int count, const std::function<void(int)>& fn,
+                        const std::function<int64_t(int)>& records_of = {},
+                        int offset = 0) const;
 
-  /// Counts one parallel section of `tasks` task indices into the metrics
-  /// sink. Counted at the executor level, not inside the ThreadPool: a
-  /// serial executor (num_threads == 1) has no pool at all, and the
-  /// exported totals must be identical at any thread count.
-  void CountPoolWork(int tasks) const;
-
-  /// Observes every partition's row count into the batch-size histogram
-  /// (called at the reduce and join sites only).
-  void ObserveBatchRows(const std::vector<uint64_t>& rows) const;
-
-  /// Shuffle of `node`'s input. With `node` set, a row too short for `key`
-  /// fails it with an OutOfRange naming the node instead of aborting (the
-  /// public Shuffle keeps the CHECK).
+  /// Shuffle of `node`'s input under `pass`. With `node` set, a row too
+  /// short for `key` fails it with an OutOfRange naming the node instead of
+  /// aborting (the public Shuffle keeps the CHECK).
   template <typename Input>
-  Result<PartitionedDataset> ShuffleImpl(Input&& input, const KeyColumns& key,
+  Result<PartitionedDataset> ShuffleImpl(const Pass& pass, Input&& input,
+                                         const KeyColumns& key,
                                          ExecStats* stats,
                                          const PlanNode* node = nullptr) const;
 

@@ -5,9 +5,12 @@
 // plan with every node declared an output, since outputs never chain), at
 // any thread count, with and without the loop-invariant cache. The
 // streamed reduce fold keeps the typed fold's fallback and every error.
+// Confined-log Replay, which runs the same loop, rebuilds every shipped
+// plan's lost partitions byte for byte.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <tuple>
@@ -24,6 +27,7 @@
 #include "dataflow/executor.h"
 #include "graph/generators.h"
 #include "runtime/memory_manager.h"
+#include "runtime/message_log.h"
 #include "runtime/metrics.h"
 #include "runtime/sim_clock.h"
 #include "runtime/stable_storage.h"
@@ -205,8 +209,23 @@ void ExpectSameStats(const ExecStats& a, const ExecStats& b) {
   EXPECT_EQ(a.node_output_counts, b.node_output_counts);
 }
 
-class ChainingTest
-    : public ::testing::TestWithParam<std::tuple<std::string, int, bool>> {};
+using CaseParam = std::tuple<std::string, int, bool>;
+
+class ChainingTest : public ::testing::TestWithParam<CaseParam> {};
+
+/// Every shipped step plan at 1 and 4 threads, without and with the cache.
+auto StepCases() {
+  return ::testing::Combine(
+      ::testing::Values("pagerank", "cc", "sssp", "kmeans", "als"),
+      ::testing::Values(1, 4), ::testing::Bool());
+}
+
+/// "<algo>_t<threads>_<cache|nocache>".
+std::string CaseName(const ::testing::TestParamInfo<CaseParam>& info) {
+  return std::get<0>(info.param) + "_t" +
+         std::to_string(std::get<1>(info.param)) +
+         (std::get<2>(info.param) ? "_cache" : "_nocache");
+}
 
 TEST_P(ChainingTest, ChainedRunMatchesMaterializedRun) {
   const auto& [algo, threads, cache] = GetParam();
@@ -235,16 +254,67 @@ TEST_P(ChainingTest, ChainedRunMatchesMaterializedRun) {
   EXPECT_EQ(chained.metrics.histograms, oracle.metrics.histograms);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    StepPlans, ChainingTest,
-    ::testing::Combine(::testing::Values("pagerank", "cc", "sssp", "kmeans",
-                                         "als"),
-                       ::testing::Values(1, 4), ::testing::Bool()),
-    [](const auto& info) {
-      return std::get<0>(info.param) + "_t" +
-             std::to_string(std::get<1>(info.param)) +
-             (std::get<2>(info.param) ? "_cache" : "_nocache");
-    });
+INSTANTIATE_TEST_SUITE_P(StepPlans, ChainingTest, StepCases(), CaseName);
+
+class ShippedPlanReplayTest : public ChainingTest {};
+
+TEST_P(ShippedPlanReplayTest, ReplayedPartitionsMatchExecute) {
+  // Confined-log recovery (DESIGN.md §14) of every shipped step plan: one
+  // logged Execute, then Replay from the static bindings alone. The lost
+  // partitions of every output are Execute's bytes, and the recovery
+  // charge per lost set is pinned; it is the same at any thread count and
+  // with or without the cache.
+  const auto& [algo, threads, cache] = GetParam();
+  const std::vector<int> kLost[3] = {{1}, {0, 3}, {0, 1, 2, 3}};
+  const std::map<std::string, std::vector<int64_t>> kRecoveryNs = {
+      {"pagerank", {183100, 264500, 601100}},
+      {"cc", {135000, 208350, 461100}},
+      {"sssp", {137500, 210050, 463600}},
+      {"kmeans", {6300, 2100, 8300}},
+      {"als", {3150, 12450, 21450}},
+  };
+  const StepCase c = MakeCase(algo);
+  runtime::SimClock clock;
+  runtime::CostModel costs;
+  runtime::MessageLog log(c.volatile_bindings);
+  ExecCache exec_cache(c.volatile_bindings);
+  ExecOptions options;
+  options.num_partitions = kParts;
+  options.num_threads = threads;
+  options.clock = &clock;
+  options.costs = &costs;
+  options.message_log = &log;
+  options.cache = cache ? &exec_cache : nullptr;
+  Executor executor(options);
+
+  Bindings bindings, statics;
+  for (const auto& [name, ds] : c.data) {
+    bindings[name] = &ds;
+    if (std::find(c.volatile_bindings.begin(), c.volatile_bindings.end(),
+                  name) == c.volatile_bindings.end()) {
+      statics[name] = &ds;
+    }
+  }
+  auto executed = executor.Execute(c.plan, bindings, nullptr);
+  ASSERT_TRUE(executed.ok()) << executed.status().ToString();
+  for (int i = 0; i < 3; ++i) {
+    const int64_t before = clock.Of(runtime::Charge::kRecovery);
+    auto replayed = executor.Replay(c.plan, statics, kLost[i], &log, nullptr);
+    ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+    for (const auto& [name, ds] : *executed) {
+      for (int p : kLost[i]) {
+        EXPECT_EQ(replayed->at(name).partition(p), ds.partition(p))
+            << name << " partition " << p << " lost set " << i;
+      }
+    }
+    EXPECT_EQ(clock.Of(runtime::Charge::kRecovery) - before,
+              kRecoveryNs.at(algo)[i])
+        << "lost set " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(StepPlans, ShippedPlanReplayTest, StepCases(),
+                         CaseName);
 
 TEST(ChainingSpillTest, ChainedJoinSurvivesItsBuildSideSpillingBeforeItRuns) {
   // "first" is chained into "out-first", whose position comes after the

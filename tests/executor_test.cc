@@ -241,7 +241,7 @@ TEST_F(ExecutorTest, JoinKeyColumnPastRecordEndIsOutOfRange) {
 }
 
 TEST_F(ExecutorTest, ReplayRescatterKeyColumnPastRecordEndIsOutOfRange) {
-  // The static side is re-scattered from the bindings Replay is given; a
+  // The static side is re-shuffled from the bindings Replay is given; a
   // row too short for its key fails the replay like it fails Execute.
   Plan plan;
   auto state = plan.Source("state");
@@ -271,6 +271,40 @@ TEST_F(ExecutorTest, ReplayRescatterKeyColumnPastRecordEndIsOutOfRange) {
   EXPECT_NE(replayed.status().message().find("Join 'send'"),
             std::string::npos)
       << replayed.status().ToString();
+}
+
+TEST_F(ExecutorTest, ReplayRejectsLostPartitionOutOfRange) {
+  // A lost id that names no partition would rebuild nothing and return
+  // OK: an empty answer that looks like a recovery.
+  Plan plan;
+  auto state = plan.Source("state");
+  auto edges = plan.Source("edges");
+  auto joined = plan.Join(
+      state, edges, {0}, {0},
+      [](const Record& l, const Record& r) {
+        return MakeRecord(r[1].AsInt64(), l[1].AsInt64());
+      },
+      "send");
+  plan.Output(joined, "out");
+  auto states = KeyValues({{1, 10}, {2, 20}}, kParts);
+  auto links = KeyValues({{1, 5}, {2, 6}}, kParts);
+  runtime::MessageLog log({"state"});
+  ExecOptions options{kParts, nullptr, nullptr};
+  options.message_log = &log;
+  Executor executor(options);
+  ASSERT_TRUE(
+      executor.Execute(plan, {{"state", &states}, {"edges", &links}}, nullptr)
+          .ok());
+  for (const std::vector<int>& lost :
+       {std::vector<int>{7}, std::vector<int>{0, kParts},
+        std::vector<int>{-1}}) {
+    auto replayed =
+        executor.Replay(plan, {{"edges", &links}}, lost, &log, nullptr);
+    EXPECT_EQ(replayed.status().code(), StatusCode::kInvalidArgument)
+        << replayed.status().ToString();
+  }
+  EXPECT_TRUE(
+      executor.Replay(plan, {{"edges", &links}}, {0, 3}, &log, nullptr).ok());
 }
 
 TEST_F(ExecutorTest, PreCombineReducesMessages) {

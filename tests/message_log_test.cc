@@ -552,6 +552,92 @@ TEST_P(ReplayTest, EveryOperatorAccountingIsPinnedWithAndWithoutCache) {
   }
 }
 
+/// What one Replay of BuildEveryOpPlan charged, counted and traced.
+struct ReplayAccounting {
+  int64_t recovery_ns;
+  uint64_t records_processed;
+  uint64_t messages_replayed;
+  /// msglog.messages_replayed per partition.
+  uint64_t replayed_p[4];
+};
+
+TEST_P(ReplayTest, EveryOperatorReplayAccountingIsPinned) {
+  // One Execute, then one Replay per lost set. Replay charges kRecovery
+  // only, so kCompute and kNetwork stay where Execute left them; its
+  // counts, per-partition replay counters and span args are pinned, and
+  // are the same whether Execute ran with the cache or not.
+  const std::vector<int> kLost[3] = {{2}, {0, 3}, {0, 1, 2, 3}};
+  const ReplayAccounting kWant[3] = {
+      {298200, 783, 151, {0, 0, 151, 0}},
+      {491600, 972, 263, {130, 0, 0, 133}},
+      {1222550, 1679, 665, {130, 251, 151, 133}},
+  };
+  const int parts = 4;
+  Plan plan = BuildEveryOpPlan();
+  StepData data = MakeStepData(parts);
+  Bindings bindings{{"state", &data.state}, {"edges", &data.edges}};
+  Bindings statics{{"edges", &data.edges}};
+  const CostModel costs;
+
+  for (bool cached : {false, true}) {
+    SCOPED_TRACE(cached ? "cached" : "uncached");
+    dataflow::ExecCache cache({"state"});
+    MessageLog log({"state"});
+    MetricsSink metrics;
+    Tracer tracer;
+    SimClock clock;
+    ExecOptions options;
+    options.num_partitions = parts;
+    options.num_threads = GetParam();
+    options.clock = &clock;
+    options.costs = &costs;
+    options.message_log = &log;
+    options.metrics = &metrics;
+    options.tracer = &tracer;
+    if (cached) options.cache = &cache;
+    Executor executor(options);
+
+    ASSERT_TRUE(executor.Execute(plan, bindings, nullptr).ok());
+    const int64_t compute_ns = clock.Of(Charge::kCompute);
+    const int64_t network_ns = clock.Of(Charge::kNetwork);
+
+    for (int i = 0; i < 3; ++i) {
+      SCOPED_TRACE("lost set " + std::to_string(i));
+      const ReplayAccounting& want = kWant[i];
+      const MetricsSnapshot before = metrics.Collect();
+      const int64_t recovery_before = clock.Of(Charge::kRecovery);
+      ExecStats stats;
+      ASSERT_TRUE(
+          executor.Replay(plan, statics, kLost[i], &log, &stats).ok());
+      EXPECT_EQ(clock.Of(Charge::kRecovery) - recovery_before,
+                want.recovery_ns);
+      EXPECT_EQ(clock.Of(Charge::kCompute), compute_ns);
+      EXPECT_EQ(clock.Of(Charge::kNetwork), network_ns);
+      EXPECT_EQ(stats.records_processed, want.records_processed);
+      EXPECT_EQ(stats.messages_replayed, want.messages_replayed);
+      EXPECT_EQ(stats.messages_shuffled, 0u);
+      const MetricsSnapshot after = metrics.Collect();
+      for (int p = 0; p < parts; ++p) {
+        EXPECT_EQ(after.Counter(metric::kMsglogMessagesReplayed, p) -
+                      before.Counter(metric::kMsglogMessagesReplayed, p),
+                  want.replayed_p[p])
+            << "partition " << p;
+      }
+      std::vector<TraceEvent> spans;
+      for (const TraceEvent& e : tracer.Flush().events) {
+        if (e.category == "msglog.replay") spans.push_back(e);
+      }
+      ASSERT_EQ(spans.size(), static_cast<size_t>(i + 1));
+      EXPECT_EQ(spans.back().Arg("partitions_lost"),
+                static_cast<int64_t>(kLost[i].size()));
+      EXPECT_EQ(spans.back().Arg("messages_replayed"),
+                static_cast<int64_t>(want.messages_replayed));
+      EXPECT_EQ(spans.back().Arg("records_recomputed"),
+                static_cast<int64_t>(want.records_processed));
+    }
+  }
+}
+
 TEST(ReplayTest, MissingLogChannelIsNotFound) {
   const int parts = 4;
   Plan plan = BuildStepPlan();
