@@ -123,20 +123,72 @@ Status KeyColumnError(const PlanNode& node, int col, const Record& row) {
 /// error, which it stored in the partition's status; the body stops too.
 using RowSink = std::function<bool(Record&&)>;
 
+/// A declared reduce's (int64 key, value) pair; a kSumDouble value holds
+/// its double's bits.
+using KeyValue = std::pair<int64_t, int64_t>;
+
+/// The record a declared reduce of `kind` emits for `pair`.
+Record PairRecord(ReduceKind kind, const KeyValue& pair) {
+  return kind == ReduceKind::kSumDouble
+             ? MakeRecord(pair.first, std::bit_cast<double>(pair.second))
+             : MakeRecord(pair.first, pair.second);
+}
+
+/// PairRecord of every pair, in order.
+std::vector<Record> PairRecords(ReduceKind kind,
+                                const std::vector<KeyValue>& pairs) {
+  std::vector<Record> records;
+  records.reserve(pairs.size());
+  for (const KeyValue& pair : pairs) records.push_back(PairRecord(kind, pair));
+  return records;
+}
+
+/// A declared reduce's typed channel (DESIGN.md §15): per partition, the
+/// pairs its pre-combine folds emitted. It has PartitionedDataset's
+/// partition interface, so one ShuffleImpl moves both.
+class PairDataset {
+ public:
+  explicit PairDataset(int num_partitions = 0) : partitions_(num_partitions) {}
+
+  int num_partitions() const { return static_cast<int>(partitions_.size()); }
+  std::vector<KeyValue>& partition(int p) { return partitions_[p]; }
+  const std::vector<KeyValue>& partition(int p) const {
+    return partitions_[p];
+  }
+  void ReleasePartition(int p) { std::vector<KeyValue>().swap(partitions_[p]); }
+
+  /// The channel as the records the Record path would have shipped.
+  PartitionedDataset ToRecords(ReduceKind kind) const {
+    PartitionedDataset out(num_partitions());
+    for (int p = 0; p < num_partitions(); ++p) {
+      out.partition(p) = PairRecords(kind, partitions_[p]);
+    }
+    return out;
+  }
+
+ private:
+  std::vector<std::vector<KeyValue>> partitions_;
+};
+
 /// Reduce of one partition, fed one row at a time in arrival order and
 /// emitted sorted on the key. A declared combiner (DESIGN.md §15) folds
 /// scalar (key, accumulator) pairs while rows have the declared shape; the
 /// first row that does not turns the pairs into records and folds on with
 /// the combiner, which the declaration promises is byte-identical.
 /// `validate` enforces the combiner-keeps-the-key contract (post-shuffle).
+/// `expected` sizes the slot map for a materialized input of that many
+/// rows; 0 grows it as keys arrive.
 class ReduceFold {
  public:
-  ReduceFold(const PlanNode& node, bool validate)
+  ReduceFold(const PlanNode& node, bool validate, size_t expected = 0)
       : node_(node),
         validate_(validate),
         typed_(node.reduce_kind != ReduceKind::kNone &&
                node.left_key == KeyColumns{0} && node.reduce_value_col == 1),
-        slots_(0) {}
+        slots_(expected) {}
+
+  /// Still folding typed pairs?
+  bool typed() const { return typed_; }
 
   /// Folds one row; false (with *error set) when the row or the combiner
   /// breaks the operator's contract.
@@ -174,14 +226,51 @@ class ReduceFold {
     return true;
   }
 
+  /// Folds one pair of the typed channel (the fold is typed).
+  void AddPair(const KeyValue& pair) {
+    bool inserted = false;
+    const int32_t slot = slots_.FindOrInsert(
+        HashInt64Key(pair.first),
+        [&](int32_t s) { return pairs_[s].first == pair.first; }, &inserted);
+    if (inserted) {
+      pairs_.push_back(pair);
+      return;
+    }
+    int64_t& acc = pairs_[slot].second;
+    const int64_t v = pair.second;
+    switch (node_.reduce_kind) {
+      case ReduceKind::kSumDouble:  // arrival order, as combine() folds
+        acc = std::bit_cast<int64_t>(std::bit_cast<double>(acc) +
+                                     std::bit_cast<double>(v));
+        break;
+      case ReduceKind::kSumInt64:
+        acc = static_cast<int64_t>(static_cast<uint64_t>(acc) +
+                                   static_cast<uint64_t>(v));
+        break;
+      case ReduceKind::kMinInt64:
+        if (v < acc) acc = v;  // ties keep the accumulator
+        break;
+      case ReduceKind::kMaxInt64:
+        if (v > acc) acc = v;
+        break;
+      case ReduceKind::kNone:
+        break;  // unreachable
+    }
+  }
+
+  /// The typed fold's pairs in key order, moved out.
+  std::vector<KeyValue> SortedPairs() {
+    // Keys are unique, so sorting the pairs sorts them by key.
+    std::sort(pairs_.begin(), pairs_.end());
+    return std::move(pairs_);
+  }
+
   /// Emits the accumulators in key order (KeyLess; numeric order for an
   /// int64 key).
   bool Emit(const RowSink& out) {
     if (typed_) {
-      // Keys are unique, so sorting the pairs sorts them by key.
-      std::sort(pairs_.begin(), pairs_.end());
-      for (const auto& pair : pairs_) {
-        if (!out(PairRecord(pair))) return false;
+      for (const KeyValue& pair : SortedPairs()) {
+        if (!out(PairRecord(node_.reduce_kind, pair))) return false;
       }
       return true;
     }
@@ -199,59 +288,24 @@ class ReduceFold {
   }
 
  private:
-  /// Folds a row of the declared shape; false when the row is not. A
-  /// kSumDouble accumulator holds its double's bits.
+  /// Folds a row of the declared shape; false when the row is not.
   bool AddTyped(const Record& row) {
     const bool sum_double = node_.reduce_kind == ReduceKind::kSumDouble;
     if (row.size() != 2 || !row[0].is_int64() ||
         (sum_double ? !row[1].is_double() : !row[1].is_int64())) {
       return false;
     }
-    const int64_t k = row[0].AsInt64();
-    const int64_t v = sum_double ? std::bit_cast<int64_t>(row[1].AsDouble())
-                                 : row[1].AsInt64();
-    bool inserted = false;
-    const int32_t slot = slots_.FindOrInsert(
-        HashInt64Key(k), [&](int32_t s) { return pairs_[s].first == k; },
-        &inserted);
-    if (inserted) {
-      pairs_.emplace_back(k, v);
-      return true;
-    }
-    int64_t& acc = pairs_[slot].second;
-    switch (node_.reduce_kind) {
-      case ReduceKind::kSumDouble:  // arrival order, as combine() folds
-        acc = std::bit_cast<int64_t>(std::bit_cast<double>(acc) +
-                                     row[1].AsDouble());
-        break;
-      case ReduceKind::kSumInt64:
-        acc = static_cast<int64_t>(static_cast<uint64_t>(acc) +
-                                   static_cast<uint64_t>(v));
-        break;
-      case ReduceKind::kMinInt64:
-        if (v < acc) acc = v;  // ties keep the accumulator
-        break;
-      case ReduceKind::kMaxInt64:
-        if (v > acc) acc = v;
-        break;
-      case ReduceKind::kNone:
-        break;  // unreachable
-    }
+    AddPair({row[0].AsInt64(), sum_double
+                                   ? std::bit_cast<int64_t>(row[1].AsDouble())
+                                   : row[1].AsInt64()});
     return true;
-  }
-
-  Record PairRecord(const std::pair<int64_t, int64_t>& pair) const {
-    return node_.reduce_kind == ReduceKind::kSumDouble
-               ? MakeRecord(pair.first, std::bit_cast<double>(pair.second))
-               : MakeRecord(pair.first, pair.second);
   }
 
   /// Leaves the typed fold: slot s's pair becomes accumulator record s, so
   /// the slot map (hashed with HashInt64Key == HashKey) carries over.
   void ToRecords() {
     typed_ = false;
-    acc_.reserve(pairs_.size());
-    for (const auto& pair : pairs_) acc_.push_back(PairRecord(pair));
+    acc_ = PairRecords(node_.reduce_kind, pairs_);
     pairs_ = {};
   }
 
@@ -259,7 +313,7 @@ class ReduceFold {
   const bool validate_;
   bool typed_;
   FlatSlotMap slots_;
-  std::vector<std::pair<int64_t, int64_t>> pairs_;
+  std::vector<KeyValue> pairs_;
   std::vector<Record> acc_;
 };
 
@@ -345,6 +399,8 @@ struct OpInputs {
   const PartitionedDataset* b = nullptr;
   /// Chained producers streaming input 0 / 1 instead of `a` / `b`.
   Stage* chain[2] = {nullptr, nullptr};
+  /// Reduce: the typed channel standing in for `a` (DESIGN.md §15).
+  const PairDataset* pairs = nullptr;
   /// Cross: the collected right side, broadcast to every partition.
   const std::vector<Record>* broadcast = nullptr;
   /// Join: the cached per-partition index over `a`; null = build one.
@@ -369,6 +425,7 @@ struct Stage {
   /// Chained: the rows its body emitted, per partition.
   std::vector<uint64_t> emitted;
   PartitionedDataset shuffled[2];
+  PairDataset pairs;
   std::vector<Record> broadcast;
   /// Cached sides: the entry and its pinned records (see Repin).
   ExecCache::Entry* entry[2] = {nullptr, nullptr};
@@ -388,8 +445,9 @@ bool RunBody(const PlanNode& node, const OpInputs& in, int p,
 
 /// Rows input `i` delivered to partition `p` (chained: once it ran).
 uint64_t RowsOf(const OpInputs& in, int i, int p) {
-  return in.chain[i] != nullptr ? in.chain[i]->emitted[p]
-                                : in.side(i)->partition(p).size();
+  if (in.chain[i] != nullptr) return in.chain[i]->emitted[p];
+  if (i == 0 && in.pairs != nullptr) return in.pairs->partition(p).size();
+  return in.side(i)->partition(p).size();
 }
 
 /// Runs chained producer `st` on partition `p` into `sink`, counting rows.
@@ -489,7 +547,12 @@ bool RunBody(const PlanNode& node, const OpInputs& in, int p,
       });
 
     case OpKind::kReduceByKey: {
-      ReduceFold fold(node, in.validate);
+      // A post-shuffle input is materialized: its row count sizes the map.
+      ReduceFold fold(node, in.validate, in.validate ? RowsOf(in, 0, p) : 0);
+      if (in.pairs != nullptr) {
+        for (const KeyValue& pair : in.pairs->partition(p)) fold.AddPair(pair);
+        return fold.Emit(out);
+      }
       return EachRow(in, 0, p, error,
                      [&](const Record& r) { return fold.Add(r, error); }) &&
              fold.Emit(out);
@@ -638,7 +701,9 @@ bool Streams(const Stage& st) {
   return st.in.chain[0] != nullptr || st.in.chain[1] != nullptr;
 }
 
-std::vector<uint64_t> Sizes(const PartitionedDataset& ds) {
+/// Rows per partition of a PartitionedDataset or a PairDataset.
+template <typename Dataset>
+std::vector<uint64_t> Sizes(const Dataset& ds) {
   std::vector<uint64_t> sizes(ds.num_partitions());
   for (int p = 0; p < ds.num_partitions(); ++p) {
     sizes[p] = ds.partition(p).size();
@@ -740,13 +805,15 @@ struct Executor::Pass {
         critical);
   }
 
-  /// A shuffle of `in_sizes` records per source into `out`, `moved` of them
-  /// crossing partitions. Execute charges the scatter's critical path and
-  /// the moved records and counts them as messages; a recovery re-ships to
-  /// the fresh workers only the records that land in lost partitions.
+  /// A shuffle of `in_sizes` records per source into `out_sizes` per
+  /// target, `moved` of them crossing partitions. Execute charges the
+  /// scatter's critical path and the moved records and counts them as
+  /// messages; a recovery re-ships to the fresh workers only the records
+  /// that land in lost partitions.
   void ChargeShuffle(const std::vector<uint64_t>& in_sizes, uint64_t moved,
-                     const PartitionedDataset& out, ExecStats* stats) const {
-    if (!lost.empty()) return ChargeNetwork(Landed(out));
+                     const std::vector<uint64_t>& out_sizes,
+                     ExecStats* stats) const {
+    if (!lost.empty()) return ChargeNetwork(Landed(out_sizes));
     ChargeCompute(in_sizes);
     ChargeNetwork(moved);
     if (stats != nullptr) stats->messages_shuffled += moved;
@@ -790,7 +857,7 @@ struct Executor::Pass {
       }
       out.partition(p) = channel->partition(p);
     }
-    ChargeNetwork(Landed(out));
+    ChargeNetwork(Landed(Sizes(out)));
     return out;
   }
 
@@ -808,11 +875,11 @@ struct Executor::Pass {
         records);
   }
 
-  /// Records of `ds` in lost partitions.
-  uint64_t Landed(const PartitionedDataset& ds) const {
+  /// Records of `sizes` (per partition) in lost partitions.
+  uint64_t Landed(const std::vector<uint64_t>& sizes) const {
     uint64_t records = 0;
-    for (int p = 0; p < ds.num_partitions(); ++p) {
-      if (lost[p]) records += ds.partition(p).size();
+    for (size_t p = 0; p < sizes.size(); ++p) {
+      if (lost[p]) records += sizes[p];
     }
     return records;
   }
@@ -844,138 +911,94 @@ void Executor::ForEachPartition(
                              offset);
 }
 
-template <typename Input>
-Result<PartitionedDataset> Executor::ShuffleImpl(const Pass& pass,
-                                                 Input&& input,
+template <typename Data>
+Result<std::decay_t<Data>> Executor::ShuffleImpl(const Pass& pass,
+                                                 Data&& input,
                                                  const KeyColumns& key,
                                                  ExecStats* stats,
-                                                 const PlanNode* node) const {
-  constexpr bool kMove = !std::is_lvalue_reference_v<Input>;
+                                                 const PlanNode* node,
+                                                 bool* in_place) const {
+  using Dataset = std::decay_t<Data>;
+  using Row = typename std::decay_t<decltype(input.partition(0))>::value_type;
+  constexpr bool kMove = !std::is_lvalue_reference_v<Data>;
   const int n = options_.num_partitions;
   const int sources = input.num_partitions();
 
   // Source sizes, captured up front: compute is charged on them, scatter
   // spans report them, and the move path releases source partitions as
   // soon as they are drained.
-  std::vector<uint64_t> in_sizes(sources);
-  for (int p = 0; p < sources; ++p) in_sizes[p] = input.partition(p).size();
+  const std::vector<uint64_t> in_sizes = Sizes(input);
+  auto records_of = [&](int base) -> std::function<int64_t(int)> {
+    return [&, base](int i) {
+      return static_cast<int64_t>(in_sizes[base + i]);
+    };
+  };
 
-  // Blocked scatter/gather pipeline: sources are scattered in blocks and
-  // each block's outboxes are drained into the output (in source order)
-  // before the next block scatters, so peak outbox memory is one block
-  // (~half the input) instead of the whole input. Within a target
-  // partition records still arrive in global source-partition order, so
-  // the result stays byte-identical to the old all-at-once two-phase
-  // shuffle — and to a serial single-pass one.
-  const int block = sources <= 1 ? 1 : (sources + 1) / 2;
-
-  PartitionedDataset out(n);
+  // Target pass: every source resolves each row's target partition in one
+  // parallel section, counting per target and what leaves. A typed pair's
+  // key is its int64; a record's single int64 key resolves off the flat
+  // key column. PartitionOf is HashKey % n and HashInt64Key is HashKey for
+  // that shape, so the targets are identical either way.
+  std::vector<std::vector<int32_t>> target(sources);
+  std::vector<std::vector<size_t>> counts(sources);
   std::vector<uint64_t> moved(sources, 0);
-  uint64_t outbox_peak = 0;
   std::vector<Status> key_errors(node != nullptr ? sources : 0);
-
-  runtime::TraceSpan scatter_span(pass.tracer,
+  runtime::TraceSpan targets_span(pass.tracer,
                                   runtime::SpanKind::kShuffleScatter,
-                                  "scatter");
-  {
-    // The gather span nests inside the scatter span (the phases now
-    // interleave per block); it must close first.
-    runtime::TraceSpan gather_span(pass.tracer,
-                                   runtime::SpanKind::kShuffleGather,
-                                   "gather");
-    for (int base = 0; base < sources; base += block) {
-      const int count = std::min(block, sources - base);
-      std::vector<std::vector<std::vector<Record>>> outbox(count);
-
-      std::function<int64_t(int)> records_of;
-      if (scatter_span.active()) {
-        records_of = [&](int i) {
-          return static_cast<int64_t>(in_sizes[base + i]);
+                                  "targets");
+  ForEachPartition(
+      pass, targets_span, sources,
+      [&](int p) {
+        const std::vector<Row>& src = input.partition(p);
+        std::vector<int32_t>& to = target[p];
+        counts[p].assign(n, 0);
+        to.resize(src.size());
+        auto place = [&](size_t r, uint64_t hash) {
+          const int t = static_cast<int>(hash % static_cast<uint64_t>(n));
+          to[r] = t;
+          ++counts[p][t];
+          if (t != p) ++moved[p];
         };
-      }
-      ForEachPartition(
-          pass, scatter_span, count,
-          [&](int i) {
-            const int p = base + i;
-            auto& boxes = outbox[i];
-            boxes.resize(n);
-            // Batch scatter (§12): resolve the whole key column to target
-            // partitions in one pass, size every outbox exactly, then move
-            // — no per-record push_back growth. Record order within each
-            // outbox is source order.
-            auto& src = input.partition(p);
-            std::vector<int32_t> target(src.size());
-            std::vector<size_t> counts(n, 0);
-            // Single-int64-key shuffles (every hot channel) resolve their
-            // targets off the flat key column. PartitionOf is HashKey % n
-            // and HashInt64Key is HashKey for this shape, so the targets
-            // are identical.
-            std::vector<int64_t> key64;
-            if (ExtractKey64(src, key, &key64)) {
-              for (size_t r = 0; r < src.size(); ++r) {
-                const int t = static_cast<int>(HashInt64Key(key64[r]) %
-                                               static_cast<uint64_t>(n));
-                target[r] = t;
-                ++counts[t];
-                if (t != p) ++moved[p];
-              }
-            } else {
-              for (size_t r = 0; r < src.size(); ++r) {
-                const int missing =
-                    node != nullptr ? MissingKeyColumn(src[r], key) : -1;
-                if (missing >= 0) {
-                  key_errors[p] = KeyColumnError(*node, missing, src[r]);
-                  return;
-                }
-                const int t = PartitionedDataset::PartitionOf(src[r], key, n);
-                target[r] = t;
-                ++counts[t];
-                if (t != p) ++moved[p];
-              }
+        if constexpr (std::is_same_v<Row, KeyValue>) {
+          for (size_t r = 0; r < src.size(); ++r) {
+            place(r, HashInt64Key(src[r].first));
+          }
+          return;
+        } else {
+          std::vector<int64_t> key64;
+          if (ExtractKey64(src, key, &key64)) {
+            for (size_t r = 0; r < src.size(); ++r) {
+              place(r, HashInt64Key(key64[r]));
             }
-            for (int t = 0; t < n; ++t) boxes[t].reserve(counts[t]);
-            if constexpr (kMove) {
-              for (size_t r = 0; r < src.size(); ++r) {
-                boxes[target[r]].push_back(std::move(src[r]));
-              }
-              input.ReleasePartition(p);
-            } else {
-              for (size_t r = 0; r < src.size(); ++r) {
-                boxes[target[r]].push_back(src[r]);
-              }
+            return;
+          }
+          for (size_t r = 0; r < src.size(); ++r) {
+            const int missing =
+                node != nullptr ? MissingKeyColumn(src[r], key) : -1;
+            if (missing >= 0) {
+              key_errors[p] = KeyColumnError(*node, missing, src[r]);
+              return;
             }
-          },
-          records_of, /*offset=*/base);
-
-      uint64_t block_records = 0;
-      for (int i = 0; i < count; ++i) block_records += in_sizes[base + i];
-      outbox_peak = std::max(outbox_peak, block_records);
-
-      // Drain this block's outboxes, freeing them before the next block
-      // scatters (the outbox vector's scope ends with the loop body).
-      ForEachPartition(pass, gather_span, n, [&](int t) {
-        std::vector<Record>& dst = out.partition(t);
-        size_t add = 0;
-        for (int i = 0; i < count; ++i) add += outbox[i][t].size();
-        dst.reserve(dst.size() + add);
-        for (int i = 0; i < count; ++i) {
-          for (Record& r : outbox[i][t]) dst.push_back(std::move(r));
+            place(r, HashKey(src[r], key));
+          }
         }
-      });
-    }
-    if (gather_span.active()) {
-      gather_span.AddArg("records", static_cast<int64_t>(out.NumRecords()));
-      // Peak records simultaneously buffered in outboxes — a pure function
-      // of the input sizes and the (deterministic) block schedule.
-      gather_span.AddArg("outbox_peak_records",
-                         static_cast<int64_t>(outbox_peak));
-    }
-  }
-
-  for (const Status& error : key_errors) FLINKLESS_RETURN_NOT_OK(error);
+      },
+      records_of(0));
 
   uint64_t total_moved = 0;
   for (uint64_t m : moved) total_moved += m;
+  if (targets_span.active()) {
+    targets_span.AddArg("messages", static_cast<int64_t>(total_moved));
+    if (per_partition_args_) {
+      PartitionKeyBuffer moved_key("moved_p");
+      for (int p = 0; p < sources; ++p) {
+        targets_span.AddArg(moved_key.Key(p), static_cast<int64_t>(moved[p]));
+      }
+    }
+  }
+  targets_span.Close();
+  for (const Status& error : key_errors) FLINKLESS_RETURN_NOT_OK(error);
+
   if (pass.metrics != nullptr) {
     // Per-source-partition shuffle fan-out: how many of partition p's
     // records left it for another partition. The counter makes skewed
@@ -987,18 +1010,88 @@ Result<PartitionedDataset> Executor::ShuffleImpl(const Pass& pass,
                             static_cast<int64_t>(moved[p]));
     }
   }
-  if (scatter_span.active()) {
-    scatter_span.AddArg("messages", static_cast<int64_t>(total_moved));
-    if (per_partition_args_) {
-      PartitionKeyBuffer moved_key("moved_p");
-      for (int p = 0; p < sources; ++p) {
-        scatter_span.AddArg(moved_key.Key(p), static_cast<int64_t>(moved[p]));
+
+  Dataset out(n);
+  if (sources == n && total_moved == 0 && (kMove || in_place != nullptr)) {
+    // Nothing leaves its partition (DESIGN.md §12): a moved input is the
+    // output, and a caller that can read the input where it is does so.
+    if constexpr (kMove) {
+      out = std::move(input);
+    } else {
+      *in_place = true;
+    }
+    pass.ChargeShuffle(in_sizes, 0, in_sizes, stats);
+    return out;
+  }
+
+  // Blocked scatter/gather pipeline: sources are scattered in blocks and
+  // each block's outboxes are drained into the output (in source order)
+  // before the next block scatters, so peak outbox memory is one block
+  // (~half the input) instead of the whole input. Within a target
+  // partition rows still arrive in global source-partition order, so the
+  // result stays byte-identical to the all-at-once two-phase shuffle — and
+  // to a serial single-pass one. Each block's scatter and gather are
+  // sibling spans.
+  const int block = sources <= 1 ? 1 : (sources + 1) / 2;
+  for (int base = 0; base < sources; base += block) {
+    const int count = std::min(block, sources - base);
+    std::vector<std::vector<std::vector<Row>>> outbox(count);
+    runtime::TraceSpan scatter_span(pass.tracer,
+                                    runtime::SpanKind::kShuffleScatter,
+                                    "scatter");
+    ForEachPartition(
+        pass, scatter_span, count,
+        [&](int i) {
+          // Every outbox is sized exactly by the target pass, then filled
+          // in source order — no per-row push_back growth.
+          const int p = base + i;
+          auto& src = input.partition(p);
+          const std::vector<int32_t>& to = target[p];
+          auto& boxes = outbox[i];
+          boxes.resize(n);
+          for (int t = 0; t < n; ++t) boxes[t].reserve(counts[p][t]);
+          if constexpr (kMove) {
+            for (size_t r = 0; r < src.size(); ++r) {
+              boxes[to[r]].push_back(std::move(src[r]));
+            }
+            input.ReleasePartition(p);
+          } else {
+            for (size_t r = 0; r < src.size(); ++r) {
+              boxes[to[r]].push_back(src[r]);
+            }
+          }
+          std::vector<int32_t>().swap(target[p]);
+        },
+        records_of(base), /*offset=*/base);
+    scatter_span.Close();
+
+    uint64_t block_records = 0;
+    for (int i = 0; i < count; ++i) block_records += in_sizes[base + i];
+    // Drain this block's outboxes, freeing them before the next block
+    // scatters (the outbox vector's scope ends with the loop body).
+    runtime::TraceSpan gather_span(pass.tracer,
+                                   runtime::SpanKind::kShuffleGather,
+                                   "gather");
+    ForEachPartition(pass, gather_span, n, [&](int t) {
+      std::vector<Row>& dst = out.partition(t);
+      size_t add = 0;
+      for (int i = 0; i < count; ++i) add += outbox[i][t].size();
+      dst.reserve(dst.size() + add);
+      for (int i = 0; i < count; ++i) {
+        for (Row& r : outbox[i][t]) dst.push_back(std::move(r));
       }
+    });
+    if (gather_span.active()) {
+      // The block's rows, all buffered in outboxes at once: the largest
+      // block's count is the shuffle's outbox peak, a pure function of the
+      // input sizes and the (deterministic) block schedule.
+      gather_span.AddArg("records", static_cast<int64_t>(block_records));
+      gather_span.AddArg("outbox_peak_records",
+                         static_cast<int64_t>(block_records));
     }
   }
-  scatter_span.Close();
 
-  pass.ChargeShuffle(in_sizes, total_moved, out, stats);
+  pass.ChargeShuffle(in_sizes, total_moved, Sizes(out), stats);
   return out;
 }
 
@@ -1081,15 +1174,19 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Run(
   };
 
   // An executor-owned result is released once the last section reading it
-  // has run (a local route reads at its consumer's runs_at), not at the end
-  // of Execute: peak memory drops. Plan outputs stay.
+  // has run, not at the end of Execute: peak memory drops. Plan outputs
+  // stay. A local route reads at its consumer's runs_at, and so may a
+  // shuffled one, whose consumer reads the input in place when no row
+  // moves; a pre-combine or broadcast input is read at the node's own
+  // position.
   std::vector<NodeId> release_at(num_nodes, -1);
   for (const PlanNode& node : plan.nodes()) {
     const std::vector<InputRoute> routes = InputRoutes(node);
     for (size_t i = 0; i < routes.size(); ++i) {
+      const bool at_own = routes[i].kind == InputRoute::kBroadcast ||
+                          routes[i].pre_combine;
       NodeId& at = release_at[node.inputs[i]];
-      at = std::max(at, routes[i].kind == InputRoute::kLocal ? runs_at[node.id]
-                                                              : node.id);
+      at = std::max(at, at_own ? node.id : runs_at[node.id]);
     }
   }
   for (const auto& [name, node] : plan.outputs()) release_at[node] = -1;
@@ -1140,23 +1237,21 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Run(
     }
   };
 
-  // Runs `node`'s body over `parts` in one parallel section, its chained
-  // producers streaming in, and materializes what it emits; the child
-  // spans carry input `traced`'s rows. Failures are checked in partition
-  // order, so the error is the one serial execution hits first. The
-  // producers are counted (charged, if streamed into) and appended to
-  // `members`.
-  auto run_section = [&](const PlanNode& node, const OpInputs& in,
-                         const std::vector<int>& parts,
+  // Runs `body` on each partition of `parts` in one parallel section, the
+  // chained producers of `in` streaming in; the child spans carry input
+  // `traced`'s rows. Failures are checked in partition order, so the error
+  // is the one serial execution hits first. The producers are counted
+  // (charged, if streamed into) and appended to `members`.
+  auto run_section = [&](const OpInputs& in, const std::vector<int>& parts,
                          const runtime::TraceSpan& span, int traced,
-                         std::vector<NodeId>* members)
-      -> Result<PartitionedDataset> {
+                         std::vector<NodeId>* members,
+                         const std::function<void(int, Status*)>& body)
+      -> Status {
     const size_t first = members->size();
     ChainMembers(in, members);
     for (size_t m = first; m < members->size(); ++m) {
       Repin(plan.node((*members)[m]), &stages[(*members)[m]]);
     }
-    PartitionedDataset out(n);
     std::vector<Status> status(parts.size());
     std::function<int64_t(int)> records_of;
     if (span.active()) {
@@ -1166,17 +1261,7 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Run(
     }
     ForEachPartition(
         pass, span, static_cast<int>(parts.size()),
-        [&](int i) {
-          std::vector<Record>& rows = out.partition(parts[i]);
-          RunBody(
-              node, in, parts[i],
-              [&rows](Record&& r) {
-                rows.push_back(std::move(r));
-                return true;
-              },
-              &status[i]);
-        },
-        records_of);
+        [&](int i) { body(parts[i], &status[i]); }, records_of);
     for (const Status& s : status) FLINKLESS_RETURN_NOT_OK(s);
     for (size_t m = first; m < members->size(); ++m) {
       const Stage& member = stages[(*members)[m]];
@@ -1186,7 +1271,62 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Run(
       }
       local_stats.node_output_counts[member.node->name] += Sum(member.emitted);
     }
-    return out;
+    return Status::OK();
+  };
+
+  // A materializing sink into partition `p` of `out`.
+  auto append_to = [](PartitionedDataset& out, int p) {
+    return [&rows = out.partition(p)](Record&& r) {
+      rows.push_back(std::move(r));
+      return true;
+    };
+  };
+
+  // The pre-combine of reduce `node`'s input under `in` on `parts`, shuffled
+  // into `st`: the typed channel (st->pairs) when every partition's fold
+  // stayed typed, else the records of every fold (st->shuffled[0]), the
+  // typed ones emitted as records, exactly what Emit would have built.
+  auto combine_and_shuffle = [&](const PlanNode& node, const OpInputs& in,
+                                 const std::vector<int>& parts,
+                                 const runtime::TraceSpan& span, Stage* st,
+                                 std::vector<NodeId>* members) -> Status {
+    PairDataset pairs(n);
+    PartitionedDataset records(n);
+    std::vector<uint8_t> typed(n, 0);
+    FLINKLESS_RETURN_NOT_OK(run_section(
+        in, parts, span, 0, members, [&](int p, Status* error) {
+          ReduceFold fold(node, /*validate=*/false);
+          if (!EachRow(in, 0, p, error,
+                       [&](const Record& r) { return fold.Add(r, error); })) {
+            return;
+          }
+          typed[p] = fold.typed();
+          if (typed[p]) {
+            pairs.partition(p) = fold.SortedPairs();
+          } else {
+            fold.Emit(append_to(records, p));
+          }
+        }));
+    const bool all_typed = std::all_of(parts.begin(), parts.end(),
+                                       [&](int p) { return typed[p] != 0; });
+    const KeyColumns& key = node.left_key;
+    if (all_typed) {
+      FLINKLESS_ASSIGN_OR_RETURN(
+          st->pairs,
+          ShuffleImpl(pass, std::move(pairs), key, &local_stats, &node));
+      st->in.pairs = &st->pairs;
+      return Status::OK();
+    }
+    for (int p : parts) {
+      if (typed[p] != 0) {
+        records.partition(p) =
+            PairRecords(node.reduce_kind, pairs.partition(p));
+      }
+    }
+    FLINKLESS_ASSIGN_OR_RETURN(
+        st->shuffled[0],
+        ShuffleImpl(pass, std::move(records), key, &local_stats, &node));
+    return Status::OK();
   };
 
   // Input `i` of loop-variant `node` when it is a loop-invariant shuffled
@@ -1314,6 +1454,8 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Run(
       // in a recovery, read back from the log) in port order and logged in
       // port order.
       const PartitionedDataset* side[2] = {nullptr, nullptr};
+      // Which sides went through a shuffle (or were read back from the log).
+      bool shuffled[2] = {false, false};
       st.in.metrics = pass.metrics;
       for (size_t i = 0; i < routes.size(); ++i) {
         if (routes[i].kind == InputRoute::kLocal &&
@@ -1342,6 +1484,7 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Run(
           FLINKLESS_ASSIGN_OR_RETURN(
               st.shuffled[i], pass.ReadBack(node, routes[i], &local_stats));
           side[i] = &st.shuffled[i];
+          shuffled[i] = true;
           continue;
         }
         if (routes[i].pre_combine) {
@@ -1353,19 +1496,14 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Run(
           } else {
             pre.in.a = &input_of(input);
           }
-          FLINKLESS_ASSIGN_OR_RETURN(
-              PartitionedDataset combined,
-              run_section(node, pre.in, pass.parts[input], op_span, 0,
-                          &members));
+          FLINKLESS_RETURN_NOT_OK(combine_and_shuffle(
+              node, pre.in, pass.parts[input], op_span, &st, &members));
           std::vector<uint64_t> rows(n);
           for (int p = 0; p < n; ++p) rows[p] = RowsOf(pre.in, 0, p);
           ObserveBatchRows(pass.metrics, rows);
           charge(pre, 1, pass.parts[input]);
-          FLINKLESS_ASSIGN_OR_RETURN(
-              st.shuffled[i],
-              ShuffleImpl(pass, std::move(combined), *routes[i].key,
-                          &local_stats, &node));
-          side[i] = &st.shuffled[i];
+          if (st.in.pairs == nullptr) side[i] = &st.shuffled[i];
+          shuffled[i] = true;
           continue;
         }
         const PartitionedDataset& in = input_of(input);
@@ -1375,26 +1513,33 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Run(
           pass.ChargeBroadcast(st.broadcast.size(), &local_stats);
           st.in.broadcast = &st.broadcast;
         } else if (routes[i].kind == InputRoute::kShuffled) {
+          bool in_place = false;
           FLINKLESS_ASSIGN_OR_RETURN(
-              st.shuffled[i],
-              ShuffleImpl(pass, in, *routes[i].key, &local_stats, &node));
-          side[i] = &st.shuffled[i];
+              st.shuffled[i], ShuffleImpl(pass, in, *routes[i].key,
+                                          &local_stats, &node, &in_place));
+          if (!in_place) side[i] = &st.shuffled[i];
+          shuffled[i] = true;
         }
       }
       // Outbound message log (DESIGN.md §14): loop-variant channels are
-      // appended post-gather.
+      // appended post-gather, a typed channel as the records it stands for.
       for (size_t i = 0; i < routes.size(); ++i) {
-        if (side[i] == &st.shuffled[i] && pass.appended[node.inputs[i]]) {
-          FLINKLESS_RETURN_NOT_OK(pass.log->Append(
-              MsglogChannel(node.id, routes[i].port), st.shuffled[i],
-              pass.tracer));
-        }
+        if (!shuffled[i] || !pass.appended[node.inputs[i]]) continue;
+        const std::string channel = MsglogChannel(node.id, routes[i].port);
+        FLINKLESS_RETURN_NOT_OK(
+            i == 0 && st.in.pairs != nullptr
+                ? pass.log->Append(channel,
+                                   st.pairs.ToRecords(node.reduce_kind),
+                                   pass.tracer)
+                : pass.log->Append(channel, *side[i], pass.tracer));
       }
       // Batch sizes of the flat kernels' input side: the reduce input and
       // the join build side (a cached build side is observed when its
       // index is built).
-      if (side[0] == &st.shuffled[0] && node.kind != OpKind::kCoGroup) {
-        ObserveBatchRows(pass.metrics, Sizes(st.shuffled[0]));
+      if (shuffled[0] && node.kind != OpKind::kCoGroup) {
+        ObserveBatchRows(pass.metrics, st.in.pairs != nullptr
+                                           ? Sizes(st.pairs)
+                                           : Sizes(*side[0]));
       }
       st.in.a = side[0];
       st.in.b = side[1];
@@ -1406,10 +1551,12 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Run(
       } else {
         for (auto& [key, value] : st.span_args) op_span.AddArg(key, value);
         Repin(node, &st);
-        FLINKLESS_ASSIGN_OR_RETURN(
-            PartitionedDataset out,
-            run_section(node, st.in, parts, op_span, st.cached[0] ? 1 : 0,
-                        &members));
+        PartitionedDataset out(n);
+        FLINKLESS_RETURN_NOT_OK(run_section(
+            st.in, parts, op_span, st.cached[0] ? 1 : 0, &members,
+            [&](int p, Status* error) {
+              RunBody(node, st.in, p, append_to(out, p), error);
+            }));
         charge(st, routes.size(), parts);
         local_stats.node_output_counts[node.name] += out.NumRecords();
         push_owned(std::move(out));

@@ -17,6 +17,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/result.h"
@@ -79,9 +80,13 @@ struct ExecOptions {
 
   /// Worker threads evaluating per-partition operator instances: 1 = serial
   /// execution on the calling thread (the default), 0 = one thread per
-  /// hardware core, anything else is taken literally. Outputs, ExecStats,
-  /// and simulated-time charges are identical for every value — parallelism
-  /// only changes wall-clock time (see DESIGN.md "Threading model").
+  /// hardware core, anything else is taken literally. Above 1 the executor
+  /// owns a pool of `num_threads` workers, and the calling thread works
+  /// beside them in every parallel section: a 2-thread executor computes on
+  /// up to 3 cores (capped at the hardware's), so a measured pool
+  /// utilization can exceed 1. Outputs, ExecStats, and simulated-time
+  /// charges are identical for every value — parallelism only changes
+  /// wall-clock time (see DESIGN.md "Threading model").
   int num_threads = 1;
 
   /// Optional trace recorder. When set, Execute/Shuffle record one span per
@@ -142,10 +147,12 @@ class Executor {
 
   /// Hash-repartitions `input` on `key`, counting moved records into `stats`
   /// and charging the clock: the shuffle Execute runs for a keyed input,
-  /// exposed for tests and micro-benchmarks. Two-phase: every source
-  /// partition scatters into its own N-way outbox (in parallel), then every
-  /// target partition concatenates its outboxes in source order — so the
-  /// result is byte-identical to a serial single-pass shuffle.
+  /// exposed for tests and micro-benchmarks. A target pass first resolves
+  /// every row's partition; then every source partition scatters into its
+  /// own N-way outbox (in parallel), and every target partition
+  /// concatenates its outboxes in source order — so the result is
+  /// byte-identical to a serial single-pass shuffle. The result is always
+  /// a new dataset; only Execute reads an unmoved input in place.
   PartitionedDataset Shuffle(const PartitionedDataset& input,
                              const KeyColumns& key, ExecStats* stats) const;
 
@@ -202,14 +209,20 @@ class Executor {
                         const std::function<int64_t(int)>& records_of = {},
                         int offset = 0) const;
 
-  /// Shuffle of `node`'s input under `pass`. With `node` set, a row too
-  /// short for `key` fails it with an OutOfRange naming the node instead of
-  /// aborting (the public Shuffle keeps the CHECK).
-  template <typename Input>
-  Result<PartitionedDataset> ShuffleImpl(const Pass& pass, Input&& input,
+  /// Shuffle of `node`'s input under `pass`: a PartitionedDataset, or a
+  /// declared reduce's typed pairs (executor.cc), copied from an lvalue and
+  /// moved from an rvalue. With `node` set, a row too short for `key` fails
+  /// it with an OutOfRange naming the node instead of aborting (the public
+  /// Shuffle keeps the CHECK). When no row leaves its partition, a moved
+  /// input is returned as it is, and with `in_place` set an lvalue input is
+  /// not copied: *in_place becomes true, the result is empty, and the
+  /// caller reads `input` where it is (DESIGN.md §12).
+  template <typename Data>
+  Result<std::decay_t<Data>> ShuffleImpl(const Pass& pass, Data&& input,
                                          const KeyColumns& key,
                                          ExecStats* stats,
-                                         const PlanNode* node = nullptr) const;
+                                         const PlanNode* node = nullptr,
+                                         bool* in_place = nullptr) const;
 
   ExecOptions options_;
   /// Record per-partition span args ("out_p<i>", "moved_p<i>")? They cost

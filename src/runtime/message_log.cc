@@ -111,12 +111,12 @@ void MessageLog::BeginSuperstep(int iteration) {
 }
 
 Status MessageLog::Append(const std::string& channel,
-                          const PartitionedDataset& shuffled,
-                          Tracer* tracer) {
+                          PartitionedDataset shuffled_data, Tracer* tracer) {
   TraceSpan span(tracer, SpanKind::kMessageLogAppend, channel);
-  auto segment =
-      std::make_unique<Segment>(SpillKey(channel), shuffled, storage_);
+  auto segment = std::make_unique<Segment>(
+      SpillKey(channel), std::move(shuffled_data), storage_);
   Segment* seg = segment.get();
+  const PartitionedDataset& shuffled = seg->data();
   auto [it, inserted] = channels_.insert_or_assign(channel, std::move(segment));
   FLINKLESS_CHECK(inserted, "msglog channel appended twice in one superstep");
   appended_bytes_ += seg->serialized_bytes();

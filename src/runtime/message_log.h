@@ -76,8 +76,8 @@ class MessageLog {
 
   int superstep() const { return superstep_; }
 
-  /// Records one shuffled channel: a deep copy of the post-gather dataset
-  /// (all partitions). Emits a "msglog.append" span and msglog.* metrics
+  /// Records one shuffled channel: the post-gather dataset (all
+  /// partitions), copied when passed as an lvalue. Emits a "msglog.append" span and msglog.* metrics
   /// and registers the copy with the memory manager — but does NOT enforce
   /// the budget: Append runs mid-Execute, where eviction could spill a
   /// cache segment an operator is holding. The drivers' superstep-boundary
@@ -85,7 +85,7 @@ class MessageLog {
   /// instead. Charges nothing to the SimClock: with an unlimited budget a
   /// logged run is bit-identical to an unlogged one.
   Status Append(const std::string& channel,
-                const dataflow::PartitionedDataset& shuffled, Tracer* tracer);
+                dataflow::PartitionedDataset shuffled, Tracer* tracer);
 
   bool Has(const std::string& channel) const;
 

@@ -6,11 +6,14 @@
 // any thread count, with and without the loop-invariant cache. The
 // streamed reduce fold keeps the typed fold's fallback and every error.
 // Confined-log Replay, which runs the same loop, rebuilds every shipped
-// plan's lost partitions byte for byte.
+// plan's lost partitions byte for byte. A declared reduce's typed channel
+// and an input read in place (DESIGN.md §12, §15) are invisible the same
+// way, logged channels included.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <string>
 #include <tuple>
@@ -316,6 +319,238 @@ TEST_P(ShippedPlanReplayTest, ReplayedPartitionsMatchExecute) {
 INSTANTIATE_TEST_SUITE_P(StepPlans, ShippedPlanReplayTest, StepCases(),
                          CaseName);
 
+// ------------------------------------ typed channels, in-place inputs --
+
+/// `plan` rebuilt through the public builder without its DeclareReduce
+/// calls, so every reduce folds records with its combiner. Covers the
+/// operator kinds of the PageRank and CC step plans.
+Plan Undeclared(const Plan& plan) {
+  using dataflow::OpKind;
+  Plan copy;
+  for (const dataflow::PlanNode& node : plan.nodes()) {
+    const std::vector<dataflow::NodeId>& in = node.inputs;
+    switch (node.kind) {
+      case OpKind::kSource:
+        copy.Source(node.source_name);
+        break;
+      case OpKind::kMap:
+        copy.Map(in[0], node.map_fn, node.name);
+        break;
+      case OpKind::kFlatMap:
+        copy.FlatMap(in[0], node.flat_map_fn, node.name);
+        break;
+      case OpKind::kUnion:
+        copy.Union(in[0], in[1], node.name);
+        break;
+      case OpKind::kCross:
+        copy.Cross(in[0], in[1], node.join_fn, node.name);
+        break;
+      case OpKind::kJoin:
+        copy.Join(in[0], in[1], node.left_key, node.right_key, node.join_fn,
+                  node.name);
+        break;
+      case OpKind::kReduceByKey:
+        copy.ReduceByKey(in[0], node.left_key, node.combine_fn, node.name,
+                         node.pre_combine);
+        break;
+      default:
+        ADD_FAILURE() << "Undeclared: unhandled operator " << node.name;
+        return copy;
+    }
+  }
+  for (const auto& [name, id] : plan.outputs()) copy.Output(id, name);
+  return copy;
+}
+
+/// The declared reduces of `plan`, by name.
+std::vector<std::string> DeclaredReduces(const Plan& plan) {
+  std::vector<std::string> names;
+  for (const dataflow::PlanNode& node : plan.nodes()) {
+    if (node.reduce_kind != dataflow::ReduceKind::kNone) {
+      names.push_back(node.name);
+    }
+  }
+  return names;
+}
+
+void ExpectSameRuns(const RunResult& got, const RunResult& want) {
+  ASSERT_EQ(got.outputs.size(), want.outputs.size());
+  for (size_t step = 0; step < got.outputs.size(); ++step) {
+    ASSERT_EQ(got.outputs[step].size(), want.outputs[step].size());
+    for (const auto& [name, ds] : got.outputs[step]) {
+      const PartitionedDataset& other = want.outputs[step].at(name);
+      ASSERT_EQ(ds.num_partitions(), other.num_partitions());
+      for (int p = 0; p < ds.num_partitions(); ++p) {
+        EXPECT_EQ(ds.partition(p), other.partition(p))
+            << name << " step " << step << " partition " << p;
+      }
+    }
+    ExpectSameStats(got.stats[step], want.stats[step]);
+  }
+  EXPECT_EQ(got.sim, want.sim);
+  EXPECT_EQ(got.metrics.counters, want.metrics.counters);
+  EXPECT_EQ(got.metrics.histograms, want.metrics.histograms);
+}
+
+using DeclaredParam = std::tuple<std::string, int>;
+
+class DeclaredReduceTest : public ::testing::TestWithParam<DeclaredParam> {};
+
+TEST_P(DeclaredReduceTest, ShippedDeclarationChangesNothingObservable) {
+  // PageRank's recompute-ranks and dangling-mass and CC's candidate-label
+  // ship their pre-combined partials as typed pairs; the same plan without
+  // the declarations ships records. Outputs, ExecStats, the SimClock per
+  // charge and the metrics snapshot must not tell them apart.
+  const auto& [algo, threads] = GetParam();
+  const StepCase c = MakeCase(algo);
+  const std::vector<std::string> kDeclared =
+      algo == "pagerank"
+          ? std::vector<std::string>{"recompute-ranks", "dangling-mass"}
+          : std::vector<std::string>{"candidate-label"};
+  ASSERT_EQ(DeclaredReduces(c.plan), kDeclared);
+  const Plan undeclared = Undeclared(c.plan);
+  ASSERT_TRUE(DeclaredReduces(undeclared).empty());
+  ASSERT_EQ(undeclared.Explain(), c.plan.Explain());
+  for (bool cache : {false, true}) {
+    SCOPED_TRACE(cache ? "cache" : "no cache");
+    ExpectSameRuns(RunSteps(c, c.plan, threads, cache),
+                   RunSteps(c, undeclared, threads, cache));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ShippedReduces, DeclaredReduceTest,
+    ::testing::Combine(::testing::Values("pagerank", "cc"),
+                       ::testing::Values(1, 2, 8)),
+    [](const ::testing::TestParamInfo<DeclaredParam>& info) {
+      return std::get<0>(info.param) + "_t" +
+             std::to_string(std::get<1>(info.param));
+    });
+
+TEST(InPlaceTest, ConfinedLogAppendsInPlaceAndTypedChannels) {
+  // The shipped plans' volatile state is hash-partitioned on the join key,
+  // so its shuffles read it in place, and their declared reduces ship
+  // typed pairs. Every loop-variant channel must still be logged, an
+  // in-place one with the input's own bytes, and Replay must rebuild the
+  // lost partitions from them byte for byte.
+  for (const std::string algo : {"pagerank", "cc"}) {
+    SCOPED_TRACE(algo);
+    const StepCase c = MakeCase(algo);
+    runtime::MessageLog log(c.volatile_bindings);
+    ExecOptions options;
+    options.num_partitions = kParts;
+    options.num_threads = 2;
+    options.message_log = &log;
+    Executor executor(options);
+    Bindings bindings, statics;
+    for (const auto& [name, ds] : c.data) {
+      bindings[name] = &ds;
+      if (std::find(c.volatile_bindings.begin(), c.volatile_bindings.end(),
+                    name) == c.volatile_bindings.end()) {
+        statics[name] = &ds;
+      }
+    }
+    auto executed = executor.Execute(c.plan, bindings, nullptr);
+    ASSERT_TRUE(executed.ok()) << executed.status().ToString();
+
+    const std::vector<bool> invariant =
+        c.plan.InvariantNodes(c.volatile_bindings);
+    int logged = 0;
+    for (const dataflow::PlanNode& node : c.plan.nodes()) {
+      const std::vector<dataflow::InputRoute> routes = InputRoutes(node);
+      for (size_t i = 0; i < routes.size(); ++i) {
+        if (routes[i].kind != dataflow::InputRoute::kShuffled ||
+            invariant[node.inputs[i]]) {
+          continue;
+        }
+        char channel[32];
+        std::snprintf(channel, sizeof(channel), "n%04d.%s", node.id,
+                      routes[i].port);
+        ASSERT_TRUE(log.Has(channel)) << channel;
+        ++logged;
+        const dataflow::PlanNode& input = c.plan.node(node.inputs[i]);
+        if (input.kind != dataflow::OpKind::kSource) continue;
+        // A hash-partitioned volatile source was read in place.
+        auto data = log.Channel(channel, nullptr);
+        ASSERT_TRUE(data.ok());
+        const PartitionedDataset& source = c.data.at(input.source_name);
+        for (int p = 0; p < kParts; ++p) {
+          EXPECT_EQ((*data)->partition(p), source.partition(p)) << channel;
+        }
+      }
+    }
+    EXPECT_EQ(logged, 4);
+    for (const std::vector<int>& lost :
+         {std::vector<int>{1}, std::vector<int>{0, 2, 3}}) {
+      auto replayed = executor.Replay(c.plan, statics, lost, &log, nullptr);
+      ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+      for (const auto& [name, ds] : *executed) {
+        for (int p : lost) {
+          EXPECT_EQ(replayed->at(name).partition(p), ds.partition(p))
+              << name << " partition " << p;
+        }
+      }
+    }
+  }
+}
+
+TEST(InPlaceTest, ChainedJoinReadsInPlaceSideAfterItsOwnPosition) {
+  // Regression: "sums" is partitioned on the join key, so "joined" reads
+  // it in place; "joined" is chained into "out" and runs at out's position,
+  // after its own. The executor must keep "sums" alive until then (CC's
+  // candidate-label, read by label-update chained into updated-labels, is
+  // the shipped instance).
+  Plan plan;
+  auto in = plan.Source("in");
+  auto other = plan.Source("other");
+  auto sums = plan.ReduceByKey(
+      in, {0},
+      [](const Record& a, const Record& b) {
+        return MakeRecord(a[0].AsInt64(), a[1].AsInt64() + b[1].AsInt64());
+      },
+      "sums");
+  auto joined = plan.Join(
+      sums, other, {0}, {0},
+      [](const Record& l, const Record& r) {
+        return MakeRecord(l[0].AsInt64(), l[1].AsInt64() * r[1].AsInt64());
+      },
+      "joined");
+  auto out = plan.Map(joined, [](const Record& r) { return r; }, "out");
+  plan.Output(out, "out");
+
+  std::vector<Record> rows, others;
+  for (int64_t i = 0; i < 300; ++i) rows.push_back(MakeRecord(i % 37, i));
+  for (int64_t k = 0; k < 37; ++k) others.push_back(MakeRecord(k, k + 2));
+  const PartitionedDataset data =
+      PartitionedDataset::RoundRobin(std::move(rows), kParts);
+  const PartitionedDataset other_data = Hashed(std::move(others));
+  for (int threads : {1, 4}) {
+    ExecOptions options;
+    options.num_partitions = kParts;
+    options.num_threads = threads;
+    runtime::Tracer tracer;
+    options.tracer = &tracer;
+    Executor executor(options);
+    const Bindings bindings = {{"in", &data}, {"other", &other_data}};
+    auto chained = executor.Execute(plan, bindings, nullptr);
+    auto materialized = executor.Execute(Materialized(plan), bindings, nullptr);
+    ASSERT_TRUE(chained.ok()) << chained.status().ToString();
+    ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
+    for (int p = 0; p < kParts; ++p) {
+      EXPECT_EQ(chained->at("out").partition(p),
+                materialized->at("out").partition(p));
+    }
+    EXPECT_EQ(chained->at("out").NumRecords(), 37u);
+    // Per Execute, only the sums pre-combine's shuffle gathers: both join
+    // sides are read in place.
+    int gathers = 0;
+    for (const auto& e : tracer.Flush().events) {
+      gathers += e.category == "shuffle.gather" && e.partition < 0 ? 1 : 0;
+    }
+    EXPECT_EQ(gathers, 2 * 2);
+  }
+}
+
 TEST(ChainingSpillTest, ChainedJoinSurvivesItsBuildSideSpillingBeforeItRuns) {
   // "first" is chained into "out-first", whose position comes after the
   // "second" join: filling or reloading the second build side under a
@@ -452,6 +687,53 @@ TEST(StreamedFoldTest, TypedFoldFallsBackMidPartitionWithSameOutput) {
                 generic->at("out").partition(p));
     }
     EXPECT_EQ(chained->at("out").NumRecords(), 7u);
+  }
+}
+
+TEST(StreamedFoldTest, ChannelTakesRecordPathWhenOneSourceLeavesTheShape) {
+  // One source partition's fold leaves the typed shape partway through, so
+  // the whole channel ships records: the declared plan's outputs,
+  // ExecStats, SimClock charges and metrics equal the undeclared plan's.
+  const PartitionedDataset in = KeyValues(400);
+  auto map = [](const Record& r) {
+    if (r[1].AsDouble() == 0.5 * 200 + 0.125) {
+      return MakeRecord(r[0].AsInt64(), int64_t{3});
+    }
+    return r;
+  };
+  auto run = [&](bool declare, int threads) {
+    runtime::SimClock clock;
+    runtime::CostModel costs;
+    runtime::MetricsSink metrics;
+    ExecOptions options;
+    options.num_partitions = kParts;
+    options.num_threads = threads;
+    options.clock = &clock;
+    options.costs = &costs;
+    options.metrics = &metrics;
+    Executor executor(options);
+    ExecStats stats;
+    auto out = executor.Execute(FoldPlan(map, SumAny, declare), {{"in", &in}},
+                                &stats);
+    EXPECT_TRUE(out.ok()) << out.status().ToString();
+    RunResult result;
+    if (out.ok()) result.outputs.push_back(std::move(*out));
+    result.stats.push_back(stats);
+    for (int ch = 0; ch < runtime::kNumCharges; ++ch) {
+      const auto charge = static_cast<runtime::Charge>(ch);
+      result.sim[charge] = clock.Of(charge);
+    }
+    result.metrics = metrics.Collect();
+    result.metrics.counters.erase(runtime::metric::kPoolParallelSections);
+    result.metrics.counters.erase(runtime::metric::kPoolTasks);
+    return result;
+  };
+  for (int threads : {1, 2, 8}) {
+    SCOPED_TRACE(threads);
+    const RunResult declared = run(true, threads);
+    ExpectSameRuns(declared, run(false, threads));
+    ASSERT_EQ(declared.outputs.size(), 1u);
+    EXPECT_EQ(declared.outputs[0].at("out").NumRecords(), 7u);
   }
 }
 

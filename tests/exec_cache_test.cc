@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -433,9 +434,11 @@ TEST(ExecCacheTest, TraceMarksBuildsAndHits) {
 }
 
 TEST(ExecCacheTest, StreamingGatherBoundsOutboxPeak) {
-  // The blocked shuffle drains outboxes midway: the recorded peak must be
-  // deterministic and strictly below the total record count (all sources
-  // materialized at once), yet at least one block's worth.
+  // The blocked shuffle drains outboxes midway: each block's gather span
+  // records the rows its block buffered, and the largest of them, the
+  // shuffle's peak, must be deterministic and strictly below the total
+  // record count (all sources materialized at once), yet at least one
+  // block's worth.
   const int parts = 8;
   std::vector<Record> records;
   for (int64_t i = 0; i < 4000; ++i) {
@@ -454,9 +457,8 @@ TEST(ExecCacheTest, StreamingGatherBoundsOutboxPeak) {
     executor.Shuffle(in, {0}, &stats);
     int64_t peak = -1;
     for (const auto& e : tracer.Flush().events) {
-      if (e.category == "shuffle.gather" && e.parent_seq != 0 &&
-          e.Arg("outbox_peak_records", -1) >= 0 && e.partition == -1) {
-        peak = e.Arg("outbox_peak_records");
+      if (e.category == "shuffle.gather" && e.partition == -1) {
+        peak = std::max(peak, e.Arg("outbox_peak_records", -1));
       }
     }
     return peak;

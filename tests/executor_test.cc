@@ -7,8 +7,11 @@
 
 #include <algorithm>
 
+#include "dataflow/exec_cache.h"
 #include "dataflow/executor.h"
 #include "runtime/message_log.h"
+#include "runtime/metrics.h"
+#include "runtime/tracing.h"
 
 namespace flinkless::dataflow {
 namespace {
@@ -548,6 +551,95 @@ TEST_F(ExecutorTest, ChargesComputeAndNetworkCosts) {
   EXPECT_EQ(clock.Of(runtime::Charge::kNetwork),
             static_cast<int64_t>(stats.messages_shuffled) * 100);
   EXPECT_GT(clock.Of(runtime::Charge::kCompute), 0);
+}
+
+TEST_F(ExecutorTest, AlreadyPartitionedProbeSideIsReadInPlace) {
+  // The probe side is hash-partitioned on its join key, so its shuffle's
+  // target pass finds nothing to move and the join reads it where it is.
+  // The oracle is the same first superstep with the probe side a
+  // loop-invariant cache fill, which always copies through the
+  // scatter/gather: both must charge and record the same.
+  Plan plan;
+  auto build = plan.Source("build");
+  auto probe = plan.Source("probe");
+  auto joined = plan.Join(
+      build, probe, {0}, {0},
+      [](const Record& b, const Record& p) {
+        return MakeRecord(p[0].AsInt64(), b[1].AsInt64() + p[1].AsInt64());
+      },
+      "joined");
+  plan.Output(joined, "out");
+  std::vector<Record> builds;
+  for (int64_t i = 0; i < 120; ++i) builds.push_back(MakeRecord(i % 29, i));
+  const PartitionedDataset build_data =
+      PartitionedDataset::RoundRobin(std::move(builds), kParts);
+  std::vector<std::pair<int64_t, int64_t>> probes;
+  for (int64_t i = 0; i < 90; ++i) probes.emplace_back(i % 41, 3 * i);
+  const PartitionedDataset probe_data = KeyValues(probes, kParts);
+
+  struct Run {
+    std::map<std::string, PartitionedDataset> out;
+    ExecStats stats;
+    std::map<runtime::Charge, int64_t> sim;
+    runtime::MetricsSnapshot metrics;
+    int gathers = 0;
+  };
+  auto run = [&](bool cache_probe, int threads) {
+    runtime::SimClock clock;
+    runtime::CostModel costs;
+    runtime::MetricsSink metrics;
+    runtime::Tracer tracer;
+    ExecCache cache({"build"});
+    ExecOptions options{kParts, &clock, &costs};
+    options.num_threads = threads;
+    options.metrics = &metrics;
+    options.tracer = &tracer;
+    options.cache = cache_probe ? &cache : nullptr;
+    Executor executor(options);
+    Run r;
+    auto out = executor.Execute(
+        plan, {{"build", &build_data}, {"probe", &probe_data}}, &r.stats);
+    EXPECT_TRUE(out.ok()) << out.status().ToString();
+    if (out.ok()) r.out = std::move(*out);
+    for (int ch = 0; ch < runtime::kNumCharges; ++ch) {
+      const auto charge = static_cast<runtime::Charge>(ch);
+      r.sim[charge] = clock.Of(charge);
+    }
+    r.metrics = metrics.Collect();
+    for (const auto& e : tracer.Flush().events) {
+      r.gathers += e.category == "shuffle.gather" && e.partition < 0 ? 1 : 0;
+    }
+    return r;
+  };
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    const Run in_place = run(false, threads);
+    const Run copied = run(true, threads);
+    ASSERT_EQ(in_place.out.size(), 1u);
+    for (int p = 0; p < kParts; ++p) {
+      EXPECT_EQ(in_place.out.at("out").partition(p),
+                copied.out.at("out").partition(p));
+    }
+    EXPECT_GT(in_place.out.at("out").NumRecords(), 0u);
+    EXPECT_EQ(in_place.stats.records_processed,
+              copied.stats.records_processed);
+    EXPECT_EQ(in_place.stats.messages_shuffled,
+              copied.stats.messages_shuffled);
+    EXPECT_EQ(in_place.sim, copied.sim);
+    using runtime::metric::kHistBatchRows;
+    using runtime::metric::kHistShuffleFanout;
+    using runtime::metric::kShuffleFanout;
+    EXPECT_EQ(in_place.metrics.counters.at(kShuffleFanout),
+              copied.metrics.counters.at(kShuffleFanout));
+    EXPECT_EQ(in_place.metrics.histograms.at(kHistShuffleFanout),
+              copied.metrics.histograms.at(kHistShuffleFanout));
+    EXPECT_EQ(in_place.metrics.histograms.at(kHistBatchRows),
+              copied.metrics.histograms.at(kHistBatchRows));
+    // Each shuffle that moves rows gathers in two blocks; the in-place
+    // probe side gathers nothing.
+    EXPECT_EQ(in_place.gathers, 2);
+    EXPECT_EQ(copied.gathers, 4);
+  }
 }
 
 // Partition-independence: the same dataflow yields the same sorted output
