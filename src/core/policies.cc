@@ -5,6 +5,7 @@
 
 #include "common/byte_codec.h"
 #include "common/logging.h"
+#include "dataflow/block_codec.h"
 
 namespace flinkless::core {
 
@@ -173,9 +174,9 @@ Result<RecoveryOutcome> ConfinedLogReplayPolicy::OnFailure(
 
 namespace {
 
-/// Delta-checkpoint blob magic ("FLKDCP2\0" little-endian). Every link
+/// Delta-checkpoint link magic ("FLKDCP3\0" little-endian). Every link
 /// starts with it; a blob without it is not a delta-checkpoint link.
-constexpr uint64_t kDeltaBlobMagic = 0x00325043444b4c46ULL;
+constexpr uint64_t kDeltaBlobMagic = 0x00335043444b4c46ULL;
 
 /// Version metadata framed into every blob.
 struct DeltaBlobVersions {
@@ -187,24 +188,19 @@ struct DeltaBlobVersions {
   uint64_t clock = 0;
 };
 
-/// Frames one partition's checkpoint piece: the partition's version window,
-/// the changed solution entries, and the current workset.
+/// Frames one partition's checkpoint link: the partition's version window,
+/// then the delta snapshot's two blocks — the changed solution entries and
+/// the current workset.
 std::vector<uint8_t> FrameDeltaBlob(
     uint64_t since_version, uint64_t clock_at_write,
     const std::vector<dataflow::Record>& solution_entries,
     const std::vector<dataflow::Record>& workset_records) {
-  std::vector<uint8_t> solution_blob =
-      dataflow::SerializeRecords(solution_entries);
-  std::vector<uint8_t> workset_blob =
-      dataflow::SerializeRecords(workset_records);
   std::vector<uint8_t> out;
-  out.reserve(32 + solution_blob.size() + workset_blob.size());
   PutU64(kDeltaBlobMagic, &out);
   PutU64(since_version, &out);
   PutU64(clock_at_write, &out);
-  PutU64(solution_blob.size(), &out);
-  out.insert(out.end(), solution_blob.begin(), solution_blob.end());
-  out.insert(out.end(), workset_blob.begin(), workset_blob.end());
+  dataflow::EncodeBlock(solution_entries, &out);
+  dataflow::EncodeBlock(workset_records, &out);
   return out;
 }
 
@@ -221,23 +217,17 @@ Status UnframeDeltaBlob(const std::vector<uint8_t>& blob,
     return Status::DataLoss(
         "delta-checkpoint blob has no version framing (bad magic)");
   }
-  uint64_t solution_len = 0;
   if (!GetU64(blob, &offset, &versions->since) ||
-      !GetU64(blob, &offset, &versions->clock) ||
-      !GetU64(blob, &offset, &solution_len)) {
+      !GetU64(blob, &offset, &versions->clock)) {
     return Status::DataLoss("truncated delta-checkpoint blob header");
   }
-  if (solution_len > blob.size() - offset) {
-    return Status::DataLoss("truncated delta-checkpoint blob");
-  }
-  std::vector<uint8_t> solution_blob(blob.begin() + offset,
-                                     blob.begin() + offset + solution_len);
-  std::vector<uint8_t> workset_blob(blob.begin() + offset + solution_len,
-                                    blob.end());
   FLINKLESS_ASSIGN_OR_RETURN(*solution_entries,
-                             dataflow::DeserializeRecords(solution_blob));
+                             dataflow::DecodeBlock(blob, &offset));
   FLINKLESS_ASSIGN_OR_RETURN(*workset_records,
-                             dataflow::DeserializeRecords(workset_blob));
+                             dataflow::DecodeBlock(blob, &offset));
+  if (offset != blob.size()) {
+    return Status::DataLoss("delta-checkpoint blob: trailing bytes");
+  }
   return Status::OK();
 }
 

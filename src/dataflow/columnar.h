@@ -1,15 +1,14 @@
 // Columnar batch execution support (DESIGN.md §12).
 //
 // Record-at-a-time execution over boxed Value variants is what kept the
-// thread-sweep curve flat: every ExtractKey allocates a Record, every
-// unordered_map insert allocates a node, and every spill blob frames each
-// record separately. This header is the batch-side replacement:
+// thread-sweep curve flat: every ExtractKey allocates a Record and every
+// unordered_map insert allocates a node. This header holds the flat
+// helpers the hot loops use instead:
 //
-//  * ColumnarBatch — per-partition contiguous typed arrays (int64_t/double
-//    columns plus an arena/offset layout for strings) with schema-driven
-//    construction from and conversion back to the Record API. Its one user
-//    is the dataset serde v2 (spill and checkpoint blobs); every operator,
-//    UDFs included, runs on Records.
+//  * InferBatchSchema — the shared per-column type of a partition's rows
+//    (the partition block's choice between its columns and rows layouts,
+//    block_codec.h).
+//  * ExtractKey64 — a single-int64-column key projection as a flat array.
 //  * FlatKeyIndex — an open-addressing hash index over a partition's rows,
 //    keyed on key columns in place (no ExtractKey allocation, no map
 //    nodes). Groups are arrival-order chains of row ids, so probing yields
@@ -25,18 +24,14 @@
 #define FLINKLESS_DATAFLOW_COLUMNAR_H_
 
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <vector>
 
-#include "common/result.h"
-#include "common/status.h"
 #include "dataflow/record.h"
 
 namespace flinkless::dataflow {
 
-/// Type-only schema of a columnar batch: the per-column ValueType tags.
-/// (The named Schema in schema.h describes sources for humans; batches only
+/// Type-only schema of a partition's rows: the per-column ValueType tags.
+/// (The named Schema in schema.h describes sources for humans; blocks only
 /// need the layout.)
 using BatchSchema = std::vector<ValueType>;
 
@@ -52,69 +47,6 @@ bool InferBatchSchema(const std::vector<Record>& records, BatchSchema* schema);
 /// *out).
 bool ExtractKey64(const std::vector<Record>& records, const KeyColumns& key,
                   std::vector<int64_t>* out);
-
-/// One partition's records as contiguous typed columns. Fixed-width columns
-/// are flat int64_t/double arrays; string columns are a byte arena plus a
-/// (rows + 1)-entry offset array.
-class ColumnarBatch {
- public:
-  ColumnarBatch() = default;
-
-  /// An empty batch with the given layout.
-  explicit ColumnarBatch(BatchSchema schema);
-
-  /// Converts `records` into a batch. Returns false when the records do not
-  /// share one schema (the caller falls back to the record path).
-  static bool FromRecords(const std::vector<Record>& records,
-                          ColumnarBatch* out);
-
-  /// Converts `records` whose schema the caller has already verified (e.g.
-  /// via a dataset-wide InferBatchSchema pass) — one row-major pass, no
-  /// re-validation in release builds.
-  static ColumnarBatch FromRecordsUnchecked(const std::vector<Record>& records,
-                                            BatchSchema schema);
-
-  size_t num_rows() const { return num_rows_; }
-  size_t num_columns() const { return schema_.size(); }
-  const BatchSchema& schema() const { return schema_; }
-
-  /// Materializes row `row` as a Record (the UDF fallback view).
-  Record RowAsRecord(size_t row) const;
-
-  /// Materializes every row, in order.
-  std::vector<Record> ToRecords() const;
-
-  const std::vector<int64_t>& Int64Column(size_t col) const;
-  const std::vector<double>& DoubleColumn(size_t col) const;
-  std::string_view StringAt(size_t col, size_t row) const;
-
-  /// Appends the serialized batch ([u64 rows] then whole-column payloads;
-  /// the schema travels separately — see dataset serde v2).
-  void SerializeTo(std::vector<uint8_t>* out) const;
-
-  /// Reads one batch with layout `schema` starting at *offset, advancing
-  /// it. Fails cleanly on truncated or corrupt input.
-  static Result<ColumnarBatch> Deserialize(const std::vector<uint8_t>& bytes,
-                                           size_t* offset,
-                                           const BatchSchema& schema);
-
-  /// Exact byte size SerializeTo would append.
-  uint64_t SerializedBytes() const;
-
-  friend bool operator==(const ColumnarBatch& a, const ColumnarBatch& b);
-
- private:
-  struct Column {
-    std::vector<int64_t> i64;       // kInt64 payload
-    std::vector<double> f64;        // kDouble payload
-    std::vector<uint32_t> offsets;  // kString: rows + 1 offsets into arena
-    std::string arena;              // kString: concatenated bytes
-  };
-
-  BatchSchema schema_;
-  std::vector<Column> columns_;
-  size_t num_rows_ = 0;
-};
 
 /// Per-partition open-addressing hash index over a vector of records, keyed
 /// on `key` columns in place, in place of an unordered_map<Record, ...> of

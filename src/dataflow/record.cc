@@ -159,54 +159,4 @@ Result<Record> DeserializeRecord(const std::vector<uint8_t>& bytes,
   return record;
 }
 
-std::vector<uint8_t> SerializeRecords(const std::vector<Record>& records) {
-  std::vector<uint8_t> out;
-  PutU64(records.size(), &out);
-  for (const Record& r : records) SerializeRecord(r, &out);
-  return out;
-}
-
-Result<std::vector<Record>> DeserializeRecords(
-    const std::vector<uint8_t>& bytes) {
-  size_t offset = 0;
-  uint64_t count = 0;
-  if (!GetU64(bytes, &offset, &count)) {
-    return Status::DataLoss("truncated records header");
-  }
-  if (count > (bytes.size() - offset) / kMinRecordBytes) {
-    return Status::DataLoss("record count " + std::to_string(count) +
-                            " exceeds the remaining bytes");
-  }
-  std::vector<Record> records;
-  records.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    FLINKLESS_ASSIGN_OR_RETURN(Record r, DeserializeRecord(bytes, &offset));
-    records.push_back(std::move(r));
-  }
-  if (offset != bytes.size()) {
-    return Status::DataLoss("trailing bytes after records");
-  }
-  return records;
-}
-
-uint64_t SerializedSize(const std::vector<Record>& records) {
-  uint64_t size = 8;  // count header
-  for (const Record& r : records) {
-    size += 4;  // field count
-    for (const Value& v : r) {
-      size += 1;  // tag
-      switch (v.type()) {
-        case ValueType::kInt64:
-        case ValueType::kDouble:
-          size += 8;
-          break;
-        case ValueType::kString:
-          size += 4 + v.AsString().size();
-          break;
-      }
-    }
-  }
-  return size;
-}
-
 }  // namespace flinkless::dataflow

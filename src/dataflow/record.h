@@ -1,5 +1,6 @@
 // Record: one row flowing through the dataflow, plus key utilities and the
-// byte serialization used by checkpoints.
+// one-record byte serialization the rows layout of a partition block uses
+// (block_codec.h).
 
 #ifndef FLINKLESS_DATAFLOW_RECORD_H_
 #define FLINKLESS_DATAFLOW_RECORD_H_
@@ -233,16 +234,6 @@ void SerializeRecord(const Record& record, std::vector<uint8_t>* out);
 /// the remaining bytes could hold.
 Result<Record> DeserializeRecord(const std::vector<uint8_t>& bytes,
                                  size_t* offset);
-
-/// Serializes a whole vector of records ([u64 count] + records).
-std::vector<uint8_t> SerializeRecords(const std::vector<Record>& records);
-
-/// Inverse of SerializeRecords; fails on trailing garbage.
-Result<std::vector<Record>> DeserializeRecords(
-    const std::vector<uint8_t>& bytes);
-
-/// Serialized size in bytes (what a checkpoint of these records costs).
-uint64_t SerializedSize(const std::vector<Record>& records);
 
 }  // namespace flinkless::dataflow
 

@@ -3,8 +3,8 @@
 #include <string>
 #include <utility>
 
-#include "common/byte_codec.h"
 #include "common/logging.h"
+#include "dataflow/block_codec.h"
 
 namespace flinkless::iteration {
 
@@ -14,15 +14,21 @@ using dataflow::Record;
 std::vector<uint8_t> BulkState::SerializePartition(int p) const {
   FLINKLESS_CHECK(p >= 0 && p < num_partitions(),
                   "bulk-state partition " << p << " out of range");
-  return dataflow::SerializeRecords(data_.partition(p));
+  std::vector<uint8_t> out;
+  dataflow::EncodeBlock(data_.partition(p), &out);
+  return out;
 }
 
 Status BulkState::RestorePartition(int p, const std::vector<uint8_t>& blob) {
   if (p < 0 || p >= num_partitions()) {
     return Status::OutOfRange("bulk-state partition " + std::to_string(p));
   }
+  size_t offset = 0;
   FLINKLESS_ASSIGN_OR_RETURN(std::vector<Record> records,
-                             dataflow::DeserializeRecords(blob));
+                             dataflow::DecodeBlock(blob, &offset));
+  if (offset != blob.size()) {
+    return Status::DataLoss("bulk-state snapshot: trailing bytes");
+  }
   data_.partition(p) = std::move(records);
   return Status::OK();
 }
@@ -31,12 +37,6 @@ void BulkState::ClearPartition(int p) {
   FLINKLESS_CHECK(p >= 0 && p < num_partitions(),
                   "bulk-state partition " << p << " out of range");
   data_.ClearPartition(p);
-}
-
-uint64_t BulkState::PartitionByteSize(int p) const {
-  FLINKLESS_CHECK(p >= 0 && p < num_partitions(),
-                  "bulk-state partition " << p << " out of range");
-  return dataflow::SerializedSize(data_.partition(p));
 }
 
 namespace {
@@ -237,15 +237,9 @@ Status SolutionSet::ReplacePartition(int p, std::vector<Record> records) {
 std::vector<uint8_t> DeltaState::SerializePartition(int p) const {
   FLINKLESS_CHECK(p >= 0 && p < num_partitions(),
                   "delta-state partition " << p << " out of range");
-  std::vector<uint8_t> solution_blob =
-      dataflow::SerializeRecords(solution_.PartitionRecords(p));
-  std::vector<uint8_t> workset_blob =
-      dataflow::SerializeRecords(workset_.partition(p));
   std::vector<uint8_t> out;
-  out.reserve(16 + solution_blob.size() + workset_blob.size());
-  PutU64(solution_blob.size(), &out);
-  out.insert(out.end(), solution_blob.begin(), solution_blob.end());
-  out.insert(out.end(), workset_blob.begin(), workset_blob.end());
+  dataflow::EncodeBlock(solution_.PartitionRecords(p), &out);
+  dataflow::EncodeBlock(workset_.partition(p), &out);
   return out;
 }
 
@@ -254,19 +248,13 @@ Status DeltaState::RestorePartition(int p, const std::vector<uint8_t>& blob) {
     return Status::OutOfRange("delta-state partition " + std::to_string(p));
   }
   size_t offset = 0;
-  uint64_t solution_len = 0;
-  if (!GetU64(blob, &offset, &solution_len) ||
-      solution_len > blob.size() - offset) {
-    return Status::DataLoss("truncated delta-state snapshot");
-  }
-  std::vector<uint8_t> solution_blob(blob.begin() + offset,
-                                     blob.begin() + offset + solution_len);
-  std::vector<uint8_t> workset_blob(blob.begin() + offset + solution_len,
-                                    blob.end());
   FLINKLESS_ASSIGN_OR_RETURN(std::vector<Record> solution_records,
-                             dataflow::DeserializeRecords(solution_blob));
+                             dataflow::DecodeBlock(blob, &offset));
   FLINKLESS_ASSIGN_OR_RETURN(std::vector<Record> workset_records,
-                             dataflow::DeserializeRecords(workset_blob));
+                             dataflow::DecodeBlock(blob, &offset));
+  if (offset != blob.size()) {
+    return Status::DataLoss("delta-state snapshot: trailing bytes");
+  }
   FLINKLESS_RETURN_NOT_OK(
       solution_.ReplacePartition(p, std::move(solution_records)));
   workset_.partition(p) = std::move(workset_records);
@@ -278,13 +266,6 @@ void DeltaState::ClearPartition(int p) {
                   "delta-state partition " << p << " out of range");
   solution_.ClearPartition(p);
   workset_.ClearPartition(p);
-}
-
-uint64_t DeltaState::PartitionByteSize(int p) const {
-  FLINKLESS_CHECK(p >= 0 && p < num_partitions(),
-                  "delta-state partition " << p << " out of range");
-  return 8 + dataflow::SerializedSize(solution_.PartitionRecords(p)) +
-         dataflow::SerializedSize(workset_.partition(p));
 }
 
 }  // namespace flinkless::iteration

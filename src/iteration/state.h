@@ -34,7 +34,8 @@ class IterationState {
   virtual StateKind kind() const = 0;
   virtual int num_partitions() const = 0;
 
-  /// Serialized snapshot of one partition (checkpoint granularity).
+  /// Serialized snapshot of one partition (checkpoint granularity), made of
+  /// partition blocks (dataflow/block_codec.h).
   virtual std::vector<uint8_t> SerializePartition(int p) const = 0;
 
   /// Replaces partition `p` from a snapshot produced by SerializePartition.
@@ -42,13 +43,11 @@ class IterationState {
 
   /// Destroys partition `p` — the effect of the task holding it crashing.
   virtual void ClearPartition(int p) = 0;
-
-  /// Serialized size of one partition (what checkpointing it would cost).
-  virtual uint64_t PartitionByteSize(int p) const = 0;
 };
 
 /// Bulk-iteration state: the whole intermediate dataset, recomputed each
-/// superstep (e.g. the PageRank rank vector).
+/// superstep (e.g. the PageRank rank vector). A partition's snapshot is one
+/// block.
 ///
 /// Bounds contract (shared by every IterationState implementation): the
 /// Status-returning mutators reject an out-of-range partition with
@@ -65,7 +64,6 @@ class BulkState final : public IterationState {
   std::vector<uint8_t> SerializePartition(int p) const override;
   Status RestorePartition(int p, const std::vector<uint8_t>& blob) override;
   void ClearPartition(int p) override;
-  uint64_t PartitionByteSize(int p) const override;
 
   dataflow::PartitionedDataset& data() { return data_; }
   const dataflow::PartitionedDataset& data() const { return data_; }
@@ -191,7 +189,8 @@ class SolutionSet {
 };
 
 /// Delta-iteration state: solution set + working set (paper §2.1). A failure
-/// loses both pieces of the affected partitions.
+/// loses both pieces of the affected partitions. A partition's snapshot is
+/// the solution block (entries in key order), then the workset block.
 class DeltaState final : public IterationState {
  public:
   DeltaState() = default;
@@ -203,7 +202,6 @@ class DeltaState final : public IterationState {
   std::vector<uint8_t> SerializePartition(int p) const override;
   Status RestorePartition(int p, const std::vector<uint8_t>& blob) override;
   void ClearPartition(int p) override;
-  uint64_t PartitionByteSize(int p) const override;
 
   SolutionSet& solution() { return solution_; }
   const SolutionSet& solution() const { return solution_; }

@@ -1,15 +1,13 @@
-// Columnar batch execution (DESIGN.md §12): batch <-> record round-trips
-// over every ValueType (including empty and long strings), v2 dataset-blob
-// serde corruption rejection, FlatKeyIndex parity with the map-based
-// grouping it replaces, and the headline contract — columnar execution
-// matches a naive std::map reference evaluator partition for partition, the
-// algorithms match their reference solvers under each failure schedule, and
-// every run is byte-identical across thread counts.
+// Columnar batch execution (DESIGN.md §12): schema inference, FlatKeyIndex
+// parity with the map-based grouping it replaces, and the headline
+// contract — columnar execution matches a naive std::map reference
+// evaluator partition for partition, the algorithms match their reference
+// solvers under each failure schedule, and every run is byte-identical
+// across thread counts.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <map>
 #include <set>
 #include <string>
@@ -36,8 +34,6 @@ namespace flinkless {
 namespace {
 
 using dataflow::BatchSchema;
-using dataflow::ColumnarBatch;
-using dataflow::DeserializePartitionedDataset;
 using dataflow::ExecOptions;
 using dataflow::ExecStats;
 using dataflow::Executor;
@@ -48,100 +44,29 @@ using dataflow::Plan;
 using dataflow::Record;
 using dataflow::ValueType;
 
-// ------------------------------------------------ batch <-> record bridge --
+// ------------------------------------------------------------ batch schema --
 
-std::vector<Record> MixedRows() {
-  // Every ValueType, with the string column exercising the arena layout's
-  // edge cases: empty strings, embedded NULs, and a long (64 KiB) value.
-  std::vector<Record> rows;
-  rows.push_back(MakeRecord(int64_t{7}, 0.5, std::string("alpha")));
-  rows.push_back(MakeRecord(int64_t{-1}, -0.0, std::string()));
-  rows.push_back(MakeRecord(int64_t{0}, 3.25, std::string("b\0c", 3)));
-  rows.push_back(
-      MakeRecord(int64_t{1} << 62, 1e300, std::string(64 * 1024, 'x')));
-  rows.push_back(MakeRecord(int64_t{42}, 0.0, std::string("alpha")));
-  return rows;
-}
-
-TEST(ColumnarBatchTest, RoundTripsEveryValueType) {
-  std::vector<Record> rows = MixedRows();
-  ColumnarBatch batch;
-  ASSERT_TRUE(ColumnarBatch::FromRecords(rows, &batch));
-  ASSERT_EQ(batch.num_rows(), rows.size());
-  ASSERT_EQ(batch.num_columns(), 3u);
-  EXPECT_EQ(batch.schema(),
-            (BatchSchema{ValueType::kInt64, ValueType::kDouble,
-                         ValueType::kString}));
-  EXPECT_EQ(batch.ToRecords(), rows);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(batch.RowAsRecord(i), rows[i]) << "row " << i;
-  }
-  // Column accessors expose the flat layout directly.
-  EXPECT_EQ(batch.Int64Column(0)[3], int64_t{1} << 62);
-  EXPECT_EQ(batch.DoubleColumn(1)[2], 3.25);
-  EXPECT_EQ(batch.StringAt(2, 1), std::string_view());
-  EXPECT_EQ(batch.StringAt(2, 2), std::string_view("b\0c", 3));
-  EXPECT_EQ(batch.StringAt(2, 3).size(), 64u * 1024);
-}
-
-TEST(ColumnarBatchTest, RoundTripsEmptyAndArityZero) {
-  ColumnarBatch empty;
-  ASSERT_TRUE(ColumnarBatch::FromRecords({}, &empty));
-  EXPECT_EQ(empty.num_rows(), 0u);
-  EXPECT_TRUE(empty.ToRecords().empty());
-
-  std::vector<Record> arity_zero{Record{}, Record{}};
-  ColumnarBatch batch;
-  ASSERT_TRUE(ColumnarBatch::FromRecords(arity_zero, &batch));
-  EXPECT_EQ(batch.num_rows(), 2u);
-  EXPECT_EQ(batch.ToRecords(), arity_zero);
-}
-
-TEST(ColumnarBatchTest, RejectsHeterogeneousRecords) {
-  ColumnarBatch batch;
-  // Arity mismatch.
-  EXPECT_FALSE(ColumnarBatch::FromRecords(
-      {MakeRecord(int64_t{1}), MakeRecord(int64_t{1}, int64_t{2})}, &batch));
-  // Type mismatch in one column.
-  EXPECT_FALSE(ColumnarBatch::FromRecords(
-      {MakeRecord(int64_t{1}, 2.0), MakeRecord(int64_t{1}, int64_t{2})},
-      &batch));
+TEST(InferBatchSchemaTest, AcceptsSharedSchemaRejectsMixedRows) {
   BatchSchema schema;
+  ASSERT_TRUE(dataflow::InferBatchSchema(
+      {MakeRecord(int64_t{7}, 0.5, std::string("a")),
+       MakeRecord(int64_t{-1}, -0.0, std::string())},
+      &schema));
+  EXPECT_EQ(schema, (BatchSchema{ValueType::kInt64, ValueType::kDouble,
+                                 ValueType::kString}));
+  // Vacuously shared: no rows, or rows without columns.
+  EXPECT_TRUE(dataflow::InferBatchSchema({}, &schema));
+  EXPECT_TRUE(schema.empty());
+  EXPECT_TRUE(dataflow::InferBatchSchema({Record{}, Record{}}, &schema));
+  EXPECT_TRUE(schema.empty());
+  // Arity mismatch, and a type mismatch in one column.
+  EXPECT_FALSE(dataflow::InferBatchSchema(
+      {MakeRecord(int64_t{1}), MakeRecord(int64_t{1}, int64_t{2})}, &schema));
+  EXPECT_FALSE(dataflow::InferBatchSchema(
+      {MakeRecord(int64_t{1}, 2.0), MakeRecord(int64_t{1}, int64_t{2})},
+      &schema));
   EXPECT_FALSE(dataflow::InferBatchSchema(
       {MakeRecord(std::string("a")), MakeRecord(2.0)}, &schema));
-}
-
-TEST(ColumnarBatchTest, SerializeRoundTripsAndSizesMatch) {
-  std::vector<Record> rows = MixedRows();
-  ColumnarBatch batch;
-  ASSERT_TRUE(ColumnarBatch::FromRecords(rows, &batch));
-  std::vector<uint8_t> bytes;
-  batch.SerializeTo(&bytes);
-  EXPECT_EQ(bytes.size(), batch.SerializedBytes());
-
-  size_t offset = 0;
-  auto back = ColumnarBatch::Deserialize(bytes, &offset, batch.schema());
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(offset, bytes.size());
-  EXPECT_TRUE(*back == batch);
-  EXPECT_EQ(back->ToRecords(), rows);
-}
-
-TEST(ColumnarBatchTest, DeserializeRejectsTruncation) {
-  std::vector<Record> rows = MixedRows();
-  ColumnarBatch batch;
-  ASSERT_TRUE(ColumnarBatch::FromRecords(rows, &batch));
-  std::vector<uint8_t> bytes;
-  batch.SerializeTo(&bytes);
-  // Every proper prefix must fail cleanly — never crash or read past the
-  // end. (A sweep, because the failure point walks through row count,
-  // fixed columns, string lengths, and the arena.)
-  for (size_t cut = 0; cut < bytes.size(); cut += 977) {
-    std::vector<uint8_t> trunc(bytes.begin(), bytes.begin() + cut);
-    size_t offset = 0;
-    auto result = ColumnarBatch::Deserialize(trunc, &offset, batch.schema());
-    EXPECT_FALSE(result.ok()) << "prefix of " << cut << " bytes";
-  }
 }
 
 // ------------------------------------------------------- flat key index --
@@ -192,68 +117,6 @@ TEST(FlatKeyIndexTest, FindFirstOnStringAndCompositeKeys) {
   Record miss = MakeRecord(std::string("c"), int64_t{1});
   EXPECT_EQ(index.FindFirst(miss, {0, 1}, dataflow::HashKey(miss, {0, 1})),
             -1);
-}
-
-// ----------------------------------------------------- dataset blob serde --
-
-PartitionedDataset HomogeneousDataset() {
-  Rng rng(5);
-  std::vector<Record> records;
-  for (int64_t i = 0; i < 500; ++i) {
-    records.push_back(MakeRecord(static_cast<int64_t>(rng.NextBounded(50)),
-                                 static_cast<double>(i) * 0.25,
-                                 std::string(i % 7, 's')));
-  }
-  return PartitionedDataset::RoundRobin(std::move(records), 4);
-}
-
-TEST(DatasetBlobTest, ColumnarBlobRoundTripsAndSizeMatches) {
-  PartitionedDataset ds = HomogeneousDataset();
-  std::vector<uint8_t> blob = SerializePartitionedDataset(ds);
-  EXPECT_EQ(blob.size(), SerializedDatasetBytes(ds));
-  auto back = DeserializePartitionedDataset(blob);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  ASSERT_EQ(back->num_partitions(), ds.num_partitions());
-  for (int p = 0; p < ds.num_partitions(); ++p) {
-    EXPECT_EQ(back->partition(p), ds.partition(p)) << "partition " << p;
-  }
-}
-
-TEST(DatasetBlobTest, HeterogeneousDatasetsFallBackToRecordBlob) {
-  PartitionedDataset ds(2);
-  ds.partition(0).push_back(MakeRecord(int64_t{1}, 2.0));
-  ds.partition(1).push_back(MakeRecord(std::string("mixed")));
-  std::vector<uint8_t> blob = SerializePartitionedDataset(ds);
-  EXPECT_EQ(blob.size(), SerializedDatasetBytes(ds));
-  auto back = DeserializePartitionedDataset(blob);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->partition(0), ds.partition(0));
-  EXPECT_EQ(back->partition(1), ds.partition(1));
-}
-
-TEST(DatasetBlobTest, ColumnarBlobRejectsCorruption) {
-  PartitionedDataset ds = HomogeneousDataset();
-  std::vector<uint8_t> blob = SerializePartitionedDataset(ds);
-
-  {  // Bad magic.
-    std::vector<uint8_t> bad = blob;
-    bad[0] ^= 0xFF;
-    EXPECT_FALSE(DeserializePartitionedDataset(bad).ok());
-  }
-  {  // Truncation inside a column payload.
-    std::vector<uint8_t> bad(blob.begin(), blob.end() - 3);
-    EXPECT_FALSE(DeserializePartitionedDataset(bad).ok());
-  }
-  {  // Trailing garbage.
-    std::vector<uint8_t> bad = blob;
-    bad.push_back(0xAB);
-    EXPECT_FALSE(DeserializePartitionedDataset(bad).ok());
-  }
-  {  // Unknown column type tag (tags sit right after magic+nparts+ncols).
-    std::vector<uint8_t> bad = blob;
-    bad[8 + 8 + 4] = 0x7F;
-    EXPECT_FALSE(DeserializePartitionedDataset(bad).ok());
-  }
 }
 
 // --------------------------------------- columnar vs reference evaluator --

@@ -393,12 +393,12 @@ TEST(AccountingTest, SnapshotPoliciesMoveThePinnedBytesAndCharges) {
   };
   const Pinned kPinned[] = {
       // policy, pagerank, iterations, written, read, writes, io_ns, rec_ns
-      {"rollback", true, 34, 4536, 252, 72, 360138600, 20000000},
-      {"confined", true, 102, 13104, 118, 208, 1040394300, 20000000},
+      {"rollback", true, 34, 3960, 220, 72, 360121000, 20000000},
+      {"confined", true, 102, 11440, 95, 208, 1040344150, 20000000},
       {"confined-log", true, 34, 0, 0, 0, 0, 20013850},
-      {"rollback", false, 4, 1784, 536, 12, 60058880, 20000000},
-      {"confined", false, 5, 1806, 288, 12, 60057060, 20000000},
-      {"confined-log", false, 4, 1784, 288, 12, 60056400, 20012750},
+      {"rollback", false, 4, 1412, 428, 12, 60046640, 20000000},
+      {"confined", false, 5, 1434, 222, 12, 60045240, 20000000},
+      {"confined-log", false, 4, 1412, 222, 12, 60044580, 20012750},
   };
   const graph::Graph directed = graph::DemoDirectedGraph();
   const graph::Graph undirected = graph::DemoGraph();

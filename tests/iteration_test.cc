@@ -28,7 +28,6 @@ TEST(BulkStateTest, SerializeRestoreRoundTrip) {
   BulkState state(PartitionedDataset::HashPartitioned(records, {0}, 4));
 
   auto blob = state.SerializePartition(1);
-  EXPECT_EQ(blob.size(), state.PartitionByteSize(1));
   auto expected = state.data().partition(1);
   state.ClearPartition(1);
   EXPECT_TRUE(state.data().partition(1).empty());
@@ -223,7 +222,6 @@ TEST(BulkStateDeathTest, OutOfRangePartitionDies) {
   BulkState state(PartitionedDataset(2));
   EXPECT_DEATH(state.ClearPartition(2), "out of range");
   EXPECT_DEATH(state.SerializePartition(-1), "out of range");
-  EXPECT_DEATH(state.PartitionByteSize(9), "out of range");
 }
 
 TEST(BulkStateTest, RestoreRejectsOutOfRangePartition) {
@@ -250,7 +248,6 @@ TEST(DeltaStateTest, SerializeRestoreRoundTrip) {
 
   for (int p = 0; p < 3; ++p) {
     auto blob = state.SerializePartition(p);
-    EXPECT_EQ(blob.size(), state.PartitionByteSize(p));
     auto solution_before = state.solution().PartitionRecords(p);
     auto workset_before = state.workset().partition(p);
     state.ClearPartition(p);

@@ -558,39 +558,22 @@ TEST(DeltaCheckpointTest, RestoreRejectsNonContiguousChain) {
       << outcome.status();
 }
 
-TEST(DeltaCheckpointTest, RejectsLegacyV1BlobsWithoutVersionFraming) {
-  // A v1-framed link carries no version metadata: the first u64 is the
-  // solution length directly. Without its window the chain cannot be
-  // checked for contiguity, so the restore is refused as DataLoss instead
-  // of silently restoring whatever the link holds.
-  auto frame_v1 = [](const std::vector<Record>& solution_entries,
-                     const std::vector<Record>& workset_records) {
-    std::vector<uint8_t> solution_blob =
-        dataflow::SerializeRecords(solution_entries);
-    std::vector<uint8_t> workset_blob =
-        dataflow::SerializeRecords(workset_records);
-    std::vector<uint8_t> out;
-    uint64_t len = solution_blob.size();
-    for (int i = 0; i < 8; ++i) out.push_back((len >> (8 * i)) & 0xff);
-    out.insert(out.end(), solution_blob.begin(), solution_blob.end());
-    out.insert(out.end(), workset_blob.begin(), workset_blob.end());
-    return out;
-  };
-
+TEST(DeltaCheckpointTest, RejectsLinksWithoutVersionFraming) {
+  // A link without its header is the delta snapshot's two blocks alone: no
+  // version window, so the chain cannot be checked for contiguity, and the
+  // restore is refused as DataLoss instead of silently restoring whatever
+  // the link holds.
   runtime::StableStorage storage(nullptr, nullptr);
   DeltaCheckpointPolicy policy(1);
   iteration::DeltaState state = MakeDeltaState(8, 2);
   state.workset() = PartitionedDataset(2);
   ASSERT_TRUE(policy.OnJobStart(MakeContext(0, 2, &storage), &state).ok());
 
-  // Replace the freshly written base blobs with v1-framed equivalents.
+  // Replace the freshly written base links with unframed snapshots.
   for (int p = 0; p < 2; ++p) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "test-job/dckpt/%08d/%06d", 0, p);
-    ASSERT_TRUE(storage
-                    .Write(buf, frame_v1(state.solution().PartitionRecords(p),
-                                         {}))
-                    .ok());
+    ASSERT_TRUE(storage.Write(buf, state.SerializePartition(p)).ok());
   }
 
   for (int p = 0; p < 2; ++p) state.ClearPartition(p);
@@ -601,10 +584,9 @@ TEST(DeltaCheckpointTest, RejectsLegacyV1BlobsWithoutVersionFraming) {
       << outcome.status();
 }
 
-TEST(DeltaCheckpointTest, RestoreRejectsSolutionLengthThatWrapsTheOffset) {
-  // A link whose framed solution length is 2^64 - 32 makes
-  // `offset + length` wrap to 0 after the 32-byte header; the restore must
-  // return DataLoss instead of slicing the blob.
+TEST(DeltaCheckpointTest, RestoreRejectsRowCountBeyondTheLink) {
+  // A link whose solution block claims 2^64 - 32 rows: the restore must
+  // return DataLoss instead of sizing a vector by it.
   runtime::StableStorage storage(nullptr, nullptr);
   DeltaCheckpointPolicy policy(1);
   iteration::DeltaState state = MakeDeltaState(8, 2);
@@ -616,6 +598,7 @@ TEST(DeltaCheckpointTest, RestoreRejectsSolutionLengthThatWrapsTheOffset) {
   auto base = storage.Read("test-job/dckpt/00000000/000000");
   ASSERT_TRUE(base.ok());
   std::vector<uint8_t> corrupt(base->begin(), base->begin() + 24);
+  corrupt.push_back(0);                  // rows layout
   put_u64(~uint64_t{0} - 31, &corrupt);  // 2^64 - 32
   corrupt.push_back(0);
   ASSERT_TRUE(
