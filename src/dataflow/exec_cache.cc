@@ -55,8 +55,8 @@ struct ExecCache::Segment : public runtime::SpillableSegment {
         spilled_hashes_.push_back(index.row_hashes());
       }
     }
-    FLINKLESS_RETURN_NOT_OK(
-        storage_->Write(key_, SerializePartitionedDataset(*entry.data)));
+    FLINKLESS_RETURN_NOT_OK(storage_->Write(
+        key_, SerializePartitionedDataset(*entry.data, serialized_bytes_)));
     // Consumers still holding the shared_ptr keep their dataset; the cache
     // just stops keeping it resident. The flat index borrows the dataset's
     // records, so it must go with them.

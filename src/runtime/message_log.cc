@@ -36,8 +36,9 @@ class MessageLog::Segment final : public SpillableSegment {
     FLINKLESS_CHECK(!spilled_, "msglog segment spilled twice");
     FLINKLESS_CHECK(storage_ != nullptr,
                     "msglog segment under a budget without storage");
-    FLINKLESS_RETURN_NOT_OK(
-        storage_->Write(spill_key_, dataflow::SerializePartitionedDataset(data_)));
+    FLINKLESS_RETURN_NOT_OK(storage_->Write(
+        spill_key_,
+        dataflow::SerializePartitionedDataset(data_, serialized_bytes_)));
     data_ = PartitionedDataset();
     spilled_ = true;
     return Status::OK();
