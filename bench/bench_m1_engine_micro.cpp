@@ -293,7 +293,7 @@ void BM_SolutionSetLookup(benchmark::State& state) {
   }
   int64_t i = 0;
   for (auto _ : state) {
-    const Record* hit = set.Lookup(MakeRecord(i++ % state.range(0), 0.0));
+    const Record* hit = set.Lookup(MakeRecord(i++ % state.range(0)));
     benchmark::DoNotOptimize(hit);
   }
   state.SetItemsProcessed(state.iterations());

@@ -118,7 +118,7 @@ Status FixComponentsCompensation::Compensate(
   // 1. Re-initialize the lost solution partitions to the initial labels
   //    (vertex -> its own id). This is the provably consistent state of
   //    Schelter et al. [14]. Each ReplacePartition touches only its own
-  //    partition's map and version clock, so the lost partitions rebuild in
+  //    partition's rows and version clock, so the lost partitions rebuild in
   //    parallel on the executor's pool.
   std::vector<Status> replace_status(lost_list.size());
   runtime::ParallelFor(

@@ -32,6 +32,9 @@ Plan BuildSsspPlan() {
         return a[1].AsInt64() <= b[1].AsInt64() ? a : b;
       },
       "min-distance");
+  // Same min-keeping-the-accumulator-on-ties combiner as CC's
+  // candidate-label: folds flat int64 columns (DESIGN.md §15).
+  plan.DeclareReduce(candidates, dataflow::ReduceKind::kMinInt64, 1);
 
   auto compared = plan.Join(
       candidates, solution, {0}, {0},
@@ -71,7 +74,7 @@ Status FixDistancesCompensation::Compensate(
   std::set<int> lost_set(lost.begin(), lost.end());
 
   // Rebuild the lost partitions in parallel: each ReplacePartition touches
-  // only its own partition's map and version clock.
+  // only its own partition's rows and version clock.
   std::vector<int> lost_list(lost_set.begin(), lost_set.end());
   std::vector<std::vector<int64_t>> restored_of(lost_list.size());
   std::vector<Status> replace_status(lost_list.size());

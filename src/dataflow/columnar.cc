@@ -37,6 +37,31 @@ bool ExtractKey64(const std::vector<Record>& records, const KeyColumns& key,
   return true;
 }
 
+// Inline: Build runs it once per row.
+inline void FlatKeyIndex::Insert(size_t i) {
+  const uint64_t h = hash_[i];
+  uint64_t b = h & mask_;
+  for (;;) {
+    const int32_t head = buckets_[b];
+    if (head < 0) {
+      buckets_[b] = static_cast<int32_t>(i);
+      heads_.push_back(static_cast<int32_t>(i));
+      tail_[i] = static_cast<int32_t>(i);
+      return;
+    }
+    const bool same =
+        hash_[head] == h &&
+        (use_key64_ ? key64_[head] == key64_[i]
+                    : KeysEqual((*rows_)[head], key_, (*rows_)[i], key_));
+    if (same) {
+      next_[tail_[head]] = static_cast<int32_t>(i);
+      tail_[head] = static_cast<int32_t>(i);
+      return;
+    }
+    b = (b + 1) & mask_;
+  }
+}
+
 void FlatKeyIndex::Build(const std::vector<Record>& rows,
                          const KeyColumns& key) {
   BuildWithHashes(rows, key, {});
@@ -85,29 +110,42 @@ void FlatKeyIndex::BuildWithHashes(const std::vector<Record>& rows,
   buckets_.assign(cap, -1);
   mask_ = cap - 1;
 
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t h = hash_[i];
-    uint64_t b = h & mask_;
-    for (;;) {
-      const int32_t head = buckets_[b];
-      if (head < 0) {
-        buckets_[b] = static_cast<int32_t>(i);
-        heads_.push_back(static_cast<int32_t>(i));
-        tail_[i] = static_cast<int32_t>(i);
-        break;
-      }
-      const bool same =
-          hash_[head] == h &&
-          (use_key64_ ? key64_[head] == key64_[i]
-                      : KeysEqual(rows[head], key, rows[i], key));
-      if (same) {
-        next_[tail_[head]] = static_cast<int32_t>(i);
-        tail_[head] = static_cast<int32_t>(i);
-        break;
-      }
-      b = (b + 1) & mask_;
+  for (size_t i = 0; i < n; ++i) Insert(i);
+}
+
+void FlatKeyIndex::Append(uint64_t hash) {
+  const size_t i = hash_.size();
+  FLINKLESS_CHECK(rows_ != nullptr && rows_->size() == i + 1,
+                  "Append needs exactly one row pushed since the last index "
+                  "update");
+  FLINKLESS_CHECK(i + 1 < static_cast<size_t>(
+                              std::numeric_limits<int32_t>::max()),
+                  "partition too large for 32-bit row ids");
+  const Record& row = (*rows_)[i];
+  hash_.push_back(hash);
+  next_.push_back(-1);
+  tail_.push_back(static_cast<int32_t>(i));
+  if (use_key64_) {
+    const int col = key_[0];
+    if (static_cast<size_t>(col) < row.size() && row[col].is_int64()) {
+      key64_.push_back(row[col].AsInt64());
+    } else {
+      use_key64_ = false;
+      key64_.clear();
     }
   }
+  if (2 * (i + 1) > buckets_.size()) {
+    // Past half full: double the table and re-place the group heads (their
+    // keys are distinct, so each takes the first free bucket).
+    buckets_.assign(2 * buckets_.size(), -1);
+    mask_ = buckets_.size() - 1;
+    for (const int32_t head : heads_) {
+      uint64_t b = hash_[head] & mask_;
+      while (buckets_[b] >= 0) b = (b + 1) & mask_;
+      buckets_[b] = head;
+    }
+  }
+  Insert(i);
 }
 
 int32_t FlatKeyIndex::FindFirst(const Record& probe,

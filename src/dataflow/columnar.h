@@ -55,12 +55,21 @@ bool ExtractKey64(const std::vector<Record>& records, const KeyColumns& key,
 /// chains of row ids — zero allocation per probe, one allocation per array
 /// at build.
 ///
-/// Lifetime: the index borrows `rows`; it must not outlive or observe
-/// mutation of them.
+/// Lifetime: the index borrows `rows` (the vector object, not its
+/// buffer); it must not outlive them. The rows may change only by
+/// overwriting a row with one of the same key, or by push_back followed by
+/// Append; any other mutation needs a fresh Build.
 class FlatKeyIndex {
  public:
   /// Indexes `rows` on `key`. Rebuilding over an old index reuses storage.
   void Build(const std::vector<Record>& rows, const KeyColumns& key);
+
+  /// Indexes the row just pushed onto the borrowed rows (exactly one new
+  /// row since the last Build/Append, checked); `hash` must be its
+  /// HashKey on the index's key. Amortized O(1): the bucket table doubles
+  /// when it passes half full. A row whose key column is not an int64
+  /// drops the index off the single-int64 fast path.
+  void Append(uint64_t hash);
 
   /// Build, but adopting previously computed row hashes (the cached-hash
   /// retention path for spilled cache entries — DESIGN.md §15). `hashes`
@@ -101,6 +110,10 @@ class FlatKeyIndex {
   size_t num_groups() const { return heads_.size(); }
 
  private:
+  /// Links row `i` (hash and key64 already set) into its group, or opens
+  /// a new group for it.
+  void Insert(size_t i);
+
   const std::vector<Record>* rows_ = nullptr;
   KeyColumns key_;
   std::vector<uint64_t> hash_;     // per row: HashKey(rows[i], key)

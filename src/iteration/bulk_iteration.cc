@@ -18,8 +18,7 @@ class BulkHooks final : public SuperstepHooks {
   IterationState* state() override { return &state_; }
   PartitionedDataset& data() { return state_.data(); }
 
-  void Bind(runtime::ThreadPool* /*pool*/,
-            dataflow::Bindings* bindings) override {
+  void Bind(dataflow::Bindings* bindings) override {
     (*bindings)[config_.state_binding] = &state_.data();
   }
 

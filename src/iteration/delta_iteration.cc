@@ -36,17 +36,17 @@ class DeltaHooks final : public SuperstepHooks {
                  static_cast<int64_t>(state_.workset().NumRecords()));
   }
 
-  void Bind(runtime::ThreadPool* pool, dataflow::Bindings* bindings) override {
-    solution_ds_ = state_.solution().ToDataset(pool);
+  void Bind(dataflow::Bindings* bindings) override {
+    // The solution set's rows are a key-ordered dataset already: Execute
+    // reads them in place.
     (*bindings)[config_.workset_binding] = &state_.workset();
-    (*bindings)[config_.solution_binding] = &solution_ds_;
+    (*bindings)[config_.solution_binding] = &state_.solution().rows();
   }
 
   Status Advance(PlanOutputs outputs, runtime::ThreadPool* pool,
                  runtime::Tracer* tracer, runtime::TraceSpan* span,
                  runtime::IterationStats* stats,
                  bool* /*converged*/) override {
-    solution_ds_ = PartitionedDataset();  // Execute was its only reader
     PartitionedDataset* delta = nullptr;
     PartitionedDataset* workset = nullptr;
     FLINKLESS_RETURN_NOT_OK(FindOutputs(&outputs, &delta, &workset));
@@ -129,9 +129,6 @@ class DeltaHooks final : public SuperstepHooks {
   const std::vector<Record> initial_solution_;
   const PartitionedDataset initial_workset_;
   DeltaState state_;
-  /// The solution set as bound into the current superstep's Execute;
-  /// released as soon as the superstep advances.
-  PartitionedDataset solution_ds_;
 };
 
 DeltaIterationDriver::DeltaIterationDriver(const dataflow::Plan* step_plan,

@@ -1,5 +1,7 @@
 #include "iteration/state.h"
 
+#include <algorithm>
+#include <numeric>
 #include <string>
 #include <utility>
 
@@ -52,14 +54,93 @@ dataflow::KeyColumns IdentityColumns(size_t n) {
 SolutionSet::SolutionSet(int num_partitions, dataflow::KeyColumns key)
     : key_(std::move(key)),
       identity_key_(IdentityColumns(key_.size())),
-      parts_(num_partitions) {}
+      rows_(num_partitions),
+      parts_(num_partitions) {
+  for (int p = 0; p < num_partitions; ++p) {
+    parts_[p].index.Build(rows_.partition(p), key_);
+  }
+}
+
+SolutionSet::SolutionSet(const SolutionSet& other)
+    : key_(other.key_),
+      identity_key_(other.identity_key_),
+      rows_(other.rows_),
+      parts_(other.parts_) {
+  // The copied indexes still borrow `other`'s rows: re-point them at ours,
+  // adopting the cached row hashes.
+  for (int p = 0; p < num_partitions(); ++p) {
+    parts_[p].index.BuildWithHashes(rows_.partition(p), key_,
+                                    other.parts_[p].index.row_hashes());
+  }
+}
+
+SolutionSet& SolutionSet::operator=(const SolutionSet& other) {
+  if (this != &other) *this = SolutionSet(other);
+  return *this;
+}
 
 SolutionSet SolutionSet::FromRecords(std::vector<Record> records,
                                      const dataflow::KeyColumns& key,
                                      int num_partitions) {
   SolutionSet set(num_partitions, key);
-  for (auto& r : records) set.Upsert(std::move(r));
+  for (auto& r : records) {
+    int p = PartitionedDataset::PartitionOf(r, key, num_partitions);
+    set.Put(p, std::move(r));
+  }
+  for (int p = 0; p < num_partitions; ++p) set.Settle(p, 0);
   return set;
+}
+
+void SolutionSet::CheckPartition(int p) const {
+  FLINKLESS_CHECK(p >= 0 && p < num_partitions(),
+                  "solution-set partition " << p << " out of range");
+}
+
+bool SolutionSet::Put(int p, Record record) {
+  Partition& part = parts_[p];
+  std::vector<Record>& rows = rows_.partition(p);
+  const uint64_t hash = dataflow::HashKey(record, key_);
+  const int32_t row = part.index.FindFirst(record, key_, hash);
+  if (row >= 0) {
+    rows[row] = std::move(record);
+    part.versions[row] = ++part.clock;
+    return true;
+  }
+  rows.push_back(std::move(record));
+  part.versions.push_back(++part.clock);
+  part.index.Append(hash);
+  return false;
+}
+
+void SolutionSet::Settle(int p, size_t sorted_rows) {
+  std::vector<Record>& rows = rows_.partition(p);
+  const size_t n = rows.size();
+  auto less = [&](size_t a, size_t b) {
+    return dataflow::KeyLess(rows[a], rows[b], key_);
+  };
+  size_t i = sorted_rows == 0 ? 1 : sorted_rows;
+  while (i < n && less(i - 1, i)) ++i;
+  if (i >= n) return;  // every appended key landed above the previous ones
+
+  // Sort the appended rows, merge them into the sorted prefix, and move
+  // rows and versions into that order together.
+  std::vector<size_t> order(n);
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin() + sorted_rows, order.end(), less);
+  std::inplace_merge(order.begin(), order.begin() + sorted_rows, order.end(),
+                     less);
+  Partition& part = parts_[p];
+  std::vector<Record> sorted;
+  std::vector<uint64_t> versions;
+  sorted.reserve(n);
+  versions.reserve(n);
+  for (size_t from : order) {
+    sorted.push_back(std::move(rows[from]));
+    versions.push_back(part.versions[from]);
+  }
+  rows.swap(sorted);
+  part.versions.swap(versions);
+  part.index.Build(rows, key_);
 }
 
 bool SolutionSet::Upsert(Record record) {
@@ -68,19 +149,15 @@ bool SolutionSet::Upsert(Record record) {
 }
 
 bool SolutionSet::UpsertIntoPartition(int p, Record record) {
-  FLINKLESS_CHECK(p >= 0 && p < num_partitions(),
-                  "solution-set partition " << p << " out of range");
+  CheckPartition(p);
   FLINKLESS_CHECK(
       PartitionedDataset::PartitionOf(record, key_, num_partitions()) == p,
       "record " << dataflow::RecordToString(record)
                 << " does not hash to partition " << p);
-  Partition& part = parts_[p];
-  Record k = dataflow::ExtractKey(record, key_);
-  Entry entry{std::move(record), ++part.clock};
-  auto [it, inserted] =
-      part.entries.insert_or_assign(std::move(k), std::move(entry));
-  (void)it;
-  return !inserted;
+  const size_t before = rows_.partition(p).size();
+  const bool replaced = Put(p, std::move(record));
+  Settle(p, before);
+  return replaced;
 }
 
 uint64_t SolutionSet::ApplyDelta(PartitionedDataset delta,
@@ -106,15 +183,18 @@ uint64_t SolutionSet::ApplyDelta(PartitionedDataset delta,
   });
 
   // Phase 2 (apply): each target partition upserts its shards in source
-  // order against its private clock. Per target this is the serial Upsert
-  // loop's order restricted to that target, and the clocks are per-partition,
-  // so entries *and* their versions are identical at any thread count.
+  // order against its private clock, then settles its key order once. Per
+  // target this is the serial Upsert loop's order restricted to that
+  // target, and the clocks are per-partition, so entries *and* their
+  // versions are identical at any thread count.
   runtime::TracedParallelFor(
       pool, span, targets,
       [&](int t) {
+        const size_t before = rows_.partition(t).size();
         for (int s = 0; s < sources; ++s) {
-          for (auto& r : outbox[s][t]) UpsertIntoPartition(t, std::move(r));
+          for (auto& r : outbox[s][t]) Put(t, std::move(r));
         }
+        Settle(t, before);
       },
       [&](int t) {
         int64_t shard = 0;
@@ -127,33 +207,27 @@ uint64_t SolutionSet::ApplyDelta(PartitionedDataset delta,
 }
 
 const Record* SolutionSet::Lookup(const Record& key_projection) const {
-  // The projection is hashed with the identity key columns (0..k-1),
-  // precomputed at construction — this sits in the delta-join hot loop.
-  int p = PartitionedDataset::PartitionOf(key_projection, identity_key_,
-                                          num_partitions());
-  const PartitionMap& entries = parts_[p].entries;
-  auto it = entries.find(key_projection);
-  return it == entries.end() ? nullptr : &it->second.record;
+  // The projection hashes on the identity key columns (0..k-1) to the same
+  // value its row hashes to on key_.
+  const uint64_t h = dataflow::HashKey(key_projection, identity_key_);
+  const int p = static_cast<int>(h % static_cast<uint64_t>(num_partitions()));
+  const int32_t row =
+      parts_[p].index.FindFirst(key_projection, identity_key_, h);
+  return row < 0 ? nullptr : &rows_.partition(p)[row];
 }
 
 std::vector<Record> SolutionSet::PartitionRecords(int p) const {
-  FLINKLESS_CHECK(p >= 0 && p < num_partitions(),
-                  "solution-set partition " << p << " out of range");
-  std::vector<Record> out;
-  out.reserve(parts_[p].entries.size());
-  for (const auto& [k, entry] : parts_[p].entries) out.push_back(entry.record);
-  return out;
+  CheckPartition(p);
+  return rows_.partition(p);
 }
 
 uint64_t SolutionSet::PartitionSize(int p) const {
-  FLINKLESS_CHECK(p >= 0 && p < num_partitions(),
-                  "solution-set partition " << p << " out of range");
-  return parts_[p].entries.size();
+  CheckPartition(p);
+  return rows_.partition(p).size();
 }
 
 uint64_t SolutionSet::version(int p) const {
-  FLINKLESS_CHECK(p >= 0 && p < num_partitions(),
-                  "solution-set partition " << p << " out of range");
+  CheckPartition(p);
   return parts_[p].clock;
 }
 
@@ -166,38 +240,28 @@ std::vector<uint64_t> SolutionSet::VersionVector() const {
 
 std::vector<Record> SolutionSet::EntriesSince(int p,
                                               uint64_t since_version) const {
-  FLINKLESS_CHECK(p >= 0 && p < num_partitions(),
-                  "solution-set partition " << p << " out of range");
+  CheckPartition(p);
+  const std::vector<Record>& rows = rows_.partition(p);
+  const std::vector<uint64_t>& versions = parts_[p].versions;
   std::vector<Record> out;
-  for (const auto& [k, entry] : parts_[p].entries) {
-    if (entry.version > since_version) out.push_back(entry.record);
+  for (size_t i = 0; i < versions.size(); ++i) {
+    if (versions[i] > since_version) out.push_back(rows[i]);
   }
   return out;
 }
 
-uint64_t SolutionSet::NumEntries() const {
-  uint64_t total = 0;
-  for (const auto& part : parts_) total += part.entries.size();
-  return total;
-}
-
-PartitionedDataset SolutionSet::ToDataset(runtime::ThreadPool* pool) const {
-  PartitionedDataset ds(num_partitions());
-  runtime::ParallelFor(pool, num_partitions(),
-                       [&](int p) { ds.partition(p) = PartitionRecords(p); });
-  return ds;
-}
+uint64_t SolutionSet::NumEntries() const { return rows_.NumRecords(); }
 
 void SolutionSet::ClearPartition(int p) {
-  FLINKLESS_CHECK(p >= 0 && p < num_partitions(),
-                  "solution-set partition " << p << " out of range");
-  parts_[p].entries.clear();
+  CheckPartition(p);
+  rows_.ClearPartition(p);
+  parts_[p].versions.clear();
   parts_[p].clock = 0;
+  parts_[p].index.Build(rows_.partition(p), key_);
 }
 
 void SolutionSet::FastForwardClock(int p, uint64_t to) {
-  FLINKLESS_CHECK(p >= 0 && p < num_partitions(),
-                  "solution-set partition " << p << " out of range");
+  CheckPartition(p);
   FLINKLESS_CHECK(to >= parts_[p].clock,
                   "clock of partition " << p << " cannot move backwards ("
                                         << parts_[p].clock << " -> " << to
@@ -223,14 +287,9 @@ Status SolutionSet::ReplacePartition(int p, std::vector<Record> records) {
   // EntriesSince(p, 0) still returns all of them while EntriesSince against
   // a resynced watermark (= the new clock) returns none. A restore never
   // marks entries freshly modified.
-  Partition& part = parts_[p];
-  part.entries.clear();
-  part.clock = 0;
-  for (auto& r : records) {
-    Record k = dataflow::ExtractKey(r, key_);
-    Entry entry{std::move(r), ++part.clock};
-    part.entries.insert_or_assign(std::move(k), std::move(entry));
-  }
+  ClearPartition(p);
+  for (Record& r : records) Put(p, std::move(r));
+  Settle(p, 0);
   return Status::OK();
 }
 
@@ -238,7 +297,7 @@ std::vector<uint8_t> DeltaState::SerializePartition(int p) const {
   FLINKLESS_CHECK(p >= 0 && p < num_partitions(),
                   "delta-state partition " << p << " out of range");
   std::vector<uint8_t> out;
-  dataflow::EncodeBlock(solution_.PartitionRecords(p), &out);
+  dataflow::EncodeBlock(solution_.rows().partition(p), &out);
   dataflow::EncodeBlock(workset_.partition(p), &out);
   return out;
 }

@@ -10,11 +10,11 @@
 #define FLINKLESS_ITERATION_STATE_H_
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
+#include "dataflow/columnar.h"
 #include "dataflow/dataset.h"
 #include "dataflow/record.h"
 #include "runtime/thread_pool.h"
@@ -72,14 +72,29 @@ class BulkState final : public IterationState {
   dataflow::PartitionedDataset data_;
 };
 
-/// The indexed solution set of a delta iteration: per partition, a map from
-/// key projection to the full record, co-partitioned by hash of the key.
+/// The indexed solution set of a delta iteration, co-partitioned by hash of
+/// the key. Per partition it is flat: the rows (one per key, in key order)
+/// as one partition of a dataset the set owns, a parallel array of entry
+/// versions, the partition's modification clock and a FlatKeyIndex over
+/// the rows on the key. An upsert of a present key overwrites its row and
+/// version in place; a new key is appended. A call that appended a key
+/// below the partition's largest re-sorts that partition once before it
+/// returns (versions move with their rows), so every reader sees key
+/// order.
 class SolutionSet {
  public:
   SolutionSet() = default;
   SolutionSet(int num_partitions, dataflow::KeyColumns key);
 
-  /// Builds a solution set from initial records.
+  /// A copy indexes its own rows. A move keeps the indexes: they borrow
+  /// the partition vectors, which live in the moved heap buffer.
+  SolutionSet(const SolutionSet& other);
+  SolutionSet& operator=(const SolutionSet& other);
+  SolutionSet(SolutionSet&&) noexcept = default;
+  SolutionSet& operator=(SolutionSet&&) noexcept = default;
+
+  /// Builds a solution set from initial records (a repeated key keeps the
+  /// last record).
   static SolutionSet FromRecords(std::vector<dataflow::Record> records,
                                  const dataflow::KeyColumns& key,
                                  int num_partitions);
@@ -87,14 +102,19 @@ class SolutionSet {
   int num_partitions() const { return static_cast<int>(parts_.size()); }
   const dataflow::KeyColumns& key() const { return key_; }
 
+  /// The entries as a dataset: partition p holds partition p's rows in key
+  /// order. The delta driver binds it into the step plan in place. Valid
+  /// until the next mutation.
+  const dataflow::PartitionedDataset& rows() const { return rows_; }
+
   /// Inserts or replaces the entry with `record`'s key. Returns true when an
   /// existing entry was replaced. Bumps only the owning partition's clock.
   bool Upsert(dataflow::Record record);
 
   /// Upsert for a record already known to hash to partition `p` (routing is
-  /// a programming error, checked). Touches only that partition's map and
-  /// clock, so concurrent calls for *distinct* partitions are safe — the
-  /// primitive behind ApplyDelta's partition-parallel phase.
+  /// a programming error, checked). Touches only that partition's rows,
+  /// index and clock, so concurrent calls for *distinct* partitions are
+  /// safe — the primitive behind ApplyDelta's partition-parallel phase.
   bool UpsertIntoPartition(int p, dataflow::Record record);
 
   /// Applies a superstep's delta records: scatter by key hash into
@@ -109,7 +129,11 @@ class SolutionSet {
                       runtime::ThreadPool* pool = nullptr,
                       runtime::Tracer* tracer = nullptr);
 
-  /// The record with the given key projection, or nullptr.
+  /// The record whose key equals `key_projection` (the key columns' values,
+  /// in key order), or nullptr. The pointer is into the partition's rows:
+  /// it is valid only until the next mutation of the set (any upsert,
+  /// ApplyDelta, ReplacePartition or ClearPartition), so copy the record
+  /// before mutating.
   const dataflow::Record* Lookup(const dataflow::Record& key_projection) const;
 
   /// Entries of one partition in key order.
@@ -129,19 +153,14 @@ class SolutionSet {
   std::vector<uint64_t> VersionVector() const;
 
   /// Entries of partition `p` modified strictly after `since_version` (on
-  /// that partition's clock), in key order. EntriesSince(p, 0) returns the
-  /// whole partition: live entries always carry versions >= 1.
+  /// that partition's clock), in key order: one sweep of the flat version
+  /// array. EntriesSince(p, 0) returns the whole partition: live entries
+  /// always carry versions >= 1.
   std::vector<dataflow::Record> EntriesSince(int p,
                                              uint64_t since_version) const;
 
   /// Total entries across partitions.
   uint64_t NumEntries() const;
-
-  /// Materializes the solution set as a dataset (bound into the step plan
-  /// each superstep). Partitions materialize in parallel on `pool` when one
-  /// is given; the result is identical either way.
-  dataflow::PartitionedDataset ToDataset(
-      runtime::ThreadPool* pool = nullptr) const;
 
   /// Drops partition `p`'s entries and resets its clock — a destroyed
   /// partition restarts its modification history.
@@ -154,43 +173,49 @@ class SolutionSet {
   /// pre-failure links.
   void FastForwardClock(int p, uint64_t to);
 
-  /// Replaces the contents of partition `p` with `records` (entries keyed by
-  /// their key projection). Records whose hash does not map to `p` are a
-  /// programming error. The partition's clock restarts: the restored
-  /// entries get versions 1..k (so EntriesSince(p, 0) still returns all of
-  /// them) and are *older* than any subsequent upsert — a restore or
-  /// compensation never marks entries as freshly modified. Version
-  /// consumers must resync their per-partition watermark to version(p)
-  /// afterwards.
+  /// Replaces the contents of partition `p` with `records` (in any order; a
+  /// repeated key keeps the last record and its version). Records whose
+  /// hash does not map to `p` are a programming error. The partition's
+  /// clock restarts: the restored entries get versions 1..k (so
+  /// EntriesSince(p, 0) still returns all of them) and are *older* than any
+  /// subsequent upsert — a restore or compensation never marks entries as
+  /// freshly modified. Version consumers must resync their per-partition
+  /// watermark to version(p) afterwards.
   Status ReplacePartition(int p, std::vector<dataflow::Record> records);
 
  private:
-  struct Entry {
-    dataflow::Record record;
-    /// Value of the owning partition's clock when this entry was last
-    /// written (>= 1 for live entries).
-    uint64_t version = 0;
-  };
-  using PartitionMap =
-      std::map<dataflow::Record, Entry, dataflow::RecordOrder>;
-  /// One partition's entries plus its private modification clock. No state
-  /// is shared between partitions, which is what makes ApplyDelta's
+  /// One partition's bookkeeping beside its rows (rows_.partition(p)). No
+  /// state is shared between partitions, which is what makes ApplyDelta's
   /// per-partition upsert phase safe to run on the pool.
   struct Partition {
-    PartitionMap entries;
+    /// Per row: the clock value when the row was last written (>= 1).
+    std::vector<uint64_t> versions;
     uint64_t clock = 0;
+    /// Over rows_.partition(p) on key_.
+    dataflow::FlatKeyIndex index;
   };
 
+  void CheckPartition(int p) const;
+  /// Upserts `record` into partition p, which it hashes to. Returns true
+  /// when an existing entry was replaced.
+  bool Put(int p, dataflow::Record record);
+  /// Ends a batch of Puts into partition p that began with `sorted_rows`
+  /// rows (which overwrites keep sorted): if a row was appended below the
+  /// largest key, sorts the appended rows, merges them with the earlier
+  /// ones and rebuilds the index.
+  void Settle(int p, size_t sorted_rows);
+
   dataflow::KeyColumns key_;
-  /// Identity columns 0..k-1 used to hash key projections in Lookup;
-  /// hoisted out of the delta-join hot loop.
+  /// Identity columns 0..k-1 used to hash key projections in Lookup.
   dataflow::KeyColumns identity_key_;
+  dataflow::PartitionedDataset rows_;
   std::vector<Partition> parts_;
 };
 
 /// Delta-iteration state: solution set + working set (paper §2.1). A failure
 /// loses both pieces of the affected partitions. A partition's snapshot is
-/// the solution block (entries in key order), then the workset block.
+/// the solution block (the partition's rows, in key order), then the
+/// workset block.
 class DeltaState final : public IterationState {
  public:
   DeltaState() = default;

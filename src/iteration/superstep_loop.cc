@@ -204,7 +204,7 @@ Status SuperstepLoop::RunSuperstep() {
   if (msglog_ != nullptr) msglog_->BeginSuperstep(iteration);
 
   dataflow::Bindings bindings = static_bindings_;
-  hooks_->Bind(executor_->pool(), &bindings);
+  hooks_->Bind(&bindings);
   dataflow::ExecStats exec_stats;
   FLINKLESS_ASSIGN_OR_RETURN(
       PlanOutputs outputs,

@@ -56,8 +56,7 @@ class SuperstepHooks {
 
   /// Binds the current state into `bindings` for the superstep's Execute.
   /// Whatever it binds must stay alive until Advance.
-  virtual void Bind(runtime::ThreadPool* pool,
-                    dataflow::Bindings* bindings) = 0;
+  virtual void Bind(dataflow::Bindings* bindings) = 0;
 
   /// Makes the superstep's outputs the next state. May add args to the
   /// superstep `span` and gauges to `stats`; sets `*converged` when the

@@ -17,6 +17,7 @@ ReadView::ReadView(dataflow::KeyColumns key, int num_partitions)
   for (size_t i = 0; i < key_.size(); ++i) {
     identity_key_[i] = static_cast<int>(i);
   }
+  for (Partition& part : parts_) part.index.Build(part.rows, key_);
 }
 
 bool ReadView::Publish(const iteration::IterationState& state, int epoch) {
@@ -36,14 +37,13 @@ bool ReadView::PublishDelta(const SolutionSet& solution, int epoch) {
     Partition& part = parts_[p];
     if (!ActiveOnPublish(part)) continue;
     if (dirty_ || !part.materialized) {
-      FillFromSolution(p, solution);
+      Fill(p, solution.rows().partition(p), solution.version(p));
       continue;
     }
     // Failure-free incremental refresh: only the entries written after the
     // watermark on this partition's private clock.
     for (Record& record : solution.EntriesSince(p, part.watermark)) {
-      Record projection = dataflow::ExtractKey(record, key_);
-      part.entries.insert_or_assign(std::move(projection), std::move(record));
+      Put(&part, std::move(record));
     }
     part.watermark = solution.version(p);
   }
@@ -57,7 +57,7 @@ bool ReadView::PublishBulk(const PartitionedDataset& data, int epoch) {
                   "publish with mismatched partition count");
   if (epoch < epoch_) return false;
   for (int p = 0; p < num_partitions(); ++p) {
-    if (ActiveOnPublish(parts_[p])) FillFromBulk(p, data);
+    if (ActiveOnPublish(parts_[p])) Fill(p, data.partition(p), 0);
   }
   epoch_ = epoch;
   dirty_ = false;
@@ -66,8 +66,11 @@ bool ReadView::PublishBulk(const PartitionedDataset& data, int epoch) {
 
 ReadView::LookupResult ReadView::Lookup(const Record& key_projection) {
   LookupResult result;
-  result.partition = PartitionedDataset::PartitionOf(
-      key_projection, identity_key_, num_partitions());
+  // The projection hashes on the identity columns to the value its row
+  // hashes to on key_.
+  const uint64_t hash = dataflow::HashKey(key_projection, identity_key_);
+  result.partition =
+      static_cast<int>(hash % static_cast<uint64_t>(num_partitions()));
   result.epoch = epoch_;
   Partition& part = parts_[result.partition];
   if (!has_published() || !part.materialized) {
@@ -75,12 +78,12 @@ ReadView::LookupResult ReadView::Lookup(const Record& key_projection) {
     result.hit = Hit::kPending;
     return result;
   }
-  auto it = part.entries.find(key_projection);
-  if (it == part.entries.end()) {
+  const int32_t row = part.index.FindFirst(key_projection, identity_key_, hash);
+  if (row < 0) {
     result.hit = Hit::kMissing;
   } else {
     result.hit = Hit::kFound;
-    result.record = &it->second;
+    result.record = &part.rows[row];
   }
   return result;
 }
@@ -88,38 +91,36 @@ ReadView::LookupResult ReadView::Lookup(const Record& key_projection) {
 void ReadView::MaterializePartitionFromSolution(int p, const SolutionSet& s) {
   FLINKLESS_CHECK(p >= 0 && p < num_partitions(),
                   "materialize of partition " << p << " out of range");
-  FillFromSolution(p, s);
+  Fill(p, s.rows().partition(p), s.version(p));
 }
 
 void ReadView::MaterializePartitionFromBulk(int p,
                                             const PartitionedDataset& d) {
   FLINKLESS_CHECK(p >= 0 && p < num_partitions(),
                   "materialize of partition " << p << " out of range");
-  FillFromBulk(p, d);
+  Fill(p, d.partition(p), 0);
 }
 
-void ReadView::FillFromSolution(int p, const SolutionSet& s) {
+void ReadView::Fill(int p, const std::vector<Record>& records,
+                    uint64_t watermark) {
   Partition& part = parts_[p];
-  part.entries.clear();
-  for (Record& record : s.PartitionRecords(p)) {
-    Record projection = dataflow::ExtractKey(record, key_);
-    part.entries.emplace(std::move(projection), std::move(record));
-  }
-  part.watermark = s.version(p);
+  part.rows.clear();
+  part.index.Build(part.rows, key_);
+  for (const Record& record : records) Put(&part, record);
+  part.watermark = watermark;
   part.materialized = true;
   part.wanted = false;
 }
 
-void ReadView::FillFromBulk(int p, const PartitionedDataset& d) {
-  Partition& part = parts_[p];
-  part.entries.clear();
-  for (const Record& record : d.partition(p)) {
-    Record projection = dataflow::ExtractKey(record, key_);
-    part.entries.insert_or_assign(std::move(projection), record);
+void ReadView::Put(Partition* part, Record record) {
+  const uint64_t hash = dataflow::HashKey(record, key_);
+  const int32_t row = part->index.FindFirst(record, key_, hash);
+  if (row >= 0) {
+    part->rows[row] = std::move(record);
+    return;
   }
-  part.watermark = 0;
-  part.materialized = true;
-  part.wanted = false;
+  part->rows.push_back(std::move(record));
+  part->index.Append(hash);
 }
 
 }  // namespace flinkless::server

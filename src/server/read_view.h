@@ -15,10 +15,16 @@
 // publish materializes it. Cold partitions cost nothing per publish, which
 // is what keeps many concurrent serveable jobs affordable.
 //
+// A materialized partition is flat: its rows, one per key, and a
+// FlatKeyIndex over them on the key. Filling and refreshing share one
+// body: each incoming record overwrites the row of its key in place, or is
+// appended.
+//
 // Refresh rules:
 //  * Delta jobs refresh incrementally: each materialized partition keeps a
 //    watermark on the solution set's per-partition version clock and pulls
-//    only EntriesSince(p, watermark) per publish.
+//    only EntriesSince(p, watermark) per publish — one sweep of the flat
+//    version array, and only the changed rows are copied.
 //  * Any failure marks the whole view dirty (MarkAllDirty): recovery may
 //    restart partition clocks (ReplacePartition semantics, state.h), so
 //    watermarks are meaningless and the next accepted publish fully
@@ -39,9 +45,9 @@
 #define FLINKLESS_SERVER_READ_VIEW_H_
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
+#include "dataflow/columnar.h"
 #include "dataflow/dataset.h"
 #include "dataflow/record.h"
 #include "iteration/state.h"
@@ -71,6 +77,9 @@ class ReadView {
   /// solution_key / the bulk job's state_key); lookups present the key
   /// *projection* (identity columns 0..k-1).
   ReadView(dataflow::KeyColumns key, int num_partitions);
+  /// Each partition's index borrows its rows.
+  ReadView(const ReadView&) = delete;
+  ReadView& operator=(const ReadView&) = delete;
 
   int num_partitions() const { return static_cast<int>(parts_.size()); }
   /// Fields of a key projection.
@@ -108,11 +117,11 @@ class ReadView {
 
  private:
   struct Partition {
-    /// key projection -> full record. Ordered map: deterministic iteration
-    /// for tests that snapshot a partition.
-    std::map<dataflow::Record, dataflow::Record, dataflow::RecordOrder>
-        entries;
-    /// Solution-set clock value the entries reflect (delta views only).
+    /// Full records, one per key, in arrival order.
+    std::vector<dataflow::Record> rows;
+    /// Over `rows` on the view's key.
+    dataflow::FlatKeyIndex index;
+    /// Solution-set clock value the rows reflect (delta views only).
     uint64_t watermark = 0;
     bool materialized = false;
     /// A reader touched this partition while cold; materialize it at the
@@ -125,8 +134,12 @@ class ReadView {
     return part.materialized || part.wanted;
   }
 
-  void FillFromSolution(int p, const iteration::SolutionSet& s);
-  void FillFromBulk(int p, const dataflow::PartitionedDataset& d);
+  /// Replaces partition `p`'s rows with `records` and marks it
+  /// materialized at `watermark`.
+  void Fill(int p, const std::vector<dataflow::Record>& records,
+            uint64_t watermark);
+  /// Overwrites the row with `record`'s key, or appends it.
+  void Put(Partition* part, dataflow::Record record);
 
   dataflow::KeyColumns key_;
   /// Identity columns 0..k-1: key projections hash/route on themselves.

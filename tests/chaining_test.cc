@@ -323,7 +323,7 @@ INSTANTIATE_TEST_SUITE_P(StepPlans, ShippedPlanReplayTest, StepCases(),
 
 /// `plan` rebuilt through the public builder without its DeclareReduce
 /// calls, so every reduce folds records with its combiner. Covers the
-/// operator kinds of the PageRank and CC step plans.
+/// operator kinds of the PageRank, CC and SSSP step plans.
 Plan Undeclared(const Plan& plan) {
   using dataflow::OpKind;
   Plan copy;
@@ -338,6 +338,12 @@ Plan Undeclared(const Plan& plan) {
         break;
       case OpKind::kFlatMap:
         copy.FlatMap(in[0], node.flat_map_fn, node.name);
+        break;
+      case OpKind::kFilter:
+        copy.Filter(in[0], node.filter_fn, node.name);
+        break;
+      case OpKind::kProject:
+        copy.Project(in[0], node.project_columns, node.name);
         break;
       case OpKind::kUnion:
         copy.Union(in[0], in[1], node.name);
@@ -397,17 +403,19 @@ using DeclaredParam = std::tuple<std::string, int>;
 class DeclaredReduceTest : public ::testing::TestWithParam<DeclaredParam> {};
 
 TEST_P(DeclaredReduceTest, ShippedDeclarationChangesNothingObservable) {
-  // PageRank's recompute-ranks and dangling-mass and CC's candidate-label
-  // ship their pre-combined partials as typed pairs; the same plan without
-  // the declarations ships records. Outputs, ExecStats, the SimClock per
-  // charge and the metrics snapshot must not tell them apart.
+  // PageRank's recompute-ranks and dangling-mass, CC's candidate-label and
+  // SSSP's min-distance ship their pre-combined partials as typed pairs;
+  // the same plan without the declarations ships records. Outputs,
+  // ExecStats, the SimClock per charge and the metrics snapshot must not
+  // tell them apart.
   const auto& [algo, threads] = GetParam();
   const StepCase c = MakeCase(algo);
-  const std::vector<std::string> kDeclared =
-      algo == "pagerank"
-          ? std::vector<std::string>{"recompute-ranks", "dangling-mass"}
-          : std::vector<std::string>{"candidate-label"};
-  ASSERT_EQ(DeclaredReduces(c.plan), kDeclared);
+  const std::map<std::string, std::vector<std::string>> kDeclared = {
+      {"pagerank", {"recompute-ranks", "dangling-mass"}},
+      {"cc", {"candidate-label"}},
+      {"sssp", {"min-distance"}},
+  };
+  ASSERT_EQ(DeclaredReduces(c.plan), kDeclared.at(algo));
   const Plan undeclared = Undeclared(c.plan);
   ASSERT_TRUE(DeclaredReduces(undeclared).empty());
   ASSERT_EQ(undeclared.Explain(), c.plan.Explain());
@@ -420,7 +428,7 @@ TEST_P(DeclaredReduceTest, ShippedDeclarationChangesNothingObservable) {
 
 INSTANTIATE_TEST_SUITE_P(
     ShippedReduces, DeclaredReduceTest,
-    ::testing::Combine(::testing::Values("pagerank", "cc"),
+    ::testing::Combine(::testing::Values("pagerank", "cc", "sssp"),
                        ::testing::Values(1, 2, 8)),
     [](const ::testing::TestParamInfo<DeclaredParam>& info) {
       return std::get<0>(info.param) + "_t" +

@@ -4,8 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
 #include <memory>
+#include <string>
+#include <utility>
 
+#include "common/rng.h"
 #include "dataflow/executor.h"
 #include "iteration/bulk_iteration.h"
 #include "iteration/delta_iteration.h"
@@ -56,12 +61,15 @@ TEST(SolutionSetTest, UpsertAndLookup) {
   EXPECT_EQ(set.Lookup(MakeRecord(int64_t{99})), nullptr);
 }
 
-TEST(SolutionSetTest, ToDatasetIsCoPartitioned) {
+TEST(SolutionSetTest, RowsAreCoPartitioned) {
   SolutionSet set(4, {0});
   for (int64_t v = 0; v < 40; ++v) set.Upsert(MakeRecord(v, v));
-  PartitionedDataset ds = set.ToDataset();
+  const PartitionedDataset& ds = set.rows();
   EXPECT_EQ(ds.NumRecords(), 40u);
   EXPECT_TRUE(ds.IsPartitionedBy({0}));
+  for (int p = 0; p < 4; ++p) {
+    EXPECT_EQ(ds.partition(p), set.PartitionRecords(p));
+  }
 }
 
 TEST(SolutionSetTest, FromRecordsBuildsIndex) {
@@ -197,6 +205,245 @@ TEST(SolutionSetTest, FastForwardClockAdvancesWithoutTouchingEntries) {
   EXPECT_EQ(set.version(p), clock + 5);
   EXPECT_EQ(set.EntriesSince(p, 0).size(), 1u);
   EXPECT_TRUE(set.EntriesSince(p, clock).empty());
+}
+
+// ----------------------------------------- flat store vs a map model --
+
+/// The solution set's contract as the map-per-partition store it replaced:
+/// key projection -> (record, version) in key order, plus a clock.
+class ModelSet {
+ public:
+  ModelSet(int num_partitions, dataflow::KeyColumns key)
+      : key_(std::move(key)), parts_(num_partitions) {}
+
+  int PartitionOf(const Record& r) const {
+    return PartitionedDataset::PartitionOf(r, key_, num_partitions());
+  }
+  int num_partitions() const { return static_cast<int>(parts_.size()); }
+  uint64_t clock(int p) const { return parts_[p].clock; }
+
+  bool Upsert(Record r) {
+    Part& part = parts_[PartitionOf(r)];
+    Record k = dataflow::ExtractKey(r, key_);
+    const bool replaced = part.entries.count(k) > 0;
+    part.entries[k] = {std::move(r), ++part.clock};
+    return replaced;
+  }
+  void Replace(int p, const std::vector<Record>& records) {
+    Clear(p);
+    for (const Record& r : records) Upsert(r);
+  }
+  void Clear(int p) { parts_[p] = Part(); }
+  void FastForward(int p, uint64_t to) { parts_[p].clock = to; }
+
+  std::vector<Record> Since(int p, uint64_t since) const {
+    std::vector<Record> out;
+    for (const auto& [k, entry] : parts_[p].entries) {
+      if (entry.second > since) out.push_back(entry.first);
+    }
+    return out;
+  }
+  const Record* Find(const Record& projection) const {
+    for (const Part& part : parts_) {
+      auto it = part.entries.find(projection);
+      if (it != part.entries.end()) return &it->second.first;
+    }
+    return nullptr;
+  }
+
+ private:
+  struct Part {
+    std::map<Record, std::pair<Record, uint64_t>, dataflow::RecordOrder>
+        entries;
+    uint64_t clock = 0;
+  };
+  dataflow::KeyColumns key_;
+  std::vector<Part> parts_;
+};
+
+/// Every observable of `set` against `model`; `universe` are the key
+/// projections to Lookup (present and absent).
+void ExpectMatchesModel(const SolutionSet& set, const ModelSet& model,
+                        const std::vector<Record>& universe) {
+  ASSERT_EQ(set.num_partitions(), model.num_partitions());
+  uint64_t entries = 0;
+  std::vector<uint64_t> clocks;
+  for (int p = 0; p < set.num_partitions(); ++p) {
+    const uint64_t clock = model.clock(p);
+    clocks.push_back(clock);
+    ASSERT_EQ(set.version(p), clock) << "p=" << p;
+    const std::vector<Record> all = model.Since(p, 0);
+    ASSERT_EQ(set.PartitionRecords(p), all) << "p=" << p;
+    ASSERT_EQ(set.rows().partition(p), all) << "p=" << p;
+    ASSERT_EQ(set.PartitionSize(p), all.size());
+    entries += all.size();
+    for (uint64_t since : {uint64_t{0}, clock / 3, clock / 2,
+                           clock > 0 ? clock - 1 : 0, clock}) {
+      ASSERT_EQ(set.EntriesSince(p, since), model.Since(p, since))
+          << "p=" << p << " since=" << since;
+    }
+  }
+  ASSERT_EQ(set.VersionVector(), clocks);
+  ASSERT_EQ(set.NumEntries(), entries);
+  for (const Record& k : universe) {
+    const Record* got = set.Lookup(k);
+    const Record* want = model.Find(k);
+    ASSERT_EQ(got == nullptr, want == nullptr) << dataflow::RecordToString(k);
+    if (got != nullptr) {
+      ASSERT_EQ(*got, *want);
+    }
+  }
+}
+
+/// Key layouts the model test runs over: CC/SSSP's single int64 column
+/// (the index's flat fast path), and a (string, int64) key out of column
+/// order (the generic path, whose probes read the borrowed rows).
+struct KeyLayout {
+  std::string name;
+  dataflow::KeyColumns key;
+  std::function<Record(int64_t id, int64_t value)> make;
+  std::function<Record(int64_t id)> projection;
+};
+
+std::vector<KeyLayout> KeyLayouts() {
+  return {
+      {"int64",
+       {0},
+       [](int64_t id, int64_t value) { return MakeRecord(id, value); },
+       [](int64_t id) { return MakeRecord(id); }},
+      {"string_int64",
+       {2, 0},
+       [](int64_t id, int64_t value) {
+         return MakeRecord(id % 7, value, "k" + std::to_string(id / 7));
+       },
+       [](int64_t id) {
+         return MakeRecord("k" + std::to_string(id / 7), id % 7);
+       }},
+  };
+}
+
+TEST(SolutionSetModelTest, RandomOperationsMatchMapModel) {
+  const int kParts = 4;
+  const int64_t kKeys = 96;
+  runtime::ThreadPool pool2(2);
+  runtime::ThreadPool pool8(8);
+  const std::pair<int, runtime::ThreadPool*> kPools[] = {
+      {1, nullptr}, {2, &pool2}, {8, &pool8}};
+  for (const KeyLayout& layout : KeyLayouts()) {
+    SCOPED_TRACE(layout.name);
+    Rng rng(11);
+    std::vector<Record> universe;
+    for (int64_t id = 0; id < kKeys + 8; ++id) {
+      universe.push_back(layout.projection(id));
+    }
+    auto random_record = [&]() {
+      return layout.make(rng.NextInRange(0, kKeys - 1),
+                         rng.NextInRange(0, 1000));
+    };
+
+    // Start from a shuffled batch with repeated keys.
+    std::vector<Record> initial;
+    for (int i = 0; i < 40; ++i) initial.push_back(random_record());
+    SolutionSet set = SolutionSet::FromRecords(initial, layout.key, kParts);
+    ModelSet model(kParts, layout.key);
+    for (const Record& r : initial) model.Upsert(r);
+    ExpectMatchesModel(set, model, universe);
+
+    for (int step = 0; step < 300; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      const int p = static_cast<int>(rng.NextBounded(kParts));
+      switch (rng.NextBounded(7)) {
+        case 0: {  // Upsert
+          Record r = random_record();
+          ASSERT_EQ(set.Upsert(r), model.Upsert(r));
+          break;
+        }
+        case 1: {  // UpsertIntoPartition
+          Record r = random_record();
+          const int home = model.PartitionOf(r);
+          ASSERT_EQ(set.UpsertIntoPartition(home, r), model.Upsert(r));
+          break;
+        }
+        case 2: {  // ApplyDelta: repeated keys across source partitions
+          std::vector<Record> records;
+          const int n = static_cast<int>(rng.NextBounded(30));
+          for (int i = 0; i < n; ++i) records.push_back(random_record());
+          PartitionedDataset delta =
+              PartitionedDataset::RoundRobin(records, kParts);
+          for (int s = 0; s < kParts; ++s) {
+            for (const Record& r : delta.partition(s)) model.Upsert(r);
+          }
+          const auto& [threads, pool] = kPools[rng.NextBounded(3)];
+          SCOPED_TRACE("threads " + std::to_string(threads));
+          ASSERT_EQ(set.ApplyDelta(std::move(delta), pool),
+                    static_cast<uint64_t>(n));
+          break;
+        }
+        case 3: {  // ReplacePartition: unsorted, with repeated keys
+          std::vector<Record> records;
+          const int n = static_cast<int>(rng.NextBounded(40));
+          while (static_cast<int>(records.size()) < n) {
+            Record r = random_record();
+            if (model.PartitionOf(r) == p) records.push_back(r);
+          }
+          if (!records.empty()) records.push_back(records.front());
+          rng.Shuffle(&records);
+          model.Replace(p, records);
+          ASSERT_TRUE(set.ReplacePartition(p, records).ok());
+          break;
+        }
+        case 4:
+          set.ClearPartition(p);
+          model.Clear(p);
+          break;
+        case 5: {
+          const uint64_t to = model.clock(p) + rng.NextBounded(5);
+          set.FastForwardClock(p, to);
+          model.FastForward(p, to);
+          break;
+        }
+        case 6: {  // copies and moves index their own rows
+          SolutionSet copy = set;
+          set.ClearPartition(p);  // the copy must not read these rows
+          ExpectMatchesModel(copy, model, universe);
+          SolutionSet moved = std::move(copy);
+          ExpectMatchesModel(moved, model, universe);
+          set = moved;
+          moved = SolutionSet();
+          DeltaState state(std::move(set), PartitionedDataset(kParts));
+          DeltaState state_copy = state;
+          state = DeltaState();
+          ExpectMatchesModel(state_copy.solution(), model, universe);
+          set = std::move(state_copy.solution());
+          break;
+        }
+      }
+      ExpectMatchesModel(set, model, universe);
+    }
+  }
+}
+
+TEST(SolutionSetModelTest, NewKeysBelowTheLargestKeepKeyOrder) {
+  // Keys arriving in descending order append below the partition's
+  // largest every time: each call re-sorts, versions move with their rows.
+  SolutionSet set(2, {0});
+  ModelSet model(2, {0});
+  std::vector<Record> universe;
+  for (int64_t v = 30; v >= 0; --v) {
+    universe.push_back(MakeRecord(v));
+    ASSERT_FALSE(set.Upsert(MakeRecord(v, v * 10)));
+    model.Upsert(MakeRecord(v, v * 10));
+    ExpectMatchesModel(set, model, universe);
+  }
+  std::vector<Record> delta;
+  for (int64_t v = 60; v > 20; v -= 3) delta.push_back(MakeRecord(v, -v));
+  PartitionedDataset shards = PartitionedDataset::RoundRobin(delta, 2);
+  for (int s = 0; s < 2; ++s) {
+    for (const Record& r : shards.partition(s)) model.Upsert(r);
+  }
+  set.ApplyDelta(std::move(shards));
+  for (int64_t v = 31; v <= 60; ++v) universe.push_back(MakeRecord(v));
+  ExpectMatchesModel(set, model, universe);
 }
 
 TEST(SolutionSetDeathTest, OutOfRangePartitionDies) {
