@@ -84,6 +84,9 @@ class FlatSlotMap {
 
   size_t size() const { return size_; }
 
+  /// The hash slot `slot` was inserted with.
+  uint64_t hash(size_t slot) const { return hashes_[slot]; }
+
  private:
   void Grow() {
     const size_t cap = table_.size() * 2;
@@ -143,9 +146,47 @@ std::vector<Record> PairRecords(ReduceKind kind,
   return records;
 }
 
+/// A pre-combine fold's partials grouped by target partition (DESIGN.md
+/// §15): bucket t is rows[start[t], start[t + 1]), in slot (first-arrival)
+/// order. A source that did not run has no buckets.
+template <typename Row>
+struct Buckets {
+  std::vector<Row> rows;
+  std::vector<size_t> start;
+
+  bool empty() const { return start.empty(); }
+  uint64_t size(int t) const { return empty() ? 0 : start[t + 1] - start[t]; }
+};
+
+/// Sorts `pairs`, whose keys are unique, by key: an LSD radix sort over
+/// the sign-flipped key's bytes that skips the bytes every key shares.
+/// Unique keys make the order exactly std::sort's.
+void SortByKey(std::vector<KeyValue>* pairs) {
+  if (pairs->size() < 2) return;
+  const int64_t first = pairs->front().first;
+  uint64_t differ = 0;
+  for (const KeyValue& pair : *pairs) {
+    differ |= static_cast<uint64_t>(pair.first ^ first);
+  }
+  std::vector<KeyValue> buffer(pairs->size());
+  for (int shift = 0; shift < 64; shift += 8) {
+    if (((differ >> shift) & 0xff) == 0) continue;
+    auto digit = [shift](const KeyValue& pair) {
+      const uint64_t biased =
+          static_cast<uint64_t>(pair.first) ^ (uint64_t{1} << 63);
+      return (biased >> shift) & 0xff;
+    };
+    size_t offset[256] = {};
+    for (const KeyValue& pair : *pairs) ++offset[digit(pair)];
+    size_t start = 0;
+    for (size_t& o : offset) start += std::exchange(o, start);
+    for (const KeyValue& pair : *pairs) buffer[offset[digit(pair)]++] = pair;
+    pairs->swap(buffer);
+  }
+}
+
 /// A declared reduce's typed channel (DESIGN.md §15): per partition, the
-/// pairs its pre-combine folds emitted. It has PartitionedDataset's
-/// partition interface, so one ShuffleImpl moves both.
+/// pairs gathered from the pre-combine folds' buckets.
 class PairDataset {
  public:
   explicit PairDataset(int num_partitions = 0) : partitions_(num_partitions) {}
@@ -155,7 +196,6 @@ class PairDataset {
   const std::vector<KeyValue>& partition(int p) const {
     return partitions_[p];
   }
-  void ReleasePartition(int p) { std::vector<KeyValue>().swap(partitions_[p]); }
 
   /// The channel as the records the Record path would have shipped.
   PartitionedDataset ToRecords(ReduceKind kind) const {
@@ -171,7 +211,8 @@ class PairDataset {
 };
 
 /// Reduce of one partition, fed one row at a time in arrival order and
-/// emitted sorted on the key. A declared combiner (DESIGN.md §15) folds
+/// emitted sorted on the key, or, as a pre-combine, handed back unsorted in
+/// one bucket per target partition. A declared combiner (DESIGN.md §15) folds
 /// scalar (key, accumulator) pairs while rows have the declared shape; the
 /// first row that does not turns the pairs into records and folds on with
 /// the combiner, which the declaration promises is byte-identical.
@@ -258,18 +299,19 @@ class ReduceFold {
     }
   }
 
-  /// The typed fold's pairs in key order, moved out.
-  std::vector<KeyValue> SortedPairs() {
-    // Keys are unique, so sorting the pairs sorts them by key.
-    std::sort(pairs_.begin(), pairs_.end());
-    return std::move(pairs_);
-  }
+  /// The typed fold's pairs, moved out into one bucket per target of `n`
+  /// partitions.
+  Buckets<KeyValue> PairBuckets(int n) { return Route(&pairs_, n); }
+
+  /// The accumulator records, moved out as PairBuckets moves pairs.
+  Buckets<Record> RecordBuckets(int n) { return Route(&acc_, n); }
 
   /// Emits the accumulators in key order (KeyLess; numeric order for an
   /// int64 key).
   bool Emit(const RowSink& out) {
     if (typed_) {
-      for (const KeyValue& pair : SortedPairs()) {
+      SortByKey(&pairs_);
+      for (const KeyValue& pair : pairs_) {
         if (!out(PairRecord(node_.reduce_kind, pair))) return false;
       }
       return true;
@@ -299,6 +341,29 @@ class ReduceFold {
                                    ? std::bit_cast<int64_t>(row[1].AsDouble())
                                    : row[1].AsInt64()});
     return true;
+  }
+
+  /// Moves slot s of `rows` into bucket hash(s) % n, each bucket in slot
+  /// (first-arrival) order. The slot's hash is HashKey of its key, so the
+  /// bucket is PartitionedDataset::PartitionOf the key.
+  template <typename Row>
+  Buckets<Row> Route(std::vector<Row>* rows, int n) const {
+    std::vector<int32_t> target(rows->size());
+    Buckets<Row> out;
+    out.start.assign(n + 1, 0);
+    for (size_t s = 0; s < rows->size(); ++s) {
+      target[s] =
+          static_cast<int32_t>(slots_.hash(s) % static_cast<uint64_t>(n));
+      ++out.start[target[s] + 1];
+    }
+    for (int t = 0; t < n; ++t) out.start[t + 1] += out.start[t];
+    std::vector<size_t> next(out.start.begin(), out.start.end() - 1);
+    out.rows.resize(rows->size());
+    for (size_t s = 0; s < rows->size(); ++s) {
+      out.rows[next[target[s]]++] = std::move((*rows)[s]);
+    }
+    std::vector<Row>().swap(*rows);
+    return out;
   }
 
   /// Leaves the typed fold: slot s's pair becomes accumulator record s, so
@@ -711,6 +776,22 @@ std::vector<uint64_t> Sizes(const Dataset& ds) {
   return sizes;
 }
 
+/// Target t of a pre-combined channel: bucket t of every source, in source
+/// order.
+template <typename Row>
+void GatherBuckets(std::vector<Buckets<Row>>* sources, int t,
+                   std::vector<Row>* dst) {
+  size_t add = 0;
+  for (const Buckets<Row>& source : *sources) add += source.size(t);
+  dst->reserve(add);
+  for (Buckets<Row>& source : *sources) {
+    if (source.empty()) continue;
+    auto first = source.rows.begin();
+    dst->insert(dst->end(), std::make_move_iterator(first + source.start[t]),
+                std::make_move_iterator(first + source.start[t + 1]));
+  }
+}
+
 uint64_t Sum(const std::vector<uint64_t>& v) {
   uint64_t total = 0;
   for (uint64_t x : v) total += x;
@@ -736,6 +817,36 @@ std::vector<bool> LogVariant(const Plan* plan, const runtime::MessageLog* log) {
       plan->InvariantNodes(log->volatile_bindings());
   for (size_t i = 0; i < variant.size(); ++i) variant[i] = !invariant[i];
   return variant;
+}
+
+/// Records the rows that left each source partition of a channel: the
+/// "messages" and "moved_p<i>" args of its job-level shuffle span, and the
+/// per-source shuffle fan-out (the counter makes skewed senders visible,
+/// the histogram gives the distribution across all shuffles of the run).
+/// Returns the messages.
+uint64_t RecordMoved(runtime::MetricsSink* metrics, runtime::TraceSpan* span,
+                     bool per_partition_args,
+                     const std::vector<uint64_t>& moved) {
+  const uint64_t messages = Sum(moved);
+  if (span->active()) {
+    span->AddArg("messages", static_cast<int64_t>(messages));
+    if (per_partition_args) {
+      PartitionKeyBuffer moved_key("moved_p");
+      for (size_t p = 0; p < moved.size(); ++p) {
+        span->AddArg(moved_key.Key(static_cast<int>(p)),
+                     static_cast<int64_t>(moved[p]));
+      }
+    }
+  }
+  if (metrics != nullptr) {
+    for (size_t p = 0; p < moved.size(); ++p) {
+      metrics->Count(runtime::metric::kShuffleFanout, static_cast<int>(p),
+                     moved[p]);
+      metrics->Observe(runtime::metric::kHistShuffleFanout,
+                       static_cast<int64_t>(moved[p]));
+    }
+  }
+  return messages;
 }
 
 /// Observes every partition's row count into the batch-size histogram
@@ -820,16 +931,19 @@ struct Executor::Pass {
   }
 
   /// A broadcast of `records` rows: Execute sends each to every partition
-  /// but its own (counted as messages), a recovery to the lost ones only.
-  void ChargeBroadcast(uint64_t records, ExecStats* stats) const {
+  /// but its own (counted as messages, and returned), a recovery to the
+  /// lost ones only.
+  uint64_t ChargeBroadcast(uint64_t records, ExecStats* stats) const {
     if (!lost.empty()) {
-      return ChargeNetwork(records * static_cast<uint64_t>(std::count(
-                                         lost.begin(), lost.end(), true)));
+      ChargeNetwork(records * static_cast<uint64_t>(std::count(
+                                  lost.begin(), lost.end(), true)));
+      return 0;
     }
     const uint64_t messages =
         records * static_cast<uint64_t>(options.num_partitions - 1);
     stats->messages_shuffled += messages;
     ChargeNetwork(messages);
+    return messages;
   }
 
   /// Input `route` of `node` read back from `log`: the partitions `node`
@@ -912,14 +1026,12 @@ void Executor::ForEachPartition(
 }
 
 template <typename Data>
-Result<std::decay_t<Data>> Executor::ShuffleImpl(const Pass& pass,
+Result<PartitionedDataset> Executor::ShuffleImpl(const Pass& pass,
                                                  Data&& input,
                                                  const KeyColumns& key,
                                                  ExecStats* stats,
                                                  const PlanNode* node,
                                                  bool* in_place) const {
-  using Dataset = std::decay_t<Data>;
-  using Row = typename std::decay_t<decltype(input.partition(0))>::value_type;
   constexpr bool kMove = !std::is_lvalue_reference_v<Data>;
   const int n = options_.num_partitions;
   const int sources = input.num_partitions();
@@ -935,10 +1047,10 @@ Result<std::decay_t<Data>> Executor::ShuffleImpl(const Pass& pass,
   };
 
   // Target pass: every source resolves each row's target partition in one
-  // parallel section, counting per target and what leaves. A typed pair's
-  // key is its int64; a record's single int64 key resolves off the flat
-  // key column. PartitionOf is HashKey % n and HashInt64Key is HashKey for
-  // that shape, so the targets are identical either way.
+  // parallel section, counting per target and what leaves. A single int64
+  // key resolves off the flat key column: PartitionOf is HashKey % n and
+  // HashInt64Key is HashKey for that shape, so the targets are identical
+  // either way.
   std::vector<std::vector<int32_t>> target(sources);
   std::vector<std::vector<size_t>> counts(sources);
   std::vector<uint64_t> moved(sources, 0);
@@ -949,7 +1061,7 @@ Result<std::decay_t<Data>> Executor::ShuffleImpl(const Pass& pass,
   ForEachPartition(
       pass, targets_span, sources,
       [&](int p) {
-        const std::vector<Row>& src = input.partition(p);
+        const std::vector<Record>& src = input.partition(p);
         std::vector<int32_t>& to = target[p];
         counts[p].assign(n, 0);
         to.resize(src.size());
@@ -959,59 +1071,31 @@ Result<std::decay_t<Data>> Executor::ShuffleImpl(const Pass& pass,
           ++counts[p][t];
           if (t != p) ++moved[p];
         };
-        if constexpr (std::is_same_v<Row, KeyValue>) {
+        std::vector<int64_t> key64;
+        if (ExtractKey64(src, key, &key64)) {
           for (size_t r = 0; r < src.size(); ++r) {
-            place(r, HashInt64Key(src[r].first));
+            place(r, HashInt64Key(key64[r]));
           }
           return;
-        } else {
-          std::vector<int64_t> key64;
-          if (ExtractKey64(src, key, &key64)) {
-            for (size_t r = 0; r < src.size(); ++r) {
-              place(r, HashInt64Key(key64[r]));
-            }
+        }
+        for (size_t r = 0; r < src.size(); ++r) {
+          const int missing =
+              node != nullptr ? MissingKeyColumn(src[r], key) : -1;
+          if (missing >= 0) {
+            key_errors[p] = KeyColumnError(*node, missing, src[r]);
             return;
           }
-          for (size_t r = 0; r < src.size(); ++r) {
-            const int missing =
-                node != nullptr ? MissingKeyColumn(src[r], key) : -1;
-            if (missing >= 0) {
-              key_errors[p] = KeyColumnError(*node, missing, src[r]);
-              return;
-            }
-            place(r, HashKey(src[r], key));
-          }
+          place(r, HashKey(src[r], key));
         }
       },
       records_of(0));
 
-  uint64_t total_moved = 0;
-  for (uint64_t m : moved) total_moved += m;
-  if (targets_span.active()) {
-    targets_span.AddArg("messages", static_cast<int64_t>(total_moved));
-    if (per_partition_args_) {
-      PartitionKeyBuffer moved_key("moved_p");
-      for (int p = 0; p < sources; ++p) {
-        targets_span.AddArg(moved_key.Key(p), static_cast<int64_t>(moved[p]));
-      }
-    }
-  }
-  targets_span.Close();
   for (const Status& error : key_errors) FLINKLESS_RETURN_NOT_OK(error);
+  const uint64_t total_moved =
+      RecordMoved(pass.metrics, &targets_span, per_partition_args_, moved);
+  targets_span.Close();
 
-  if (pass.metrics != nullptr) {
-    // Per-source-partition shuffle fan-out: how many of partition p's
-    // records left it for another partition. The counter makes skewed
-    // senders visible; the histogram gives the distribution across all
-    // shuffles of the run.
-    for (int p = 0; p < sources; ++p) {
-      pass.metrics->Count(runtime::metric::kShuffleFanout, p, moved[p]);
-      pass.metrics->Observe(runtime::metric::kHistShuffleFanout,
-                            static_cast<int64_t>(moved[p]));
-    }
-  }
-
-  Dataset out(n);
+  PartitionedDataset out(n);
   if (sources == n && total_moved == 0 && (kMove || in_place != nullptr)) {
     // Nothing leaves its partition (DESIGN.md §12): a moved input is the
     // output, and a caller that can read the input where it is does so.
@@ -1035,7 +1119,7 @@ Result<std::decay_t<Data>> Executor::ShuffleImpl(const Pass& pass,
   const int block = sources <= 1 ? 1 : (sources + 1) / 2;
   for (int base = 0; base < sources; base += block) {
     const int count = std::min(block, sources - base);
-    std::vector<std::vector<std::vector<Row>>> outbox(count);
+    std::vector<std::vector<std::vector<Record>>> outbox(count);
     runtime::TraceSpan scatter_span(pass.tracer,
                                     runtime::SpanKind::kShuffleScatter,
                                     "scatter");
@@ -1073,12 +1157,12 @@ Result<std::decay_t<Data>> Executor::ShuffleImpl(const Pass& pass,
                                    runtime::SpanKind::kShuffleGather,
                                    "gather");
     ForEachPartition(pass, gather_span, n, [&](int t) {
-      std::vector<Row>& dst = out.partition(t);
+      std::vector<Record>& dst = out.partition(t);
       size_t add = 0;
       for (int i = 0; i < count; ++i) add += outbox[i][t].size();
       dst.reserve(dst.size() + add);
       for (int i = 0; i < count; ++i) {
-        for (Row& r : outbox[i][t]) dst.push_back(std::move(r));
+        for (Record& r : outbox[i][t]) dst.push_back(std::move(r));
       }
     });
     if (gather_span.active()) {
@@ -1282,17 +1366,19 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Run(
     };
   };
 
-  // The pre-combine of reduce `node`'s input under `in` on `parts`, shuffled
-  // into `st`: the typed channel (st->pairs) when every partition's fold
-  // stayed typed, else the records of every fold (st->shuffled[0]), the
-  // typed ones emitted as records, exactly what Emit would have built.
-  auto combine_and_shuffle = [&](const PlanNode& node, const OpInputs& in,
-                                 const std::vector<int>& parts,
-                                 const runtime::TraceSpan& span, Stage* st,
-                                 std::vector<NodeId>* members) -> Status {
-    PairDataset pairs(n);
-    PartitionedDataset records(n);
-    std::vector<uint8_t> typed(n, 0);
+  // The pre-combine of reduce `node`'s input under `in` on `parts`, routed
+  // into `st` (DESIGN.md §15): each source's fold hands back one unsorted
+  // bucket per target, and target t gathers bucket t of every source in
+  // source order. The channel is typed (st->pairs) when every fold stayed
+  // typed, else records (st->shuffled[0]), each typed bucket converted to
+  // the records PairRecords builds. Messages, fan-out and charges come
+  // from the bucket sizes, as a shuffle's come from its target pass.
+  auto combine_and_route = [&](const PlanNode& node, const OpInputs& in,
+                               const std::vector<int>& parts,
+                               const runtime::TraceSpan& span, Stage* st,
+                               std::vector<NodeId>* members) -> Status {
+    std::vector<Buckets<KeyValue>> pairs(n);
+    std::vector<Buckets<Record>> records(n);
     FLINKLESS_RETURN_NOT_OK(run_section(
         in, parts, span, 0, members, [&](int p, Status* error) {
           ReduceFold fold(node, /*validate=*/false);
@@ -1300,32 +1386,64 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Run(
                        [&](const Record& r) { return fold.Add(r, error); })) {
             return;
           }
-          typed[p] = fold.typed();
-          if (typed[p]) {
-            pairs.partition(p) = fold.SortedPairs();
+          if (fold.typed()) {
+            pairs[p] = fold.PairBuckets(n);
           } else {
-            fold.Emit(append_to(records, p));
+            records[p] = fold.RecordBuckets(n);
           }
         }));
-    const bool all_typed = std::all_of(parts.begin(), parts.end(),
-                                       [&](int p) { return typed[p] != 0; });
-    const KeyColumns& key = node.left_key;
-    if (all_typed) {
-      FLINKLESS_ASSIGN_OR_RETURN(
-          st->pairs,
-          ShuffleImpl(pass, std::move(pairs), key, &local_stats, &node));
-      st->in.pairs = &st->pairs;
-      return Status::OK();
-    }
-    for (int p : parts) {
-      if (typed[p] != 0) {
-        records.partition(p) =
-            PairRecords(node.reduce_kind, pairs.partition(p));
+    const bool all_typed =
+        std::all_of(records.begin(), records.end(),
+                    [](const auto& source) { return source.empty(); });
+    std::vector<uint64_t> in_sizes(n, 0), out_sizes(n, 0), moved(n, 0);
+    for (int p = 0; p < n; ++p) {
+      for (int t = 0; t < n; ++t) {
+        const uint64_t rows = pairs[p].size(t) + records[p].size(t);
+        in_sizes[p] += rows;
+        out_sizes[t] += rows;
+        if (t != p) moved[p] += rows;
       }
     }
-    FLINKLESS_ASSIGN_OR_RETURN(
-        st->shuffled[0],
-        ShuffleImpl(pass, std::move(records), key, &local_stats, &node));
+    // The channel's one job-level shuffle span, under the reduce's.
+    runtime::TraceSpan gather_span(
+        pass.tracer, runtime::SpanKind::kShuffleGather, "gather");
+    if (gather_span.active()) {
+      gather_span.AddArg("records", static_cast<int64_t>(Sum(in_sizes)));
+    }
+    const uint64_t total_moved =
+        RecordMoved(pass.metrics, &gather_span, per_partition_args_, moved);
+    if (!all_typed) {
+      for (int p = 0; p < n; ++p) {
+        if (pairs[p].empty()) continue;
+        records[p] = {PairRecords(node.reduce_kind, pairs[p].rows),
+                      std::move(pairs[p].start)};
+        pairs[p] = {};
+      }
+    }
+    // When nothing leaves its source, each source's own bucket is the
+    // target partition.
+    auto gather = [&](auto& buckets, auto& out) {
+      if (total_moved == 0) {
+        for (int p = 0; p < n; ++p) {
+          out.partition(p) = std::move(buckets[p].rows);
+        }
+        return;
+      }
+      ForEachPartition(
+          pass, gather_span, n,
+          [&](int t) { GatherBuckets(&buckets, t, &out.partition(t)); },
+          [&](int t) { return static_cast<int64_t>(out_sizes[t]); });
+    };
+    if (all_typed) {
+      st->pairs = PairDataset(n);
+      gather(pairs, st->pairs);
+      st->in.pairs = &st->pairs;
+    } else {
+      st->shuffled[0] = PartitionedDataset(n);
+      gather(records, st->shuffled[0]);
+    }
+    gather_span.Close();
+    pass.ChargeShuffle(in_sizes, total_moved, out_sizes, &local_stats);
     return Status::OK();
   };
 
@@ -1496,7 +1614,7 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Run(
           } else {
             pre.in.a = &input_of(input);
           }
-          FLINKLESS_RETURN_NOT_OK(combine_and_shuffle(
+          FLINKLESS_RETURN_NOT_OK(combine_and_route(
               node, pre.in, pass.parts[input], op_span, &st, &members));
           std::vector<uint64_t> rows(n);
           for (int p = 0; p < n; ++p) rows[p] = RowsOf(pre.in, 0, p);
@@ -1510,7 +1628,10 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Run(
         side[i] = &in;
         if (routes[i].kind == InputRoute::kBroadcast) {
           st.broadcast = in.Collect();
-          pass.ChargeBroadcast(st.broadcast.size(), &local_stats);
+          // Its messages are the operator span's: no shuffle span runs.
+          st.span_args.emplace_back(
+              "messages", static_cast<int64_t>(pass.ChargeBroadcast(
+                              st.broadcast.size(), &local_stats)));
           st.in.broadcast = &st.broadcast;
         } else if (routes[i].kind == InputRoute::kShuffled) {
           bool in_place = false;

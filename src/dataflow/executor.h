@@ -209,16 +209,16 @@ class Executor {
                         const std::function<int64_t(int)>& records_of = {},
                         int offset = 0) const;
 
-  /// Shuffle of `node`'s input under `pass`: a PartitionedDataset, or a
-  /// declared reduce's typed pairs (executor.cc), copied from an lvalue and
-  /// moved from an rvalue. With `node` set, a row too short for `key` fails
+  /// Shuffle of `node`'s input under `pass`, copied from an lvalue and
+  /// moved from an rvalue (a pre-combined reduce input is routed by its
+  /// fold instead, executor.cc). With `node` set, a row too short for `key` fails
   /// it with an OutOfRange naming the node instead of aborting (the public
   /// Shuffle keeps the CHECK). When no row leaves its partition, a moved
   /// input is returned as it is, and with `in_place` set an lvalue input is
   /// not copied: *in_place becomes true, the result is empty, and the
   /// caller reads `input` where it is (DESIGN.md §12).
   template <typename Data>
-  Result<std::decay_t<Data>> ShuffleImpl(const Pass& pass, Data&& input,
+  Result<PartitionedDataset> ShuffleImpl(const Pass& pass, Data&& input,
                                          const KeyColumns& key,
                                          ExecStats* stats,
                                          const PlanNode* node = nullptr,

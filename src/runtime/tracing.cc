@@ -405,8 +405,10 @@ TraceSummary TraceSummary::FromSnapshot(const Tracer::Snapshot& snapshot) {
       ++summary.iteration_spans;
     }
     if (e.category != SpanKindName(SpanKind::kOperator)) {
-      // Shuffle phases attribute their messages to the enclosing operator.
-      if (e.category == SpanKindName(SpanKind::kShuffleScatter) &&
+      // Shuffle phases attribute their messages to the enclosing operator:
+      // a shuffle's target pass, or a pre-combined channel's gather.
+      if ((e.category == SpanKindName(SpanKind::kShuffleScatter) ||
+           e.category == SpanKindName(SpanKind::kShuffleGather)) &&
           e.partition < 0) {
         auto it = operator_of_seq.find(e.parent_seq);
         if (it != operator_of_seq.end()) {
@@ -434,6 +436,8 @@ TraceSummary TraceSummary::FromSnapshot(const Tracer::Snapshot& snapshot) {
       op.sim_total_ns += e.sim_dur_ns;
       op.records_in += static_cast<uint64_t>(e.Arg("records_in"));
       op.records_out += static_cast<uint64_t>(e.Arg("records_out"));
+      // A broadcast's messages, which no shuffle span carries.
+      op.messages += static_cast<uint64_t>(e.Arg("messages"));
       operator_of_seq[e.seq] = e.name;
     } else {
       // Per-partition child span: accumulate the skew observation.

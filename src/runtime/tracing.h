@@ -295,7 +295,9 @@ struct TraceOperatorSummary {
   int64_t sim_total_ns = 0;
   uint64_t records_in = 0;
   uint64_t records_out = 0;
-  /// Messages shuffled by this operator's scatter phases.
+  /// Messages this operator sent: its shuffles' (the `messages` arg of a
+  /// job-level shuffle span under it) and its broadcasts' (the arg on its
+  /// own span).
   uint64_t messages = 0;
   /// Records processed per partition (from per-partition child spans).
   std::vector<uint64_t> partition_records;

@@ -549,13 +549,13 @@ TEST(InPlaceTest, ChainedJoinReadsInPlaceSideAfterItsOwnPosition) {
                 materialized->at("out").partition(p));
     }
     EXPECT_EQ(chained->at("out").NumRecords(), 37u);
-    // Per Execute, only the sums pre-combine's shuffle gathers: both join
-    // sides are read in place.
+    // Per Execute, only the sums pre-combine gathers, in one span: both
+    // join sides are read in place.
     int gathers = 0;
     for (const auto& e : tracer.Flush().events) {
       gathers += e.category == "shuffle.gather" && e.partition < 0 ? 1 : 0;
     }
-    EXPECT_EQ(gathers, 2 * 2);
+    EXPECT_EQ(gathers, 2);
   }
 }
 

@@ -6,14 +6,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "dataflow/columnar.h"
 #include "dataflow/dataset.h"
 #include "dataflow/executor.h"
+#include "runtime/message_log.h"
 #include "runtime/sim_clock.h"
 
 namespace flinkless {
@@ -225,8 +229,165 @@ TEST_P(TypedReduceTest, TypedReduceMatchesGenericReduce) {
   }
 }
 
+/// Per key of `in`, the kSumDouble fold of a pre-combined reduce: each
+/// source partition folds its rows in arrival order, and the partials are
+/// folded in source-partition order (reversed: in reverse source order).
+std::map<int64_t, double> SourceOrderSums(const PartitionedDataset& in,
+                                          bool reversed) {
+  const int n = in.num_partitions();
+  std::map<int64_t, double> sums;
+  for (int i = 0; i < n; ++i) {
+    const int p = reversed ? n - 1 - i : i;
+    std::map<int64_t, double> partials;
+    for (const Record& r : in.partition(p)) {
+      auto [it, fresh] = partials.emplace(r[0].AsInt64(), r[1].AsDouble());
+      if (!fresh) it->second += r[1].AsDouble();
+    }
+    for (const auto& [key, partial] : partials) {
+      auto [it, fresh] = sums.emplace(key, partial);
+      if (!fresh) it->second += partial;
+    }
+  }
+  return sums;
+}
+
+TEST_P(TypedReduceTest, SumDoubleFoldsPartialsInSourceOrder) {
+  // Every key's partials come from all four source partitions, with values
+  // whose floating-point sum depends on the order they are added in. A
+  // source may order its partials as it likes; the gather must deliver
+  // them in source-partition order, in Execute and in a Replay of the
+  // logged channel.
+  const int threads = GetParam();
+  constexpr int kParts = 4;
+  // In source order a key sums to 1.0 or 0.0, in reverse order to the
+  // other one. Some sources fold a second row, 0.0, into their partial.
+  const double kValues[] = {1e16, 1.0, -1e16, 1.0};
+  PartitionedDataset in(kParts);
+  for (int p = 0; p < kParts; ++p) {
+    for (int64_t k = 0; k < 40; ++k) {
+      in.partition(p).push_back(MakeRecord(k, kValues[(k + p) % 4]));
+      if ((k + p) % 3 == 0) in.partition(p).push_back(MakeRecord(k, 0.0));
+    }
+  }
+  const std::map<int64_t, double> sums = SourceOrderSums(in, false);
+  const std::map<int64_t, double> reversed = SourceOrderSums(in, true);
+  ASSERT_NE(sums, reversed) << "the data must pin the fold order";
+
+  auto expect_sums = [&](const PartitionedDataset& out, int p) {
+    std::vector<std::pair<int64_t, uint64_t>> got, want;
+    for (const Record& r : out.partition(p)) {
+      got.emplace_back(r[0].AsInt64(),
+                       std::bit_cast<uint64_t>(r[1].AsDouble()));
+    }
+    for (const auto& [key, sum] : sums) {
+      if (PartitionedDataset::PartitionOf(MakeRecord(key), {0}, kParts) == p) {
+        want.emplace_back(key, std::bit_cast<uint64_t>(sum));
+      }
+    }
+    EXPECT_EQ(got, want) << "partition " << p;
+  };
+
+  for (bool declare : {true, false}) {
+    SCOPED_TRACE(declare ? "declared" : "undeclared");
+    const Plan plan = BuildTypedReducePlan(ReduceKind::kSumDouble, declare);
+    runtime::MessageLog log({"in"});
+    ExecOptions options;
+    options.num_partitions = kParts;
+    options.num_threads = threads;
+    options.message_log = &log;
+    Executor executor(options);
+    auto executed = executor.Execute(plan, {{"in", &in}}, nullptr);
+    ASSERT_TRUE(executed.ok()) << executed.status().ToString();
+    for (int p = 0; p < kParts; ++p) expect_sums(executed->at("out"), p);
+
+    const std::vector<int> lost = {1, 3};
+    auto replayed = executor.Replay(plan, {}, lost, &log, nullptr);
+    ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+    for (int p : lost) expect_sums(replayed->at("out"), p);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, TypedReduceTest,
                          ::testing::Values(1, 2, 8));
+
+// ------------------------------------------------ record-path routing --
+
+TEST(RecordReduceRoutingTest, UndeclaredReducesLandInTheirKeysPartition) {
+  // The record path's pre-combine routes each partial by the hash its slot
+  // map stored, which must be PartitionOf's HashKey % n for keys that are
+  // not a single int64: a string key (the wordcount shape) and a
+  // two-column key (the k-means shape).
+  constexpr int kParts = 5;
+  const std::vector<std::string> words = {"", "a", "flink", "optimistic",
+                                          "recovery", "zz", "Ω"};
+  std::vector<Record> records;
+  for (int64_t i = 0; i < 700; ++i) {
+    records.push_back(MakeRecord(i % 13, words[i % words.size()], i));
+  }
+  const PartitionedDataset in =
+      PartitionedDataset::RoundRobin(std::move(records), kParts);
+
+  for (const dataflow::KeyColumns& key :
+       {dataflow::KeyColumns{1}, dataflow::KeyColumns{0, 1}}) {
+    SCOPED_TRACE(key.size() == 1 ? "string key" : "two-column key");
+    // Rows of the key columns, then the value column.
+    Plan plan;
+    auto keyed = plan.Map(
+        plan.Source("in"),
+        [key](const Record& r) {
+          Record out = dataflow::ExtractKey(r, key);
+          out.push_back(r[2]);
+          return out;
+        },
+        "keyed");
+    dataflow::KeyColumns out_key;
+    for (size_t c = 0; c < key.size(); ++c) {
+      out_key.push_back(static_cast<int>(c));
+    }
+    const size_t value_col = key.size();
+    auto summed = plan.ReduceByKey(
+        keyed, out_key,
+        [=](const Record& a, const Record& b) {
+          Record out = a;
+          out[value_col] = dataflow::Value(a[value_col].AsInt64() +
+                                           b[value_col].AsInt64());
+          return out;
+        },
+        "sum");
+    plan.Output(summed, "out");
+
+    std::map<Record, int64_t, dataflow::RecordOrder> reference;
+    for (int p = 0; p < kParts; ++p) {
+      for (const Record& r : in.partition(p)) {
+        reference[dataflow::ExtractKey(r, key)] += r[2].AsInt64();
+      }
+    }
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(threads);
+      ExecOptions options;
+      options.num_partitions = kParts;
+      options.num_threads = threads;
+      Executor executor(options);
+      auto outs = executor.Execute(plan, {{"in", &in}}, nullptr);
+      ASSERT_TRUE(outs.ok()) << outs.status().ToString();
+      const PartitionedDataset& out = outs->at("out");
+      for (int p = 0; p < kParts; ++p) {
+        std::vector<Record> want;
+        for (const auto& [k, sum] : reference) {
+          Record row = k;
+          row.push_back(dataflow::Value(sum));
+          if (PartitionedDataset::PartitionOf(row, out_key, kParts) == p) {
+            want.push_back(std::move(row));
+          }
+        }
+        for (const Record& row : out.partition(p)) {
+          EXPECT_EQ(PartitionedDataset::PartitionOf(row, out_key, kParts), p);
+        }
+        EXPECT_EQ(out.partition(p), want) << "partition " << p;
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace flinkless

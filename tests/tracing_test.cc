@@ -11,10 +11,12 @@
 #include <sstream>
 #include <tuple>
 
+#include "algos/connected_components.h"
 #include "algos/pagerank.h"
 #include "core/policies.h"
 #include "dataflow/executor.h"
 #include "graph/generators.h"
+#include "common/rng.h"
 #include "runtime/thread_pool.h"
 #include "runtime/tracing.h"
 
@@ -242,6 +244,51 @@ TEST(ExecutorTracingTest, TracingDoesNotChangeOutputsStatsOrClock) {
   auto on = run(&tracer, &clock_on);
   EXPECT_EQ(off, on);
   EXPECT_GT(std::get<3>(on), 0);
+}
+
+TEST(ExecutorTracingTest, OperatorMessagesSumToShuffledMessages) {
+  // Every message of a shipped plan crosses partitions in some operator's
+  // shuffle span, the routed pre-combine channels' included, so the
+  // summary's per-operator messages add up to the executor's own count,
+  // which each superstep's iteration span carries.
+  Rng rng(5);
+  const graph::Graph g = graph::Rmat(8, 6, &rng);
+  for (const std::string algo : {"pagerank", "cc"}) {
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(algo + " threads=" + std::to_string(threads));
+      Tracer tracer(Tracer::Options{1 << 16, nullptr});
+      iteration::JobEnv env;
+      env.tracer = &tracer;
+      core::NoFaultTolerancePolicy none;
+      if (algo == "pagerank") {
+        algos::PageRankOptions options;
+        options.num_partitions = 4;
+        options.num_threads = threads;
+        options.max_iterations = 6;
+        ASSERT_TRUE(algos::RunPageRank(g, options, env, &none).ok());
+      } else {
+        algos::ConnectedComponentsOptions options;
+        options.num_partitions = 4;
+        options.num_threads = threads;
+        ASSERT_TRUE(algos::RunConnectedComponents(g, options, env, &none).ok());
+      }
+      const Tracer::Snapshot snapshot = tracer.Flush();
+      ASSERT_EQ(snapshot.dropped, 0u);
+      uint64_t shuffled = 0;
+      for (const TraceEvent& e : snapshot.events) {
+        if (e.category == "iteration" && e.partition < 0) {
+          shuffled += static_cast<uint64_t>(e.Arg("messages"));
+        }
+      }
+      uint64_t attributed = 0;
+      for (const TraceOperatorSummary& op :
+           TraceSummary::FromSnapshot(snapshot).operators) {
+        attributed += op.messages;
+      }
+      EXPECT_GT(shuffled, 0u);
+      EXPECT_EQ(attributed, shuffled);
+    }
+  }
 }
 
 // ------------------------------------------------------------ determinism --
