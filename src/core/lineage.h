@@ -34,8 +34,8 @@ enum class DependencyKind {
   /// (partition-local operators: Map, FlatMap, Filter, Project, Union).
   kNarrow,
   /// Output partition p is derived from every input partition (operators
-  /// with a shuffle: ReduceByKey, GroupReduce, Join, CoGroup, Distinct, and
-  /// the broadcast side of Cross).
+  /// with a shuffle: ReduceByKey, GroupReduce, Join, CoGroup, and the
+  /// broadcast side of Cross).
   kWide,
 };
 

@@ -56,13 +56,6 @@ class PartitionedDataset {
   /// state this dataset holds.
   void ClearPartition(int p) { partitions_[p].clear(); }
 
-  /// Frees partition `p`'s storage entirely (capacity included). The
-  /// streaming shuffle uses this to release consumed source partitions
-  /// block by block instead of holding every outbox until the end.
-  void ReleasePartition(int p) {
-    std::vector<Record>().swap(partitions_[p]);
-  }
-
   /// True when every record is in the partition HashPartitioned(key) would
   /// put it in; used to validate co-partitioning preconditions.
   bool IsPartitionedBy(const KeyColumns& key) const;

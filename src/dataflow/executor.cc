@@ -146,16 +146,99 @@ std::vector<Record> PairRecords(ReduceKind kind,
   return records;
 }
 
-/// A pre-combine fold's partials grouped by target partition (DESIGN.md
-/// §15): bucket t is rows[start[t], start[t + 1]), in slot (first-arrival)
-/// order. A source that did not run has no buckets.
-template <typename Row>
+/// HashKey of `row`'s `key`: a single int64 key column hashes with
+/// HashInt64Key, which is HashKey for that shape.
+uint64_t KeyHash(const Record& row, const KeyColumns& key) {
+  return key.size() == 1 && static_cast<size_t>(key[0]) < row.size() &&
+                 row[key[0]].is_int64()
+             ? HashInt64Key(row[key[0]].AsInt64())
+             : HashKey(row, key);
+}
+
+/// A channel source's rows grouped by target partition (DESIGN.md §12):
+/// bucket t is rows order[start[t]], ..., order[start[t + 1] - 1], in
+/// source order. A source none of whose rows leave it has no order, and
+/// its own bucket is the whole partition. A source that did not run has no
+/// buckets.
 struct Buckets {
-  std::vector<Row> rows;
   std::vector<size_t> start;
+  std::vector<uint32_t> order;
 
   bool empty() const { return start.empty(); }
   uint64_t size(int t) const { return empty() ? 0 : start[t + 1] - start[t]; }
+};
+
+/// Buckets of source `self`'s `rows` rows over `n` targets, row r going to
+/// target(r), stable. Nothing per row is written until the first row that
+/// leaves `self`.
+template <typename Target>
+Buckets BucketRows(size_t rows, int n, int self, const Target& target) {
+  FLINKLESS_CHECK(rows <= UINT32_MAX, "partition too large for 32-bit rows");
+  Buckets out;
+  out.start.assign(n + 1, 0);
+  size_t stay = 0;
+  int first = self;
+  while (stay < rows && (first = target(stay)) == self) ++stay;
+  if (stay == rows) {
+    for (int t = self + 1; t <= n; ++t) out.start[t] = rows;
+    return out;
+  }
+  // Rows before `stay` stay; the rest are resolved once, then all placed.
+  std::vector<int> to(rows, self);
+  to[stay] = first;
+  for (size_t r = stay + 1; r < rows; ++r) to[r] = target(r);
+  for (int t : to) ++out.start[t + 1];
+  for (int t = 0; t < n; ++t) out.start[t + 1] += out.start[t];
+  std::vector<size_t> next(out.start.begin(), out.start.end() - 1);
+  out.order.resize(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    out.order[next[to[r]]++] = static_cast<uint32_t>(r);
+  }
+  return out;
+}
+
+/// Target t of a channel: bucket t of every source, in source order.
+/// `rows_of(s)` is source s's rows, moved out when the channel owns them
+/// and copied when it borrows them (a const vector).
+template <typename RowsOf, typename Row>
+void GatherBuckets(const std::vector<Buckets>& sources, const RowsOf& rows_of,
+                   int t, std::vector<Row>* dst) {
+  size_t add = 0;
+  for (const Buckets& source : sources) add += source.size(t);
+  dst->reserve(add);
+  for (size_t s = 0; s < sources.size(); ++s) {
+    const Buckets& b = sources[s];
+    if (b.size(t) == 0) continue;
+    auto& rows = rows_of(static_cast<int>(s));
+    if (b.order.empty()) {
+      dst->insert(dst->end(),
+                  std::make_move_iterator(rows.begin() + b.start[t]),
+                  std::make_move_iterator(rows.begin() + b.start[t + 1]));
+      continue;
+    }
+    for (size_t i = b.start[t]; i < b.start[t + 1]; ++i) {
+      dst->push_back(std::move(rows[b.order[i]]));
+    }
+  }
+}
+
+/// The row counts of a channel whose sources handed back `sources`: `in`
+/// per source, `out` per target of `n`, and `moved` per source, the rows
+/// that left it. Messages, fan-out and the shuffle charge come from these.
+struct ChannelSizes {
+  ChannelSizes(const std::vector<Buckets>& sources, int n)
+      : in(sources.size(), 0), out(n, 0), moved(sources.size(), 0) {
+    for (size_t s = 0; s < sources.size(); ++s) {
+      for (int t = 0; t < n; ++t) {
+        const uint64_t rows = sources[s].size(t);
+        in[s] += rows;
+        out[t] += rows;
+        if (static_cast<size_t>(t) != s) moved[s] += rows;
+      }
+    }
+  }
+
+  std::vector<uint64_t> in, out, moved;
 };
 
 /// Sorts `pairs`, whose keys are unique, by key: an LSD radix sort over
@@ -244,10 +327,7 @@ class ReduceFold {
       *error = KeyColumnError(node_, missing, row);
       return false;
     }
-    // HashInt64Key is HashKey for a single int64 key column.
-    const uint64_t h = key.size() == 1 && row[key[0]].is_int64()
-                           ? HashInt64Key(row[key[0]].AsInt64())
-                           : HashKey(row, key);
+    const uint64_t h = KeyHash(row, key);
     bool inserted = false;
     const int32_t slot = slots_.FindOrInsert(
         h, [&](int32_t s) { return KeysEqual(acc_[s], key, row, key); },
@@ -299,12 +379,19 @@ class ReduceFold {
     }
   }
 
-  /// The typed fold's pairs, moved out into one bucket per target of `n`
-  /// partitions.
-  Buckets<KeyValue> PairBuckets(int n) { return Route(&pairs_, n); }
-
-  /// The accumulator records, moved out as PairBuckets moves pairs.
-  Buckets<Record> RecordBuckets(int n) { return Route(&acc_, n); }
+  /// Hands the partials back unsorted, the typed fold's pairs into *pairs
+  /// and the accumulator records into *records, bucketed as source `self`
+  /// over `n` targets in slot (first-arrival) order. A slot's hash is
+  /// HashKey of its key, so its bucket is PartitionedDataset::PartitionOf
+  /// the key.
+  Buckets Route(int n, int self, std::vector<KeyValue>* pairs,
+                std::vector<Record>* records) {
+    *pairs = std::move(pairs_);
+    *records = std::move(acc_);
+    return BucketRows(slots_.size(), n, self, [&](size_t s) {
+      return static_cast<int>(slots_.hash(s) % static_cast<uint64_t>(n));
+    });
+  }
 
   /// Emits the accumulators in key order (KeyLess; numeric order for an
   /// int64 key).
@@ -341,29 +428,6 @@ class ReduceFold {
                                    ? std::bit_cast<int64_t>(row[1].AsDouble())
                                    : row[1].AsInt64()});
     return true;
-  }
-
-  /// Moves slot s of `rows` into bucket hash(s) % n, each bucket in slot
-  /// (first-arrival) order. The slot's hash is HashKey of its key, so the
-  /// bucket is PartitionedDataset::PartitionOf the key.
-  template <typename Row>
-  Buckets<Row> Route(std::vector<Row>* rows, int n) const {
-    std::vector<int32_t> target(rows->size());
-    Buckets<Row> out;
-    out.start.assign(n + 1, 0);
-    for (size_t s = 0; s < rows->size(); ++s) {
-      target[s] =
-          static_cast<int32_t>(slots_.hash(s) % static_cast<uint64_t>(n));
-      ++out.start[target[s] + 1];
-    }
-    for (int t = 0; t < n; ++t) out.start[t + 1] += out.start[t];
-    std::vector<size_t> next(out.start.begin(), out.start.end() - 1);
-    out.rows.resize(rows->size());
-    for (size_t s = 0; s < rows->size(); ++s) {
-      out.rows[next[target[s]]++] = std::move((*rows)[s]);
-    }
-    std::vector<Row>().swap(*rows);
-    return out;
   }
 
   /// Leaves the typed fold: slot s's pair becomes accumulator record s, so
@@ -708,21 +772,6 @@ bool RunBody(const PlanNode& node, const OpInputs& in, int p,
       return true;
     }
 
-    case OpKind::kDistinct: {
-      // Flat slot map keyed on the whole record; the kept records double as
-      // the dedup table (first occurrence wins).
-      const std::vector<Record>& rows = in.a->partition(p);
-      std::vector<Record> kept;
-      FlatSlotMap slots(rows.size());
-      for (const Record& r : rows) {
-        bool inserted = false;
-        slots.FindOrInsert(
-            HashRecord(r), [&](int32_t s) { return kept[s] == r; },
-            &inserted);
-        if (inserted) kept.push_back(r);
-      }
-      return EmitAll(&kept, out);
-    }
   }
   return true;
 }
@@ -774,22 +823,6 @@ std::vector<uint64_t> Sizes(const Dataset& ds) {
     sizes[p] = ds.partition(p).size();
   }
   return sizes;
-}
-
-/// Target t of a pre-combined channel: bucket t of every source, in source
-/// order.
-template <typename Row>
-void GatherBuckets(std::vector<Buckets<Row>>* sources, int t,
-                   std::vector<Row>* dst) {
-  size_t add = 0;
-  for (const Buckets<Row>& source : *sources) add += source.size(t);
-  dst->reserve(add);
-  for (Buckets<Row>& source : *sources) {
-    if (source.empty()) continue;
-    auto first = source.rows.begin();
-    dst->insert(dst->end(), std::make_move_iterator(first + source.start[t]),
-                std::make_move_iterator(first + source.start[t + 1]));
-  }
 }
 
 uint64_t Sum(const std::vector<uint64_t>& v) {
@@ -918,7 +951,7 @@ struct Executor::Pass {
 
   /// A shuffle of `in_sizes` records per source into `out_sizes` per
   /// target, `moved` of them crossing partitions. Execute charges the
-  /// scatter's critical path and the moved records and counts them as
+  /// route's critical path and the moved records and counts them as
   /// messages; a recovery re-ships to the fresh workers only the records
   /// that land in lost partitions.
   void ChargeShuffle(const std::vector<uint64_t>& in_sizes, uint64_t moved,
@@ -1012,7 +1045,7 @@ Executor::Executor(ExecOptions options) : options_(options) {
 void Executor::ForEachPartition(
     const Pass& pass, const runtime::TraceSpan& parent, int count,
     const std::function<void(int)>& fn,
-    const std::function<int64_t(int)>& records_of, int offset) const {
+    const std::function<int64_t(int)>& records_of) const {
   // Pool work is counted here, not inside the ThreadPool: a serial executor
   // (num_threads == 1) has no pool at all, and the exported totals must be
   // identical at any thread count.
@@ -1021,161 +1054,67 @@ void Executor::ForEachPartition(
     pass.metrics->Count(runtime::metric::kPoolTasks, -1,
                         static_cast<uint64_t>(count));
   }
-  runtime::TracedParallelFor(pool_.get(), parent, count, fn, records_of,
-                             offset);
+  runtime::TracedParallelFor(pool_.get(), parent, count, fn, records_of);
 }
 
-template <typename Data>
-Result<PartitionedDataset> Executor::ShuffleImpl(const Pass& pass,
-                                                 Data&& input,
-                                                 const KeyColumns& key,
-                                                 ExecStats* stats,
-                                                 const PlanNode* node,
-                                                 bool* in_place) const {
-  constexpr bool kMove = !std::is_lvalue_reference_v<Data>;
+Result<PartitionedDataset> Executor::ShuffleImpl(
+    const Pass& pass, const PartitionedDataset& input, const KeyColumns& key,
+    ExecStats* stats, const PlanNode* node, bool* in_place) const {
   const int n = options_.num_partitions;
   const int sources = input.num_partitions();
 
-  // Source sizes, captured up front: compute is charged on them, scatter
-  // spans report them, and the move path releases source partitions as
-  // soon as they are drained.
-  const std::vector<uint64_t> in_sizes = Sizes(input);
-  auto records_of = [&](int base) -> std::function<int64_t(int)> {
-    return [&, base](int i) {
-      return static_cast<int64_t>(in_sizes[base + i]);
-    };
-  };
-
-  // Target pass: every source resolves each row's target partition in one
-  // parallel section, counting per target and what leaves. A single int64
-  // key resolves off the flat key column: PartitionOf is HashKey % n and
-  // HashInt64Key is HashKey for that shape, so the targets are identical
-  // either way.
-  std::vector<std::vector<int32_t>> target(sources);
-  std::vector<std::vector<size_t>> counts(sources);
-  std::vector<uint64_t> moved(sources, 0);
-  std::vector<Status> key_errors(node != nullptr ? sources : 0);
-  runtime::TraceSpan targets_span(pass.tracer,
-                                  runtime::SpanKind::kShuffleScatter,
-                                  "targets");
+  // Route: every source groups its rows by target partition in one pass.
+  std::vector<Buckets> buckets(sources);
+  std::vector<Status> key_errors(sources);
+  runtime::TraceSpan route_span(pass.tracer,
+                                runtime::SpanKind::kShuffleScatter, "route");
   ForEachPartition(
-      pass, targets_span, sources,
+      pass, route_span, sources,
       [&](int p) {
         const std::vector<Record>& src = input.partition(p);
-        std::vector<int32_t>& to = target[p];
-        counts[p].assign(n, 0);
-        to.resize(src.size());
-        auto place = [&](size_t r, uint64_t hash) {
-          const int t = static_cast<int>(hash % static_cast<uint64_t>(n));
-          to[r] = t;
-          ++counts[p][t];
-          if (t != p) ++moved[p];
-        };
-        std::vector<int64_t> key64;
-        if (ExtractKey64(src, key, &key64)) {
-          for (size_t r = 0; r < src.size(); ++r) {
-            place(r, HashInt64Key(key64[r]));
-          }
-          return;
-        }
-        for (size_t r = 0; r < src.size(); ++r) {
+        Status& error = key_errors[p];
+        buckets[p] = BucketRows(src.size(), n, p, [&](size_t r) {
           const int missing =
               node != nullptr ? MissingKeyColumn(src[r], key) : -1;
           if (missing >= 0) {
-            key_errors[p] = KeyColumnError(*node, missing, src[r]);
-            return;
+            if (error.ok()) error = KeyColumnError(*node, missing, src[r]);
+            return p;
           }
-          place(r, HashKey(src[r], key));
-        }
+          return static_cast<int>(KeyHash(src[r], key) %
+                                  static_cast<uint64_t>(n));
+        });
       },
-      records_of(0));
-
+      [&](int p) { return static_cast<int64_t>(input.partition(p).size()); });
   for (const Status& error : key_errors) FLINKLESS_RETURN_NOT_OK(error);
-  const uint64_t total_moved =
-      RecordMoved(pass.metrics, &targets_span, per_partition_args_, moved);
-  targets_span.Close();
+  const ChannelSizes sizes(buckets, n);
+  const uint64_t messages =
+      RecordMoved(pass.metrics, &route_span, per_partition_args_, sizes.moved);
+  route_span.Close();
 
   PartitionedDataset out(n);
-  if (sources == n && total_moved == 0 && (kMove || in_place != nullptr)) {
-    // Nothing leaves its partition (DESIGN.md §12): a moved input is the
-    // output, and a caller that can read the input where it is does so.
-    if constexpr (kMove) {
-      out = std::move(input);
-    } else {
-      *in_place = true;
-    }
-    pass.ChargeShuffle(in_sizes, 0, in_sizes, stats);
-    return out;
-  }
-
-  // Blocked scatter/gather pipeline: sources are scattered in blocks and
-  // each block's outboxes are drained into the output (in source order)
-  // before the next block scatters, so peak outbox memory is one block
-  // (~half the input) instead of the whole input. Within a target
-  // partition rows still arrive in global source-partition order, so the
-  // result stays byte-identical to the all-at-once two-phase shuffle — and
-  // to a serial single-pass one. Each block's scatter and gather are
-  // sibling spans.
-  const int block = sources <= 1 ? 1 : (sources + 1) / 2;
-  for (int base = 0; base < sources; base += block) {
-    const int count = std::min(block, sources - base);
-    std::vector<std::vector<std::vector<Record>>> outbox(count);
-    runtime::TraceSpan scatter_span(pass.tracer,
-                                    runtime::SpanKind::kShuffleScatter,
-                                    "scatter");
-    ForEachPartition(
-        pass, scatter_span, count,
-        [&](int i) {
-          // Every outbox is sized exactly by the target pass, then filled
-          // in source order — no per-row push_back growth.
-          const int p = base + i;
-          auto& src = input.partition(p);
-          const std::vector<int32_t>& to = target[p];
-          auto& boxes = outbox[i];
-          boxes.resize(n);
-          for (int t = 0; t < n; ++t) boxes[t].reserve(counts[p][t]);
-          if constexpr (kMove) {
-            for (size_t r = 0; r < src.size(); ++r) {
-              boxes[to[r]].push_back(std::move(src[r]));
-            }
-            input.ReleasePartition(p);
-          } else {
-            for (size_t r = 0; r < src.size(); ++r) {
-              boxes[to[r]].push_back(src[r]);
-            }
-          }
-          std::vector<int32_t>().swap(target[p]);
-        },
-        records_of(base), /*offset=*/base);
-    scatter_span.Close();
-
-    uint64_t block_records = 0;
-    for (int i = 0; i < count; ++i) block_records += in_sizes[base + i];
-    // Drain this block's outboxes, freeing them before the next block
-    // scatters (the outbox vector's scope ends with the loop body).
+  if (sources == n && messages == 0 && in_place != nullptr) {
+    // Nothing leaves its partition (DESIGN.md §12): the caller reads the
+    // input where it is.
+    *in_place = true;
+  } else {
     runtime::TraceSpan gather_span(pass.tracer,
-                                   runtime::SpanKind::kShuffleGather,
-                                   "gather");
-    ForEachPartition(pass, gather_span, n, [&](int t) {
-      std::vector<Record>& dst = out.partition(t);
-      size_t add = 0;
-      for (int i = 0; i < count; ++i) add += outbox[i][t].size();
-      dst.reserve(dst.size() + add);
-      for (int i = 0; i < count; ++i) {
-        for (Record& r : outbox[i][t]) dst.push_back(std::move(r));
-      }
-    });
+                                   runtime::SpanKind::kShuffleGather, "gather");
     if (gather_span.active()) {
-      // The block's rows, all buffered in outboxes at once: the largest
-      // block's count is the shuffle's outbox peak, a pure function of the
-      // input sizes and the (deterministic) block schedule.
-      gather_span.AddArg("records", static_cast<int64_t>(block_records));
-      gather_span.AddArg("outbox_peak_records",
-                         static_cast<int64_t>(block_records));
+      gather_span.AddArg("records", static_cast<int64_t>(Sum(sizes.in)));
     }
+    ForEachPartition(
+        pass, gather_span, n,
+        [&](int t) {
+          GatherBuckets(
+              buckets,
+              [&](int s) -> const std::vector<Record>& {
+                return input.partition(s);
+              },
+              t, &out.partition(t));
+        },
+        [&](int t) { return static_cast<int64_t>(sizes.out[t]); });
   }
-
-  pass.ChargeShuffle(in_sizes, total_moved, Sizes(out), stats);
+  pass.ChargeShuffle(sizes.in, messages, sizes.out, stats);
   return out;
 }
 
@@ -1183,13 +1122,6 @@ PartitionedDataset Executor::Shuffle(const PartitionedDataset& input,
                                      const KeyColumns& key,
                                      ExecStats* stats) const {
   return ShuffleImpl(Pass(options_, nullptr), input, key, stats).ValueOrDie();
-}
-
-PartitionedDataset Executor::Shuffle(PartitionedDataset&& input,
-                                     const KeyColumns& key,
-                                     ExecStats* stats) const {
-  return ShuffleImpl(Pass(options_, nullptr), std::move(input), key, stats)
-      .ValueOrDie();
 }
 
 Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
@@ -1278,9 +1210,10 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Run(
     for (NodeId idx = 0; idx < at; ++idx) {
       Slot& s = slots[idx];
       if (!s.is_owned || release_at[idx] != at) continue;
-      runtime::ParallelFor(pool_.get(), s.owned.num_partitions(), [&](int p) {
-        std::vector<Record>().swap(s.owned.partition(p));
-      });
+      ForEachPartition(pass, runtime::TraceSpan(), s.owned.num_partitions(),
+                       [&](int p) {
+                         std::vector<Record>().swap(s.owned.partition(p));
+                       });
       s.owned = PartitionedDataset();
       s.view = nullptr;
       s.is_owned = false;
@@ -1367,18 +1300,20 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Run(
   };
 
   // The pre-combine of reduce `node`'s input under `in` on `parts`, routed
-  // into `st` (DESIGN.md §15): each source's fold hands back one unsorted
-  // bucket per target, and target t gathers bucket t of every source in
-  // source order. The channel is typed (st->pairs) when every fold stayed
-  // typed, else records (st->shuffled[0]), each typed bucket converted to
-  // the records PairRecords builds. Messages, fan-out and charges come
-  // from the bucket sizes, as a shuffle's come from its target pass.
+  // into `st` (DESIGN.md §15): each source's fold keeps its unsorted
+  // partials and hands back their buckets, and target t gathers bucket t of
+  // every source in source order, moving the partials. The channel is typed
+  // (st->pairs) when every fold stayed typed, else records
+  // (st->shuffled[0]), each typed source converted to the records
+  // PairRecords builds, in the same order.
   auto combine_and_route = [&](const PlanNode& node, const OpInputs& in,
                                const std::vector<int>& parts,
                                const runtime::TraceSpan& span, Stage* st,
                                std::vector<NodeId>* members) -> Status {
-    std::vector<Buckets<KeyValue>> pairs(n);
-    std::vector<Buckets<Record>> records(n);
+    std::vector<Buckets> buckets(n);
+    std::vector<std::vector<KeyValue>> pairs(n);
+    std::vector<std::vector<Record>> records(n);
+    std::vector<char> untyped(n, 0);
     FLINKLESS_RETURN_NOT_OK(run_section(
         in, parts, span, 0, members, [&](int p, Status* error) {
           ReduceFold fold(node, /*validate=*/false);
@@ -1386,53 +1321,40 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Run(
                        [&](const Record& r) { return fold.Add(r, error); })) {
             return;
           }
-          if (fold.typed()) {
-            pairs[p] = fold.PairBuckets(n);
-          } else {
-            records[p] = fold.RecordBuckets(n);
-          }
+          untyped[p] = !fold.typed();
+          buckets[p] = fold.Route(n, p, &pairs[p], &records[p]);
         }));
     const bool all_typed =
-        std::all_of(records.begin(), records.end(),
-                    [](const auto& source) { return source.empty(); });
-    std::vector<uint64_t> in_sizes(n, 0), out_sizes(n, 0), moved(n, 0);
-    for (int p = 0; p < n; ++p) {
-      for (int t = 0; t < n; ++t) {
-        const uint64_t rows = pairs[p].size(t) + records[p].size(t);
-        in_sizes[p] += rows;
-        out_sizes[t] += rows;
-        if (t != p) moved[p] += rows;
-      }
-    }
+        std::find(untyped.begin(), untyped.end(), 1) == untyped.end();
+    const ChannelSizes sizes(buckets, n);
     // The channel's one job-level shuffle span, under the reduce's.
     runtime::TraceSpan gather_span(
         pass.tracer, runtime::SpanKind::kShuffleGather, "gather");
     if (gather_span.active()) {
-      gather_span.AddArg("records", static_cast<int64_t>(Sum(in_sizes)));
+      gather_span.AddArg("records", static_cast<int64_t>(Sum(sizes.in)));
     }
-    const uint64_t total_moved =
-        RecordMoved(pass.metrics, &gather_span, per_partition_args_, moved);
+    const uint64_t messages = RecordMoved(pass.metrics, &gather_span,
+                                          per_partition_args_, sizes.moved);
     if (!all_typed) {
       for (int p = 0; p < n; ++p) {
-        if (pairs[p].empty()) continue;
-        records[p] = {PairRecords(node.reduce_kind, pairs[p].rows),
-                      std::move(pairs[p].start)};
-        pairs[p] = {};
+        if (!untyped[p]) records[p] = PairRecords(node.reduce_kind, pairs[p]);
       }
     }
-    // When nothing leaves its source, each source's own bucket is the
-    // target partition.
-    auto gather = [&](auto& buckets, auto& out) {
-      if (total_moved == 0) {
-        for (int p = 0; p < n; ++p) {
-          out.partition(p) = std::move(buckets[p].rows);
-        }
+    // When nothing leaves its source, each source's rows are its target
+    // partition.
+    auto gather = [&](auto& rows, auto& out) {
+      if (messages == 0) {
+        for (int p = 0; p < n; ++p) out.partition(p) = std::move(rows[p]);
         return;
       }
       ForEachPartition(
           pass, gather_span, n,
-          [&](int t) { GatherBuckets(&buckets, t, &out.partition(t)); },
-          [&](int t) { return static_cast<int64_t>(out_sizes[t]); });
+          [&](int t) {
+            GatherBuckets(
+                buckets, [&](int s) -> auto& { return rows[s]; }, t,
+                &out.partition(t));
+          },
+          [&](int t) { return static_cast<int64_t>(sizes.out[t]); });
     };
     if (all_typed) {
       st->pairs = PairDataset(n);
@@ -1443,7 +1365,7 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Run(
       gather(records, st->shuffled[0]);
     }
     gather_span.Close();
-    pass.ChargeShuffle(in_sizes, total_moved, out_sizes, &local_stats);
+    pass.ChargeShuffle(sizes.in, messages, sizes.out, &local_stats);
     return Status::OK();
   };
 

@@ -1,11 +1,11 @@
 // Executor: runs a Plan over hash-partitioned data.
 //
 // The execution model is the paper's: every operator runs independently on
-// each of the N partitions; key-based operators (reduce/join/cogroup/
-// distinct) first shuffle their input so equal keys meet in one partition.
-// Records that cross partitions during a shuffle are the "messages" the
-// paper's GUI plots per iteration; the executor counts them and charges
-// simulated network time for them. An intermediate with a single consumer
+// each of the N partitions; key-based operators (reduce/join/cogroup) first
+// shuffle their input so equal keys meet in one partition. Records that cross
+// partitions during a shuffle are the "messages" the paper's GUI plots per
+// iteration; the executor counts them and charges simulated network time for
+// them. An intermediate with a single consumer
 // that reads it locally (or pre-combines it) is never materialized: its
 // operator runs inside the consumer's parallel section and streams its rows
 // into it (DESIGN.md §17).
@@ -17,7 +17,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "common/result.h"
@@ -147,19 +146,14 @@ class Executor {
 
   /// Hash-repartitions `input` on `key`, counting moved records into `stats`
   /// and charging the clock: the shuffle Execute runs for a keyed input,
-  /// exposed for tests and micro-benchmarks. A target pass first resolves
-  /// every row's partition; then every source partition scatters into its
-  /// own N-way outbox (in parallel), and every target partition
-  /// concatenates its outboxes in source order — so the result is
-  /// byte-identical to a serial single-pass shuffle. The result is always
-  /// a new dataset; only Execute reads an unmoved input in place.
+  /// exposed for tests and micro-benchmarks. Every source partition groups
+  /// its rows by target partition in one pass (in parallel), and every
+  /// target partition copies its bucket of each source in source order, so
+  /// the result is byte-identical to a serial single-pass shuffle. The
+  /// result is always a new dataset; only Execute reads an unmoved input in
+  /// place.
   PartitionedDataset Shuffle(const PartitionedDataset& input,
                              const KeyColumns& key, ExecStats* stats) const;
-
-  /// Shuffle overload that moves records out of `input` instead of copying
-  /// them; use when the input dataset is dead after the call.
-  PartitionedDataset Shuffle(PartitionedDataset&& input, const KeyColumns& key,
-                             ExecStats* stats) const;
 
   /// Confined-log recovery (DESIGN.md §14): recomputes the plan's outputs
   /// for the `lost` partitions from the failed superstep's logged channels
@@ -201,24 +195,23 @@ class Executor {
 
   /// Runs fn(i) for i in [0, count) as one parallel section (counted into
   /// the pass's pool metrics), on the pool when present, with one child
-  /// span of `parent` per i (for partition offset + i) when it is active;
-  /// `records_of` (optional) supplies span i's "records" arg, evaluated
-  /// once fn(i) ran.
+  /// span of `parent` per i when it is active; `records_of` (optional)
+  /// supplies span i's "records" arg, evaluated once fn(i) ran.
   void ForEachPartition(const Pass& pass, const runtime::TraceSpan& parent,
                         int count, const std::function<void(int)>& fn,
-                        const std::function<int64_t(int)>& records_of = {},
-                        int offset = 0) const;
+                        const std::function<int64_t(int)>& records_of = {})
+      const;
 
-  /// Shuffle of `node`'s input under `pass`, copied from an lvalue and
-  /// moved from an rvalue (a pre-combined reduce input is routed by its
-  /// fold instead, executor.cc). With `node` set, a row too short for `key` fails
-  /// it with an OutOfRange naming the node instead of aborting (the public
-  /// Shuffle keeps the CHECK). When no row leaves its partition, a moved
-  /// input is returned as it is, and with `in_place` set an lvalue input is
-  /// not copied: *in_place becomes true, the result is empty, and the
+  /// Shuffle of `node`'s input under `pass` (a pre-combined reduce input
+  /// is routed by its fold instead, executor.cc): a route section buckets
+  /// each source's rows by target, then a gather section copies them. With
+  /// `node` set, a row too short for `key` fails it with an OutOfRange
+  /// naming the node instead of aborting (the public Shuffle keeps the
+  /// CHECK). When no row leaves its partition and `in_place` is set, there
+  /// is no gather: *in_place becomes true, the result is empty, and the
   /// caller reads `input` where it is (DESIGN.md §12).
-  template <typename Data>
-  Result<PartitionedDataset> ShuffleImpl(const Pass& pass, Data&& input,
+  Result<PartitionedDataset> ShuffleImpl(const Pass& pass,
+                                         const PartitionedDataset& input,
                                          const KeyColumns& key,
                                          ExecStats* stats,
                                          const PlanNode* node = nullptr,

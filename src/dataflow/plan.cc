@@ -30,8 +30,6 @@ std::string OpKindName(OpKind kind) {
       return "Cross";
     case OpKind::kUnion:
       return "Union";
-    case OpKind::kDistinct:
-      return "Distinct";
   }
   return "?";
 }
@@ -158,15 +156,6 @@ NodeId Plan::Union(NodeId left, NodeId right, const std::string& name) {
   return Add(std::move(n));
 }
 
-NodeId Plan::Distinct(NodeId input, KeyColumns key, const std::string& name) {
-  PlanNode n;
-  n.kind = OpKind::kDistinct;
-  n.name = name;
-  n.inputs = {input};
-  n.left_key = std::move(key);
-  return Add(std::move(n));
-}
-
 void Plan::DeclareReduce(NodeId node, ReduceKind kind, int value_col) {
   FLINKLESS_CHECK(node >= 0 && static_cast<size_t>(node) < nodes_.size(),
                   "DeclareReduce on unknown node " << node);
@@ -199,7 +188,6 @@ std::vector<InputRoute> InputRoutes(const PlanNode& node) {
       return {local, local};
     case OpKind::kReduceByKey:
     case OpKind::kGroupReduceByKey:
-    case OpKind::kDistinct:
       return {{InputRoute::kShuffled, &node.left_key, "in",
                node.kind == OpKind::kReduceByKey && node.pre_combine}};
     case OpKind::kJoin:
@@ -346,12 +334,6 @@ Status Plan::Validate() const {
         if (!n.join_fn) {
           return Status::FailedPrecondition("Cross '" + n.name +
                                             "' has no UDF");
-        }
-        break;
-      case OpKind::kDistinct:
-        if (n.left_key.empty()) {
-          return Status::FailedPrecondition("Distinct '" + n.name +
-                                            "' needs a key");
         }
         break;
       case OpKind::kProject:

@@ -58,7 +58,6 @@ enum class OpKind {
   kCoGroup,
   kCross,
   kUnion,
-  kDistinct,
 };
 
 /// Stable name of an operator kind ("Source", "Join", ...).
@@ -90,7 +89,7 @@ struct PlanNode {
   /// kSource: the binding name resolved at execution time.
   std::string source_name;
 
-  /// Key columns. kReduceByKey/kGroupReduceByKey/kDistinct use `left_key`;
+  /// Key columns. kReduceByKey/kGroupReduceByKey use `left_key`;
   /// joins/cogroups use both.
   KeyColumns left_key;
   KeyColumns right_key;
@@ -123,8 +122,8 @@ struct InputRoute {
     /// Partition p reads partition p of the input (Map, FlatMap, Filter,
     /// Project, Union, and Cross's left side).
     kLocal,
-    /// Hash-partitioned on `key` first (ReduceByKey, GroupReduceByKey,
-    /// Distinct, and both sides of Join and CoGroup).
+    /// Hash-partitioned on `key` first (ReduceByKey, GroupReduceByKey, and
+    /// both sides of Join and CoGroup).
     kShuffled,
     /// Copied whole to every partition (Cross's right side).
     kBroadcast,
@@ -184,9 +183,6 @@ class Plan {
 
   /// Bag union (no dedup).
   NodeId Union(NodeId left, NodeId right, const std::string& name);
-
-  /// Removes duplicate records; the output is partitioned by `key`.
-  NodeId Distinct(NodeId input, KeyColumns key, const std::string& name);
 
   /// Declares the combiner of an existing ReduceByKey node as a typed fold
   /// over `value_col` (checked; kind must not be kNone). See ReduceKind for

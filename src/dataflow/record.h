@@ -180,9 +180,8 @@ std::string RecordToString(const Record& record);
 uint64_t HashKey(const Record& record, const KeyColumns& key);
 
 /// HashKey of a record whose key is the single int64 column holding `key`:
-/// HashInt64Key(k) == HashKey(MakeRecord(k), {0}). The columnar hot loops
-/// (index build, reduce, join probe, shuffle scatter) hash flat key columns
-/// with it.
+/// HashInt64Key(k) == HashKey(MakeRecord(k), {0}). The hot loops (index
+/// build, reduce, join probe, shuffle route) hash int64 keys with it.
 uint64_t HashInt64Key(int64_t key);
 
 /// True when the two records agree on their respective key columns.

@@ -149,7 +149,10 @@ inline constexpr char kMemorySpills[] = "memory.spills";
 inline constexpr char kMemoryUnspills[] = "memory.unspills";
 inline constexpr char kMemorySpilledBytes[] = "memory.spilled_bytes";
 inline constexpr char kMemoryUnspilledBytes[] = "memory.unspilled_bytes";
-// Thread pool (job-level counters; totals are schedule-independent).
+// Executor parallel sections (job-level counters; totals are
+// schedule-independent). Only Executor::ForEachPartition counts them: the
+// iteration layer's direct ParallelFors (SolutionSet::ApplyDelta, the
+// compensation rebuilds) are not included.
 inline constexpr char kPoolTasks[] = "pool.tasks";
 inline constexpr char kPoolParallelSections[] = "pool.parallel_sections";
 // Recovery (per-partition counters).

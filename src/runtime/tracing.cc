@@ -245,8 +245,7 @@ void TraceSpan::Cancel() {
 
 void TracedParallelFor(ThreadPool* pool, const TraceSpan& parent, int count,
                        const std::function<void(int)>& fn,
-                       const std::function<int64_t(int)>& records_of,
-                       int partition_offset) {
+                       const std::function<int64_t(int)>& records_of) {
   if (!parent.active()) {
     ParallelFor(pool, count, fn);
     return;
@@ -265,7 +264,7 @@ void TracedParallelFor(ThreadPool* pool, const TraceSpan& parent, int count,
     e.kind = TraceEvent::Kind::kSpan;
     e.category = category;
     e.name = name;
-    e.partition = partition_offset + p;
+    e.partition = p;
     e.worker = ThreadPool::CurrentWorkerId();
     e.iteration = iteration;
     e.seq = loop_seq;
@@ -406,7 +405,7 @@ TraceSummary TraceSummary::FromSnapshot(const Tracer::Snapshot& snapshot) {
     }
     if (e.category != SpanKindName(SpanKind::kOperator)) {
       // Shuffle phases attribute their messages to the enclosing operator:
-      // a shuffle's target pass, or a pre-combined channel's gather.
+      // a shuffle's route, or a pre-combined channel's gather.
       if ((e.category == SpanKindName(SpanKind::kShuffleScatter) ||
            e.category == SpanKindName(SpanKind::kShuffleGather)) &&
           e.partition < 0) {

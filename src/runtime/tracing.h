@@ -44,8 +44,8 @@ class ThreadPool;
 /// both export formats.
 enum class SpanKind : int {
   kOperator = 0,       // one dataflow operator (or one partition of it)
-  kShuffleScatter,     // shuffle phase 1: partition-local scatter to outboxes
-  kShuffleGather,      // shuffle phase 2: concatenate outboxes per target
+  kShuffleScatter,     // shuffle route: each source buckets rows by target
+  kShuffleGather,      // shuffle gather: each target collects its buckets
   kIteration,          // one superstep of an iterative job
   kSolutionUpdate,     // partition-parallel solution-set delta application
   kCheckpoint,         // checkpoint I/O performed by a policy
@@ -255,14 +255,11 @@ class TraceSpan {
 /// ParallelFor when `parent` is inactive. `records_of(i)`, when provided,
 /// is evaluated *after* fn(i) (a chained section learns its input rows by
 /// running) and becomes the "records" arg of span i; a fn that consumes
-/// its input must leave records_of's answer intact. `partition_offset`
-/// shifts the recorded partition index of span i to `partition_offset + i`
-/// — the streaming shuffle scatters source partitions in blocks but still
-/// attributes each child span to its global partition.
+/// its input must leave records_of's answer intact. Span i is recorded
+/// against partition i.
 void TracedParallelFor(ThreadPool* pool, const TraceSpan& parent, int count,
                        const std::function<void(int)>& fn,
-                       const std::function<int64_t(int)>& records_of = {},
-                       int partition_offset = 0);
+                       const std::function<int64_t(int)>& records_of = {});
 
 // ----------------------------------------------------------- exporters --
 

@@ -5,11 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 
 #include "algos/als.h"
 #include "common/rng.h"
 #include "core/policies.h"
+#include "runtime/cost_model.h"
 #include "runtime/failure.h"
+#include "runtime/metrics.h"
+#include "runtime/sim_clock.h"
 #include "runtime/stable_storage.h"
 
 namespace flinkless::algos {
@@ -142,6 +146,66 @@ TEST_P(AlsParallelismTest, ParallelismDoesNotChangeFactors) {
 
 INSTANTIATE_TEST_SUITE_P(Parallelism, AlsParallelismTest,
                          ::testing::Values(1, 2, 4, 8));
+
+/// Everything an ALS run computes and charges.
+struct AlsRun {
+  AlsResult result;
+  std::vector<runtime::IterationStats> iterations;
+  std::map<runtime::Charge, int64_t> sim;
+};
+
+AlsRun RunAlsWithThreads(const TestData& data, int threads) {
+  runtime::SimClock clock;
+  runtime::CostModel costs;
+  runtime::MetricsRegistry metrics;
+  iteration::JobEnv env;
+  env.clock = &clock;
+  env.costs = &costs;
+  env.metrics = &metrics;
+  AlsOptions options = Options(4);
+  options.num_threads = threads;
+  core::NoFaultTolerancePolicy policy;
+  auto result = RunAls(data.ratings, data.num_users, data.num_items, options,
+                       env, &policy);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  AlsRun run;
+  if (result.ok()) run.result = std::move(*result);
+  run.iterations = metrics.iterations();
+  for (int c = 0; c < runtime::kNumCharges; ++c) {
+    const auto charge = static_cast<runtime::Charge>(c);
+    run.sim[charge] = clock.Of(charge);
+  }
+  return run;
+}
+
+class AlsThreadsTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(AlsThreadsTest, ThreadCountDoesNotChangeFactorsStatsOrCharges) {
+  // ALS's solve and gather channels move rows between partitions, so this
+  // pins the shuffle's gather order at every thread count.
+  TestData data = SmallDataset(23);
+  const AlsRun serial = RunAlsWithThreads(data, 1);
+  const AlsRun threaded = RunAlsWithThreads(data, GetParam());
+  EXPECT_EQ(serial.result.user_factors, threaded.result.user_factors);
+  EXPECT_EQ(serial.result.item_factors, threaded.result.item_factors);
+  EXPECT_EQ(serial.result.supersteps_executed,
+            threaded.result.supersteps_executed);
+  ASSERT_EQ(serial.iterations.size(), threaded.iterations.size());
+  uint64_t messages = 0;
+  for (size_t i = 0; i < serial.iterations.size(); ++i) {
+    const runtime::IterationStats& a = serial.iterations[i];
+    const runtime::IterationStats& b = threaded.iterations[i];
+    EXPECT_EQ(a.records_processed, b.records_processed) << "superstep " << i;
+    EXPECT_EQ(a.messages_shuffled, b.messages_shuffled) << "superstep " << i;
+    EXPECT_EQ(a.sim_time_by_charge, b.sim_time_by_charge) << "superstep " << i;
+    messages += a.messages_shuffled;
+  }
+  EXPECT_GT(messages, 0u);
+  EXPECT_EQ(serial.sim, threaded.sim);
+}
+
+INSTANTIATE_TEST_SUITE_P(ThreadCounts, AlsThreadsTest,
+                         ::testing::Values(1, 2, 8));
 
 TEST(AlsRecoveryTest, OptimisticReseedingRecoversQuality) {
   TestData data = SmallDataset(17);

@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 #include <string>
 #include <tuple>
 #include <unordered_map>
@@ -123,7 +122,7 @@ TEST(FlatKeyIndexTest, FindFirstOnStringAndCompositeKeys) {
 
 Plan BuildHotPathPlan() {
   // Every rewritten operator, with both int64 and string keys: map,
-  // pre-combined reduce, join (string key), group-reduce, distinct, union.
+  // pre-combined reduce, join (string key), group-reduce, union.
   Plan plan;
   auto src = plan.Source("in");
   auto mapped = plan.Map(
@@ -156,8 +155,7 @@ Plan BuildHotPathPlan() {
                           static_cast<int64_t>(group.size()), sum);
       },
       "per-tag");
-  auto uniq = plan.Distinct(grouped, {0}, "distinct-tags");
-  auto both = plan.Union(uniq, grouped, "union");
+  auto both = plan.Union(reduced, grouped, "union");
   plan.Output(both, "out");
   return plan;
 }
@@ -165,8 +163,8 @@ Plan BuildHotPathPlan() {
 // A deliberately naive evaluator of the node kinds BuildHotPathPlan uses.
 // It reproduces the engine's contracts — hash placement (PartitionOf),
 // reduce/group emission in key order, join output in probe order with each
-// group in arrival order, first-occurrence distinct — but groups with
-// std::map, so it shares no code with the executor's columnar kernels.
+// group in arrival order — but groups with std::map, so it shares no code
+// with the executor's columnar kernels.
 using RefGroups =
     std::map<Record, std::vector<Record>, dataflow::RecordOrder>;
 
@@ -253,16 +251,6 @@ PartitionedDataset RefEvaluate(const Plan& plan, const std::string& output,
           for (const auto& [key, group] :
                RefGroup(shuffled.partition(p), node.left_key)) {
             out.partition(p).push_back(node.group_reduce_fn(key, group));
-          }
-        }
-        break;
-      }
-      case dataflow::OpKind::kDistinct: {
-        PartitionedDataset shuffled = RefShuffle(in(0), node.left_key);
-        for (int p = 0; p < n; ++p) {
-          std::set<Record, dataflow::RecordOrder> seen;
-          for (const Record& r : shuffled.partition(p)) {
-            if (seen.insert(r).second) out.partition(p).push_back(r);
           }
         }
         break;

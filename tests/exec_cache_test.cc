@@ -2,8 +2,7 @@
 // on the plan, cache hit/miss/invalidation behaviour across repeated
 // executions, byte-identity of cached results vs a cache-less executor,
 // rebinding volatile sources forcing recomputation, the simulated-time
-// savings of skipped shuffles, and the streaming gather's bounded outbox
-// peak.
+// savings of skipped shuffles, and the copying shuffle's single gather.
 
 #include <gtest/gtest.h>
 
@@ -433,12 +432,10 @@ TEST(ExecCacheTest, TraceMarksBuildsAndHits) {
   EXPECT_GT(hits, 0);
 }
 
-TEST(ExecCacheTest, StreamingGatherBoundsOutboxPeak) {
-  // The blocked shuffle drains outboxes midway: each block's gather span
-  // records the rows its block buffered, and the largest of them, the
-  // shuffle's peak, must be deterministic and strictly below the total
-  // record count (all sources materialized at once), yet at least one
-  // block's worth.
+TEST(ExecCacheTest, CopyingShuffleGathersOnce) {
+  // A shuffle that copies routes every source once and gathers once: one
+  // job-level shuffle.gather span carrying all the input's rows, with the
+  // same spans at any thread count.
   const int parts = 8;
   std::vector<Record> records;
   for (int64_t i = 0; i < 4000; ++i) {
@@ -446,7 +443,7 @@ TEST(ExecCacheTest, StreamingGatherBoundsOutboxPeak) {
   }
   auto in = PartitionedDataset::RoundRobin(std::move(records), parts);
 
-  auto peak_of = [&](int num_threads) {
+  auto gathers_of = [&](int num_threads) {
     runtime::Tracer tracer;
     ExecOptions options;
     options.num_partitions = parts;
@@ -455,19 +452,20 @@ TEST(ExecCacheTest, StreamingGatherBoundsOutboxPeak) {
     Executor executor(options);
     ExecStats stats;
     executor.Shuffle(in, {0}, &stats);
-    int64_t peak = -1;
+    std::vector<std::pair<std::string, int64_t>> gathers;
     for (const auto& e : tracer.Flush().events) {
       if (e.category == "shuffle.gather" && e.partition == -1) {
-        peak = std::max(peak, e.Arg("outbox_peak_records", -1));
+        gathers.emplace_back(e.name, e.Arg("records", -1));
       }
     }
-    return peak;
+    return gathers;
   };
 
-  int64_t serial_peak = peak_of(1);
-  ASSERT_GT(serial_peak, 0);
-  EXPECT_LT(serial_peak, 4000);          // never all sources at once
-  EXPECT_EQ(serial_peak, peak_of(4));    // deterministic across threads
+  const auto serial = gathers_of(1);
+  ASSERT_EQ(serial.size(), 1u);
+  EXPECT_EQ(serial[0].first, "gather");
+  EXPECT_EQ(serial[0].second, 4000);
+  EXPECT_EQ(serial, gathers_of(4));
 }
 
 // ------------------------------------------- spill / memory budget (§11) --

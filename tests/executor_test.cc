@@ -493,17 +493,6 @@ TEST_F(ExecutorTest, UnionConcatenates) {
   EXPECT_EQ(SortedOut(*outs, "out").size(), 3u);  // bag semantics, no dedup
 }
 
-TEST_F(ExecutorTest, DistinctRemovesDuplicates) {
-  Plan plan;
-  auto src = plan.Source("in");
-  plan.Output(plan.Distinct(src, {0}, "d"), "out");
-  auto in = KeyValues({{1, 1}, {1, 1}, {1, 2}, {2, 1}}, kParts);
-  auto outs = executor_.Execute(plan, {{"in", &in}}, nullptr);
-  ASSERT_TRUE(outs.ok());
-  // (1,1) deduped; (1,2) kept (full-record distinct).
-  EXPECT_EQ(SortedOut(*outs, "out").size(), 3u);
-}
-
 TEST_F(ExecutorTest, StringKeysShuffleAndReduce) {
   Plan plan;
   auto src = plan.Source("in");
@@ -555,10 +544,10 @@ TEST_F(ExecutorTest, ChargesComputeAndNetworkCosts) {
 
 TEST_F(ExecutorTest, AlreadyPartitionedProbeSideIsReadInPlace) {
   // The probe side is hash-partitioned on its join key, so its shuffle's
-  // target pass finds nothing to move and the join reads it where it is.
-  // The oracle is the same first superstep with the probe side a
-  // loop-invariant cache fill, which always copies through the
-  // scatter/gather: both must charge and record the same.
+  // route finds nothing to move and the join reads it where it is. The
+  // oracle is the same first superstep with the probe side a
+  // loop-invariant cache fill, which always copies through the gather:
+  // both must charge and record the same.
   Plan plan;
   auto build = plan.Source("build");
   auto probe = plan.Source("probe");
@@ -635,10 +624,10 @@ TEST_F(ExecutorTest, AlreadyPartitionedProbeSideIsReadInPlace) {
               copied.metrics.histograms.at(kHistShuffleFanout));
     EXPECT_EQ(in_place.metrics.histograms.at(kHistBatchRows),
               copied.metrics.histograms.at(kHistBatchRows));
-    // Each shuffle that moves rows gathers in two blocks; the in-place
-    // probe side gathers nothing.
-    EXPECT_EQ(in_place.gathers, 2);
-    EXPECT_EQ(copied.gathers, 4);
+    // Each copying shuffle gathers once; the in-place probe side gathers
+    // nothing.
+    EXPECT_EQ(in_place.gathers, 1);
+    EXPECT_EQ(copied.gathers, 2);
   }
 }
 

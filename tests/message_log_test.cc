@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -369,7 +370,15 @@ Plan BuildEveryOpPlan() {
       },
       "static-left-cogroup");
   auto swapped = plan.Project(joined, {1, 0}, "swap");
-  auto unique = plan.Distinct(swapped, {0}, "distinct");
+  auto distinct_values = plan.GroupReduceByKey(
+      swapped, {0},
+      [](const Record& key, const std::vector<Record>& group) {
+        std::set<int64_t> values;
+        for (const Record& r : group) values.insert(r[1].AsInt64());
+        return MakeRecord(key[0].AsInt64(),
+                          static_cast<int64_t>(values.size()));
+      },
+      "distinct-values");
   auto few = plan.Filter(
       declared, [](const Record& r) { return r[0].AsInt64() < 3; }, "few");
   auto crossed = plan.Cross(
@@ -386,7 +395,7 @@ Plan BuildEveryOpPlan() {
   plan.Output(cogrouped, "cogroup");
   plan.Output(build_joined, "static-build-join");
   plan.Output(left_cogrouped, "static-left-cogroup");
-  plan.Output(unique, "distinct");
+  plan.Output(distinct_values, "distinct-values");
   plan.Output(crossed, "cross");
   return plan;
 }

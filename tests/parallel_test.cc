@@ -117,7 +117,8 @@ void ExpectIdenticalDatasets(const PartitionedDataset& a,
 
 Plan BuildMixedPlan() {
   // Touches every order-sensitive operator class: map, filter, shuffle-based
-  // reduce (with pre-combine), join, group-reduce, distinct, union.
+  // reduce (with pre-combine), join, group-reduce, a reduce over the whole
+  // row, union.
   Plan plan;
   auto src = plan.Source("in");
   auto mapped = plan.Map(
@@ -148,7 +149,9 @@ Plan BuildMixedPlan() {
                           static_cast<int64_t>(group.size()));
       },
       "group-sizes");
-  auto uniq = plan.Distinct(grouped, {0, 1}, "distinct");
+  auto uniq = plan.ReduceByKey(
+      grouped, {0, 1}, [](const Record& a, const Record&) { return a; },
+      "dedup");
   auto both = plan.Union(uniq, reduced, "union");
   plan.Output(both, "out");
   return plan;
@@ -201,7 +204,7 @@ TEST_P(ExecutorDeterminismTest, MixedPlanMatchesSerialByteForByte) {
   EXPECT_EQ(serial_clock.TotalNs(), parallel_clock.TotalNs());
 }
 
-TEST_P(ExecutorDeterminismTest, ShuffleIsByteIdenticalAndMoveMatchesCopy) {
+TEST_P(ExecutorDeterminismTest, ShuffleIsByteIdentical) {
   const int threads = GetParam();
   const int parts = 8;
   Rng rng(7);
@@ -218,15 +221,61 @@ TEST_P(ExecutorDeterminismTest, ShuffleIsByteIdenticalAndMoveMatchesCopy) {
   popt.num_threads = threads;
   Executor parallel(popt);
 
-  ExecStats s1, s2, s3;
+  ExecStats s1, s2;
   PartitionedDataset base = serial.Shuffle(in, {0}, &s1);
   PartitionedDataset threaded = parallel.Shuffle(in, {0}, &s2);
-  PartitionedDataset moved = parallel.Shuffle(PartitionedDataset(in), {0},
-                                              &s3);  // rvalue overload
   ExpectIdenticalDatasets(base, threaded);
-  ExpectIdenticalDatasets(base, moved);
   EXPECT_EQ(s1.messages_shuffled, s2.messages_shuffled);
-  EXPECT_EQ(s1.messages_shuffled, s3.messages_shuffled);
+}
+
+TEST_P(ExecutorDeterminismTest, MixedSourcesGatherInSourceOrder) {
+  // Even source partitions are already hash-partitioned on the key, so all
+  // their rows stay; odd ones are not. Every target gathers rows from both
+  // kinds of source and must see them exactly as a naive per-row routing
+  // in source order places them.
+  const int threads = GetParam();
+  const int parts = 8;
+  const dataflow::KeyColumns key = {0};
+  Rng rng(31);
+  std::vector<Record> hashed_rows, mixed_rows;
+  for (int64_t i = 0; i < 3000; ++i) {
+    Record r = MakeRecord(static_cast<int64_t>(rng.NextBounded(200)), i);
+    (i % 2 == 0 ? hashed_rows : mixed_rows).push_back(std::move(r));
+  }
+  const PartitionedDataset hashed =
+      PartitionedDataset::HashPartitioned(std::move(hashed_rows), key, parts);
+  const PartitionedDataset mixed =
+      PartitionedDataset::RoundRobin(std::move(mixed_rows), parts);
+  PartitionedDataset in(parts);
+  for (int p = 0; p < parts; ++p) {
+    in.partition(p) = (p % 2 == 0 ? hashed : mixed).partition(p);
+  }
+
+  PartitionedDataset expected(parts);
+  uint64_t expected_messages = 0;
+  for (int p = 0; p < parts; ++p) {
+    for (const Record& r : in.partition(p)) {
+      const int t = PartitionedDataset::PartitionOf(r, key, parts);
+      expected.partition(t).push_back(r);
+      if (t != p) ++expected_messages;
+    }
+  }
+  for (int p = 0; p < parts; p += 2) {
+    ASSERT_GT(in.partition(p).size(), 0u);
+    ASSERT_TRUE(std::all_of(
+        in.partition(p).begin(), in.partition(p).end(), [&](const Record& r) {
+          return PartitionedDataset::PartitionOf(r, key, parts) == p;
+        }));
+  }
+  ASSERT_GT(expected_messages, 0u);
+
+  ExecOptions options;
+  options.num_partitions = parts;
+  options.num_threads = threads;
+  Executor executor(options);
+  ExecStats stats;
+  ExpectIdenticalDatasets(expected, executor.Shuffle(in, key, &stats));
+  EXPECT_EQ(stats.messages_shuffled, expected_messages);
 }
 
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, ExecutorDeterminismTest,

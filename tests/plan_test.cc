@@ -90,14 +90,6 @@ TEST(PlanTest, ValidateRejectsCrossWithoutUdf) {
   EXPECT_FALSE(plan.Validate().ok());
 }
 
-TEST(PlanTest, ValidateRejectsDistinctWithoutKey) {
-  Plan plan;
-  auto src = plan.Source("in");
-  auto d = plan.Distinct(src, {}, "d");
-  plan.Output(d, "out");
-  EXPECT_FALSE(plan.Validate().ok());
-}
-
 TEST(PlanTest, ExplainListsOperatorsAndOutputs) {
   Plan plan;
   auto w = plan.Source("workset");
@@ -122,11 +114,10 @@ TEST(PlanTest, OpKindNamesAreDistinct) {
   for (OpKind k :
        {OpKind::kSource, OpKind::kMap, OpKind::kFlatMap, OpKind::kFilter,
         OpKind::kProject, OpKind::kReduceByKey, OpKind::kGroupReduceByKey,
-        OpKind::kJoin, OpKind::kCoGroup, OpKind::kCross, OpKind::kUnion,
-        OpKind::kDistinct}) {
+        OpKind::kJoin, OpKind::kCoGroup, OpKind::kCross, OpKind::kUnion}) {
     names.insert(OpKindName(k));
   }
-  EXPECT_EQ(names.size(), 12u);
+  EXPECT_EQ(names.size(), 11u);
 }
 
 TEST(PlanTest, SourceNamesInOrder) {
