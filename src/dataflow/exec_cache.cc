@@ -8,9 +8,9 @@
 namespace flinkless::dataflow {
 
 /// One cache entry as the MemoryManager sees it. Spilling serializes only
-/// the dataset — flat_index/groups are derived from the dataset's records,
-/// so they are dropped with it and rebuilt (deterministically, from
-/// entry.index_key) when the bytes come back.
+/// the dataset — flat_index is derived from the dataset's records, so it is
+/// dropped with it and rebuilt (deterministically, from entry.index_key)
+/// when the bytes come back.
 struct ExecCache::Segment : public runtime::SpillableSegment {
   Segment(std::string key, runtime::StableStorage* storage, int partitions,
           uint64_t* hash_reuse_counter)
@@ -41,8 +41,7 @@ struct ExecCache::Segment : public runtime::SpillableSegment {
   Status Spill() override {
     FLINKLESS_CHECK(!spilled_ && entry.data != nullptr,
                     "spilling a segment that is not resident");
-    had_flat_index_ = !entry.flat_index.empty();
-    had_groups_ = !entry.groups.empty();
+    had_flat_index_ = entry.flat_index != nullptr;
     // Retain the flat index's cached row hashes in memory across the spill
     // (8 bytes/row — tiny next to the dataset) so the rebuild on unspill
     // adopts them instead of rehashing every key. Deliberately NOT written
@@ -50,19 +49,17 @@ struct ExecCache::Segment : public runtime::SpillableSegment {
     // so SimClock I/O charges and live-bytes accounting are unchanged.
     spilled_hashes_.clear();
     if (had_flat_index_) {
-      spilled_hashes_.reserve(entry.flat_index.size());
-      for (const FlatKeyIndex& index : entry.flat_index) {
+      spilled_hashes_.reserve(entry.flat_index->size());
+      for (const FlatKeyIndex& index : *entry.flat_index) {
         spilled_hashes_.push_back(index.row_hashes());
       }
     }
     FLINKLESS_RETURN_NOT_OK(storage_->Write(
         key_, SerializePartitionedDataset(*entry.data, serialized_bytes_)));
-    // Consumers still holding the shared_ptr keep their dataset; the cache
-    // just stops keeping it resident. The flat index borrows the dataset's
-    // records, so it must go with them.
+    // Consumers still holding the shared_ptrs keep their dataset and index;
+    // the cache just stops keeping them resident.
     entry.data.reset();
-    entry.flat_index.clear();
-    entry.groups.clear();
+    entry.flat_index.reset();
     spilled_ = true;
     return Status::OK();
   }
@@ -78,32 +75,22 @@ struct ExecCache::Segment : public runtime::SpillableSegment {
     entry.data = data;
     const int n = data->num_partitions();
     if (had_flat_index_) {
-      entry.flat_index.assign(n, FlatKeyIndex());
+      auto index = std::make_shared<std::vector<FlatKeyIndex>>(n);
       const bool have_hashes = spilled_hashes_.size() == static_cast<size_t>(n);
       uint64_t adopted = 0;
       for (int p = 0; p < n; ++p) {
         const std::vector<Record>& part = data->partition(p);
         if (have_hashes && spilled_hashes_[p].size() == part.size()) {
-          entry.flat_index[p].BuildWithHashes(part, entry.index_key,
-                                              std::move(spilled_hashes_[p]));
+          (*index)[p].BuildWithHashes(part, entry.index_key,
+                                      std::move(spilled_hashes_[p]));
           ++adopted;
         } else {
-          entry.flat_index[p].Build(part, entry.index_key);
+          (*index)[p].Build(part, entry.index_key);
         }
       }
       if (hash_reuse_counter_ != nullptr) *hash_reuse_counter_ += adopted;
       spilled_hashes_.clear();
-    }
-    if (had_groups_) {
-      entry.groups.assign(n, CachedGroups());
-      for (int p = 0; p < n; ++p) {
-        CachedGroups& groups = entry.groups[p];
-        const std::vector<Record>& part = data->partition(p);
-        groups.reserve(part.size());
-        for (const Record& r : part) {
-          groups[ExtractKey(r, entry.index_key)].push_back(r);
-        }
-      }
+      entry.flat_index = std::move(index);
     }
     spilled_ = false;
     return Status::OK();
@@ -125,7 +112,6 @@ struct ExecCache::Segment : public runtime::SpillableSegment {
   uint64_t serialized_bytes_ = 0;
   bool spilled_ = false;
   bool had_flat_index_ = false;
-  bool had_groups_ = false;
   /// Per-partition row hashes of the dropped flat index, kept while
   /// spilled (see Spill).
   std::vector<std::vector<uint64_t>> spilled_hashes_;

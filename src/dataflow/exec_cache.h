@@ -7,20 +7,20 @@
 // Iterative Data Flows" (Ewen et al.) identifies loop-invariant caching as
 // the cure for. An iteration driver owns one ExecCache per job, declares
 // which source bindings it rebinds every superstep, and passes the cache to
-// the executor via ExecOptions; the executor fills it with
-//  * the materialized outputs of fully loop-invariant nodes (role kOutput),
-//  * the invariant shuffled input of a loop-variant join/cogroup, keyed by
-//    its port (InputRoutes): port l as role kBuild, port r as kProbe. A
-//    join's port l also keeps a per-partition hash index whose entries
-//    reference the cached records; a cogroup side keeps its groups.
+// the executor via ExecOptions; the executor fills it with one kind of
+// entry: the invariant shuffled input of a loop-variant join/cogroup, keyed
+// by its port (InputRoutes), port l as role kBuild and port r as kProbe. A
+// join's port l also keeps a per-partition hash index over the cached
+// records. Both are shared_ptrs: the stage reading an entry pins them, so
+// a spill drops only the cache's references.
 //
 // Memory budget (DESIGN.md §11): with a MemoryManager attached, every
 // entry is a SpillableSegment keyed "spill/<job>/n<node>.r<role>". When
 // residency exceeds the budget the manager spills LRU entries to
-// StableStorage (serialized datasets only — flat indexes and groups are
-// derived from the cached records, so they are dropped and rebuilt from
-// the reloaded bytes on access). Residency is measured in serialized
-// bytes so budget decisions are platform-independent and deterministic.
+// StableStorage (serialized datasets only — the flat index is derived from
+// the cached records, so it is dropped and rebuilt from the reloaded bytes
+// on access). Residency is measured in serialized bytes so budget
+// decisions are platform-independent and deterministic.
 //
 // Lifetime: created before superstep 1, reused across supersteps and across
 // recovery. Invalidate(partitions) is called from the failure-injection
@@ -41,7 +41,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -60,36 +59,30 @@ class Tracer;
 
 namespace flinkless::dataflow {
 
-/// Per-partition materialized groups of a cached cogroup side (cogroup UDFs
-/// take whole groups by reference, so groups are materialized once).
-using CachedGroups =
-    std::unordered_map<Record, std::vector<Record>, RecordHash>;
-
 /// Superstep-persistent cache of loop-invariant execution artifacts. Owned
 /// by an iteration driver, borrowed by the executor via ExecOptions.
 class ExecCache {
  public:
-  /// What a cached artifact is for its plan node (part of the cache key).
+  /// Which port of its plan node a cached side feeds (part of the cache
+  /// key, and of the spill key "n<node>.r<role>").
   enum class Role : int {
-    kOutput = 0,  // materialized output of a fully invariant node
-    kBuild = 1,   // shuffled port l (left) side + hash index / groups
-    kProbe = 2,   // shuffled port r (right) side + groups for cogroups
+    kBuild = 1,  // shuffled port l (left) side + the join's hash index
+    kProbe = 2,  // shuffled port r (right) side
   };
 
   struct Entry {
-    /// The cached dataset (node output or shuffled join side). Consumers
-    /// hold the shared_ptr alive while referencing its records — a spill
-    /// only drops the cache's reference, never a dataset in use.
+    /// The cached shuffled side. Consumers hold the shared_ptr alive while
+    /// referencing its records — a spill only drops the cache's
+    /// reference, never a dataset in use.
     std::shared_ptr<const PartitionedDataset> data;
     /// kBuild on kJoin (DESIGN.md §12): per-partition flat
     /// open-addressing index over `data`'s records — no per-record Value
-    /// hashing or map nodes.
-    std::vector<FlatKeyIndex> flat_index;
-    /// kBuild/kProbe on kCoGroup: per-partition groups of `data`.
-    std::vector<CachedGroups> groups;
-    /// Key columns flat_index/groups are built on. The executor sets this
-    /// at build time; a spilled entry rebuilds the structures from the
-    /// reloaded records with it.
+    /// hashing or map nodes. Null for every other entry. Pinned beside
+    /// `data` by its consumers, since its rows are `data`'s.
+    std::shared_ptr<const std::vector<FlatKeyIndex>> flat_index;
+    /// Key columns flat_index is built on. The executor sets this at build
+    /// time; a spilled entry rebuilds the index from the reloaded records
+    /// with it.
     KeyColumns index_key;
   };
 
@@ -142,8 +135,8 @@ class ExecCache {
   }
 
   /// The entry for (node, role) regardless of residency, or nullptr when
-  /// not cached. A spilled entry has a null `data`; use FindResident on
-  /// paths that consume the records.
+  /// not cached. A spilled entry has a null `data` and `flat_index`; use
+  /// FindResident on paths that consume the records.
   Entry* Find(int node_id, Role role);
 
   /// Find + budget bookkeeping: marks the entry most-recently-used and

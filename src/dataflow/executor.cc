@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -24,20 +25,6 @@ std::string MsglogChannel(int id, const char* port) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "n%04d.%s", id, port);
   return buf;
-}
-
-// Cogroup's materialized groups (the same shape ExecCache keeps for a
-// cached side). Cogroup sweeps the merged key set in RecordLess order.
-using GroupMap = CachedGroups;
-
-GroupMap GroupByKey(const std::vector<Record>& records,
-                    const KeyColumns& key) {
-  GroupMap groups;
-  groups.reserve(records.size());
-  for (const Record& r : records) {
-    groups[ExtractKey(r, key)].push_back(r);
-  }
-  return groups;
 }
 
 // ------------------------------------------------ columnar kernels (§12) --
@@ -471,8 +458,6 @@ std::vector<int32_t> ProbeHeads(const FlatKeyIndex& index,
   return first;
 }
 
-const std::vector<Record> kEmptyGroup;
-
 /// Reusable "prefix<i>" formatter for per-partition span arg keys: one
 /// buffer per operator instead of two temporary strings per partition.
 class PartitionKeyBuffer {
@@ -534,9 +519,6 @@ struct OpInputs {
   const std::vector<Record>* broadcast = nullptr;
   /// Join: the cached per-partition index over `a`; null = build one.
   const std::vector<FlatKeyIndex>* build_index = nullptr;
-  /// Cogroup: cached per-partition groups standing in for side a or b.
-  const std::vector<CachedGroups>* a_groups = nullptr;
-  const std::vector<CachedGroups>* b_groups = nullptr;
   /// Reduce: enforce the combiner-keeps-the-key contract (post-shuffle).
   bool validate = true;
   /// Join: sink for the probe-chain histogram of freshly built indexes;
@@ -556,12 +538,12 @@ struct Stage {
   PartitionedDataset shuffled[2];
   PairDataset pairs;
   std::vector<Record> broadcast;
-  /// Cached sides: the entry and its pinned records (see Repin).
-  ExecCache::Entry* entry[2] = {nullptr, nullptr};
-  std::shared_ptr<const PartitionedDataset> pinned[2];
-  std::vector<FlatKeyIndex> own_index;
-  std::vector<CachedGroups> own_groups[2];
-  bool cached[2] = {false, false};
+  /// Cached sides' entries, each pinning its side and a join build side's
+  /// index: a spill before the section runs drops only the cache's refs.
+  ExecCache::Entry pinned[2];
+  /// The input exec.records and the section's child spans count: input 1
+  /// when input 0 is a cached side.
+  int counted() const { return pinned[0].data != nullptr ? 1 : 0; }
   bool hit[2] = {false, false};
   /// Cache args for the operator span the body runs in.
   std::vector<std::pair<std::string, int64_t>> span_args;
@@ -620,6 +602,44 @@ bool EmitAll(std::vector<Record>* rows, const RowSink& out) {
     if (!out(std::move(r))) return false;
   }
   rows->clear();
+  return true;
+}
+
+const std::vector<Record> kEmptyGroup;
+
+/// Cogroup of partition `p`. Its UDF sweeps fully materialized groups on
+/// both sides at once, so both sides are grouped into maps (DESIGN.md §12
+/// fallback rule); the union of both key sets is swept in RecordLess order.
+bool CoGroupBody(const PlanNode& node, const OpInputs& in, int p,
+                 const RowSink& out) {
+  auto group = [p](const PartitionedDataset* side, const KeyColumns& key) {
+    std::unordered_map<Record, std::vector<Record>, RecordHash> groups;
+    groups.reserve(side->partition(p).size());
+    for (const Record& r : side->partition(p)) {
+      groups[ExtractKey(r, key)].push_back(r);
+    }
+    return groups;
+  };
+  const auto lgroups = group(in.a, node.left_key);
+  const auto rgroups = group(in.b, node.right_key);
+  std::vector<const Record*> keys;
+  keys.reserve(lgroups.size() + rgroups.size());
+  for (const auto& [k, g] : lgroups) keys.push_back(&k);
+  for (const auto& [k, g] : rgroups) {
+    if (lgroups.find(k) == lgroups.end()) keys.push_back(&k);
+  }
+  std::sort(keys.begin(), keys.end(),
+            [](const Record* a, const Record* b) {
+              return RecordLess(*a, *b);
+            });
+  std::vector<Record> rows;
+  for (const Record* key : keys) {
+    auto lit = lgroups.find(*key);
+    auto rit = rgroups.find(*key);
+    node.cogroup_fn(*key, lit != lgroups.end() ? lit->second : kEmptyGroup,
+                    rit != rgroups.end() ? rit->second : kEmptyGroup, &rows);
+    if (!EmitAll(&rows, out)) return false;
+  }
   return true;
 }
 
@@ -735,43 +755,8 @@ bool RunBody(const PlanNode& node, const OpInputs& in, int p,
       return true;
     }
 
-    case OpKind::kCoGroup: {
-      // Cogroup's UDF sweeps fully materialized groups on both sides at
-      // once, so it groups into maps (DESIGN.md §12 fallback rule). The
-      // union of both key sets is swept in RecordLess order.
-      GroupMap lfresh, rfresh;
-      if (in.a_groups == nullptr) {
-        lfresh = GroupByKey(in.a->partition(p), node.left_key);
-      }
-      if (in.b_groups == nullptr) {
-        rfresh = GroupByKey(in.b->partition(p), node.right_key);
-      }
-      const GroupMap& lgroups =
-          in.a_groups != nullptr ? (*in.a_groups)[p] : lfresh;
-      const GroupMap& rgroups =
-          in.b_groups != nullptr ? (*in.b_groups)[p] : rfresh;
-      std::vector<const Record*> keys;
-      keys.reserve(lgroups.size() + rgroups.size());
-      for (const auto& [k, g] : lgroups) keys.push_back(&k);
-      for (const auto& [k, g] : rgroups) {
-        if (lgroups.find(k) == lgroups.end()) keys.push_back(&k);
-      }
-      std::sort(keys.begin(), keys.end(),
-                [](const Record* a, const Record* b) {
-                  return RecordLess(*a, *b);
-                });
-      std::vector<Record> rows;
-      for (const Record* key : keys) {
-        auto lit = lgroups.find(*key);
-        auto rit = rgroups.find(*key);
-        node.cogroup_fn(*key, lit != lgroups.end() ? lit->second : kEmptyGroup,
-                        rit != rgroups.end() ? rit->second : kEmptyGroup,
-                        &rows);
-        if (!EmitAll(&rows, out)) return false;
-      }
-      return true;
-    }
-
+    case OpKind::kCoGroup:
+      return CoGroupBody(node, in, p, out);
   }
   return true;
 }
@@ -782,32 +767,6 @@ void ChainMembers(const OpInputs& in, std::vector<NodeId>* members) {
     if (producer == nullptr) continue;
     members->push_back(producer->node->id);
     ChainMembers(producer->in, members);
-  }
-}
-
-/// A spill since a cache lookup may have dropped the index or groups a
-/// stage points at. Its pinned records are still alive: rebuild them.
-void Repin(const PlanNode& node, Stage* st) {
-  for (int i = 0; i < 2; ++i) {
-    if (st->entry[i] == nullptr || st->entry[i]->data == st->pinned[i]) {
-      continue;
-    }
-    const PartitionedDataset& data = *st->pinned[i];
-    const KeyColumns& key = i == 0 ? node.left_key : node.right_key;
-    st->own_groups[i].clear();
-    if (i == 0) st->own_index.clear();
-    for (int p = 0; p < data.num_partitions(); ++p) {
-      if (node.kind == OpKind::kCoGroup) {
-        st->own_groups[i].push_back(GroupByKey(data.partition(p), key));
-      } else if (i == 0) {
-        st->own_index.emplace_back().Build(data.partition(p), key);
-      }
-    }
-    if (node.kind == OpKind::kCoGroup) {
-      (i == 0 ? st->in.a_groups : st->in.b_groups) = &st->own_groups[i];
-    } else if (i == 0) {
-      st->in.build_index = &st->own_index;
-    }
   }
 }
 
@@ -1124,219 +1083,320 @@ PartitionedDataset Executor::Shuffle(const PartitionedDataset& input,
   return ShuffleImpl(Pass(options_, nullptr), input, key, stats).ValueOrDie();
 }
 
-Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
-    const Plan& plan, const Bindings& bindings, ExecStats* stats) const {
-  FLINKLESS_RETURN_NOT_OK(plan.Validate());
-  return Run(plan, bindings, Pass(options_, &plan), stats);
-}
+// ------------------------------------------------------- the plan run --
 
-Result<std::map<std::string, PartitionedDataset>> Executor::Run(
-    const Plan& plan, const Bindings& bindings, const Pass& pass,
-    ExecStats* stats) const {
-  const int n = options_.num_partitions;
-  const int num_nodes = static_cast<int>(plan.num_nodes());
+/// One Execute or Replay call's per-node loop. In plan order each node
+/// resolves its stage, moves its inputs, runs its section and is accounted
+/// for; then dead intermediates are released. Inputs move at the node's own
+/// position even when its body waits for a chained consumer, so cache
+/// lookups, shuffles and log appends keep plan order (DESIGN.md §17).
+class Executor::PlanRun {
+ public:
+  PlanRun(const Executor& executor, const Plan& plan, const Bindings& bindings,
+          const Pass& pass)
+      : executor_(executor),
+        plan_(plan),
+        bindings_(bindings),
+        pass_(pass),
+        n_(executor.options_.num_partitions),
+        chained_into_(plan.ChainedInto()),
+        release_at_(plan.num_nodes(), -1),
+        stages_(plan.num_nodes()) {
+    const int num_nodes = static_cast<int>(plan.num_nodes());
+    if (pass.cache != nullptr) {
+      pass.cache->EnsurePartitionCount(n_);
+      invariant_ = plan.InvariantNodes(pass.cache->volatile_bindings());
+    }
 
-  // Loop-invariant analysis: with a cache attached, a node whose value
-  // cannot change between supersteps is served from / stored into it.
-  ExecCache* cache = pass.cache;
-  std::vector<bool> invariant;
-  if (cache != nullptr) {
-    cache->EnsurePartitionCount(n);
-    invariant = plan.InvariantNodes(cache->volatile_bindings());
+    // Operator chaining (DESIGN.md §17). runs_at[id] is the node whose
+    // position runs id's body: id unless chained, a pre-combining reduce for
+    // its input, else the consumer's runs_at.
+    std::vector<NodeId> runs_at(num_nodes);
+    for (int id = num_nodes - 1; id >= 0; --id) {
+      const NodeId c = chained_into_[id];
+      runs_at[id] = c < 0                                      ? id
+                    : plan.node(c).kind == OpKind::kReduceByKey ? c
+                                                                : runs_at[c];
+    }
+
+    // An executor-owned result is released once the last section reading it
+    // has run, not at the end of Execute: peak memory drops. Plan outputs
+    // stay. A local route reads at its consumer's runs_at, and so may a
+    // shuffled one, whose consumer reads the input in place when no row
+    // moves; a pre-combine or broadcast input is read at the node's own
+    // position.
+    for (const PlanNode& node : plan.nodes()) {
+      const std::vector<InputRoute> routes = InputRoutes(node);
+      for (size_t i = 0; i < routes.size(); ++i) {
+        const bool at_own = routes[i].kind == InputRoute::kBroadcast ||
+                            routes[i].pre_combine;
+        NodeId& at = release_at_[node.inputs[i]];
+        at = std::max(at, at_own ? node.id : runs_at[node.id]);
+      }
+    }
+    for (const auto& [name, node] : plan.outputs()) release_at_[node] = -1;
+    slots_.reserve(num_nodes);
   }
 
-  // Operator chaining (DESIGN.md §17). runs_at[id] is the node whose
-  // position runs id's body: id unless chained, a pre-combining reduce for
-  // its input, else the consumer's runs_at.
-  const std::vector<NodeId> chained_into = plan.ChainedInto(invariant);
-  std::vector<NodeId> runs_at(num_nodes);
-  for (int id = num_nodes - 1; id >= 0; --id) {
-    const NodeId c = chained_into[id];
-    runs_at[id] = c < 0                                      ? id
-                  : plan.node(c).kind == OpKind::kReduceByKey ? c
-                                                              : runs_at[c];
+  /// Runs every node the pass demands, then hands back the plan's outputs.
+  Result<std::map<std::string, PartitionedDataset>> Run(ExecStats* stats) {
+    for (const PlanNode& node : plan_.nodes()) {
+      if (pass_.parts[node.id].empty()) {
+        slots_.emplace_back();  // not demanded by a recovery: not run
+      } else {
+        Position at(node, chained_into_[node.id] >= 0, pass_.tracer);
+        FLINKLESS_RETURN_NOT_OK(ResolveStage(&at));
+        if (node.kind != OpKind::kSource) {
+          FLINKLESS_RETURN_NOT_OK(MoveInputs(&at));
+          FLINKLESS_RETURN_NOT_OK(RunSection(&at));
+        }
+        Account(&at);
+      }
+      ReleaseDead(node.id);
+    }
+
+    std::map<std::string, PartitionedDataset> outputs;
+    std::map<int, int> outputs_left;
+    for (const auto& [name, node] : plan_.outputs()) ++outputs_left[node];
+    for (const auto& [name, node] : plan_.outputs()) {
+      Slot& s = slots_[node];
+      // Executor-owned results move into their last requesting output;
+      // borrowed views are copied (callers own their outputs).
+      if (s.is_owned() && --outputs_left[node] == 0) {
+        outputs.emplace(name, std::move(s.owned));
+      } else {
+        outputs.emplace(name, *s.view);
+      }
+    }
+    if (pass_.metrics != nullptr) {
+      // Job-level roll-ups of this Execute. cache.hits appears only once a
+      // hit happened, so cache-less runs carry no such family.
+      runtime::MetricsSink* m = pass_.metrics;
+      if (stats_.cache_hits > 0) {
+        m->Count(runtime::metric::kCacheHits, -1, stats_.cache_hits);
+      }
+      m->Count(runtime::metric::kCacheRecordsNotReshuffled, -1,
+               stats_.records_not_reshuffled);
+    }
+    if (stats != nullptr) stats->MergeFrom(stats_);
+    return outputs;
   }
 
-  ExecStats local_stats;
-
-  // Node results are views over a borrowed source binding, a cache entry,
-  // or an executor-owned dataset — sources and cache hits cost no copies
-  // (a chained node has none). Reserved up front: views point into their
-  // own slots.
+ private:
+  /// A node's result: a view over a borrowed source binding (no copy) or
+  /// over `owned`; a chained node has none. Reserved, so views stay valid.
   struct Slot {
     PartitionedDataset owned;
-    std::shared_ptr<const PartitionedDataset> keepalive;
     const PartitionedDataset* view = nullptr;
-    bool is_owned = false;
-  };
-  std::vector<Slot> slots;
-  slots.reserve(num_nodes);
-  auto push_owned = [&](PartitionedDataset ds) {
-    Slot& s = slots.emplace_back();
-    s.owned = std::move(ds);
-    s.view = &s.owned;
-    s.is_owned = true;
-  };
-  auto push_view = [&](const PartitionedDataset* ds) {
-    slots.emplace_back().view = ds;
-  };
-  auto push_cached = [&](std::shared_ptr<const PartitionedDataset> ds) {
-    Slot& s = slots.emplace_back();
-    s.keepalive = std::move(ds);
-    s.view = s.keepalive.get();
-  };
-  auto input_of = [&](int idx) -> const PartitionedDataset& {
-    return *slots[idx].view;
+    bool is_owned() const { return view == &owned; }
   };
 
-  // An executor-owned result is released once the last section reading it
-  // has run, not at the end of Execute: peak memory drops. Plan outputs
-  // stay. A local route reads at its consumer's runs_at, and so may a
-  // shuffled one, whose consumer reads the input in place when no row
-  // moves; a pre-combine or broadcast input is read at the node's own
-  // position.
-  std::vector<NodeId> release_at(num_nodes, -1);
-  for (const PlanNode& node : plan.nodes()) {
-    const std::vector<InputRoute> routes = InputRoutes(node);
-    for (size_t i = 0; i < routes.size(); ++i) {
-      const bool at_own = routes[i].kind == InputRoute::kBroadcast ||
-                          routes[i].pre_combine;
-      NodeId& at = release_at[node.inputs[i]];
-      at = std::max(at, at_own ? node.id : runs_at[node.id]);
+  /// What the steps of one node's position share.
+  struct Position {
+    Position(const PlanNode& n, bool is_chained, runtime::Tracer* tracer)
+        : node(n),
+          routes(InputRoutes(n)),
+          chained(is_chained),
+          span(!chained || (!routes.empty() && routes[0].pre_combine)
+                   ? tracer
+                   : nullptr,
+               runtime::SpanKind::kOperator, n.name) {}
+
+    const PlanNode& node;
+    const std::vector<InputRoute> routes;
+    const bool chained;
+    /// One span per position that runs a section: a chained node's body
+    /// runs in its root's span, but its pre-combine fold is its own.
+    runtime::TraceSpan span;
+    /// Chained producers whose bodies ran in this position's sections.
+    std::vector<NodeId> members;
+  };
+
+  /// A source's result is its binding, viewed in place. Any other node's
+  /// stage links its chained producers and pins each loop-invariant
+  /// shuffled side of a loop-variant node from the cache (port l as role
+  /// kBuild, r as kProbe): a miss shuffles it and indexes a join build side,
+  /// a hit is counted with the records whose shuffle it saved.
+  Status ResolveStage(Position* at) {
+    const PlanNode& node = at->node;
+    if (node.kind == OpKind::kSource) {
+      auto it = bindings_.find(node.source_name);
+      if (it == bindings_.end() || it->second == nullptr) {
+        return Status::NotFound("no binding for source '" + node.source_name +
+                                "'");
+      }
+      if (it->second->num_partitions() != n_) {
+        return Status::InvalidArgument(
+            "binding '" + node.source_name + "' has " +
+            std::to_string(it->second->num_partitions()) +
+            " partitions, executor expects " + std::to_string(n_));
+      }
+      slots_.emplace_back().view = it->second;
+      return Status::OK();
     }
-  }
-  for (const auto& [name, node] : plan.outputs()) release_at[node] = -1;
-  auto release_dead = [&](NodeId at) {
-    for (NodeId idx = 0; idx < at; ++idx) {
-      Slot& s = slots[idx];
-      if (!s.is_owned || release_at[idx] != at) continue;
-      ForEachPartition(pass, runtime::TraceSpan(), s.owned.num_partitions(),
-                       [&](int p) {
-                         std::vector<Record>().swap(s.owned.partition(p));
-                       });
-      s.owned = PartitionedDataset();
-      s.view = nullptr;
-      s.is_owned = false;
-    }
-  };
-
-  std::vector<Stage> stages(num_nodes);
-
-  // Counts and charges a body from the rows its `inputs` inputs delivered
-  // to the partitions it ran on. A node whose inputs are all materialized
-  // is charged at its own position, so every span sees the SimClock it saw
-  // unchained.
-  auto charge = [&](const Stage& st, size_t inputs,
-                    const std::vector<int>& parts) {
-    std::vector<uint64_t> work(n, 0);
-    for (size_t i = 0; i < inputs; ++i) {
-      if (st.hit[i]) continue;
-      if (i == 1 && st.in.broadcast != nullptr) {
-        local_stats.records_processed += st.broadcast.size();
+    Stage& st = stages_[node.id];
+    st.in.metrics = pass_.metrics;
+    for (size_t i = 0; i < at->routes.size(); ++i) {
+      const NodeId input = node.inputs[i];
+      const InputRoute& route = at->routes[i];
+      if (route.kind == InputRoute::kLocal && chained_into_[input] == node.id) {
+        st.in.chain[i] = &stages_[input];
+      }
+      if (route.kind != InputRoute::kShuffled || pass_.cache == nullptr ||
+          invariant_[node.id] || !invariant_[input]) {
         continue;
       }
-      for (int p : parts) {
-        const uint64_t rows = RowsOf(st.in, static_cast<int>(i), p);
-        work[p] += rows;
-        local_stats.records_processed += rows;
+      const ExecCache::Role role =
+          i == 0 ? ExecCache::Role::kBuild : ExecCache::Role::kProbe;
+      bool reloaded = false;
+      FLINKLESS_ASSIGN_OR_RETURN(
+          ExecCache::Entry* e,
+          pass_.cache->FindResident(node.id, role, pass_.tracer, &reloaded));
+      st.hit[i] = e != nullptr;
+      if (st.hit[i]) {
+        ++stats_.cache_hits;
+        stats_.records_not_reshuffled += e->data->NumRecords();
+        st.span_args.emplace_back("cache_hit", 1);
+        st.span_args.emplace_back("reloaded", reloaded ? 1 : 0);
+      } else {
+        const KeyColumns& key = *route.key;
+        FLINKLESS_ASSIGN_OR_RETURN(
+            PartitionedDataset shuffled,
+            executor_.ShuffleImpl(pass_, *slots_[input].view, key, &stats_,
+                                  &node));
+        e = &pass_.cache->Emplace(node.id, role);
+        e->data = std::make_shared<PartitionedDataset>(std::move(shuffled));
+        e->index_key = key;
+        if (node.kind == OpKind::kJoin && role == ExecCache::Role::kBuild) {
+          auto index = std::make_shared<std::vector<FlatKeyIndex>>(n_);
+          executor_.ForEachPartition(
+              pass_, runtime::TraceSpan(), n_,
+              [&](int p) { (*index)[p].Build(e->data->partition(p), key); });
+          ObserveBatchRows(pass_.metrics, Sizes(*e->data));
+          for (const FlatKeyIndex& part : *index) {
+            ObserveProbeChains(pass_.metrics, part);
+          }
+          e->flat_index = std::move(index);
+        }
+        FLINKLESS_RETURN_NOT_OK(
+            pass_.cache->OnEntryFilled(node.id, role, pass_.tracer));
+        st.span_args.emplace_back("cache_build", 1);
       }
-    }
-    // Partition p pays for its own records against the whole broadcast
-    // side.
-    if (st.in.broadcast != nullptr) {
-      for (uint64_t& w : work) w *= st.broadcast.size();
-    }
-    pass.ChargeCompute(work);
-    for (int p : parts) {
-      if (pass.metrics == nullptr) break;
-      pass.metrics->Count(runtime::metric::kExecRecords, p,
-                          RowsOf(st.in, st.cached[0] ? 1 : 0, p));
-    }
-  };
-
-  // Runs `body` on each partition of `parts` in one parallel section, the
-  // chained producers of `in` streaming in; the child spans carry input
-  // `traced`'s rows. Failures are checked in partition order, so the error
-  // is the one serial execution hits first. The producers are counted
-  // (charged, if streamed into) and appended to `members`.
-  auto run_section = [&](const OpInputs& in, const std::vector<int>& parts,
-                         const runtime::TraceSpan& span, int traced,
-                         std::vector<NodeId>* members,
-                         const std::function<void(int, Status*)>& body)
-      -> Status {
-    const size_t first = members->size();
-    ChainMembers(in, members);
-    for (size_t m = first; m < members->size(); ++m) {
-      Repin(plan.node((*members)[m]), &stages[(*members)[m]]);
-    }
-    std::vector<Status> status(parts.size());
-    std::function<int64_t(int)> records_of;
-    if (span.active()) {
-      records_of = [&](int i) {
-        return static_cast<int64_t>(RowsOf(in, traced, parts[i]));
-      };
-    }
-    ForEachPartition(
-        pass, span, static_cast<int>(parts.size()),
-        [&](int i) { body(parts[i], &status[i]); }, records_of);
-    for (const Status& s : status) FLINKLESS_RETURN_NOT_OK(s);
-    for (size_t m = first; m < members->size(); ++m) {
-      const Stage& member = stages[(*members)[m]];
-      if (Streams(member)) {
-        charge(member, member.node->inputs.size(),
-               pass.parts[member.node->id]);
-      }
-      local_stats.node_output_counts[member.node->name] += Sum(member.emitted);
+      st.pinned[i] = *e;
+      (i == 0 ? st.in.a : st.in.b) = e->data.get();
+      if (i == 0) st.in.build_index = e->flat_index.get();
     }
     return Status::OK();
-  };
+  }
 
-  // A materializing sink into partition `p` of `out`.
-  auto append_to = [](PartitionedDataset& out, int p) {
-    return [&rows = out.partition(p)](Record&& r) {
-      rows.push_back(std::move(r));
-      return true;
-    };
-  };
+  /// Moves every input that is neither cached nor chained along its route
+  /// (DESIGN.md §12) in port order: read back from the log in a recovery,
+  /// pre-combined, shuffled (or read in place) or broadcast. Then appends
+  /// the loop-variant channels to the message log (§14) in port order.
+  Status MoveInputs(Position* at) {
+    const PlanNode& node = at->node;
+    Stage& st = stages_[node.id];
+    // Which sides went through a shuffle (or were read back from the log).
+    bool shuffled[2] = {false, false};
+    for (size_t i = 0; i < at->routes.size(); ++i) {
+      if (st.pinned[i].data != nullptr || st.in.chain[i] != nullptr) continue;
+      const InputRoute& route = at->routes[i];
+      const NodeId input = node.inputs[i];
+      const PartitionedDataset*& side = i == 0 ? st.in.a : st.in.b;
+      if (route.kind == InputRoute::kShuffled && pass_.read_back[input]) {
+        FLINKLESS_ASSIGN_OR_RETURN(st.shuffled[i],
+                                   pass_.ReadBack(node, route, &stats_));
+        side = &st.shuffled[i];
+      } else if (route.pre_combine) {
+        // Local pre-aggregation before the shuffle: fewer messages.
+        FLINKLESS_RETURN_NOT_OK(PreCombine(at));
+        if (st.in.pairs == nullptr) side = &st.shuffled[i];
+      } else if (route.kind == InputRoute::kShuffled) {
+        bool in_place = false;
+        FLINKLESS_ASSIGN_OR_RETURN(
+            st.shuffled[i],
+            executor_.ShuffleImpl(pass_, *slots_[input].view, *route.key,
+                                  &stats_, &node, &in_place));
+        side = in_place ? slots_[input].view : &st.shuffled[i];
+      } else {
+        side = slots_[input].view;
+        if (route.kind == InputRoute::kBroadcast) {
+          st.broadcast = side->Collect();
+          // Its messages are the operator span's: no shuffle span runs.
+          st.span_args.emplace_back(
+              "messages", static_cast<int64_t>(pass_.ChargeBroadcast(
+                              st.broadcast.size(), &stats_)));
+          st.in.broadcast = &st.broadcast;
+        }
+      }
+      shuffled[i] = route.kind == InputRoute::kShuffled;
+    }
+    // A typed channel is logged as the records it stands for.
+    for (size_t i = 0; i < at->routes.size(); ++i) {
+      if (!shuffled[i] || !pass_.appended[node.inputs[i]]) continue;
+      const std::string channel = MsglogChannel(node.id, at->routes[i].port);
+      FLINKLESS_RETURN_NOT_OK(
+          i == 0 && st.in.pairs != nullptr
+              ? pass_.log->Append(channel, st.pairs.ToRecords(node.reduce_kind),
+                                  pass_.tracer)
+              : pass_.log->Append(channel, *st.in.side(static_cast<int>(i)),
+                                  pass_.tracer));
+    }
+    // Batch sizes of the flat kernels' input side: the reduce input and the
+    // join build side (a cached build side is observed when its index is
+    // built).
+    if (shuffled[0] && node.kind != OpKind::kCoGroup) {
+      ObserveBatchRows(pass_.metrics, st.in.pairs != nullptr ? Sizes(st.pairs)
+                                                             : Sizes(*st.in.a));
+    }
+    return Status::OK();
+  }
 
-  // The pre-combine of reduce `node`'s input under `in` on `parts`, routed
-  // into `st` (DESIGN.md §15): each source's fold keeps its unsorted
-  // partials and hands back their buckets, and target t gathers bucket t of
-  // every source in source order, moving the partials. The channel is typed
-  // (st->pairs) when every fold stayed typed, else records
-  // (st->shuffled[0]), each typed source converted to the records
-  // PairRecords builds, in the same order.
-  auto combine_and_route = [&](const PlanNode& node, const OpInputs& in,
-                               const std::vector<int>& parts,
-                               const runtime::TraceSpan& span, Stage* st,
-                               std::vector<NodeId>* members) -> Status {
-    std::vector<Buckets> buckets(n);
-    std::vector<std::vector<KeyValue>> pairs(n);
-    std::vector<std::vector<Record>> records(n);
-    std::vector<char> untyped(n, 0);
-    FLINKLESS_RETURN_NOT_OK(run_section(
-        in, parts, span, 0, members, [&](int p, Status* error) {
+  /// The pre-combine of reduce `at`'s input in its own section (DESIGN.md
+  /// §15): each source's fold buckets its unsorted partials, and target t
+  /// gathers bucket t of every source in source order. The channel is typed
+  /// (the stage's `pairs`) when every fold stayed typed, else records
+  /// (`shuffled[0]`), typed sources converted as PairRecords does.
+  Status PreCombine(Position* at) {
+    const PlanNode& node = at->node;
+    const NodeId input = node.inputs[0];
+    Stage& st = stages_[node.id];
+    Stage pre;
+    pre.in.validate = false;
+    if (chained_into_[input] == node.id) {
+      pre.in.chain[0] = &stages_[input];
+    } else {
+      pre.in.a = slots_[input].view;
+    }
+    const std::vector<int>& parts = pass_.parts[input];
+    std::vector<Buckets> buckets(n_);
+    std::vector<std::vector<KeyValue>> pairs(n_);
+    std::vector<std::vector<Record>> records(n_);
+    std::vector<char> untyped(n_, 0);
+    FLINKLESS_RETURN_NOT_OK(ParallelSection(
+        at, pre.in, parts, 0, [&](int p, Status* error) {
           ReduceFold fold(node, /*validate=*/false);
-          if (!EachRow(in, 0, p, error,
+          if (!EachRow(pre.in, 0, p, error,
                        [&](const Record& r) { return fold.Add(r, error); })) {
             return;
           }
           untyped[p] = !fold.typed();
-          buckets[p] = fold.Route(n, p, &pairs[p], &records[p]);
+          buckets[p] = fold.Route(n_, p, &pairs[p], &records[p]);
         }));
     const bool all_typed =
         std::find(untyped.begin(), untyped.end(), 1) == untyped.end();
-    const ChannelSizes sizes(buckets, n);
+    const ChannelSizes sizes(buckets, n_);
     // The channel's one job-level shuffle span, under the reduce's.
-    runtime::TraceSpan gather_span(
-        pass.tracer, runtime::SpanKind::kShuffleGather, "gather");
+    runtime::TraceSpan gather_span(pass_.tracer,
+                                   runtime::SpanKind::kShuffleGather, "gather");
     if (gather_span.active()) {
       gather_span.AddArg("records", static_cast<int64_t>(Sum(sizes.in)));
     }
-    const uint64_t messages = RecordMoved(pass.metrics, &gather_span,
-                                          per_partition_args_, sizes.moved);
+    const uint64_t messages =
+        RecordMoved(pass_.metrics, &gather_span,
+                    executor_.per_partition_args_, sizes.moved);
     if (!all_typed) {
-      for (int p = 0; p < n; ++p) {
+      for (int p = 0; p < n_; ++p) {
         if (!untyped[p]) records[p] = PairRecords(node.reduce_kind, pairs[p]);
       }
     }
@@ -1344,11 +1404,11 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Run(
     // partition.
     auto gather = [&](auto& rows, auto& out) {
       if (messages == 0) {
-        for (int p = 0; p < n; ++p) out.partition(p) = std::move(rows[p]);
+        for (int p = 0; p < n_; ++p) out.partition(p) = std::move(rows[p]);
         return;
       }
-      ForEachPartition(
-          pass, gather_span, n,
+      executor_.ForEachPartition(
+          pass_, gather_span, n_,
           [&](int t) {
             GatherBuckets(
                 buckets, [&](int s) -> auto& { return rows[s]; }, t,
@@ -1357,337 +1417,188 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Run(
           [&](int t) { return static_cast<int64_t>(sizes.out[t]); });
     };
     if (all_typed) {
-      st->pairs = PairDataset(n);
-      gather(pairs, st->pairs);
-      st->in.pairs = &st->pairs;
+      st.pairs = PairDataset(n_);
+      gather(pairs, st.pairs);
+      st.in.pairs = &st.pairs;
     } else {
-      st->shuffled[0] = PartitionedDataset(n);
-      gather(records, st->shuffled[0]);
+      st.shuffled[0] = PartitionedDataset(n_);
+      gather(records, st.shuffled[0]);
     }
     gather_span.Close();
-    pass.ChargeShuffle(sizes.in, messages, sizes.out, &local_stats);
+    pass_.ChargeShuffle(sizes.in, messages, sizes.out, &stats_);
+
+    std::vector<uint64_t> rows(n_);
+    for (int p = 0; p < n_; ++p) rows[p] = RowsOf(pre.in, 0, p);
+    ObserveBatchRows(pass_.metrics, rows);
+    Charge(pre, 1, parts);
     return Status::OK();
-  };
+  }
 
-  // Input `i` of loop-variant `node` when it is a loop-invariant shuffled
-  // side: shuffled on `route`'s key on first use and served from the cache
-  // after that, port l as role kBuild and port r as kProbe. A hit is
-  // counted with the records whose shuffle it saved.
-  auto cached_side = [&](const PlanNode& node, const InputRoute& route,
-                         size_t i) -> Result<ExecCache::Entry*> {
-    Stage& st = stages[node.id];
-    const ExecCache::Role role =
-        i == 0 ? ExecCache::Role::kBuild : ExecCache::Role::kProbe;
-    bool reloaded = false;
-    FLINKLESS_ASSIGN_OR_RETURN(
-        ExecCache::Entry* e,
-        cache->FindResident(node.id, role, pass.tracer, &reloaded));
-    st.hit[i] = e != nullptr;
-    if (st.hit[i]) {
-      ++local_stats.cache_hits;
-      local_stats.records_not_reshuffled += e->data->NumRecords();
-      st.span_args.emplace_back("cache_hit", 1);
-      st.span_args.emplace_back("reloaded", reloaded ? 1 : 0);
-      return e;
+  /// A chained node's body waits for its root's section. Any other node's
+  /// body runs now, its chained producers streaming in, and its output is
+  /// materialized into its slot.
+  Status RunSection(Position* at) {
+    const PlanNode& node = at->node;
+    Stage& st = stages_[node.id];
+    if (at->chained) {
+      st.node = &node;
+      st.emitted.assign(n_, 0);
+      slots_.emplace_back();
+      return Status::OK();
     }
-    const KeyColumns& key = *route.key;
-    FLINKLESS_ASSIGN_OR_RETURN(
-        PartitionedDataset shuffled,
-        ShuffleImpl(pass, input_of(node.inputs[i]), key, &local_stats,
-                    &node));
-    ExecCache::Entry& entry = cache->Emplace(node.id, role);
-    entry.data = std::make_shared<PartitionedDataset>(std::move(shuffled));
-    entry.index_key = key;
-    if (node.kind == OpKind::kJoin && role == ExecCache::Role::kBuild) {
-      // Later supersteps probe the prebuilt per-partition flat index,
-      // whose rows are the cached records themselves.
-      entry.flat_index.resize(n);
-      ForEachPartition(pass, runtime::TraceSpan(), n, [&](int p) {
-        entry.flat_index[p].Build(entry.data->partition(p), key);
-      });
-      ObserveBatchRows(pass.metrics, Sizes(*entry.data));
-      for (const FlatKeyIndex& index : entry.flat_index) {
-        ObserveProbeChains(pass.metrics, index);
-      }
-    } else if (node.kind == OpKind::kCoGroup) {
-      // Cogroup has no flat index: its UDF sweeps fully materialized groups
-      // on both sides at once (DESIGN.md §12), so the side keeps its groups.
-      entry.groups.resize(n);
-      ForEachPartition(pass, runtime::TraceSpan(), n, [&](int p) {
-        entry.groups[p] = GroupByKey(entry.data->partition(p), key);
-      });
-    }
-    FLINKLESS_RETURN_NOT_OK(
-        cache->OnEntryFilled(node.id, role, pass.tracer));
-    st.span_args.emplace_back("cache_build", 1);
-    return &entry;
-  };
+    for (auto& [key, value] : st.span_args) at->span.AddArg(key, value);
+    PartitionedDataset out(n_);
+    FLINKLESS_RETURN_NOT_OK(ParallelSection(
+        at, st.in, pass_.parts[node.id], st.counted(),
+        [&](int p, Status* error) {
+          RunBody(node, st.in, p, [&rows = out.partition(p)](Record&& r) {
+            rows.push_back(std::move(r));
+            return true;
+          }, error);
+        }));
+    Slot& s = slots_.emplace_back();
+    s.owned = std::move(out);
+    s.view = &s.owned;
+    return Status::OK();
+  }
 
-  for (const PlanNode& node : plan.nodes()) {
-    const std::vector<int>& parts = pass.parts[node.id];
-    if (parts.empty()) {
-      // Not demanded by a recovery: not run, not bound.
-      slots.emplace_back();
-      release_dead(node.id);
-      continue;
+  /// Runs `body` on each partition of `parts` in one parallel section under
+  /// `at`'s span, the chained producers of `in` streaming in; the child
+  /// spans carry input `traced`'s rows. Failures are checked in partition
+  /// order, so the error is the one serial execution hits first. The
+  /// producers are counted (charged, if streamed into) and become members.
+  Status ParallelSection(Position* at, const OpInputs& in,
+                         const std::vector<int>& parts, int traced,
+                         const std::function<void(int, Status*)>& body) {
+    std::vector<NodeId>* members = &at->members;
+    const size_t first = members->size();
+    ChainMembers(in, members);
+    std::vector<Status> status(parts.size());
+    executor_.ForEachPartition(
+        pass_, at->span, static_cast<int>(parts.size()),
+        [&](int i) { body(parts[i], &status[i]); },
+        [&](int i) {
+          return static_cast<int64_t>(RowsOf(in, traced, parts[i]));
+        });
+    for (const Status& s : status) FLINKLESS_RETURN_NOT_OK(s);
+    for (size_t m = first; m < members->size(); ++m) {
+      const Stage& member = stages_[(*members)[m]];
+      if (Streams(member)) {
+        Charge(member, member.node->inputs.size(),
+               pass_.parts[member.node->id]);
+      }
+      stats_.node_output_counts[member.node->name] += Sum(member.emitted);
     }
-    const std::vector<InputRoute> routes = InputRoutes(node);
-    const bool chained = chained_into[node.id] >= 0;
-    const bool pre_combine = !routes.empty() && routes[0].pre_combine;
-    Stage& st = stages[node.id];
-    // Chained producers whose bodies ran in this position's sections.
-    std::vector<NodeId> members;
-    // One span per position that runs a section: a chained node's body
-    // runs in its root's span, but its pre-combine fold is its own.
-    runtime::TraceSpan op_span(!chained || pre_combine ? pass.tracer : nullptr,
-                               runtime::SpanKind::kOperator, node.name);
+    return Status::OK();
+  }
 
-    // Fully loop-invariant node: its output is the same every superstep,
-    // so the first execution materializes it into the cache and every
-    // later one serves the cached dataset without running (or charging)
-    // anything. Sources are exempt — they are already zero-copy views.
-    bool from_cache = false;
-    bool store_output = false;
-    if (cache != nullptr && node.kind != OpKind::kSource &&
-        invariant[node.id]) {
-      bool reloaded = false;
-      FLINKLESS_ASSIGN_OR_RETURN(
-          ExecCache::Entry* e,
-          cache->FindResident(node.id, ExecCache::Role::kOutput,
-                              pass.tracer, &reloaded));
-      if (e != nullptr) {
-        ++local_stats.cache_hits;
-        for (size_t i = 0; i < routes.size(); ++i) {
-          if (routes[i].kind == InputRoute::kShuffled) {
-            local_stats.records_not_reshuffled +=
-                slots[node.inputs[i]].view->NumRecords();
-          }
-        }
-        push_cached(e->data);
-        if (op_span.active()) {
-          op_span.AddArg("cache_hit", 1);
-          op_span.AddArg("reloaded", reloaded ? 1 : 0);
-        }
-        from_cache = true;
-      } else {
-        store_output = true;
+  /// Counts and charges a body from the rows its `inputs` inputs delivered
+  /// to the partitions it ran on. A hit side is not charged.
+  void Charge(const Stage& st, size_t inputs, const std::vector<int>& parts) {
+    std::vector<uint64_t> work(n_, 0);
+    for (size_t i = 0; i < inputs; ++i) {
+      if (st.hit[i]) continue;
+      if (i == 1 && st.in.broadcast != nullptr) {
+        stats_.records_processed += st.broadcast.size();
+        continue;
+      }
+      for (int p : parts) {
+        const uint64_t rows = RowsOf(st.in, static_cast<int>(i), p);
+        work[p] += rows;
+        stats_.records_processed += rows;
       }
     }
+    // Partition p pays for its own records against the whole broadcast side.
+    if (st.in.broadcast != nullptr) {
+      for (uint64_t& w : work) w *= st.broadcast.size();
+    }
+    pass_.ChargeCompute(work);
+    for (int p : parts) {
+      if (pass_.metrics == nullptr) break;
+      pass_.metrics->Count(runtime::metric::kExecRecords, p,
+                           RowsOf(st.in, st.counted(), p));
+    }
+  }
 
-    if (node.kind == OpKind::kSource) {
-      auto it = bindings.find(node.source_name);
-      if (it == bindings.end() || it->second == nullptr) {
-        return Status::NotFound("no binding for source '" + node.source_name +
-                                "'");
-      }
-      if (it->second->num_partitions() != n) {
-        return Status::InvalidArgument(
-            "binding '" + node.source_name + "' has " +
-            std::to_string(it->second->num_partitions()) +
-            " partitions, executor expects " + std::to_string(n));
-      }
-      push_view(it->second);
-    } else if (!from_cache) {
-      // Every input moves along its route (DESIGN.md §12); a chained local
-      // input streams in when the body runs. The cached loop-invariant
-      // sides are looked up first, then the volatile sides are shuffled (or,
-      // in a recovery, read back from the log) in port order and logged in
-      // port order.
-      const PartitionedDataset* side[2] = {nullptr, nullptr};
-      // Which sides went through a shuffle (or were read back from the log).
-      bool shuffled[2] = {false, false};
-      st.in.metrics = pass.metrics;
-      for (size_t i = 0; i < routes.size(); ++i) {
-        if (routes[i].kind == InputRoute::kLocal &&
-            chained_into[node.inputs[i]] == node.id) {
-          st.in.chain[i] = &stages[node.inputs[i]];
-        }
-        if (routes[i].kind != InputRoute::kShuffled || cache == nullptr ||
-            invariant[node.id] || !invariant[node.inputs[i]]) {
-          continue;
-        }
-        FLINKLESS_ASSIGN_OR_RETURN(ExecCache::Entry* e,
-                                   cached_side(node, routes[i], i));
-        st.cached[i] = true;
-        st.entry[i] = e;
-        st.pinned[i] = e->data;
-        side[i] = e->data.get();
-        if (!e->flat_index.empty()) st.in.build_index = &e->flat_index;
-        if (!e->groups.empty()) {
-          (i == 0 ? st.in.a_groups : st.in.b_groups) = &e->groups;
-        }
-      }
-      for (size_t i = 0; i < routes.size(); ++i) {
-        if (st.cached[i] || st.in.chain[i] != nullptr) continue;
-        const NodeId input = node.inputs[i];
-        if (routes[i].kind == InputRoute::kShuffled && pass.read_back[input]) {
-          FLINKLESS_ASSIGN_OR_RETURN(
-              st.shuffled[i], pass.ReadBack(node, routes[i], &local_stats));
-          side[i] = &st.shuffled[i];
-          shuffled[i] = true;
-          continue;
-        }
-        if (routes[i].pre_combine) {
-          // Local pre-aggregation before the shuffle: fewer messages.
-          Stage pre;
-          pre.in.validate = false;
-          if (chained_into[input] == node.id) {
-            pre.in.chain[0] = &stages[input];
-          } else {
-            pre.in.a = &input_of(input);
-          }
-          FLINKLESS_RETURN_NOT_OK(combine_and_route(
-              node, pre.in, pass.parts[input], op_span, &st, &members));
-          std::vector<uint64_t> rows(n);
-          for (int p = 0; p < n; ++p) rows[p] = RowsOf(pre.in, 0, p);
-          ObserveBatchRows(pass.metrics, rows);
-          charge(pre, 1, pass.parts[input]);
-          if (st.in.pairs == nullptr) side[i] = &st.shuffled[i];
-          shuffled[i] = true;
-          continue;
-        }
-        const PartitionedDataset& in = input_of(input);
-        side[i] = &in;
-        if (routes[i].kind == InputRoute::kBroadcast) {
-          st.broadcast = in.Collect();
-          // Its messages are the operator span's: no shuffle span runs.
-          st.span_args.emplace_back(
-              "messages", static_cast<int64_t>(pass.ChargeBroadcast(
-                              st.broadcast.size(), &local_stats)));
-          st.in.broadcast = &st.broadcast;
-        } else if (routes[i].kind == InputRoute::kShuffled) {
-          bool in_place = false;
-          FLINKLESS_ASSIGN_OR_RETURN(
-              st.shuffled[i], ShuffleImpl(pass, in, *routes[i].key,
-                                          &local_stats, &node, &in_place));
-          if (!in_place) side[i] = &st.shuffled[i];
-          shuffled[i] = true;
-        }
-      }
-      // Outbound message log (DESIGN.md §14): loop-variant channels are
-      // appended post-gather, a typed channel as the records it stands for.
-      for (size_t i = 0; i < routes.size(); ++i) {
-        if (!shuffled[i] || !pass.appended[node.inputs[i]]) continue;
-        const std::string channel = MsglogChannel(node.id, routes[i].port);
-        FLINKLESS_RETURN_NOT_OK(
-            i == 0 && st.in.pairs != nullptr
-                ? pass.log->Append(channel,
-                                   st.pairs.ToRecords(node.reduce_kind),
-                                   pass.tracer)
-                : pass.log->Append(channel, *side[i], pass.tracer));
-      }
-      // Batch sizes of the flat kernels' input side: the reduce input and
-      // the join build side (a cached build side is observed when its
-      // index is built).
-      if (shuffled[0] && node.kind != OpKind::kCoGroup) {
-        ObserveBatchRows(pass.metrics, st.in.pairs != nullptr
-                                           ? Sizes(st.pairs)
-                                           : Sizes(*side[0]));
-      }
-      st.in.a = side[0];
-      st.in.b = side[1];
-      if (chained) {
-        st.node = &node;
-        st.emitted.assign(n, 0);
-        if (!Streams(st)) charge(st, routes.size(), parts);
-        slots.emplace_back();
-      } else {
-        for (auto& [key, value] : st.span_args) op_span.AddArg(key, value);
-        Repin(node, &st);
-        PartitionedDataset out(n);
-        FLINKLESS_RETURN_NOT_OK(run_section(
-            st.in, parts, op_span, st.cached[0] ? 1 : 0, &members,
-            [&](int p, Status* error) {
-              RunBody(node, st.in, p, append_to(out, p), error);
-            }));
-        charge(st, routes.size(), parts);
-        local_stats.node_output_counts[node.name] += out.NumRecords();
-        push_owned(std::move(out));
-      }
+  /// Counts and charges the node, fills its span, and drops the stages whose
+  /// sections ran. A node whose inputs are all materialized is charged at
+  /// its own position, so every span sees the SimClock it saw unchained.
+  void Account(Position* at) {
+    const PlanNode& node = at->node;
+    Stage& st = stages_[node.id];
+    if (node.kind != OpKind::kSource && !(at->chained && Streams(st))) {
+      Charge(st, at->routes.size(), pass_.parts[node.id]);
     }
-
-    if (store_output) {
-      // First execution of an invariant node: move its output into the
-      // cache and keep serving this Execute from the cached copy.
-      Slot& s = slots.back();
-      auto shared = std::make_shared<PartitionedDataset>(std::move(s.owned));
-      cache->Emplace(node.id, ExecCache::Role::kOutput).data = shared;
-      s.keepalive = shared;
-      s.view = shared.get();
-      s.is_owned = false;
-      FLINKLESS_RETURN_NOT_OK(cache->OnEntryFilled(
-          node.id, ExecCache::Role::kOutput, pass.tracer));
-      if (op_span.active()) op_span.AddArg("cache_build", 1);
+    if (!at->chained) {
+      stats_.node_output_counts[node.name] += slots_.back().view->NumRecords();
     }
-    if (node.kind == OpKind::kSource || from_cache) {
-      local_stats.node_output_counts[node.name] +=
-          slots.back().view->NumRecords();
-    }
-
-    if (op_span.active()) {
+    runtime::TraceSpan& span = at->span;
+    if (span.active()) {
       // The chained producers that ran here, each with its output rows.
-      if (!members.empty()) {
-        op_span.AddArg("chained", static_cast<int64_t>(members.size()));
+      if (!at->members.empty()) {
+        span.AddArg("chained", static_cast<int64_t>(at->members.size()));
       }
-      for (NodeId m : members) {
-        for (auto& [key, value] : stages[m].span_args) {
-          op_span.AddArg(key, value);
-        }
-        op_span.AddArg("chained." + plan.node(m).name,
-                       static_cast<int64_t>(Sum(stages[m].emitted)));
+      for (NodeId m : at->members) {
+        for (auto& [key, value] : stages_[m].span_args) span.AddArg(key, value);
+        span.AddArg("chained." + plan_.node(m).name,
+                    static_cast<int64_t>(Sum(stages_[m].emitted)));
       }
       uint64_t records_in = 0;
       for (NodeId idx : node.inputs) {
-        records_in += chained_into[idx] == node.id
-                          ? Sum(stages[idx].emitted)
-                          : slots[idx].view->NumRecords();
+        records_in += chained_into_[idx] == node.id
+                          ? Sum(stages_[idx].emitted)
+                          : slots_[idx].view->NumRecords();
       }
-      op_span.AddArg("records_in", static_cast<int64_t>(records_in));
-      if (!chained) {
-        const PartitionedDataset& produced = *slots.back().view;
-        op_span.AddArg("records_out",
-                       static_cast<int64_t>(produced.NumRecords()));
-        if (per_partition_args_) {
+      span.AddArg("records_in", static_cast<int64_t>(records_in));
+      if (!at->chained) {
+        const PartitionedDataset& produced = *slots_.back().view;
+        span.AddArg("records_out", static_cast<int64_t>(produced.NumRecords()));
+        if (executor_.per_partition_args_) {
           PartitionKeyBuffer out_key("out_p");
           for (int p = 0; p < produced.num_partitions(); ++p) {
-            op_span.AddArg(out_key.Key(p),
-                           static_cast<int64_t>(produced.partition(p).size()));
+            span.AddArg(out_key.Key(p),
+                        static_cast<int64_t>(produced.partition(p).size()));
           }
         }
       }
     }
-    for (NodeId m : members) stages[m] = Stage();
-    if (!chained) st = Stage();
-    release_dead(node.id);
+    for (NodeId m : at->members) stages_[m] = Stage();
+    if (!at->chained) st = Stage();
   }
 
-  std::map<std::string, PartitionedDataset> outputs;
-  std::map<int, int> outputs_left;
-  for (const auto& [name, node] : plan.outputs()) ++outputs_left[node];
-  for (const auto& [name, node] : plan.outputs()) {
-    Slot& s = slots[node];
-    // Executor-owned results move into their last requesting output;
-    // borrowed/cached views are copied (callers own their outputs).
-    if (s.is_owned && --outputs_left[node] == 0) {
-      outputs.emplace(name, std::move(s.owned));
-    } else {
-      outputs.emplace(name, *s.view);
+  /// Releases the owned results whose last reading section ran at `at`.
+  void ReleaseDead(NodeId at) {
+    for (NodeId idx = 0; idx < at; ++idx) {
+      Slot& s = slots_[idx];
+      if (!s.is_owned() || release_at_[idx] != at) continue;
+      executor_.ForEachPartition(
+          pass_, runtime::TraceSpan(), s.owned.num_partitions(),
+          [&](int p) { std::vector<Record>().swap(s.owned.partition(p)); });
+      s.owned = PartitionedDataset();
+      s.view = nullptr;
     }
   }
-  if (pass.metrics != nullptr) {
-    // Job-level roll-ups of this Execute, under the canonical v2 names.
-    // The per-partition families (exec.records, shuffle.fanout) are
-    // recorded at the operator/shuffle sites above. cache.hits appears
-    // only once a hit happened, so cache-less runs carry no such family.
-    runtime::MetricsSink* m = pass.metrics;
-    if (local_stats.cache_hits > 0) {
-      m->Count(runtime::metric::kCacheHits, -1, local_stats.cache_hits);
-    }
-    m->Count(runtime::metric::kCacheRecordsNotReshuffled, -1,
-             local_stats.records_not_reshuffled);
-  }
-  if (stats != nullptr) stats->MergeFrom(local_stats);
-  return outputs;
+
+  const Executor& executor_;
+  const Plan& plan_;
+  const Bindings& bindings_;
+  const Pass& pass_;
+  const int n_;
+  /// With a cache: per node, whether it is loop-invariant.
+  std::vector<bool> invariant_;
+  const std::vector<NodeId> chained_into_;
+  /// Per node, the position after whose sections its owned result is dead
+  /// (-1 = kept: a plan output).
+  std::vector<NodeId> release_at_;
+  std::vector<Slot> slots_;
+  std::vector<Stage> stages_;
+  ExecStats stats_;
+};
+
+Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
+    const Plan& plan, const Bindings& bindings, ExecStats* stats) const {
+  FLINKLESS_RETURN_NOT_OK(plan.Validate());
+  return PlanRun(*this, plan, bindings, Pass(options_, &plan)).Run(stats);
 }
 
 // ------------------------------------------------ confined-log replay --
@@ -1772,8 +1683,8 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Replay(
   }
 
   ExecStats local_stats;
-  FLINKLESS_ASSIGN_OR_RETURN(auto outputs,
-                             Run(plan, bindings, pass, &local_stats));
+  FLINKLESS_ASSIGN_OR_RETURN(
+      auto outputs, PlanRun(*this, plan, bindings, pass).Run(&local_stats));
   if (span.active()) {
     span.AddArg("partitions_lost", static_cast<int64_t>(lost.size()));
     span.AddArg("messages_replayed",

@@ -50,11 +50,11 @@ struct ExecStats {
   /// paper's per-iteration "messages".
   uint64_t messages_shuffled = 0;
 
-  /// Loop-invariant cache hits (one per node/side served from the cache).
+  /// Loop-invariant cache hits (one per side served from the cache).
   uint64_t cache_hits = 0;
 
-  /// Records whose shuffle was skipped because the shuffled dataset (or the
-  /// whole node output) was served from the loop-invariant cache.
+  /// Records whose shuffle was skipped because the shuffled side was served
+  /// from the loop-invariant cache.
   uint64_t records_not_reshuffled = 0;
 
   /// Records read back from the outbound message log during a confined
@@ -188,10 +188,9 @@ class Executor {
   /// failure-free pass or Replay's recovery pass (executor.cc).
   struct Pass;
 
-  /// Execute's per-node loop over `plan` under `pass`.
-  Result<std::map<std::string, PartitionedDataset>> Run(
-      const Plan& plan, const Bindings& bindings, const Pass& pass,
-      ExecStats* stats) const;
+  /// Execute's per-node loop over one plan under one pass, as named steps
+  /// on one per-call object (executor.cc).
+  class PlanRun;
 
   /// Runs fn(i) for i in [0, count) as one parallel section (counted into
   /// the pass's pool metrics), on the pool when present, with one child

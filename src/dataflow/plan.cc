@@ -235,7 +235,7 @@ std::vector<bool> Plan::InvariantNodes(
   return invariant;
 }
 
-std::vector<NodeId> Plan::ChainedInto(const std::vector<bool>& cached) const {
+std::vector<NodeId> Plan::ChainedInto() const {
   std::vector<int> consumers(nodes_.size(), 0);
   std::vector<NodeId> into(nodes_.size(), -1);
   for (const PlanNode& n : nodes_) {
@@ -249,9 +249,7 @@ std::vector<NodeId> Plan::ChainedInto(const std::vector<bool>& cached) const {
   }
   for (const auto& [name, node] : outputs_) into[node] = -1;
   for (const PlanNode& n : nodes_) {
-    if (n.kind == OpKind::kSource || (!cached.empty() && cached[n.id])) {
-      into[n.id] = -1;
-    }
+    if (n.kind == OpKind::kSource) into[n.id] = -1;
   }
   return into;
 }

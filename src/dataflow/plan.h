@@ -207,8 +207,9 @@ class Plan {
   /// invariant unless its binding name appears in `volatile_bindings` (the
   /// bindings an iteration driver rebinds every superstep — workset,
   /// solution, state); every other node is invariant iff all of its inputs
-  /// are. The executor caches the outputs, shuffles, and join build indexes
-  /// of invariant nodes across supersteps.
+  /// are. With a cache, the executor keeps an invariant shuffled input of a
+  /// loop-variant join or cogroup (and a join build side's index) across
+  /// supersteps; an invariant node itself runs every superstep.
   std::vector<bool> InvariantNodes(
       const std::vector<std::string>& volatile_bindings) const;
 
@@ -216,10 +217,10 @@ class Plan {
   /// streams its rows into, partition by partition, instead of
   /// materializing them, or -1 when node i is materialized. A node chains
   /// when it is not a source and not a plan output, has exactly one
-  /// consumer edge, is not served from or stored into an ExecCache
-  /// (`cached[i]`; empty = no cache), and that consumer reads it through a
-  /// kLocal route or as the pre-combine input of a ReduceByKey.
-  std::vector<NodeId> ChainedInto(const std::vector<bool>& cached) const;
+  /// consumer edge, and that consumer reads it through a kLocal route or as
+  /// the pre-combine input of a ReduceByKey. A cache does not change the
+  /// answer: it holds shuffled inputs only, which never chain.
+  std::vector<NodeId> ChainedInto() const;
 
   /// Structural sanity: inputs in range, arities right, at least one output,
   /// output names unique, UDFs present where required, no negative key

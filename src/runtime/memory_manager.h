@@ -1,7 +1,7 @@
 // MemoryManager: a budgeted residency manager for spillable artifacts.
 //
 // Iterative jobs keep loop-invariant execution artifacts (shuffled static
-// inputs, join indexes, cogroup groups — DESIGN.md §10) resident for the
+// inputs and their join indexes — DESIGN.md §10) resident for the
 // whole run. Once graphs outgrow the configured memory budget, the cold
 // artifacts must move to StableStorage and come back on access — Flink's
 // managed-memory design ("Spinning Fast Iterative Data Flows", Ewen et

@@ -563,7 +563,7 @@ TEST(ChainingSpillTest, ChainedJoinSurvivesItsBuildSideSpillingBeforeItRuns) {
   // "first" is chained into "out-first", whose position comes after the
   // "second" join: filling or reloading the second build side under a
   // one-byte budget spills the first one before the chained join's body
-  // runs, so the section must rebuild its index over the pinned records.
+  // runs, so the section must read the side and index its stage pinned.
   Plan plan;
   auto static1 = plan.Source("static1");
   auto static2 = plan.Source("static2");

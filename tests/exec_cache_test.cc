@@ -109,33 +109,43 @@ TEST(InvariantNodesTest, NoVolatileBindingsMakesEverythingInvariant) {
 
 // ------------------------------------------- cached supersteps fixture --
 
-/// A miniature "superstep": join a static table against a volatile workset,
-/// then aggregate — the shape of PageRank's find-neighbors/recompute-ranks
-/// and CC's label-to-neighbors/candidate-label.
+/// A miniature "superstep": join two static tables against a volatile
+/// workset, then aggregate — the shape of PageRank's find-neighbors and
+/// dangling-ranks (joining `links` and `dangling`) feeding recompute-ranks.
+/// Each join's static build side is one cache entry.
 Plan BuildStepPlan() {
   Plan plan;
   auto stat = plan.Source("static");
+  auto stat2 = plan.Source("static2");
   auto vol = plan.Source("volatile");
-  auto shaped = plan.Map(
-      stat,
-      [](const Record& r) {
-        return MakeRecord(r[0].AsInt64(), r[1].AsInt64() * 2);
-      },
-      "shape-static");
   auto joined = plan.Join(
-      shaped, vol, {0}, {0},
+      stat, vol, {0}, {0},
       [](const Record& l, const Record& r) {
         return MakeRecord(l[0].AsInt64(), l[1].AsInt64() + r[1].AsInt64());
       },
       "step-join");
+  auto scaled = plan.Join(
+      stat2, vol, {0}, {0},
+      [](const Record& l, const Record& r) {
+        return MakeRecord(l[0].AsInt64(),
+                          l[1].AsInt64() * 2 + r[1].AsInt64());
+      },
+      "scaled-join");
+  auto both = plan.Union(joined, scaled, "both");
   auto reduced = plan.ReduceByKey(
-      joined, {0},
+      both, {0},
       [](const Record& a, const Record& b) {
         return MakeRecord(a[0].AsInt64(), a[1].AsInt64() + b[1].AsInt64());
       },
       "step-sum");
   plan.Output(reduced, "out");
   return plan;
+}
+
+/// The fixture's bindings: both static tables read `statics`.
+Bindings StepBindings(const PartitionedDataset& statics,
+                      const PartitionedDataset& workset) {
+  return {{"static", &statics}, {"static2", &statics}, {"volatile", &workset}};
 }
 
 /// Runs `plan` for `supersteps` executions, rebinding "volatile" each step,
@@ -158,7 +168,7 @@ std::vector<PartitionedDataset> RunSupersteps(
   for (const PartitionedDataset& workset : worksets) {
     ExecStats stats;
     auto result = executor.Execute(
-        plan, {{"static", &statics}, {"volatile", &workset}}, &stats);
+        plan, StepBindings(statics, workset), &stats);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     outs.push_back(std::move(result->at("out")));
     if (stats_out != nullptr) stats_out->push_back(stats);
@@ -187,14 +197,14 @@ TEST(ExecCacheTest, SecondSuperstepHitsTheCache) {
   RunSupersteps(plan, statics, worksets, &cache, &stats, nullptr, nullptr,
                 &sink);
 
-  // Superstep 1 builds: no hits, entries materialized.
+  // Superstep 1 builds: no hits, one entry per static build side.
   EXPECT_EQ(stats[0].cache_hits, 0u);
   EXPECT_EQ(stats[0].records_not_reshuffled, 0u);
-  EXPECT_GT(cache.builds(), 0u);
-  EXPECT_GT(cache.size(), 0u);
+  EXPECT_EQ(cache.builds(), 2u);
+  EXPECT_EQ(cache.size(), 2u);
 
-  // Supersteps 2..n serve the shaped static table and the join build index
-  // from the cache; the skipped shuffle is visible in the stats.
+  // Supersteps 2..n serve both static build sides and their indexes from
+  // the cache; the skipped shuffles are visible in the stats.
   for (size_t s = 1; s < stats.size(); ++s) {
     EXPECT_GT(stats[s].cache_hits, 0u) << "superstep " << s;
     EXPECT_GT(stats[s].records_not_reshuffled, 0u) << "superstep " << s;
@@ -259,13 +269,14 @@ TEST(ExecCacheTest, InvalidateForcesRebuildWithIdenticalResults) {
 
   auto run = [&](const PartitionedDataset& workset, ExecStats* stats) {
     auto result = executor.Execute(
-        plan, {{"static", &statics}, {"volatile", &workset}}, stats);
+        plan, StepBindings(statics, workset), stats);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return std::move(result->at("out"));
   };
 
   ExecStats s0, s1, s2;
   run(worksets[0], &s0);
+  EXPECT_EQ(cache.size(), 2u);  // one entry per static build side
   run(worksets[1], &s1);
   EXPECT_GT(s1.cache_hits, 0u);
 
@@ -291,7 +302,7 @@ TEST(ExecCacheTest, EmptyInvalidationKeepsEntries) {
   runtime::MetricsSink sink;
   cache.set_metrics(&sink);
   cache.EnsurePartitionCount(kParts);
-  cache.Emplace(3, ExecCache::Role::kOutput);
+  cache.Emplace(3, ExecCache::Role::kBuild);
   cache.Invalidate({});
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(sink.Collect().CounterTotal(runtime::metric::kCacheInvalidations),
@@ -301,8 +312,8 @@ TEST(ExecCacheTest, EmptyInvalidationKeepsEntries) {
 TEST(ExecCacheTest, PartitionCountChangeDropsEntries) {
   ExecCache cache({"volatile"});
   cache.EnsurePartitionCount(4);
-  cache.Emplace(0, ExecCache::Role::kOutput);
   cache.Emplace(2, ExecCache::Role::kBuild);
+  cache.Emplace(2, ExecCache::Role::kProbe);
   EXPECT_EQ(cache.size(), 2u);
   cache.EnsurePartitionCount(4);  // same count: entries survive
   EXPECT_EQ(cache.size(), 2u);
@@ -419,7 +430,7 @@ TEST(ExecCacheTest, TraceMarksBuildsAndHits) {
   for (const PartitionedDataset& workset : worksets) {
     ExecStats stats;
     auto result = executor.Execute(
-        plan, {{"static", &statics}, {"volatile", &workset}}, &stats);
+        plan, StepBindings(statics, workset), &stats);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
   }
 
@@ -472,11 +483,12 @@ TEST(ExecCacheTest, CopyingShuffleGathersOnce) {
 
 // Builds the per-partition flat index the executor builds for a cached
 // join build side, over the dataset's records in place.
-std::vector<dataflow::FlatKeyIndex> BuildIndex(
+std::shared_ptr<std::vector<dataflow::FlatKeyIndex>> BuildIndex(
     const PartitionedDataset& ds, const dataflow::KeyColumns& key) {
-  std::vector<dataflow::FlatKeyIndex> index(ds.num_partitions());
+  auto index =
+      std::make_shared<std::vector<dataflow::FlatKeyIndex>>(ds.num_partitions());
   for (int p = 0; p < ds.num_partitions(); ++p) {
-    index[p].Build(ds.partition(p), key);
+    (*index)[p].Build(ds.partition(p), key);
   }
   return index;
 }
@@ -505,7 +517,7 @@ TEST(ExecCacheSpillTest, SpillRoundTripIsByteIdenticalAndRebuildsIndex) {
   // An unexempted pass pushes it out: resident state gone, blob written.
   ASSERT_TRUE(manager.EnforceBudget(nullptr, nullptr).ok());
   EXPECT_EQ(cache.Find(7, ExecCache::Role::kBuild)->data, nullptr);
-  EXPECT_TRUE(cache.Find(7, ExecCache::Role::kBuild)->flat_index.empty());
+  EXPECT_EQ(cache.Find(7, ExecCache::Role::kBuild)->flat_index, nullptr);
   EXPECT_GT(storage.live_bytes(), 0u);
   EXPECT_EQ(manager.stats().spills, 1u);
   const uint64_t io_after_spill = clock.Of(runtime::Charge::kCheckpointIo);
@@ -524,20 +536,22 @@ TEST(ExecCacheSpillTest, SpillRoundTripIsByteIdenticalAndRebuildsIndex) {
   EXPECT_GT(clock.Of(runtime::Charge::kCheckpointIo), io_after_spill);
 
   // The rebuilt index answers every probe like one built over the original.
-  auto fresh = BuildIndex(*ds, {0});
-  ASSERT_EQ(e->flat_index.size(), fresh.size());
+  const auto fresh = *BuildIndex(*ds, {0});
+  ASSERT_NE(e->flat_index, nullptr);
+  const std::vector<dataflow::FlatKeyIndex>& index = *e->flat_index;
+  ASSERT_EQ(index.size(), fresh.size());
   for (size_t p = 0; p < fresh.size(); ++p) {
     SCOPED_TRACE("partition " + std::to_string(p));
-    ASSERT_EQ(e->flat_index[p].heads(), fresh[p].heads());
+    ASSERT_EQ(index[p].heads(), fresh[p].heads());
     for (const Record& probe : ds->partition(p)) {
       const uint64_t h = dataflow::HashKey(probe, {0});
-      int32_t got = e->flat_index[p].FindFirst(probe, {0}, h);
+      int32_t got = index[p].FindFirst(probe, {0}, h);
       int32_t want = fresh[p].FindFirst(probe, {0}, h);
       for (; want >= 0; want = fresh[p].Next(want)) {
         ASSERT_GE(got, 0);
         // Same records, same order.
         EXPECT_EQ(e->data->partition(p)[got], ds->partition(p)[want]);
-        got = e->flat_index[p].Next(got);
+        got = index[p].Next(got);
       }
       EXPECT_EQ(got, -1);
     }
@@ -559,16 +573,15 @@ TEST(ExecCacheSpillTest, FlatIndexUnspillReusesRetainedHashes) {
   ExecCache::Entry& entry = cache.Emplace(5, ExecCache::Role::kBuild);
   entry.data = ds;
   entry.index_key = {0};
-  entry.flat_index.resize(kParts);
+  entry.flat_index = BuildIndex(*ds, {0});
   std::vector<std::vector<uint64_t>> hashes(kParts);
   for (int p = 0; p < kParts; ++p) {
-    entry.flat_index[p].Build(ds->partition(p), {0});
-    hashes[p] = entry.flat_index[p].row_hashes();
+    hashes[p] = (*entry.flat_index)[p].row_hashes();
   }
   ASSERT_TRUE(
       cache.OnEntryFilled(5, ExecCache::Role::kBuild, nullptr).ok());
   ASSERT_TRUE(manager.EnforceBudget(nullptr, nullptr).ok());
-  EXPECT_TRUE(cache.Find(5, ExecCache::Role::kBuild)->flat_index.empty());
+  EXPECT_EQ(cache.Find(5, ExecCache::Role::kBuild)->flat_index, nullptr);
   EXPECT_EQ(cache.hash_reuses(), 0u);
   // The retained hashes live beside the entry, never in storage: the blob
   // is the serialized dataset alone, so I/O accounting is unchanged.
@@ -582,53 +595,24 @@ TEST(ExecCacheSpillTest, FlatIndexUnspillReusesRetainedHashes) {
   ExecCache::Entry* e = *e_or;
   ASSERT_NE(e, nullptr);
   EXPECT_TRUE(reloaded);
-  ASSERT_EQ(e->flat_index.size(), static_cast<size_t>(kParts));
+  ASSERT_NE(e->flat_index, nullptr);
+  const std::vector<dataflow::FlatKeyIndex>& index = *e->flat_index;
+  ASSERT_EQ(index.size(), static_cast<size_t>(kParts));
   // Every partition's rebuild adopted its retained hashes...
   EXPECT_EQ(cache.hash_reuses(), static_cast<uint64_t>(kParts));
   for (int p = 0; p < kParts; ++p) {
     SCOPED_TRACE("partition " + std::to_string(p));
-    EXPECT_EQ(e->flat_index[p].row_hashes(), hashes[p]);
+    EXPECT_EQ(index[p].row_hashes(), hashes[p]);
     // ...and the adopted index matches a from-scratch build exactly.
     dataflow::FlatKeyIndex fresh;
     fresh.Build(e->data->partition(p), {0});
-    ASSERT_EQ(e->flat_index[p].heads(), fresh.heads());
+    ASSERT_EQ(index[p].heads(), fresh.heads());
     for (int32_t head : fresh.heads()) {
       for (int32_t r = head; r >= 0; r = fresh.Next(r)) {
-        EXPECT_EQ(e->flat_index[p].Next(r), fresh.Next(r));
+        EXPECT_EQ(index[p].Next(r), fresh.Next(r));
       }
     }
   }
-}
-
-TEST(ExecCacheSpillTest, CachedGroupsSurviveTheRoundTrip) {
-  runtime::StableStorage storage(nullptr, nullptr);
-  runtime::MemoryManager manager(1);
-  ExecCache cache({"volatile"});
-  cache.AttachMemoryManager(&manager, &storage, "test-job");
-  cache.EnsurePartitionCount(kParts);
-
-  auto ds = std::make_shared<PartitionedDataset>(Pairs(300, 16, /*salt=*/9));
-  ExecCache::Entry& entry = cache.Emplace(2, ExecCache::Role::kProbe);
-  entry.data = ds;
-  entry.index_key = {0};
-  entry.groups.resize(kParts);
-  for (int p = 0; p < kParts; ++p) {
-    for (const Record& r : ds->partition(p)) {
-      entry.groups[p][dataflow::ExtractKey(r, {0})].push_back(r);
-    }
-  }
-  auto expected = entry.groups;
-  ASSERT_TRUE(
-      cache.OnEntryFilled(2, ExecCache::Role::kProbe, nullptr).ok());
-  ASSERT_TRUE(manager.EnforceBudget(nullptr, nullptr).ok());
-  ASSERT_TRUE(cache.Find(2, ExecCache::Role::kProbe)->groups.empty());
-
-  bool reloaded = false;
-  auto e_or =
-      cache.FindResident(2, ExecCache::Role::kProbe, nullptr, &reloaded);
-  ASSERT_TRUE(e_or.ok()) << e_or.status().ToString();
-  EXPECT_TRUE(reloaded);
-  EXPECT_EQ((*e_or)->groups, expected);
 }
 
 TEST(ExecCacheSpillTest, BudgetedSuperstepsAreByteIdenticalAndSpill) {
@@ -677,9 +661,9 @@ TEST(ExecCacheSpillTest, InvalidateDeletesSpillBlobs) {
   cache.EnsurePartitionCount(kParts);
 
   auto ds = std::make_shared<PartitionedDataset>(Pairs(200, 16, /*salt=*/1));
-  cache.Emplace(0, ExecCache::Role::kOutput).data = ds;
+  cache.Emplace(0, ExecCache::Role::kProbe).data = ds;
   ASSERT_TRUE(
-      cache.OnEntryFilled(0, ExecCache::Role::kOutput, nullptr).ok());
+      cache.OnEntryFilled(0, ExecCache::Role::kProbe, nullptr).ok());
   ASSERT_TRUE(manager.EnforceBudget(nullptr, nullptr).ok());
   ASSERT_GT(storage.live_bytes(), 0u);
 
@@ -701,13 +685,13 @@ TEST(ExecCacheSpillTest, SpillSpansAppearInTrace) {
   cache.EnsurePartitionCount(kParts);
 
   auto ds = std::make_shared<PartitionedDataset>(Pairs(200, 16, /*salt=*/5));
-  cache.Emplace(4, ExecCache::Role::kOutput).data = ds;
+  cache.Emplace(4, ExecCache::Role::kBuild).data = ds;
   ASSERT_TRUE(
-      cache.OnEntryFilled(4, ExecCache::Role::kOutput, &tracer).ok());
+      cache.OnEntryFilled(4, ExecCache::Role::kBuild, &tracer).ok());
   ASSERT_TRUE(manager.EnforceBudget(nullptr, &tracer).ok());
   bool reloaded = false;
   ASSERT_TRUE(
-      cache.FindResident(4, ExecCache::Role::kOutput, &tracer, &reloaded)
+      cache.FindResident(4, ExecCache::Role::kBuild, &tracer, &reloaded)
           .ok());
   ASSERT_TRUE(reloaded);
 

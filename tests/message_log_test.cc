@@ -486,12 +486,13 @@ struct Accounting {
 
 TEST_P(ReplayTest, EveryOperatorAccountingIsPinnedWithAndWithoutCache) {
   // Three supersteps over the same bindings: uncached, then cached (the
-  // first superstep fills the cache, the next two are served from it).
+  // first superstep fills the cache, the next two are served from it; the
+  // invariant scale-edges and declared-sum run every superstep).
   // Outputs must agree, and every count and charge is pinned, so a change
   // in how any input is routed, cached, charged or counted shows up here.
   const Accounting kWant[2] = {
       /*uncached=*/{7575, 873, 0, 0, 215850, 873000, 6222, 846, 0, 120, 384},
-      /*cached=*/{5655, 679, 16, 1152, 160650, 679000, 4814, 652, 1152, 96,
+      /*cached=*/{6679, 679, 8, 896, 182250, 679000, 5838, 652, 896, 112,
                   256},
   };
   const int parts = 4;
